@@ -336,7 +336,8 @@ func ProfileTrace(tr *Trace, tieSeed int64, opts Options) (*Profile, error) {
 }
 
 // AnalyzeTrace computes the same profile with the parallel analysis
-// pipeline: a sequential pre-scan shards the trace at thread-switch
+// pipeline: the trace's stamp annotations (computed by one sequential pass
+// when the trace was recorded without them) shard it at thread-switch
 // boundaries, per-thread analyzers run on up to workers goroutines (0
 // selects GOMAXPROCS), and the partial profiles are merged
 // deterministically. The result is byte-identical (Profile.Export) to

@@ -436,8 +436,8 @@ func recordedTrace(b *testing.B, name string, params workloads.Params) *trace.Tr
 }
 
 // annotatedTrace captures one workload execution through the streaming
-// recorder, so the trace carries stamp annotations and the pipeline's
-// no-pre-scan route engages.
+// recorder, so the trace carries stamp annotations and the pipeline needs
+// no offline Annotate pass.
 func annotatedTrace(b *testing.B, name string, params workloads.Params) *trace.Trace {
 	b.Helper()
 	var buf bytes.Buffer
@@ -459,8 +459,8 @@ func annotatedTrace(b *testing.B, name string, params workloads.Params) *trace.T
 // BenchmarkPipelineAnalyze measures offline trace analysis on a recorded
 // mysqld execution: the sequential replayer (merge + inline profiler)
 // against the parallel pipeline at increasing worker counts, on both an
-// unannotated trace (streaming fallback pre-scan) and its stamp-annotated
-// twin (no pre-scan). events/s is the throughput over the trace's event
+// unannotated trace (annotated offline first) and its stamp-annotated
+// twin (no Annotate pass). events/s is the throughput over the trace's event
 // count; speedups are the ratios against the sequential row. The recorded
 // curve lives in BENCH_PIPELINE.json and docs/VALIDATION.md (regenerated
 // by cmd/aprof-experiments -run validation).
@@ -481,7 +481,7 @@ func BenchmarkPipelineAnalyze(b *testing.B) {
 	for _, route := range []struct {
 		name string
 		tr   *trace.Trace
-	}{{"fallback", tr}, {"annotated", ann}} {
+	}{{"offline-annotated", tr}, {"annotated", ann}} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("pipeline-%s-%dw", route.name, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -496,14 +496,14 @@ func BenchmarkPipelineAnalyze(b *testing.B) {
 }
 
 // BenchmarkPipelinePhases splits the pipeline's cost into plan
-// construction — the O(#segments) assembly from stamp annotations against
-// the fallback pre-scan over every event — and the parallelizable analyze
-// phase (Plan.Run). The pre-scan is the Amdahl term the annotated route
-// deletes.
+// construction — the O(#segments) assembly from recorded stamp annotations
+// against the offline Annotate pass over every event — and the
+// parallelizable analyze phase (Plan.Run). The Annotate pass is the Amdahl
+// term recorded annotations delete.
 func BenchmarkPipelinePhases(b *testing.B) {
 	tr := recordedTrace(b, "mysqld", workloads.Params{Size: 2 * benchSize("mysqld"), Threads: 8})
 	ann := annotatedTrace(b, "mysqld", workloads.Params{Size: 2 * benchSize("mysqld"), Threads: 8})
-	b.Run("build-plan-prescan", func(b *testing.B) {
+	b.Run("build-plan-offline-annotate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := pipeline.BuildPlan(tr, 0, core.Options{}); err != nil {
 				b.Fatal(err)

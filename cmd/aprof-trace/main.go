@@ -17,8 +17,9 @@
 //
 // replay and analyze compute the same profile; replay drives the inline
 // profiler through the merged event stream sequentially, while analyze uses
-// the parallel pipeline (pre-scan, per-thread shadow analysis on -workers
-// goroutines, deterministic merge).
+// the parallel pipeline (plan from stamp annotations, computed offline
+// when the trace carries none; per-thread shadow analysis on -workers
+// goroutines; deterministic merge).
 //
 // record writes the trace atomically (temp file + rename); with -stream it
 // instead streams checksummed segments straight to the target file as the
@@ -166,7 +167,7 @@ func record(args []string) error {
 	size := fs.Int("size", 0, "problem size")
 	seed := fs.Int64("seed", 0, "workload seed")
 	stream := fs.Bool("stream", false, "stream checksummed segments to the file during the run (crash-safe)")
-	annotate := fs.Bool("annotate", true, "record per-segment stamp annotations so analysis needs no pre-scan")
+	annotate := fs.Bool("annotate", true, "record per-segment stamp annotations so analysis needs no offline annotation pass")
 	showProgress := fs.Bool("progress", stderrIsTTY(), "draw a live progress line on stderr (streamed recording only)")
 	prof := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -343,7 +344,7 @@ func verify(args []string) error {
 	report.Table(os.Stdout, []string{"offset", "kind", "payload", "contents", "status"}, rows)
 	fmt.Printf("\n%s: %d events in %d segments across %d threads\n", path, vr.Events, vr.Segments, vr.Threads)
 	if vr.Annotations > 0 {
-		fmt.Printf("%d stamp-annotation block(s): analysis needs no pre-scan\n", vr.Annotations)
+		fmt.Printf("%d stamp-annotation block(s): analysis needs no offline annotation pass\n", vr.Annotations)
 	}
 	if vr.OK() {
 		fmt.Println("all checksums verify; footer present")
@@ -641,9 +642,9 @@ func analyze(args []string) error {
 		opts.Profile = aprof.Options{Sampling: aprof.SamplingSuppress}
 	}
 	if tr.Annotated {
-		fmt.Fprintln(os.Stderr, "analyze: annotated trace — plan assembled from recorded stamps, no pre-scan")
+		fmt.Fprintln(os.Stderr, "analyze: annotated trace — plan assembled from recorded stamps")
 	} else {
-		fmt.Fprintln(os.Stderr, "analyze: unannotated trace — streaming fallback pre-scan overlapped with workers")
+		fmt.Fprintln(os.Stderr, "analyze: unannotated trace — stamps annotated offline, then plan assembled")
 	}
 	// As in record: one estimator behind both the stderr line and /progress.
 	var pl *telemetry.Progress

@@ -26,8 +26,8 @@ import (
 //
 //   - analysis route: inline profiler vs. sequential trace replay vs. the
 //     parallel pipeline at several worker counts — both from the recorded
-//     trace's stamp annotations and, with the annotations stripped, through
-//     the fallback pre-scan;
+//     trace's stamp annotations and, with the annotations stripped, from
+//     annotations computed offline by trace.Annotate;
 //   - merge tie seed: recorded timestamps are globally unique, so the
 //     tie-breaker is never consulted;
 //   - renumbering cadence: a tiny RenumberThreshold forces many Fig. 13
@@ -216,16 +216,15 @@ func Run(cfg Config) (*Result, error) {
 	strict("workers=8/tieseed=99", func() ([]byte, error) { return pipelineExport(tr, 99, 8, core.Options{}) })
 	strict("workers=2/checked", func() ([]byte, error) { return pipelineExport(tr, 1, 2, core.Options{CheckLevel: cfg.Level}) })
 
-	// Prescan-vs-annotated axis: the streamed baseline trace carries stamp
-	// annotations, so every pipeline variant above takes the annotated
-	// O(#segments) route. Re-deriving from an annotation-stripped twin takes
-	// the fallback pre-scan instead; both routes must export byte-identical
-	// profiles.
+	// Recorded-vs-offline-annotations axis: the streamed baseline trace
+	// carries stamp annotations, so every pipeline variant above plans from
+	// the recorded ones. An annotation-stripped twin is annotated offline
+	// by trace.Annotate instead; both must export byte-identical profiles.
 	stripped := strippedCopy(tr)
-	strict("prescan/workers=2", func() ([]byte, error) { return pipelineExport(stripped, 1, 2, core.Options{}) })
+	strict("offline-annotate/workers=2", func() ([]byte, error) { return pipelineExport(stripped, 1, 2, core.Options{}) })
 	if !cfg.Quick {
-		strict("prescan/workers=8", func() ([]byte, error) { return pipelineExport(stripped, 1, 8, core.Options{}) })
-		strict("prescan/plan", func() ([]byte, error) {
+		strict("offline-annotate/workers=8", func() ([]byte, error) { return pipelineExport(stripped, 1, 8, core.Options{}) })
+		strict("offline-annotate/plan", func() ([]byte, error) {
 			plan, err := pipeline.BuildPlan(stripped, 1, core.Options{})
 			if err != nil {
 				return nil, err
@@ -515,8 +514,8 @@ func segmentVariant(spec workloads.Spec, params workloads.Params, baseTr *trace.
 }
 
 // strippedCopy returns a twin of tr whose stamp annotations are removed,
-// leaving the shared event data untouched: the input to the pipeline's
-// fallback pre-scan route.
+// leaving the shared event data untouched: the pipeline annotates it
+// offline.
 func strippedCopy(tr *trace.Trace) *trace.Trace {
 	cp := *tr
 	cp.Threads = append([]trace.ThreadTrace(nil), tr.Threads...)

@@ -1,8 +1,8 @@
 // Span timers and execution-trace integration: spans record wall-clock
 // durations into registry histograms and, when `go test -trace` /
 // runtime/trace collection is active, open matching runtime/trace regions
-// so `go tool trace` shows the profiler's own phases (pre-scan, per-thread
-// analysis, merge) on the timeline. pprof labels tag worker goroutines so
+// so `go tool trace` shows the profiler's own phases (plan, offline
+// annotation, per-thread analysis, merge) on the timeline. pprof labels tag worker goroutines so
 // CPU profiles split by pipeline thread.
 package telemetry
 

@@ -1,23 +1,25 @@
 package trace
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 
 	"repro/internal/guest"
+	"repro/internal/shadow"
 )
 
-// Stamp annotations ('A' blocks) make a v2 trace "born analysis-ready": the
-// recorder computes, at record time, exactly the global information the
-// parallel pipeline's sequential pre-scan would otherwise have to derive by
-// replaying the whole merged order — the global counter value at every
-// same-thread run boundary and the global write-shadow observation of every
-// read. An annotated trace lets the pipeline assemble its plan in
-// O(#segments) and start per-thread workers immediately; traces without
-// annotations (v1, pre-annotation v2, hand-built, lossily recovered) fall
-// back to the streaming pre-scan. Annotations are pure acceleration
-// metadata: stripping them never changes a profile, and the decoder drops
-// them whenever their coverage is not provably complete.
+// Stamp annotations ('A' blocks) carry the global half of the paper's
+// multithreaded algorithm: the global counter value at every same-thread
+// run boundary and the global write-shadow observation of every read. They
+// come from one sequential pass over the merged order, the annotator below.
+// StreamRecorder runs it live while recording, so its traces are "born
+// analysis-ready"; Annotate runs it offline over any other trace (v1,
+// pre-annotation v2, hand-built, lossily recovered). Given annotations, the
+// parallel pipeline assembles its plan in O(#segments) and analyzes threads
+// independently. Annotations are pure acceleration metadata: stripping them
+// never changes a profile, and the decoder drops them whenever their
+// coverage is not provably complete.
 
 // KernelWriter is the provenance code of a shadow cell whose latest write
 // was performed by the kernel (external input). Writer codes follow the
@@ -62,15 +64,140 @@ type ThreadAnnotation struct {
 }
 
 // StripAnnotations removes all stamp annotations from the trace, turning an
-// annotated trace into its legacy twin: analysis falls back to the
-// sequential pre-scan and profiles are unchanged (the round-trip tests
-// assert byte identity). It is the inverse of nothing — annotations can
-// only be produced at record time.
+// annotated trace into its legacy twin: analysis then annotates it offline
+// first, and profiles are unchanged (the round-trip tests assert byte
+// identity). Annotate recomputes what it removes.
 func (tr *Trace) StripAnnotations() {
 	tr.Annotated = false
 	for i := range tr.Threads {
 		tr.Threads[i].Ann = nil
 	}
+}
+
+// Annotate returns an annotated copy of tr: the annotator runs over the
+// merged order WalkRuns(tr, tieSeed) yields, so every StampRun is one
+// maximal merged-order run. The copy shares tr's name tables and event
+// slices; tr itself, including any annotations it carries, is left
+// unchanged. ctx is polled once per merged run.
+//
+// Annotations are kept per ThreadTrace, so Annotate rejects traces they
+// cannot describe: two ThreadTraces with the same ID, or an event whose
+// Thread differs from its ThreadTrace's ID. Recorders, the decoders and
+// Combine never produce either.
+func Annotate(ctx context.Context, tr *Trace, tieSeed int64) (*Trace, error) {
+	out := *tr
+	out.Threads = make([]ThreadTrace, len(tr.Threads))
+	anns := make([]ThreadAnnotation, len(tr.Threads))
+	seen := make(map[guest.ThreadID]bool, len(tr.Threads))
+	for i := range tr.Threads {
+		tt := &tr.Threads[i]
+		if seen[tt.ID] {
+			return nil, fmt.Errorf("trace: cannot annotate: thread %d has more than one ThreadTrace", tt.ID)
+		}
+		seen[tt.ID] = true
+		// One pass checks the events and counts the reads, so the stamps
+		// are allocated once at their final size.
+		reads := 0
+		for j := range tt.Events {
+			e := &tt.Events[j]
+			if e.Thread != tt.ID {
+				return nil, fmt.Errorf("trace: cannot annotate: event %d of thread %d belongs to thread %d", j, tt.ID, e.Thread)
+			}
+			if e.Kind == KindRead || e.Kind == KindKernelRead {
+				reads++
+			}
+		}
+		anns[i].Stamps = make([]Stamp, 0, reads)
+		out.Threads[i] = *tt
+		out.Threads[i].Ann = &anns[i]
+	}
+
+	a := newAnnotator()
+	var err error
+	WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
+		if err != nil {
+			return
+		}
+		if err = ctx.Err(); err != nil {
+			return
+		}
+		tt := &tr.Threads[ti]
+		a.enter(&anns[ti], tt.ID)
+		a.observe(tt.Events[lo:hi])
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: annotate canceled: %w", err)
+	}
+	a.closeRun()
+	out.Annotated = true
+	return &out, nil
+}
+
+// annotator is the sequential pass that derives stamp annotations from the
+// merged order: the global counter, which bumps at calls, thread switches
+// (synthesized between runs of different threads, or explicit KindSwitch
+// events) and kernel writes; the tally of kernel-write bumps; and the
+// global write shadow, which writes stamp with (count, provenance) and
+// reads observe. It is fed one thread's run at a time.
+type annotator struct {
+	global *shadow.Table[Stamp]
+	count  uint64            // global counter
+	kernel uint64            // kernel-write bumps included in count
+	cur    *ThreadAnnotation // annotation of the open run's thread
+	writer uint32            // provenance code of the open run's thread
+	open   StampRun          // the open run so far
+}
+
+func newAnnotator() *annotator {
+	return &annotator{global: shadow.NewTable[Stamp]()}
+}
+
+// enter makes thread id, annotated into ta, the owner of the open run. A
+// change of thread closes the open run and bumps the counter, as the
+// switch the merge synthesizes there does.
+func (a *annotator) enter(ta *ThreadAnnotation, id guest.ThreadID) {
+	if a.cur == ta {
+		return
+	}
+	if a.cur != nil {
+		a.count++
+		a.closeRun()
+	}
+	a.cur, a.writer = ta, uint32(id)+1
+}
+
+// observe advances the annotator past events of the open run's thread.
+func (a *annotator) observe(events []Event) {
+	count, kernel, global := a.count, a.kernel, a.global
+	stamps := a.cur.Stamps
+	for i := range events {
+		e := &events[i]
+		switch e.Kind {
+		case KindCall, KindSwitch:
+			count++
+		case KindKernelWrite:
+			count++
+			kernel++
+			global.Set(guest.Addr(e.Arg), Stamp{WTS: count, Writer: KernelWriter})
+		case KindWrite:
+			global.Set(guest.Addr(e.Arg), Stamp{WTS: count, Writer: a.writer})
+		case KindRead, KindKernelRead:
+			stamps = append(stamps, global.Peek(guest.Addr(e.Arg)))
+		}
+	}
+	a.count, a.kernel = count, kernel
+	a.cur.Stamps = stamps
+	a.open.Events += len(events)
+}
+
+// closeRun appends the open run, unless it is empty, to its thread's runs,
+// and reopens it at the current counter. Splitting a run this way is exact:
+// the counter right after an event is the counter on entry to the next.
+func (a *annotator) closeRun() {
+	if a.open.Events > 0 {
+		a.cur.Runs = append(a.cur.Runs, a.open)
+	}
+	a.open = StampRun{StartCount: a.count, KernelBumps: a.kernel}
 }
 
 // numReads counts a thread's read events — the number of stamps a complete

@@ -1,8 +1,8 @@
 package trace_test
 
 // Fault-injection and round-trip tests for stamp annotations, from outside
-// the package: corrupting or stripping annotation blocks may cost the
-// no-pre-scan fast path, but must never change a profile. The profile-level
+// the package: corrupting or stripping annotation blocks may cost an
+// offline Annotate pass, but must never change a profile. The profile-level
 // byte-identity here uses the sequential replayer and the parallel pipeline
 // together, which an in-package test cannot (core imports trace).
 
@@ -112,7 +112,7 @@ func TestStrippedTwinRoundTrip(t *testing.T) {
 		t.Fatal("annotated plan profile diverges from inline profiler")
 	}
 	if prof, err := planStripped.Run(2); !bytes.Equal(exportProfile(t, prof, err), base) {
-		t.Fatal("pre-scan plan profile diverges from inline profiler")
+		t.Fatal("offline-annotated plan profile diverges from inline profiler")
 	}
 }
 
@@ -131,7 +131,7 @@ func corruptBlock(t *testing.T, data []byte, vr *trace.VerifyReport, i int) []by
 // TestCorruptAnnotationDegradesToFallback: damaging an 'A' block must fail
 // strict decoding, while recovery salvages every event, drops the
 // annotations entirely, and still yields the exact baseline profile through
-// the fallback pre-scan — corrupt metadata can cost speed, never answers.
+// offline annotation — corrupt metadata can cost speed, never answers.
 func TestCorruptAnnotationDegradesToFallback(t *testing.T) {
 	data := recordStreamed(t, "producer-consumer", workloads.Params{Size: 20, Threads: 3})
 	pristine, err := trace.Decode(bytes.NewReader(data))

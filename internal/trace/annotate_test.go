@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -142,5 +144,52 @@ func TestSetAnnotationsOff(t *testing.T) {
 	}
 	if vr.Annotations != 0 {
 		t.Fatalf("%d annotation blocks written despite SetAnnotations(false)", vr.Annotations)
+	}
+}
+
+// TestAnnotateRejects: Annotate errors on the inputs per-ThreadTrace
+// annotations cannot describe, and on a canceled context.
+func TestAnnotateRejects(t *testing.T) {
+	ev := func(ts uint64, th guest.ThreadID) Event { return Event{TS: ts, Thread: th, Kind: KindRead, Arg: 8} }
+	cases := map[string]struct {
+		tr   *Trace
+		ctx  func() context.Context
+		want string
+	}{
+		"repeated ThreadTrace ID": {
+			tr: &Trace{Threads: []ThreadTrace{
+				{ID: 1, Events: []Event{ev(1, 1)}},
+				{ID: 1, Events: []Event{ev(2, 1)}},
+			}},
+			want: "thread 1 has more than one ThreadTrace",
+		},
+		"event from another thread": {
+			tr: &Trace{Threads: []ThreadTrace{
+				{ID: 1, Events: []Event{ev(1, 1), ev(2, 2)}},
+			}},
+			want: "event 1 of thread 1 belongs to thread 2",
+		},
+		"canceled context": {
+			tr: &Trace{Threads: []ThreadTrace{{ID: 1, Events: []Event{ev(1, 1)}}}},
+			ctx: func() context.Context {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				return ctx
+			},
+			want: context.Canceled.Error(),
+		},
+	}
+	for name, tc := range cases {
+		ctx := context.Background()
+		if tc.ctx != nil {
+			ctx = tc.ctx()
+		}
+		out, err := Annotate(ctx, tc.tr, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Annotate = %v, want error containing %q", name, err, tc.want)
+		}
+		if out != nil {
+			t.Errorf("%s: Annotate returned a trace alongside its error", name)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func Combine(shards ...*Trace) (*Trace, error) {
 	// A single shard is already the whole execution: its recorder saw every
 	// event in merged order, so its stamp annotations are exactly as
 	// trustworthy as in the original trace, and stripping them would
-	// needlessly force analysis onto the fallback pre-scan route. Across
+	// needlessly force analysis through an offline Annotate pass. Across
 	// shards the interleaving is re-derived by the merge, so per-shard
 	// annotations are not trustworthy and are dropped.
 	keepAnn := len(shards) == 1

@@ -100,7 +100,7 @@ func TestCombineShardCountTable(t *testing.T) {
 
 // TestCombineSingleShardKeepsAnnotatedRoute is the regression test for the
 // single-shard annotation drop: Combine over one annotated shard must keep
-// the pipeline on the annotated fast path (no fallback pre-scan) and still
+// the pipeline on recorded annotations (no offline Annotate pass) and still
 // reproduce the sequential replay's profile exactly.
 func TestCombineSingleShardKeepsAnnotatedRoute(t *testing.T) {
 	whole := annotatedExample(t)

@@ -97,7 +97,9 @@ func readPrelude(br *bufio.Reader) (byte, error) {
 
 // decodeV1 reads the legacy v1 body (everything after the version byte).
 // Table counts, name lengths and thread/event counts are bounded before any
-// allocation, so hostile inputs cannot force huge allocations.
+// allocation, so hostile inputs cannot force huge allocations. A thread id
+// listed twice is an error: one ThreadTrace per id is what the v2 decoder
+// and Combine guarantee too.
 func decodeV1(br *bufio.Reader) (*Trace, error) {
 	readStrings := func() ([]string, error) {
 		n, err := binary.ReadUvarint(br)
@@ -139,16 +141,22 @@ func decodeV1(br *bufio.Reader) (*Trace, error) {
 	if nThreads > maxThreads {
 		return nil, fmt.Errorf("trace: implausible thread count %d", nThreads)
 	}
+	seen := make(map[guest.ThreadID]bool)
 	for i := uint64(0); i < nThreads; i++ {
 		id, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
+		tid := threadIDFromWire(id)
+		if seen[tid] {
+			return nil, fmt.Errorf("trace: thread %d listed twice", tid)
+		}
+		seen[tid] = true
 		nEvents, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
 		}
-		tt := ThreadTrace{ID: threadIDFromWire(id)}
+		tt := ThreadTrace{ID: tid}
 		tt.Events = make([]Event, 0, min(nEvents, 1<<20))
 		prev := uint64(0)
 		for j := uint64(0); j < nEvents; j++ {

@@ -28,7 +28,7 @@ import (
 //	'A'  stamp annotations:        uvarint thread id, run batch, stamp
 //	                               batch (see annotate.go) — optional
 //	                               analysis metadata the recorder computes
-//	                               so the pipeline needs no pre-scan
+//	                               so the pipeline needs no Annotate pass
 //	'F'  footer:                   uvarint block count (excluding the
 //	                               footer), uvarint total event count,
 //	                               uvarint thread count

@@ -12,8 +12,7 @@ import (
 // of the owning ThreadTrace in tr.Threads, the event's index within that
 // thread's Events slice, and the event itself. Unlike Merge, Walk does not
 // synthesize switchThread events; callers detect thread changes between
-// consecutive calls. It is the streaming core shared by Merge and the
-// parallel analysis pipeline's pre-scan.
+// consecutive calls. It is the streaming core of Merge.
 func Walk(tr *Trace, tieSeed int64, f func(threadIdx, eventIdx int, e *Event)) {
 	WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
 		tt := &tr.Threads[ti]
@@ -27,9 +26,9 @@ func Walk(tr *Trace, tieSeed int64, f func(threadIdx, eventIdx int, e *Event)) {
 // receives maximal index ranges [lo, hi) of consecutive events that
 // tr.Threads[threadIdx] contributes before another thread's event sorts
 // earlier. Concatenating the ranges in callback order yields exactly the
-// merged event sequence. Bulk consumers (the parallel analysis pre-scan)
-// iterate the range with a flat slice loop, paying the merge bookkeeping
-// once per scheduler run instead of once per event.
+// merged event sequence. Bulk consumers (Annotate) iterate the range with
+// a flat slice loop, paying the merge bookkeeping once per scheduler run
+// instead of once per event.
 func WalkRuns(tr *Trace, tieSeed int64, f func(threadIdx, lo, hi int)) {
 	prio := make(map[int]int, len(tr.Threads))
 	perm := rand.New(rand.NewSource(tieSeed)).Perm(len(tr.Threads))

@@ -1,12 +1,14 @@
 package pipeline
 
-// Differential tests for the two analysis routes the annotation work added:
-// the annotated O(#segments) plan and the streaming fallback that overlaps
-// the pre-scan with the workers. Every route, at every worker count, must
-// export byte-for-byte the profile the inline profiler computes.
+// Differential tests for the two sources of stamp annotations: recorded by
+// the streaming recorder, or computed offline by trace.Annotate for a trace
+// without them. Both, at every worker count, must export byte-for-byte the
+// profile the inline profiler computes.
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +18,7 @@ import (
 
 // streamedTrace records a workload through the streaming recorder (the
 // annotating path) and decodes it.
-func streamedTrace(t *testing.T, wl string, params workloads.Params, segmentEvents int) (*trace.Trace, *core.Profile) {
+func streamedTrace(t testing.TB, wl string, params workloads.Params, segmentEvents int) (*trace.Trace, *core.Profile) {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := trace.NewStreamRecorder(&buf)
@@ -37,7 +39,7 @@ func streamedTrace(t *testing.T, wl string, params workloads.Params, segmentEven
 	return tr, inline.Profile()
 }
 
-func export(t *testing.T, p *core.Profile, err error) []byte {
+func export(t testing.TB, p *core.Profile, err error) []byte {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -50,51 +52,60 @@ func export(t *testing.T, p *core.Profile, err error) []byte {
 }
 
 // analyzeExport analyzes tr and returns the profile's canonical export.
-func analyzeExport(t *testing.T, tr *trace.Trace, opts Options) []byte {
+func analyzeExport(t testing.TB, tr *trace.Trace, opts Options) []byte {
 	t.Helper()
 	p, err := Analyze(tr, opts)
 	return export(t, p, err)
 }
 
+// routeCase is one workload the annotation-route tests sweep.
+type routeCase struct {
+	wl     string
+	params workloads.Params
+}
+
+var routeCases = []routeCase{
+	{"mysqld", workloads.Params{Size: 16, Threads: 4}},
+	{"producer-consumer", workloads.Params{Size: 24, Threads: 3}},
+	{"external-read", workloads.Params{Size: 16}},
+	{"fig1b", workloads.Params{}},
+}
+
+// strippedTwin returns a copy of tr without annotations, sharing its events.
+func strippedTwin(tr *trace.Trace) *trace.Trace {
+	stripped := *tr
+	stripped.Threads = append([]trace.ThreadTrace(nil), tr.Threads...)
+	stripped.StripAnnotations()
+	return &stripped
+}
+
 // TestAnnotatedRouteMatchesInline sweeps workloads and worker counts over
-// the annotated fast path and the stripped twin's streaming fallback; both
+// recorded annotations and the stripped twin's offline annotations; both
 // must reproduce the inline profiler byte for byte.
 func TestAnnotatedRouteMatchesInline(t *testing.T) {
-	cases := []struct {
-		wl     string
-		params workloads.Params
-	}{
-		{"mysqld", workloads.Params{Size: 16, Threads: 4}},
-		{"producer-consumer", workloads.Params{Size: 24, Threads: 3}},
-		{"external-read", workloads.Params{Size: 16}},
-		{"fig1b", workloads.Params{}},
-	}
-	for _, tc := range cases {
+	for _, tc := range routeCases {
 		tr, inline := streamedTrace(t, tc.wl, tc.params, 0)
 		if !tr.Annotated {
 			t.Fatalf("%s: streamed trace not annotated", tc.wl)
 		}
 		base := export(t, inline, nil)
-
-		stripped := *tr
-		stripped.Threads = append([]trace.ThreadTrace(nil), tr.Threads...)
-		stripped.StripAnnotations()
+		stripped := strippedTwin(tr)
 
 		for _, workers := range []int{1, 2, 4, 0} {
 			got := analyzeExport(t, tr, Options{Workers: workers})
 			if !bytes.Equal(got, base) {
 				t.Fatalf("%s: annotated route, workers=%d: diverges from inline", tc.wl, workers)
 			}
-			got = analyzeExport(t, &stripped, Options{Workers: workers})
+			got = analyzeExport(t, stripped, Options{Workers: workers})
 			if !bytes.Equal(got, base) {
-				t.Fatalf("%s: streaming fallback, workers=%d: diverges from inline", tc.wl, workers)
+				t.Fatalf("%s: offline annotations, workers=%d: diverge from inline", tc.wl, workers)
 			}
 		}
 	}
 }
 
 // TestAnnotatedPlanShape: the fast-path plan must be marked annotated,
-// cover every event, and be reusable across Run calls like a pre-scan plan.
+// cover every event, and be reusable across Run calls like any plan.
 func TestAnnotatedPlanShape(t *testing.T) {
 	tr, inline := streamedTrace(t, "mysqld", workloads.Params{Size: 16, Threads: 4}, 0)
 	plan, err := BuildPlan(tr, 0, core.Options{})
@@ -144,21 +155,77 @@ func TestFlushSplitAnnotations(t *testing.T) {
 	}
 }
 
-// TestStreamingChunkSplit runs the fallback on a single-threaded trace long
-// enough to force mid-run chunk publishes; with one thread there is no
-// switch boundary at all, so correctness rests entirely on split exactness.
-func TestStreamingChunkSplit(t *testing.T) {
-	tr, inline := streamedTrace(t, "linear-scan", workloads.Params{Size: 128}, 0)
-	if tr.NumEvents() <= streamChunkEvents {
-		t.Fatalf("workload too small to chunk: %d events", tr.NumEvents())
-	}
-	stripped := *tr
-	stripped.Threads = append([]trace.ThreadTrace(nil), tr.Threads...)
-	stripped.StripAnnotations()
-	base := export(t, inline, nil)
-	for _, workers := range []int{1, 2} {
-		if got := analyzeExport(t, &stripped, Options{Workers: workers}); !bytes.Equal(got, base) {
-			t.Fatalf("chunked streaming fallback, workers=%d: diverges from inline", workers)
+// TestOfflineAnnotateMatchesRecorder: trace.Annotate of a stripped
+// recording must reproduce the recorder's annotations — identical stamps,
+// and identical runs once the recorder's flush splits are coalesced — while
+// analyzing the stripped trace leaves it unannotated and its plan marked as
+// not built from recorded annotations.
+func TestOfflineAnnotateMatchesRecorder(t *testing.T) {
+	cases := append(slices.Clip(routeCases), routeCase{"linear-scan", workloads.Params{Size: 128}})
+	for _, tc := range cases {
+		for _, segEvents := range []int{0, 3} {
+			tr, _ := streamedTrace(t, tc.wl, tc.params, segEvents)
+			if !tr.Annotated {
+				t.Fatalf("%s/seg=%d: streamed trace not annotated", tc.wl, segEvents)
+			}
+			stripped := strippedTwin(tr)
+			ann, err := trace.Annotate(context.Background(), stripped, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tr.Threads {
+				rec, got := tr.Threads[i].Ann, ann.Threads[i].Ann
+				events := tr.Threads[i].Events
+				if !slices.Equal(got.Stamps, rec.Stamps) {
+					t.Fatalf("%s/seg=%d: thread %d: offline stamps differ from recorded", tc.wl, segEvents, tr.Threads[i].ID)
+				}
+				if want := coalesceRuns(events, rec.Runs); !slices.Equal(got.Runs, want) {
+					t.Fatalf("%s/seg=%d: thread %d: offline runs %v, want %v", tc.wl, segEvents, tr.Threads[i].ID, got.Runs, want)
+				}
+			}
+
+			if _, err := Analyze(stripped, Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := BuildPlan(stripped, 0, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Annotated() {
+				t.Fatalf("%s/seg=%d: plan of a stripped trace marked annotated", tc.wl, segEvents)
+			}
+			if stripped.Annotated {
+				t.Fatalf("%s/seg=%d: analysis annotated the caller's trace", tc.wl, segEvents)
+			}
+			for i := range stripped.Threads {
+				if stripped.Threads[i].Ann != nil {
+					t.Fatalf("%s/seg=%d: analysis attached annotations to the caller's trace", tc.wl, segEvents)
+				}
+			}
 		}
 	}
+}
+
+// coalesceRuns merges a thread's recorded runs that the recorder split at
+// flush boundaries: a continuation starts at exactly the counter its
+// predecessor ended at, while a real interleaving adds two switch bumps.
+func coalesceRuns(events []trace.Event, runs []trace.StampRun) []trace.StampRun {
+	var out []trace.StampRun
+	lo, end := 0, uint64(0)
+	for _, r := range runs {
+		if n := len(out); n > 0 && r.StartCount == end {
+			out[n-1].Events += r.Events
+		} else {
+			out = append(out, r)
+		}
+		end = r.StartCount
+		for _, e := range events[lo : lo+r.Events] {
+			switch e.Kind {
+			case trace.KindCall, trace.KindSwitch, trace.KindKernelWrite:
+				end++
+			}
+		}
+		lo += r.Events
+	}
+	return out
 }

@@ -956,11 +956,7 @@ func validState(p *Plan, idx int, st *workerState) bool {
 			return false
 		}
 	} else {
-		nreads := len(tp.reads)
-		if tp.reads == nil {
-			nreads = len(tp.packed)
-		}
-		if st.nextRead < 0 || st.nextRead > nreads {
+		if st.nextRead < 0 || st.nextRead > len(tp.reads) {
 			return false
 		}
 	}

@@ -30,7 +30,7 @@ import (
 
 // ckptTrace records one workload run and returns the trace plus the
 // uninterrupted pipeline profile's canonical export.
-func ckptTrace(t *testing.T, name string, params workloads.Params) (*trace.Trace, []byte) {
+func ckptTrace(t testing.TB, name string, params workloads.Params) (*trace.Trace, []byte) {
 	t.Helper()
 	rec := trace.NewRecorder()
 	if _, err := workloads.RunByName(name, params, rec); err != nil {
@@ -62,7 +62,7 @@ func cancelAfter(cancel context.CancelFunc, frac float64) func(uint64, uint64) {
 // runCheckpointed analyzes tr with checkpointing to path, canceling at
 // frac of the events (frac >= 1 runs to completion). It returns the
 // profile export (nil when canceled) and the analysis error.
-func runCheckpointed(t *testing.T, tr *trace.Trace, path string, frac float64, resume *Checkpoint, reg *telemetry.Registry) ([]byte, error) {
+func runCheckpointed(t testing.TB, tr *trace.Trace, path string, frac float64, resume *Checkpoint, reg *telemetry.Registry) ([]byte, error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -116,7 +116,7 @@ func TestDifferentialRenumbering(t *testing.T) {
 	}
 }
 
-// TestPlanReuse checks the pre-scan/analyze split: one plan can be run
+// TestPlanReuse checks the plan/analyze split: one plan can be run
 // repeatedly at different worker counts and always yields the same profile.
 func TestPlanReuse(t *testing.T) {
 	want, tr := recordAndProfile(t, "vips", workloads.Params{Size: 20, Threads: 3}, core.Options{})

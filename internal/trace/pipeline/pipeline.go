@@ -16,28 +16,20 @@
 //     that thread's own events plus the global values observed at them.
 //
 // The pipeline therefore splits work into global-state derivation and
-// per-thread analysis, and obtains the global half as cheaply as the trace
-// allows:
-//
-//   - Annotated traces (recorded by trace.StreamRecorder, which maintains
-//     the pre-scan's state live while recording) carry every segment's
-//     entry counter and every read's (wts, writer) stamp in the file, so
-//     BuildPlan assembles the plan directly from the annotations in
-//     O(#segments) and per-thread workers start immediately.
-//   - Legacy traces without annotations go through the fallback pre-scan.
-//     Analyze overlaps it with the workers: the merged-order scan publishes
-//     segments to per-thread queues as it goes, and each thread's analyzer
-//     starts the moment its first segment is available instead of waiting
-//     behind a barrier. BuildPlan still offers the fully materialized
-//     (reusable) plan for callers that want the two phases separate.
+// per-thread analysis. The global half is the trace's stamp annotations
+// (trace.Stamp): every segment's entry counter and every read's (wts,
+// writer) stamp. Traces recorded by trace.StreamRecorder carry them in the
+// file; any other trace is first annotated offline by trace.Annotate, one
+// sequential pass over the merged order. Either way BuildPlan assembles the
+// plan from the annotations in O(#segments), and there is one plan route.
 //
 // The analyze phase processes each guest thread independently — shadow
 // memory, shadow stack, histogram aggregation — on a bounded pool of
 // workers, and deterministically folds the per-thread profiles together.
 // The result is byte-identical (core.Profile.Export) to the inline
 // profiler's on every route: the differential tests and the metamorphic
-// harness's prescan-vs-annotated axis assert this across workloads and
-// worker counts.
+// harness's recorded-vs-offline-annotations axis assert this across
+// workloads and worker counts.
 //
 // Timestamps are 64-bit throughout, so the pipeline never renumbers; this
 // is equivalent because the paper's renumbering (Fig. 13) preserves exactly
@@ -57,7 +49,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -107,9 +98,7 @@ type Options struct {
 	// Checkpoint, when non-nil and enabled, periodically saves every
 	// worker's position and partial state to an atomically rewritten
 	// checkpoint file, and serves live profile snapshots (see
-	// CheckpointOptions). Checkpointing forces the materialized-plan route
-	// even for unannotated traces: resumable positions need the plan's
-	// stable segment numbering.
+	// CheckpointOptions).
 	Checkpoint *CheckpointOptions
 
 	// Resume, when non-nil, is a checkpoint of a previous run of the same
@@ -129,10 +118,10 @@ const kernelWriter = trace.KernelWriter
 // segment is a run of one thread's events in the merged order: the unit the
 // plan shards traces into. Lo and Hi index into the events of thread trace
 // Src; StartCount is the global counter value on entry (after the preceding
-// switchThread bump). Segments split at thread switches and, in annotated
-// or streaming plans, additionally at recorder-flush or chunk boundaries —
-// splits within a run are exact (the entry counter is recorded at the split
-// point) and do not change profiles.
+// switchThread bump). Segments split at thread switches and, in recorded
+// annotations, additionally at recorder-flush boundaries — splits within a
+// run are exact (the entry counter is recorded at the split point) and do
+// not change profiles.
 type segment struct {
 	src        int // index into Trace.Threads
 	lo, hi     int
@@ -141,25 +130,13 @@ type segment struct {
 
 // threadPlan is the per-guest-thread share of a Plan: the thread's segments
 // in merged order and the global write-shadow observations of its reads, in
-// event order. The pre-scan populates exactly one of packed (narrow mode)
-// and reads (wide mode); annotated plans always use reads, sharing the
-// decoded stamp slice without copying.
+// event order, sharing the annotation's stamp slice without copying (nil
+// under RMSOnly, which consults no write shadow).
 type threadPlan struct {
 	id       guest.ThreadID
 	events   int
 	segments []segment
-	packed   []uint64
 	reads    []trace.Stamp
-}
-
-// readAt returns the (wts, writer) pair observed by the thread's i-th read.
-func (tp *threadPlan) readAt(i int) (uint64, uint32) {
-	if tp.reads != nil {
-		st := tp.reads[i]
-		return st.WTS, st.Writer
-	}
-	g := tp.packed[i]
-	return g >> 32, uint32(g)
 }
 
 // Plan is the output of plan assembly: everything the per-thread analyzers
@@ -168,7 +145,7 @@ type Plan struct {
 	tr        *trace.Trace
 	opts      core.Options
 	wide      bool          // see BuildPlan: counter may exceed 32 bits
-	annotated bool          // assembled from trace annotations, no pre-scan
+	annotated bool          // assembled from annotations recorded in the file
 	threads   []*threadPlan // in order of first appearance in the merged order
 
 	// Telemetry, Progress, Checkpoint and Resume mirror the same-named
@@ -181,9 +158,9 @@ type Plan struct {
 	Resume     *Checkpoint
 }
 
-// Annotated reports whether the plan was assembled from the trace's
-// recorded stamp annotations in O(#segments) rather than by the sequential
-// fallback pre-scan.
+// Annotated reports whether the plan was assembled from stamp annotations
+// recorded in the trace file, rather than from an offline trace.Annotate
+// pass over an unannotated trace.
 func (p *Plan) Annotated() bool { return p.annotated }
 
 // NumEvents returns the total number of events across the plan's threads —
@@ -197,22 +174,18 @@ func (p *Plan) NumEvents() uint64 {
 }
 
 // Analyze computes the trace's input-sensitive profile with the parallel
-// pipeline: pre-scan, fan-out to workers, deterministic merge. The result
-// is identical to core.FromTrace(tr, tieSeed, opts.Profile).
+// pipeline: BuildPlan, fan-out to workers, deterministic merge. The result
+// is identical to core.FromTrace(tr, tieSeed, opts.Profile). tr itself is
+// never modified; an unannotated trace stays unannotated.
 func Analyze(tr *trace.Trace, opts Options) (*core.Profile, error) {
 	return AnalyzeContext(context.Background(), tr, opts)
 }
 
-// AnalyzeContext is Analyze with cancellation: the plan assembly, pre-scan
-// and worker pool observe ctx and return ctx.Err() promptly when it is
-// canceled or its deadline passes. It also enforces the Options.MaxEvents
-// guard.
-//
-// Route selection: an annotated trace is planned in O(#segments) and run on
-// the worker pool directly; an unannotated trace is analyzed with the
-// streaming fallback, which overlaps the sequential pre-scan with the
-// per-thread workers instead of running the two phases behind a barrier.
-// Both routes produce byte-identical profiles.
+// AnalyzeContext is Analyze with cancellation: plan assembly (including an
+// offline Annotate pass) and the worker pool observe ctx and return
+// ctx.Err() promptly when it is canceled or its deadline passes. It also
+// enforces the Options.MaxEvents guard. It always runs BuildPlan and then
+// Plan.Run.
 func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*core.Profile, error) {
 	if opts.MaxEvents > 0 {
 		if n := tr.NumEvents(); n > opts.MaxEvents {
@@ -224,24 +197,15 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*core.P
 	if err := validateOptions(opts.Profile); err != nil {
 		return nil, err
 	}
-	wantCkpt := (opts.Checkpoint != nil && opts.Checkpoint.enabled()) || opts.Resume != nil
-	if tr.Annotated || wantCkpt {
-		// Checkpointing and resuming need the materialized plan's stable
-		// (thread, segment, offset) coordinates, so they take the plan
-		// route even for unannotated traces (the pre-scan runs first).
-		span := opts.Telemetry.StartSpan(ctx, "pipeline/plan")
-		plan, err := BuildPlanContext(ctx, tr, opts.TieSeed, opts.Profile)
-		span.End()
-		if err != nil {
-			return nil, err
-		}
-		plan.Telemetry = opts.Telemetry
-		plan.Progress = opts.Progress
-		plan.Checkpoint = opts.Checkpoint
-		plan.Resume = opts.Resume
-		return plan.RunContext(ctx, opts.Workers)
+	plan, err := buildPlan(ctx, tr, opts.TieSeed, opts.Profile, opts.Telemetry)
+	if err != nil {
+		return nil, err
 	}
-	return analyzeStreaming(ctx, tr, opts)
+	plan.Telemetry = opts.Telemetry
+	plan.Progress = opts.Progress
+	plan.Checkpoint = opts.Checkpoint
+	plan.Resume = opts.Resume
+	return plan.RunContext(ctx, opts.Workers)
 }
 
 // validateOptions rejects the profiling modes the parallel pipeline cannot
@@ -256,21 +220,21 @@ func validateOptions(opts core.Options) error {
 	return nil
 }
 
-// BuildPlan assembles the analysis plan. For an annotated trace (see
-// trace.Stamp) the plan comes straight from the recorded segment metadata
-// in O(#segments) — no pass over the events at all. Otherwise BuildPlan
-// runs the sequential fallback pre-scan: one streaming pass over the merged
-// event order that maintains the global counter and write shadow, shards
-// every thread's events at thread-switch boundaries, and annotates reads
-// with the write timestamps they observe.
+// BuildPlan assembles the analysis plan from the trace's stamp annotations
+// (see trace.Stamp) in O(#segments). A trace without annotations, or whose
+// annotations are inconsistent, is first annotated offline by
+// trace.Annotate, one sequential pass over the merged event order; the
+// annotated copy shares tr's events, and tr is left unchanged. Annotate's
+// errors (a trace whose annotations cannot be expressed per ThreadTrace)
+// are returned.
 //
 // The counter can increment at most twice per event (an event's own bump
 // plus one synthesized thread switch), so its final value is bounded before
-// scanning. When the bound fits 32 bits — every realistic trace — the
-// pre-scan packs (wts, writer) pairs into single words and the analyzers use
-// 32-bit shadow cells, halving shadow footprint; otherwise everything runs
-// at full 64-bit width. Either way no renumbering ever happens, and the two
-// modes store identical timestamp values, not merely order-equivalent ones.
+// analysis. When the bound fits 32 bits — every realistic trace — the
+// analyzers use 32-bit shadow cells, halving shadow footprint; otherwise
+// they run at full 64-bit width. Either way no renumbering ever happens,
+// and the two modes store identical timestamp values, not merely
+// order-equivalent ones.
 func BuildPlan(tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
 	return BuildPlanContext(context.Background(), tr, tieSeed, opts)
 }
@@ -280,11 +244,11 @@ func BuildPlan(tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error)
 // segment, reads share the decoded stamp slices, and threads are ordered by
 // their first run's entry count — which is exactly first appearance in the
 // merged order, because every thread switch bumps the counter. It returns
-// ok=false (caller falls back to the pre-scan) if the annotations are
+// ok=false (the caller annotates offline instead) if the annotations are
 // internally inconsistent, which the decoder rules out for traces it marks
 // Annotated but a hand-mutated trace could still exhibit.
 func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
-	p := &Plan{tr: tr, opts: opts, annotated: true, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
+	p := &Plan{tr: tr, opts: opts, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
 	type firstOf struct {
 		tp    *threadPlan
 		start uint64
@@ -343,178 +307,39 @@ func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
 	return p, true
 }
 
-// BuildPlanContext is BuildPlan with cancellation: ctx is polled once per
-// merged scheduler run (the fallback pre-scan's natural work unit), so a
-// canceled scan stops within one run and returns ctx.Err(). The annotated
-// fast path does no event work and ignores ctx.
+// BuildPlanContext is BuildPlan with cancellation: the offline Annotate
+// pass polls ctx once per merged scheduler run, so a canceled pass stops
+// within one run and returns ctx.Err(). Planning from recorded annotations
+// does no event work and ignores ctx.
 func BuildPlanContext(ctx context.Context, tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
+	return buildPlan(ctx, tr, tieSeed, opts, nil)
+}
+
+// buildPlan is BuildPlanContext timed into reg: pipeline/plan covers
+// planning from recorded annotations, pipeline/prescan the offline
+// Annotate pass and planning from its output.
+func buildPlan(ctx context.Context, tr *trace.Trace, tieSeed int64, opts core.Options, reg *telemetry.Registry) (*Plan, error) {
 	if err := validateOptions(opts); err != nil {
 		return nil, err
 	}
 	if tr.Annotated {
-		if p, ok := planFromAnnotations(tr, opts); ok {
+		span := reg.StartSpan(ctx, "pipeline/plan")
+		p, ok := planFromAnnotations(tr, opts)
+		span.End()
+		if ok {
+			p.annotated = true
 			return p, nil
 		}
 	}
-
-	p := &Plan{tr: tr, opts: opts, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
-	byID := make(map[guest.ThreadID]*threadPlan)
-	// Pre-size each thread's annotation array with a flat per-thread pass:
-	// cheaper than growing it append by append during the merged walk.
-	nreads := make(map[guest.ThreadID]int)
-	if !opts.RMSOnly {
-		for i := range tr.Threads {
-			tt := &tr.Threads[i]
-			n := 0
-			for j := range tt.Events {
-				if k := tt.Events[j].Kind; k == trace.KindRead || k == trace.KindKernelRead {
-					n++
-				}
-			}
-			nreads[tt.ID] += n
-		}
+	span := reg.StartSpan(ctx, "pipeline/prescan")
+	defer span.End()
+	annotated, err := trace.Annotate(ctx, tr, tieSeed)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	planFor := func(id guest.ThreadID) *threadPlan {
-		tp := byID[id]
-		if tp == nil {
-			tp = &threadPlan{id: id}
-			if n := nreads[id]; n > 0 {
-				if p.wide {
-					tp.reads = make([]trace.Stamp, 0, n)
-				} else {
-					tp.packed = make([]uint64, 0, n)
-				}
-			}
-			byID[id] = tp
-			p.threads = append(p.threads, tp)
-		}
-		return tp
-	}
-
-	var (
-		count   uint64
-		cur     *threadPlan
-		curSeg  segment
-		haveSeg bool
-	)
-	closeSeg := func() {
-		if haveSeg {
-			cur.segments = append(cur.segments, curSeg)
-			cur.events += curSeg.hi - curSeg.lo
-			haveSeg = false
-		}
-	}
-	// boundary starts a new segment at event k of thread trace ti. The merge
-	// synthesizes a switchThread event — which bumps the counter — exactly
-	// when the thread id changes; a run can also end without a switch if two
-	// thread traces share an id. Called only at segment boundaries, so the
-	// per-event cost of the scan loops below is one comparison.
-	boundary := func(ti, k int, e *trace.Event) {
-		if haveSeg && curSeg.src == ti {
-			curSeg.hi = k
-		}
-		bump := haveSeg && cur.id != e.Thread
-		closeSeg()
-		if bump {
-			count++
-		}
-		cur = planFor(e.Thread)
-		curSeg = segment{src: ti, lo: k, hi: k, startCount: count}
-		haveSeg = true
-	}
-
-	// One flat inner loop per mode, fed whole same-thread runs by WalkRuns:
-	// no global write shadow under RMSOnly (and kernel writes do not bump),
-	// packed single-word stamps in narrow mode, full pairs in wide mode.
-	// Cancellation is polled once per run; once ctxErr is set the remaining
-	// runs are skipped cheaply.
-	var ctxErr error
-	checkCtx := func() bool {
-		if ctxErr == nil {
-			ctxErr = ctx.Err()
-		}
-		return ctxErr != nil
-	}
-	switch {
-	case opts.RMSOnly:
-		trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
-			if checkCtx() {
-				return
-			}
-			tt := &tr.Threads[ti]
-			for k := lo; k < hi; k++ {
-				e := &tt.Events[k]
-				if !haveSeg || cur.id != e.Thread || curSeg.src != ti {
-					boundary(ti, k, e)
-				}
-				if e.Kind == trace.KindCall || e.Kind == trace.KindSwitch {
-					count++
-				}
-			}
-			if haveSeg && curSeg.src == ti {
-				curSeg.hi = hi
-			}
-		})
-	case p.wide:
-		global := shadow.NewTable[trace.Stamp]()
-		trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
-			if checkCtx() {
-				return
-			}
-			tt := &tr.Threads[ti]
-			for k := lo; k < hi; k++ {
-				e := &tt.Events[k]
-				if !haveSeg || cur.id != e.Thread || curSeg.src != ti {
-					boundary(ti, k, e)
-				}
-				switch e.Kind {
-				case trace.KindCall, trace.KindSwitch:
-					count++
-				case trace.KindKernelWrite:
-					count++
-					global.Set(guest.Addr(e.Arg), trace.Stamp{WTS: count, Writer: kernelWriter})
-				case trace.KindWrite:
-					global.Set(guest.Addr(e.Arg), trace.Stamp{WTS: count, Writer: uint32(e.Thread) + 1})
-				case trace.KindRead, trace.KindKernelRead:
-					cur.reads = append(cur.reads, global.Peek(guest.Addr(e.Arg)))
-				}
-			}
-			if haveSeg && curSeg.src == ti {
-				curSeg.hi = hi
-			}
-		})
-	default:
-		global := shadow.NewTable[uint64]()
-		trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
-			if checkCtx() {
-				return
-			}
-			tt := &tr.Threads[ti]
-			for k := lo; k < hi; k++ {
-				e := &tt.Events[k]
-				if !haveSeg || cur.id != e.Thread || curSeg.src != ti {
-					boundary(ti, k, e)
-				}
-				switch e.Kind {
-				case trace.KindCall, trace.KindSwitch:
-					count++
-				case trace.KindKernelWrite:
-					count++
-					global.Set(guest.Addr(e.Arg), count<<32|uint64(kernelWriter))
-				case trace.KindWrite:
-					global.Set(guest.Addr(e.Arg), count<<32|uint64(uint32(e.Thread)+1))
-				case trace.KindRead, trace.KindKernelRead:
-					cur.packed = append(cur.packed, global.Peek(guest.Addr(e.Arg)))
-				}
-			}
-			if haveSeg && curSeg.src == ti {
-				curSeg.hi = hi
-			}
-		})
-	}
-	closeSeg()
-	if ctxErr != nil {
-		return nil, fmt.Errorf("pipeline: pre-scan canceled: %w", ctxErr)
+	p, ok := planFromAnnotations(annotated, opts)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: offline annotations of the trace are inconsistent")
 	}
 	return p, nil
 }

@@ -69,7 +69,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestAnalyzeContextCancel: a canceled context aborts both the pre-scan and
+// TestAnalyzeContextCancel: a canceled context aborts both the Annotate pass and
 // the worker phase with ctx.Err().
 func TestAnalyzeContextCancel(t *testing.T) {
 	tr := robustTrace(3, 50)

@@ -13,7 +13,7 @@ import (
 )
 
 // cell is the width of a per-thread shadow timestamp: uint32 when the
-// pre-scan proved the counter fits (narrow mode), uint64 otherwise. Both
+// event count proves the counter fits (narrow mode), uint64 otherwise. Both
 // instantiations store the exact same counter values.
 type cell interface {
 	~uint32 | ~uint64
@@ -65,14 +65,6 @@ type workerCkpt struct {
 // per-thread analysis; the robustness tests use it to inject worker panics.
 var workerPanicHook func(guest.ThreadID)
 
-// readSource supplies the (wts, writer) pair observed by a thread's i-th
-// read. A materialized plan's threadPlan serves reads from its pre-scan or
-// annotation arrays; the streaming fallback serves them from its
-// incrementally published per-thread shards.
-type readSource interface {
-	readAt(i int) (uint64, uint32)
-}
-
 func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), ck *workerCkpt, resume *workerState) (prof *core.Profile, err error) {
 	segIdx := -1
 	defer func() {
@@ -90,12 +82,13 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		workerPanicHook(tp.id)
 	}
 	w := &worker[C]{
-		tr:   tr,
-		id:   tp.id,
-		opts: opts,
-		ts:   shadow.NewTable[C](),
-		acts: make(map[guest.RoutineID]*core.Activations),
-		ck:   ck,
+		tr:    tr,
+		id:    tp.id,
+		opts:  opts,
+		reads: tp.reads,
+		ts:    shadow.NewTable[C](),
+		acts:  make(map[guest.RoutineID]*core.Activations),
+		ck:    ck,
 	}
 	startSeg, startOff := 0, 0
 	if resume != nil {
@@ -133,7 +126,7 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 				end = off + safepointStride
 			}
 			for j := off; j < end; j++ {
-				w.step(&events[j], tp)
+				w.step(&events[j])
 			}
 			done := end - off
 			off = end
@@ -292,8 +285,9 @@ type worker[C cell] struct {
 	id   guest.ThreadID
 	opts core.Options
 
-	count    uint64 // local image of the global counter
-	nextRead int    // cursor into the threadPlan's read annotations
+	count    uint64        // local image of the global counter
+	reads    []trace.Stamp // the thread's read stamps, in event order
+	nextRead int           // cursor into reads
 
 	ts    *shadow.Table[C] // the thread's latest-access shadow memory
 	stack []frame
@@ -325,7 +319,7 @@ type frame struct {
 	inducedExternal uint64
 }
 
-func (w *worker[C]) step(e *trace.Event, rs readSource) {
+func (w *worker[C]) step(e *trace.Event) {
 	switch e.Kind {
 	case trace.KindCall:
 		w.count++
@@ -355,13 +349,12 @@ func (w *worker[C]) step(e *trace.Event, rs readSource) {
 		}
 
 	case trace.KindRead, trace.KindKernelRead:
-		var wts uint64
-		var writer uint32
+		var st trace.Stamp
 		if !w.opts.RMSOnly {
-			wts, writer = rs.readAt(w.nextRead)
+			st = w.reads[w.nextRead]
 			w.nextRead++
 		}
-		w.read(guest.Addr(e.Arg), wts, writer)
+		w.read(guest.Addr(e.Arg), st.WTS, st.Writer)
 
 	case trace.KindWrite:
 		w.ts.Set(guest.Addr(e.Arg), C(w.count))

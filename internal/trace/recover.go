@@ -309,8 +309,8 @@ scan:
 	if !rep.Complete() {
 		// Salvaged stamp annotations may reference writes that happened in
 		// lost segments, so they are only trustworthy when nothing was lost:
-		// a lossy recovery degrades to the pre-scan analysis path rather
-		// than risk a wrong profile.
+		// a lossy recovery drops them, so analysis annotates the salvaged
+		// events offline rather than risk a wrong profile.
 		tr.StripAnnotations()
 	}
 	for i := range tr.Threads {

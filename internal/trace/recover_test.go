@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -311,6 +313,33 @@ func TestV1Compatibility(t *testing.T) {
 	}
 	if !vr.OK() || vr.Version != 1 {
 		t.Fatalf("v1 verify OK=%v version=%d, want clean v1", vr.OK(), vr.Version)
+	}
+}
+
+// TestV1RejectsRepeatedThread: a v1 file listing one thread id twice has
+// no single-ThreadTrace reading, so Decode, Recover and Verify all reject it
+// and name the id.
+func TestV1RejectsRepeatedThread(t *testing.T) {
+	rec := trace.NewRecorder()
+	exampleRun(t, 5, rec)
+	tr := rec.Trace()
+	dup := *tr
+	dup.Threads = append(append([]trace.ThreadTrace(nil), tr.Threads...), tr.Threads[0])
+	data := encodeV1(&dup)
+	want := fmt.Sprintf("thread %d listed twice", tr.Threads[0].ID)
+
+	if _, err := trace.Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Decode = %v, want %q", err, want)
+	}
+	if _, _, err := trace.Recover(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover = %v, want %q", err, want)
+	}
+	vr, err := trace.Verify(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vr.OK() || vr.StrictErr == nil || !strings.Contains(vr.StrictErr.Error(), want) {
+		t.Fatalf("Verify OK=%v StrictErr=%v, want %q", vr.OK(), vr.StrictErr, want)
 	}
 }
 

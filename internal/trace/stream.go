@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/guest"
-	"repro/internal/shadow"
 	"repro/internal/telemetry"
 )
 
@@ -18,16 +17,15 @@ import (
 // most the segment bound per thread) are lost. Contrast Recorder + Encode,
 // which buffer the whole execution in memory and write all-or-nothing.
 //
-// By default the recorder also emits stamp annotations ('A' blocks): a live
-// image of the analysis pre-scan — global counter, kernel-bump tally and
-// global write shadow — maintained as events arrive, so the recorded trace
-// is born analysis-ready and the pipeline skips its sequential pre-scan
-// entirely (see annotate.go). This is sound because tool callbacks arrive
-// in strictly increasing timestamp order, which is exactly the merged
-// order; the recorder verifies that invariant and silently stops
-// annotating if it ever fails, leaving annotation coverage incomplete so
-// decoders fall back to the pre-scan. SetAnnotations(false) disables the
-// annotator wholesale.
+// By default the recorder also emits stamp annotations ('A' blocks): it
+// runs the annotator of annotate.go — global counter, kernel-bump tally and
+// global write shadow — as events arrive, so the recorded trace is born
+// analysis-ready and the pipeline needs no offline Annotate pass. This is
+// sound because tool callbacks arrive in strictly increasing timestamp
+// order, which is exactly the merged order; the recorder verifies that
+// invariant and silently stops annotating if it ever fails, leaving
+// annotation coverage incomplete so decoders drop the annotations.
+// SetAnnotations(false) disables the annotator wholesale.
 //
 // Write errors are sticky: the first one stops all further output and is
 // reported by Err and Close. A StreamRecorder must not be reused across
@@ -47,21 +45,15 @@ type StreamRecorder struct {
 	segments int
 	written  int64
 
-	// Annotator state: the record-time image of the pre-scan. annLast is
-	// the thread of the currently open run; openEvents/openStart/openKernel
-	// describe that run. annSeen/annLastTS implement the monotone-timestamp
-	// guard that protects the merged-order assumption.
-	ann        bool // annotation emission enabled
-	annOK      bool // no guard violation so far
-	annGlobal  *shadow.Table[Stamp]
-	annCount   uint64 // global counter (full scheme: calls, switches, kernel writes)
-	annKernel  uint64 // kernel-write bumps included in annCount
-	annLast    *streamThread
-	annSeen    bool
-	annLastTS  uint64
-	openEvents int
-	openStart  uint64
-	openKernel uint64
+	// ann is the live annotator, nil when annotations are disabled or the
+	// monotone-timestamp guard (annSeen/annLastTS), which protects the
+	// merged-order assumption, has tripped. annRun is the thread of the
+	// current merged-order run, the only one with buffered events the
+	// annotator has not yet seen.
+	ann       *annotator
+	annSeen   bool
+	annLastTS uint64
+	annRun    *streamThread
 
 	// Telemetry counter handles (nil, and thus free, unless SetTelemetry
 	// ran) and the per-flush progress callback (SetProgress).
@@ -79,12 +71,13 @@ type StreamRecorder struct {
 }
 
 // streamThread buffers one thread's not-yet-flushed events and the
-// annotation runs and stamps that cover exactly those events.
+// annotation runs and stamps that cover exactly those events; the
+// annotator has seen pending[:annFrom].
 type streamThread struct {
-	id        guest.ThreadID
-	pending   []Event
-	annRuns   []StampRun
-	annStamps []Stamp
+	id      guest.ThreadID
+	pending []Event
+	annFrom int
+	ann     ThreadAnnotation
 }
 
 // NewStreamRecorder returns a streaming recorder writing to w. The format
@@ -92,12 +85,10 @@ type streamThread struct {
 // run progresses. Check Err (or Close) for write failures.
 func NewStreamRecorder(w io.Writer) *StreamRecorder {
 	r := &StreamRecorder{
-		w:         w,
-		perTh:     make(map[guest.ThreadID]*streamThread),
-		segCap:    DefaultSegmentEvents,
-		ann:       true,
-		annOK:     true,
-		annGlobal: shadow.NewTable[Stamp](),
+		w:      w,
+		perTh:  make(map[guest.ThreadID]*streamThread),
+		segCap: DefaultSegmentEvents,
+		ann:    newAnnotator(),
 	}
 	prelude := make([]byte, 0, preludeLen)
 	prelude = append(prelude, magic[:]...)
@@ -107,15 +98,14 @@ func NewStreamRecorder(w io.Writer) *StreamRecorder {
 }
 
 // SetAnnotations enables or disables stamp-annotation emission (default
-// enabled). Disabled, the recorder produces a legacy v2 stream whose
-// analysis uses the fallback pre-scan; the resulting profiles are
+// enabled). Disabled, the recorder produces a legacy v2 stream, which
+// analysis annotates offline first; the resulting profiles are
 // byte-identical either way. Call it before recording starts.
 func (r *StreamRecorder) SetAnnotations(on bool) {
-	r.ann = on
 	if !on {
-		r.annGlobal = nil
-	} else if r.annGlobal == nil {
-		r.annGlobal = shadow.NewTable[Stamp]()
+		r.ann = nil
+	} else if r.ann == nil {
+		r.ann = newAnnotator()
 	}
 }
 
@@ -191,57 +181,31 @@ func (r *StreamRecorder) flushTables() {
 	}
 }
 
-// observe advances the annotator past one just-buffered event, mirroring
-// the pipeline pre-scan's counter and write-shadow rules exactly (see
-// pipeline.BuildPlan): the counter bumps at calls, thread switches and
-// kernel writes, writes stamp the global shadow with (count, provenance),
-// and reads record the stamp they observe. Tool callbacks arrive in
-// strictly increasing timestamp order — the merged order — which the guard
-// verifies; on violation the annotator shuts off for the rest of the run,
-// leaving coverage incomplete so decoders discard what was emitted.
-func (r *StreamRecorder) observe(st *streamThread, k Kind, arg, ts uint64) {
-	if !r.annOK {
-		return
-	}
+// observe notes an event of thread st at timestamp ts. Tool callbacks
+// arrive in strictly increasing timestamp order — the merged order — which
+// the guard verifies; on violation the annotator shuts off for the rest of
+// the run, leaving coverage incomplete so decoders discard what was
+// emitted. A change of thread ends the current run, which the annotator
+// then consumes whole, as Annotate feeds it.
+func (r *StreamRecorder) observe(st *streamThread, ts uint64) {
 	if r.annSeen && ts <= r.annLastTS {
-		r.annOK = false
-		r.annGlobal = nil
+		r.ann = nil
 		return
 	}
 	r.annSeen, r.annLastTS = true, ts
-	if r.annLast != st {
-		if r.annLast != nil {
-			r.closeRun()
-			r.annCount++ // the merge synthesizes a switch here, which bumps
+	if r.annRun != st {
+		if r.annRun != nil {
+			r.annotate(r.annRun)
 		}
-		r.annLast = st
-		r.openStart, r.openKernel, r.openEvents = r.annCount, r.annKernel, 0
-	}
-	r.openEvents++
-	switch k {
-	case KindCall:
-		r.annCount++
-	case KindKernelWrite:
-		r.annCount++
-		r.annKernel++
-		r.annGlobal.Set(guest.Addr(arg), Stamp{WTS: r.annCount, Writer: KernelWriter})
-	case KindWrite:
-		r.annGlobal.Set(guest.Addr(arg), Stamp{WTS: r.annCount, Writer: uint32(st.id) + 1})
-	case KindRead, KindKernelRead:
-		st.annStamps = append(st.annStamps, r.annGlobal.Peek(guest.Addr(arg)))
+		r.annRun = st
 	}
 }
 
-// closeRun completes the open annotation run, if any, appending it to its
-// thread's pending runs. Zero-length runs (possible right after a flush
-// split) are elided.
-func (r *StreamRecorder) closeRun() {
-	if st := r.annLast; st != nil && r.openEvents > 0 {
-		st.annRuns = append(st.annRuns, StampRun{
-			Events: r.openEvents, StartCount: r.openStart, KernelBumps: r.openKernel,
-		})
-		r.openEvents = 0
-	}
+// annotate feeds the annotator the events st buffered since it last did.
+func (r *StreamRecorder) annotate(st *streamThread) {
+	r.ann.enter(&st.ann, st.id)
+	r.ann.observe(st.pending[st.annFrom:])
+	st.annFrom = len(st.pending)
 }
 
 // flushThread writes the thread's buffered events as one segment, followed
@@ -249,6 +213,9 @@ func (r *StreamRecorder) closeRun() {
 func (r *StreamRecorder) flushThread(st *streamThread) {
 	if len(st.pending) == 0 || r.err != nil {
 		return
+	}
+	if r.ann != nil && r.annRun == st {
+		r.annotate(st)
 	}
 	r.flushTables()
 	r.payload = appendSegmentPayload(r.payload[:0], st.id, st.pending)
@@ -262,21 +229,18 @@ func (r *StreamRecorder) flushThread(st *streamThread) {
 			r.onFlush(r.events, r.segments, r.written)
 		}
 	}
-	st.pending = st.pending[:0]
-	if r.ann && r.annOK {
-		if r.annLast == st {
+	st.pending, st.annFrom = st.pending[:0], 0
+	if r.ann != nil {
+		if r.ann.cur == &st.ann {
 			// Split the open run at the flush boundary: the flushed part is
-			// emitted now, the continuation starts at the current counter
-			// image — exact, because the counter state right after the last
-			// buffered event is the state on entry to the next one.
-			r.closeRun()
-			r.openStart, r.openKernel = r.annCount, r.annKernel
+			// emitted now, the continuation is reopened exactly.
+			r.ann.closeRun()
 		}
-		if len(st.annRuns) > 0 || len(st.annStamps) > 0 {
-			r.payload = appendAnnotationPayload(r.payload[:0], st.id, st.annRuns, st.annStamps)
+		if len(st.ann.Runs) > 0 || len(st.ann.Stamps) > 0 {
+			r.payload = appendAnnotationPayload(r.payload[:0], st.id, st.ann.Runs, st.ann.Stamps)
 			r.writeBlock(blockAnnotations, r.payload)
-			st.annRuns = st.annRuns[:0]
-			st.annStamps = st.annStamps[:0]
+			st.ann.Runs = st.ann.Runs[:0]
+			st.ann.Stamps = st.ann.Stamps[:0]
 		}
 	}
 }
@@ -304,8 +268,6 @@ func (r *StreamRecorder) finish() {
 		return
 	}
 	r.finished = true
-	r.closeRun()
-	r.annLast = nil
 	r.flushTables()
 	for _, st := range r.order {
 		r.flushThread(st)
@@ -331,8 +293,8 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 		Arg:    arg,
 		Aux:    aux,
 	})
-	if r.ann {
-		r.observe(st, k, arg, ts)
+	if r.ann != nil {
+		r.observe(st, ts)
 	}
 	if len(st.pending) >= r.segCap {
 		r.flushThread(st)
@@ -397,8 +359,8 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 			Kind:   k,
 			Arg:    uint64(e.Addr()),
 		})
-		if r.ann {
-			r.observe(st, k, uint64(e.Addr()), ts)
+		if r.ann != nil {
+			r.observe(st, ts)
 		}
 		if len(st.pending) >= r.segCap {
 			r.flushThread(st)

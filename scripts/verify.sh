@@ -5,8 +5,8 @@
 #
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
-#   -fuzz   additionally run a 30-second fuzz smoke of the trace decoder
-#           and recovery paths
+#   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
+#           the recovery paths and the checkpoint loader
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,6 +29,12 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== bench module: (cd bench && go test ./...)"
+# bench/ is a separate Go module that the root ./... never reaches, yet it
+# depends on the pipeline's public surface (Plan.Annotated, BuildPlan,
+# StreamRecorder.SetAnnotations).
+(cd bench && go test ./...)
 
 echo "== go vet ./..."
 go vet ./...
@@ -153,6 +159,8 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzDecode -fuzztime=30s ./internal/trace
 	echo "== fuzz smoke: FuzzRecover (30s)"
 	go test -fuzz=FuzzRecover -fuzztime=30s ./internal/trace
+	echo "== fuzz smoke: FuzzLoadCheckpoint (30s)"
+	go test -fuzz=FuzzLoadCheckpoint -fuzztime=30s ./internal/trace/pipeline
 fi
 
 echo "verify: all checks passed"
