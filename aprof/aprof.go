@@ -158,16 +158,14 @@ func ParseCheckLevel(s string) (CheckLevel, error) { return core.ParseCheckLevel
 // (Options.Sampling).
 type SamplingTier = core.SamplingTier
 
-// The adaptive-instrumentation tiers: exact profiling, the
-// profile-identical redundancy filter, and burst sampling of hot routines
-// with bounded-error profiles.
+// The adaptive-instrumentation tiers: exact profiling, and burst sampling
+// of hot routines with bounded-error profiles.
 const (
-	SamplingOff      = core.SamplingOff
-	SamplingSuppress = core.SamplingSuppress
-	SamplingBurst    = core.SamplingBurst
+	SamplingOff   = core.SamplingOff
+	SamplingBurst = core.SamplingBurst
 )
 
-// ParseSamplingTier parses "off", "suppress" or "burst".
+// ParseSamplingTier parses "off" or "burst".
 func ParseSamplingTier(s string) (SamplingTier, error) { return core.ParseSamplingTier(s) }
 
 // CheckTraceInvariants validates a trace's structural invariants

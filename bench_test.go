@@ -639,10 +639,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkSamplingOverhead times one inline-profiled workload run at each
 // adaptive-instrumentation tier (core.Options.Sampling): off is the exact
-// batched profiler, suppress adds the profile-identical same-cell redundancy
-// filter, and burst additionally samples hot routines in periodic
-// measurement windows. The off/suppress gap is the filter's net cost or
-// win; the off/burst gap is what bounded-error profiles buy.
+// batched profiler, and burst samples hot routines in periodic measurement
+// windows. The off/burst gap is what bounded-error profiles buy.
 // cmd/aprof-experiments' inline level records the min-of-reps numbers
 // behind BENCH_INLINE.json with the same workloads at full size.
 func BenchmarkSamplingOverhead(b *testing.B) {
@@ -656,7 +654,7 @@ func BenchmarkSamplingOverhead(b *testing.B) {
 		{"fluidanimate", 16, 4},
 	}
 	for _, c := range cases {
-		for _, tier := range []core.SamplingTier{core.SamplingOff, core.SamplingSuppress, core.SamplingBurst} {
+		for _, tier := range []core.SamplingTier{core.SamplingOff, core.SamplingBurst} {
 			b.Run(c.name+"/"+tier.String(), func(b *testing.B) {
 				params := workloads.Params{Size: c.size, Threads: c.threads}
 				for i := 0; i < b.N; i++ {

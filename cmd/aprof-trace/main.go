@@ -635,12 +635,6 @@ func analyze(args []string) error {
 			fmt.Fprintf(os.Stderr, "analyze: checkpoint unusable (%v); starting from scratch\n", err)
 		}
 	}
-	if prof.Sampling() == aprof.SamplingSuppress {
-		// Suppression is profile-identical, so the pipeline can run it too
-		// and the strict cross-check below doubles as its byte-identity
-		// smoke test.
-		opts.Profile = aprof.Options{Sampling: aprof.SamplingSuppress}
-	}
 	if tr.Annotated {
 		fmt.Fprintln(os.Stderr, "analyze: annotated trace — plan assembled from recorded stamps")
 	} else {
@@ -699,8 +693,7 @@ func analyze(args []string) error {
 			publishLayers(reg)
 			return prof.Stop()
 		}
-		// off and suppress are profile-identical by construction, so the
-		// strict byte-level cross-check applies.
+		// The exact inline profile must match the pipeline's byte for byte.
 		if !p.Equal(inline) {
 			return fmt.Errorf("analyze: pipeline profile differs from the inline profiler's (%d differences)",
 				len(p.Diff(inline)))

@@ -121,39 +121,32 @@ func (p *Profiler) routineName(r guest.RoutineID) string {
 func (p *Profiler) checkCall(tv *threadView) {
 	n := len(tv.stack)
 	f := &tv.stack[n-1]
-	if f.ts == 0 || f.ts > p.count {
-		p.violatef("counter/bound", tv.id, p.routineName(f.rtn),
-			"activation timestamp %d outside (0, count=%d]", f.ts, p.count)
+	if f.TS == 0 || f.TS > p.count {
+		p.violatef("counter/bound", tv.id, p.routineName(f.Rtn),
+			"activation timestamp %d outside (0, count=%d]", f.TS, p.count)
 	}
-	if n > 1 && tv.stack[n-2].ts >= f.ts {
-		p.violatef("counter/monotone", tv.id, p.routineName(f.rtn),
-			"activation timestamp %d not above parent's %d", f.ts, tv.stack[n-2].ts)
+	if n > 1 && tv.stack[n-2].TS >= f.TS {
+		p.violatef("counter/monotone", tv.id, p.routineName(f.Rtn),
+			"activation timestamp %d not above parent's %d", f.TS, tv.stack[n-2].TS)
 	}
 }
 
-// checkReturn validates a completed activation's final metrics before they
-// fold into the parent. At return time the frame is the top of the stack,
-// so by Invariant 2 its partial values are the activation's totals: the
-// paper's Definition 1 makes rms a set cardinality (never negative), trms
-// extends rms by induced first-accesses only (trms >= rms), and every unit
-// of trms beyond rms must be accounted for by a recorded induced
-// first-access of the activation's subtree.
-func (p *Profiler) checkReturn(tv *threadView, f *frame) {
-	name := ""
-	if f.rms < 0 || f.trms < f.rms || f.trms > f.rms+int64(f.inducedThread)+int64(f.inducedExternal) {
-		name = p.routineName(f.rtn)
-	} else {
+// checkReturn validates a completed activation's final metrics (see
+// Frame.WellFormed), reporting each violated condition separately.
+func (p *Profiler) checkReturn(tv *threadView, f *Frame[uint32]) {
+	if f.WellFormed() {
 		return
 	}
-	if f.rms < 0 {
-		p.violatef("activation/rms-nonneg", tv.id, name, "final rms = %d", f.rms)
+	name := p.routineName(f.Rtn)
+	if f.RMS < 0 {
+		p.violatef("activation/rms-nonneg", tv.id, name, "final rms = %d", f.RMS)
 	}
-	if f.trms < f.rms {
-		p.violatef("activation/trms-ge-rms", tv.id, name, "trms = %d < rms = %d", f.trms, f.rms)
+	if f.TRMS < f.RMS {
+		p.violatef("activation/trms-ge-rms", tv.id, name, "trms = %d < rms = %d", f.TRMS, f.RMS)
 	}
-	if f.trms > f.rms+int64(f.inducedThread)+int64(f.inducedExternal) {
+	if f.TRMS > f.RMS+int64(f.InducedThread)+int64(f.InducedExternal) {
 		p.violatef("activation/trms-bound", tv.id, name,
-			"trms = %d exceeds rms = %d + induced %d+%d", f.trms, f.rms, f.inducedThread, f.inducedExternal)
+			"trms = %d exceeds rms = %d + induced %d+%d", f.TRMS, f.RMS, f.InducedThread, f.InducedExternal)
 	}
 }
 
@@ -196,7 +189,7 @@ func (p *Profiler) checkFinish() {
 type cellRel struct {
 	addr guest.Addr
 	rel  int8  // -1: ts < wts, 0: ts == wts, +1: ts > wts
-	rank int32 // findFrame(stack, ts)
+	rank int32 // stack.findFrame(ts)
 }
 
 // threadRelSnap holds one thread's pre-renumbering cell relations.
@@ -241,7 +234,7 @@ func (p *Profiler) snapshotRelations() *renumberSnap {
 			ts.cells = append(ts.cells, cellRel{
 				addr: a,
 				rel:  cmpTS(v, w),
-				rank: int32(findFrame(stack, v)),
+				rank: int32(stack.findFrame(v)),
 			})
 		})
 		snap.threads = append(snap.threads, ts)
@@ -265,10 +258,10 @@ func (p *Profiler) verifyRenumber(snap *renumberSnap, newCount uint32) {
 	for _, ts := range snap.threads {
 		tv := ts.tv
 		for i := 1; i < len(tv.stack); i++ {
-			if tv.stack[i-1].ts >= tv.stack[i].ts {
-				p.violatef("renumber/order", tv.id, p.routineName(tv.stack[i].rtn),
+			if tv.stack[i-1].TS >= tv.stack[i].TS {
+				p.violatef("renumber/order", tv.id, p.routineName(tv.stack[i].Rtn),
 					"remapped frame timestamps not increasing: %d then %d",
-					tv.stack[i-1].ts, tv.stack[i].ts)
+					tv.stack[i-1].TS, tv.stack[i].TS)
 			}
 		}
 		for _, c := range ts.cells {
@@ -293,7 +286,7 @@ func (p *Profiler) verifyRenumber(snap *renumberSnap, newCount uint32) {
 					"cell %#x ts-vs-wts relation changed: was %d, now %d (ts=%d wts=%d)",
 					uint64(c.addr), c.rel, got, nv, nw)
 			}
-			if got := int32(findFrame(tv.stack, nv)); got != c.rank {
+			if got := int32(tv.stack.findFrame(nv)); got != c.rank {
 				p.violatef("renumber/order", tv.id, "",
 					"cell %#x activation rank changed: was %d, now %d (ts=%d)",
 					uint64(c.addr), c.rank, got, nv)

@@ -48,45 +48,45 @@ func TestCheckCatchesSeededViolations(t *testing.T) {
 
 	t.Run("counter/bound", func(t *testing.T) {
 		p, tv := seeded(CheckCheap)
-		tv.stack[0].ts = 0 // an activation predating the counter's origin
+		tv.stack[0].TS = 0 // an activation predating the counter's origin
 		p.checkCall(tv)
 		violated(t, p, "counter/bound")
 	})
 
 	t.Run("counter/bound above count", func(t *testing.T) {
 		p, tv := seeded(CheckCheap)
-		tv.stack[0].ts = p.count + 100
+		tv.stack[0].TS = p.count + 100
 		p.checkCall(tv)
 		violated(t, p, "counter/bound")
 	})
 
 	t.Run("counter/monotone", func(t *testing.T) {
 		p, tv := seeded(CheckCheap)
-		tv.stack[0].ts = p.count + 100 // parent now claims a later call time
+		tv.stack[0].TS = p.count + 100 // parent now claims a later call time
 		p.Call(1, 1, 0)
 		violated(t, p, "counter/monotone")
 	})
 
 	t.Run("activation/rms-nonneg", func(t *testing.T) {
 		p, tv := seeded(CheckCheap)
-		tv.stack[0].rms = -3
-		tv.stack[0].trms = -3
+		tv.stack[0].RMS = -3
+		tv.stack[0].TRMS = -3
 		p.Return(1, 0, 1)
 		violated(t, p, "activation/rms-nonneg")
 	})
 
 	t.Run("activation/trms-ge-rms", func(t *testing.T) {
 		p, tv := seeded(CheckCheap)
-		tv.stack[0].rms = 5
-		tv.stack[0].trms = 4
+		tv.stack[0].RMS = 5
+		tv.stack[0].TRMS = 4
 		p.Return(1, 0, 1)
 		violated(t, p, "activation/trms-ge-rms")
 	})
 
 	t.Run("activation/trms-bound", func(t *testing.T) {
 		p, tv := seeded(CheckCheap)
-		tv.stack[0].rms = 2
-		tv.stack[0].trms = 4 // claims 2 induced accesses; none recorded
+		tv.stack[0].RMS = 2
+		tv.stack[0].TRMS = 4 // claims 2 induced accesses; none recorded
 		p.Return(1, 0, 1)
 		violated(t, p, "activation/trms-bound")
 	})
@@ -122,7 +122,7 @@ func TestCheckCatchesSeededViolations(t *testing.T) {
 		p.Call(1, 0, 0)
 		p.Call(1, 1, 0)
 		tv := p.threads[1]
-		tv.stack[1].ts = tv.stack[0].ts
+		tv.stack[1].TS = tv.stack[0].TS
 		for p.Renumbers() == 0 {
 			p.Call(1, 2, 0)
 			p.Return(1, 2, 1)
@@ -140,8 +140,8 @@ func TestCheckViolationDelivery(t *testing.T) {
 	p := New(Options{CheckLevel: CheckCheap, OnViolation: func(v Violation) { seen = append(seen, v) }})
 	p.ThreadStart(1, 0)
 	p.Call(1, 0, 0)
-	p.threads[1].stack[0].rms = -1
-	p.threads[1].stack[0].trms = -1
+	p.threads[1].stack[0].RMS = -1
+	p.threads[1].stack[0].TRMS = -1
 	p.Return(1, 0, 1)
 	if len(seen) != 1 || seen[0].Check != "activation/rms-nonneg" {
 		t.Fatalf("OnViolation delivery: %v", seen)

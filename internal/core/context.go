@@ -117,7 +117,7 @@ func (n *ContextNode) Children() []*ContextNode {
 	return out
 }
 
-func (n *ContextNode) record(t guest.ThreadID, f frame, cost uint64) {
+func (n *ContextNode) record(t guest.ThreadID, f *Frame[uint32], cost uint64) {
 	if n.PerThread == nil {
 		n.PerThread = make(map[guest.ThreadID]*Activations)
 	}
@@ -126,7 +126,7 @@ func (n *ContextNode) record(t guest.ThreadID, f frame, cost uint64) {
 		a = newActivations(t)
 		n.PerThread[t] = a
 	}
-	a.record(f, cost)
+	f.RecordInto(a, cost)
 }
 
 // recordSampledOut mirrors record for a sampled-out activation (burst

@@ -72,13 +72,11 @@ type Options struct {
 	RMSOnly bool
 
 	// Sampling selects the adaptive-instrumentation tier (see the
-	// SamplingTier constants). SamplingSuppress adds the per-thread
-	// redundancy filter and is profile-identical to SamplingOff;
-	// SamplingBurst additionally samples hot routines' activations, keeping
-	// Calls and SumCost exact but marking the unmeasured activations in
-	// Activations.SampledOut so reports bound the error instead of trusting
-	// the metric sums. Sampled-out activations are not streamed to
-	// OnActivation. Ignored (forced off) under RMSOnly.
+	// SamplingTier constants). SamplingBurst samples hot routines'
+	// activations, keeping Calls and SumCost exact but marking the
+	// unmeasured activations in Activations.SampledOut so reports bound the
+	// error instead of trusting the metric sums. Sampled-out activations are
+	// not streamed to OnActivation. Ignored (forced off) under RMSOnly.
 	Sampling SamplingTier
 
 	// CheckLevel enables the paper-derived invariant checks (see the
@@ -159,10 +157,9 @@ type Profiler struct {
 	// released but their per-routine aggregates feed the final profile.
 	retired []*threadView
 
-	// inducedThread and inducedExternal are the execution-global induced
-	// first-access counters (Profile.InducedThread/InducedExternal).
-	inducedThread   uint64
-	inducedExternal uint64
+	// k applies the read rule (kernel.go) and holds the execution-global
+	// induced first-access counters (Profile.InducedThread/InducedExternal).
+	k Kernel[uint32]
 
 	ctxTree   *ContextTree // non-nil when Options.ContextSensitive
 	renumbers uint64
@@ -206,17 +203,9 @@ type threadView struct {
 	id    guest.ThreadID
 	ts    *shadow.Table[uint32]
 	tsc   shadow.Cursor[uint32] // persistent cursor over ts
-	stack []frame
+	stack Stack[uint32]
 	acts  []*Activations // indexed by guest.RoutineID; nil until first return
 	ctx   *ContextNode   // current calling context (Options.ContextSensitive)
-
-	// filt is the suppress-tier redundancy filter: a direct-mapped array of
-	// recently read cell addresses (stored as addr+1; 0 = empty), valid only
-	// while the counter and stack depth match the filtCnt/filtDepth tags
-	// (checked once per batch in memBatchFiltered).
-	filt      [readFilterSize]guest.Addr
-	filtCnt   uint32
-	filtDepth int32
 
 	// skipRoot, when nonzero, is the 1-based stack index of the root frame
 	// of a sampled-out subtree (burst tier): memory events are dropped until
@@ -224,10 +213,10 @@ type threadView struct {
 	skipRoot int32
 }
 
-// record folds one completed activation into the view's dense aggregates.
-func (tv *threadView) record(f *frame, cost uint64) {
-	rtn := int(f.rtn)
-	for len(tv.acts) <= rtn {
+// activations returns the view's dense aggregate for routine rtn, creating
+// it on first use.
+func (tv *threadView) activations(rtn guest.RoutineID) *Activations {
+	for len(tv.acts) <= int(rtn) {
 		tv.acts = append(tv.acts, nil)
 	}
 	a := tv.acts[rtn]
@@ -235,49 +224,7 @@ func (tv *threadView) record(f *frame, cost uint64) {
 		a = newActivations(tv.id)
 		tv.acts[rtn] = a
 	}
-	a.record(*f, cost)
-}
-
-// recordSampledOut folds one sampled-out activation into the view's dense
-// aggregates: the call and its cost are counted (both stay exact under burst
-// sampling) but no metric or histogram data is recorded.
-func (tv *threadView) recordSampledOut(f *frame, cost uint64) {
-	rtn := int(f.rtn)
-	for len(tv.acts) <= rtn {
-		tv.acts = append(tv.acts, nil)
-	}
-	a := tv.acts[rtn]
-	if a == nil {
-		a = newActivations(tv.id)
-		tv.acts[rtn] = a
-	}
-	a.RecordSampledOut(cost)
-}
-
-// frame is one shadow-stack entry for a pending routine activation.
-type frame struct {
-	rtn     guest.RoutineID
-	ts      uint32 // activation timestamp (global counter at call)
-	bbEnter uint64 // thread's basic-block count at call
-
-	// trms and rms are the *partial* metrics of the paper's Invariant 2:
-	// an activation's metric is the sum of partials from its frame to the
-	// stack top. They can be negative transiently on inner frames.
-	trms int64
-	rms  int64
-
-	// inducedThread and inducedExternal count induced first-accesses
-	// performed by this activation's subtree, split by provenance. They
-	// propagate to the parent on return (a routine's induced input
-	// includes its descendants').
-	inducedThread   uint64
-	inducedExternal uint64
-
-	// partial marks an activation whose subtree contains sampled-out work
-	// (burst sampling): its metrics undercount the skipped descendants'
-	// contributions. Propagates to the parent on return, like the metrics
-	// it qualifies.
-	partial bool
+	return a
 }
 
 // New returns a Profiler with the given options.
@@ -292,18 +239,18 @@ func New(opts Options) *Profiler {
 		checks:    opts.CheckLevel,
 		global:    shadow.NewTable[uint64](),
 		threads:   make(map[guest.ThreadID]*threadView),
+		k:         NewKernel[uint32](opts),
 	}
 	p.gcur = p.global.Cursor()
 	if opts.ContextSensitive {
 		p.ctxTree = newContextTree()
 	}
-	// RMSOnly has its own specialized batch loop and no global shadow to
-	// save on; layering the sampling variants over it is not worth the
-	// code, so sampling is forced off (documented on Options.Sampling).
 	p.nextSnap = math.MaxUint64
 	if opts.snapshotsEnabled() {
 		p.nextSnap = opts.SnapshotEvery
 	}
+	// RMSOnly is the Table-1 baseline, profiled exactly; sampling is forced
+	// off under it (documented on Options.Sampling).
 	p.sampling = opts.Sampling
 	if opts.RMSOnly {
 		p.sampling = SamplingOff
@@ -322,8 +269,8 @@ func (p *Profiler) ContextTree() *ContextTree { return p.ctxTree }
 // the run (or replay) has finished.
 func (p *Profiler) Profile() *Profile {
 	out := newProfile()
-	out.InducedThread = p.inducedThread
-	out.InducedExternal = p.inducedExternal
+	out.InducedThread = p.k.InducedThread
+	out.InducedExternal = p.k.InducedExternal
 	for _, tv := range p.retired {
 		p.foldView(out, tv)
 	}
@@ -438,7 +385,7 @@ func (p *Profiler) Call(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	p.events++
 	ts := p.bump()
 	tv := p.view(t)
-	tv.stack = append(tv.stack, frame{rtn: r, ts: ts, bbEnter: bb})
+	tv.stack.Push(r, ts, bb)
 	if p.checks != CheckOff {
 		p.checkCall(tv)
 	}
@@ -456,9 +403,9 @@ func (p *Profiler) Call(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 
 // Return implements guest.Tool: the completed activation's trms, rms and
 // cumulative cost are recorded, and its partial metrics fold into the
-// parent's frame, preserving Invariant 2. Recording is a dense slice index
-// per routine id; no routine name is resolved here (except for the
-// OnActivation stream, which carries names by contract).
+// parent's frame (Stack.Pop), preserving Invariant 2. Recording is a dense
+// slice index per routine id; no routine name is resolved here (except for
+// the OnActivation stream, which carries names by contract).
 func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	p.events++
 	tv := p.view(t)
@@ -466,57 +413,45 @@ func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	if n == 0 {
 		return
 	}
-	f := &tv.stack[n-1]
+	f := tv.stack.Pop()
 	if p.checks != CheckOff {
-		p.checkReturn(tv, f)
+		p.checkReturn(tv, &f)
 	}
 
-	cost := bb - f.bbEnter
+	cost := bb - f.BBEnter
 	if sk := tv.skipRoot; sk != 0 && int32(n) >= sk {
 		// Sampled-out activation (burst tier): count the call and its
 		// cost, record nothing else, and close the skip window when its
 		// root frame pops. The frame's partials are zero (no memory event
-		// was processed inside the subtree), so the fold below is a no-op.
-		// The enclosing activation just lost its descendants' metric
+		// was processed inside the subtree), so the fold was a no-op. The
+		// enclosing activation just lost its descendants' metric
 		// contributions, so it is marked partial.
 		if int32(n) == sk {
 			tv.skipRoot = 0
 			if n > 1 {
-				tv.stack[n-2].partial = true
+				tv.stack[n-2].Partial = true
 			}
 		}
 		p.sstats.sampledOut++
-		tv.recordSampledOut(f, cost)
+		tv.activations(f.Rtn).RecordSampledOut(cost)
 		if p.ctxTree != nil {
 			if c := tv.ctx; c != nil && c != p.ctxTree.root {
 				c.recordSampledOut(t, cost)
 				tv.ctx = c.parent
 			}
 		}
-	} else {
-		tv.record(f, cost)
-		if p.ctxTree != nil {
-			if c := tv.ctx; c != nil && c != p.ctxTree.root {
-				c.record(t, *f, cost)
-				tv.ctx = c.parent
-			}
-		}
-		if p.opts.OnActivation != nil {
-			p.opts.OnActivation(p.env.RoutineName(f.rtn), t, clampMetric(f.trms), clampMetric(f.rms), cost)
+		return
+	}
+	f.RecordInto(tv.activations(f.Rtn), cost)
+	if p.ctxTree != nil {
+		if c := tv.ctx; c != nil && c != p.ctxTree.root {
+			c.record(t, &f, cost)
+			tv.ctx = c.parent
 		}
 	}
-
-	if n > 1 {
-		parent := &tv.stack[n-2]
-		parent.trms += f.trms
-		parent.rms += f.rms
-		parent.inducedThread += f.inducedThread
-		parent.inducedExternal += f.inducedExternal
-		if f.partial {
-			parent.partial = true
-		}
+	if p.opts.OnActivation != nil {
+		p.opts.OnActivation(p.env.RoutineName(f.Rtn), t, clampMetric(f.TRMS), clampMetric(f.RMS), cost)
 	}
-	tv.stack = tv.stack[:n-1]
 }
 
 // Read implements guest.Tool. This is the algorithm of Fig. 11 extended with
@@ -526,14 +461,9 @@ func (p *Profiler) Read(t guest.ThreadID, a guest.Addr) {
 	p.readAt(p.view(t), a)
 }
 
-// notSearched marks the fused ancestor-search result as not yet computed;
-// findFrame itself only returns values >= -1.
-const notSearched = -2
-
-// readAt is the per-read hot path. The thread's shadow slot is resolved once
+// readAt is the per-read hot path: the thread's shadow slot is resolved once
 // for both the load of the old timestamp and the store of the new one, and
-// the O(log depth) ancestor search is computed at most once and shared
-// between the trms and rms branches.
+// only reads that change state reach the kernel.
 func (p *Profiler) readAt(tv *threadView, a guest.Addr) {
 	if tv.skipRoot != 0 {
 		// Sampled-out subtree (burst tier): the read is dropped entirely.
@@ -547,63 +477,15 @@ func (p *Profiler) readAt(tv *threadView, a guest.Addr) {
 		// value (a repeat access within the current timeslice): the read
 		// cannot be a first access (old != 0 whenever frames exist, since
 		// frame timestamps are positive), cannot fall under an ancestor
-		// (old >= top.ts because top.ts <= count), and cannot be induced
+		// (old >= top.TS because top.TS <= count), and cannot be induced
 		// (wts <= count = old). Nothing changes.
 		return
 	}
-
-	var wts, writer uint32
+	var g uint64 // packed (wts, writer); zero under RMSOnly
 	if !p.opts.RMSOnly {
-		g := p.gcur.Peek(a)
-		wts = uint32(g >> 32)
-		writer = uint32(g)
+		g = p.gcur.Peek(a)
 	}
-
-	if n := len(tv.stack); n > 0 {
-		top := &tv.stack[n-1]
-		j := notSearched
-
-		if old < wts && p.inducedEnabled(writer) {
-			// Induced first-access: new input for the topmost
-			// activation and, by Invariant 2, for every ancestor —
-			// none of them accessed the cell since the foreign write.
-			top.trms++
-			if writer == kernelWriter {
-				top.inducedExternal++
-				p.inducedExternal++
-			} else {
-				top.inducedThread++
-				p.inducedThread++
-			}
-		} else if old == 0 {
-			// First access ever by this thread.
-			top.trms++
-		} else if old < top.ts {
-			// First access by the topmost activation; the cell was
-			// last accessed under some ancestor, whose partial is
-			// decremented so its own total is unchanged.
-			top.trms++
-			j = findFrame(tv.stack, old)
-			if j >= 0 {
-				tv.stack[j].trms--
-			}
-		}
-
-		// Parallel rms: the PLDI 2012 metric, which by definition
-		// ignores foreign writes.
-		if old == 0 {
-			top.rms++
-		} else if old < top.ts {
-			top.rms++
-			if j == notSearched {
-				j = findFrame(tv.stack, old)
-			}
-			if j >= 0 {
-				tv.stack[j].rms--
-			}
-		}
-	}
-
+	p.k.Read(tv.stack, old, uint32(g>>32), uint32(g))
 	ch[a&(shadow.ChunkSize-1)] = p.count
 }
 
@@ -630,30 +512,25 @@ func (p *Profiler) writeAt(tv *threadView, a guest.Addr) {
 // MemBatch implements guest.MemEventSink: it consumes a whole batch of
 // memory events in one call. Batches contain only memory accesses — every
 // event that could grow or shrink the shadow stack or change the running
-// thread is a flush point — so the thread view, the topmost frame and the
-// option flags are batch invariants, hoisted out of the loop here. The
-// global counter is almost invariant too: only a kernel write moves it, and
-// the loop reloads the counter-derived locals at exactly that point. Kernel
-// reads share the plain-read logic (a kernel read is a read by the thread,
+// thread is a flush point — so the thread view, its stack and the option
+// flags are batch invariants, hoisted out of the loop here. The global
+// counter is almost invariant too: only a kernel write moves it, and the loop
+// reloads the counter-derived locals at exactly that point. Kernel reads
+// share the plain-read logic (a kernel read is a read by the thread,
 // Fig. 12). This loop is the profiler's share of the batched-dispatch
 // speedup; its per-event work is the readAt/writeAt/KernelWrite logic with
-// every rediscovered invariant removed.
+// every rediscovered invariant removed. Under RMSOnly the global shadow is
+// never touched: reads pass wts = 0 to the kernel, which leaves the rms
+// rules, and kernel writes are no-ops, as in KernelWrite.
 func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.MemEvent) {
 	// Poll before counting the batch: a snapshot taken here reports the
 	// pre-batch event tally, matching the profile state it exports.
 	p.pollSnapshot()
 	p.events += uint64(len(events))
 	tv := p.view(t)
-	if p.sampling != SamplingOff {
-		// Adaptive tiers get their own loops: the suppress filter splices
-		// into a copy of the exact loop, and sampled-out subtrees drop to
-		// a kernel-writes-only scan. RMSOnly forces sampling off in New,
-		// so the specialized loops below never see it.
-		if tv.skipRoot != 0 {
-			p.memBatchSkip(events)
-			return
-		}
-		p.memBatchFiltered(t, tv, events)
+	if tv.skipRoot != 0 {
+		// Sampled-out subtree (burst tier): a kernel-writes-only scan.
+		p.memBatchSkip(events)
 		return
 	}
 	cnt := p.count
@@ -663,68 +540,25 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 	// shadow-table walk.
 	tsc := &tv.tsc
 	gc := &p.gcur
-
-	var top *frame
-	var topTS uint32
-	if n := len(tv.stack); n > 0 {
-		top = &tv.stack[n-1]
-		topTS = top.ts
-	}
-
-	if p.opts.RMSOnly {
-		// No global shadow: wts is identically zero, no read is ever
-		// induced, and the trms and rms branches coincide. Kernel writes
-		// are complete no-ops (KernelWrite returns before bumping), so
-		// the counter stays put for the whole batch.
-		for _, e := range events {
-			if e.IsWrite() && e.IsKernel() {
-				continue
-			}
-			a := e.Addr()
-			ch := tsc.Chunk(a)
-			if !e.IsWrite() && top != nil {
-				old := ch[a&(shadow.ChunkSize-1)]
-				if old == cnt {
-					continue // repeat access: no-op, see readAt
-				}
-				if old == 0 {
-					top.trms++
-					top.rms++
-				} else if old < topTS {
-					top.trms++
-					top.rms++
-					if j := findFrame(tv.stack, old); j >= 0 {
-						tv.stack[j].trms--
-						tv.stack[j].rms--
-					}
-				}
-			}
-			ch[a&(shadow.ChunkSize-1)] = cnt
-		}
-		return
-	}
-
-	prov := uint64(cnt) << 32 // | writer, constant between kernel writes
-	prov |= uint64(uint32(t) + 1)
-	thrInduced := !p.opts.DisableThreadInduced
-	extInduced := !p.opts.DisableExternal
+	rmsOnly := p.opts.RMSOnly
+	prov := uint64(cnt)<<32 | uint64(uint32(t)+1) // constant between kernel writes
 
 	for _, e := range events {
 		a := e.Addr()
 		if e.IsWrite() {
 			if e.IsKernel() {
+				if rmsOnly {
+					continue
+				}
 				// Kernel write: bump the counter (renumbering first if
-				// it is about to overflow — renumbering rewrites frame
-				// timestamps in place, so the counter-derived locals
-				// are reloaded) and stamp the cell with the fresh
-				// timestamp and kernel provenance. The thread's own
-				// shadow is untouched, exactly as in KernelWrite.
+				// it is about to overflow; renumbering rewrites frame
+				// timestamps in place, which the kernel reads from the
+				// stack) and stamp the cell with the fresh timestamp
+				// and kernel provenance. The thread's own shadow is
+				// untouched, exactly as in KernelWrite.
 				if cnt >= p.threshold {
 					p.renumber()
 					cnt = p.count
-					if top != nil {
-						topTS = top.ts
-					}
 				}
 				cnt++
 				p.count = cnt
@@ -733,7 +567,9 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 				continue
 			}
 			tsc.Chunk(a)[a&(shadow.ChunkSize-1)] = cnt
-			gc.Chunk(a)[a&(shadow.ChunkSize-1)] = prov
+			if !rmsOnly {
+				gc.Chunk(a)[a&(shadow.ChunkSize-1)] = prov
+			}
 			continue
 		}
 		ch := tsc.Chunk(a)
@@ -741,50 +577,11 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 		if old == cnt {
 			continue // repeat access: no-op, see readAt
 		}
-		if top != nil {
-			g := gc.Peek(a)
-			wts := uint32(g >> 32)
-			j := notSearched
-
-			induced := false
-			if old < wts {
-				if uint32(g) == kernelWriter {
-					induced = extInduced
-				} else {
-					induced = thrInduced
-				}
-			}
-			if induced {
-				top.trms++
-				if uint32(g) == kernelWriter {
-					top.inducedExternal++
-					p.inducedExternal++
-				} else {
-					top.inducedThread++
-					p.inducedThread++
-				}
-			} else if old == 0 {
-				top.trms++
-			} else if old < topTS {
-				top.trms++
-				j = findFrame(tv.stack, old)
-				if j >= 0 {
-					tv.stack[j].trms--
-				}
-			}
-
-			if old == 0 {
-				top.rms++
-			} else if old < topTS {
-				top.rms++
-				if j == notSearched {
-					j = findFrame(tv.stack, old)
-				}
-				if j >= 0 {
-					tv.stack[j].rms--
-				}
-			}
+		var g uint64
+		if !rmsOnly {
+			g = gc.Peek(a)
 		}
+		p.k.Read(tv.stack, old, uint32(g>>32), uint32(g))
 		ch[a&(shadow.ChunkSize-1)] = cnt
 	}
 }
@@ -838,8 +635,8 @@ func (p *Profiler) publishTelemetry() {
 	}
 	reg.Counter("core/events_consumed").Add(p.events)
 	reg.Counter("core/renumbers").Add(p.renumbers)
-	reg.Counter("core/induced_thread").Add(p.inducedThread)
-	reg.Counter("core/induced_external").Add(p.inducedExternal)
+	reg.Counter("core/induced_thread").Add(p.k.InducedThread)
+	reg.Counter("core/induced_external").Add(p.k.InducedExternal)
 	if p.env != nil {
 		reg.Gauge("core/routine_table").SetMax(int64(p.env.NumRoutines()))
 	}
@@ -867,29 +664,4 @@ func (p *Profiler) recordPeak() {
 func (p *Profiler) PeakShadowBytes() uint64 {
 	p.recordPeak()
 	return p.peakBytes
-}
-
-func (p *Profiler) inducedEnabled(writer uint32) bool {
-	if writer == kernelWriter {
-		return !p.opts.DisableExternal
-	}
-	return !p.opts.DisableThreadInduced
-}
-
-// findFrame returns the largest index j with stack[j].ts <= ts, or -1. Frame
-// timestamps increase with the index, so binary search applies — the O(log
-// d) step of the paper's analysis.
-func findFrame(stack []frame, ts uint32) int {
-	lo, hi := 0, len(stack)-1
-	j := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if stack[mid].ts <= ts {
-			j = mid
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return j
 }

@@ -504,17 +504,17 @@ func TestMergedAcrossThreads(t *testing.T) {
 }
 
 func TestFindFrame(t *testing.T) {
-	stack := []frame{{ts: 2}, {ts: 5}, {ts: 9}}
+	stack := Stack[uint32]{{TS: 2}, {TS: 5}, {TS: 9}}
 	cases := []struct {
 		ts   uint32
 		want int
 	}{{1, -1}, {2, 0}, {4, 0}, {5, 1}, {8, 1}, {9, 2}, {100, 2}}
 	for _, c := range cases {
-		if got := findFrame(stack, c.ts); got != c.want {
+		if got := stack.findFrame(c.ts); got != c.want {
 			t.Errorf("findFrame(%d) = %d, want %d", c.ts, got, c.want)
 		}
 	}
-	if got := findFrame(nil, 5); got != -1 {
+	if got := Stack[uint32](nil).findFrame(5); got != -1 {
 		t.Errorf("findFrame on empty stack = %d, want -1", got)
 	}
 }

@@ -82,29 +82,37 @@ func (rp randProgram) run(t *testing.T, tools ...guest.Tool) {
 // TestDifferentialVsNaive checks that the read/write timestamping algorithm
 // produces exactly the same profiles — trms and rms histograms, costs, and
 // induced-input splits — as the naive set-based reference, across many
-// randomized multithreaded programs and option configurations.
+// randomized multithreaded programs and option configurations, under both
+// the batched and the per-event dispatch paths. RMSOnly keeps no global
+// shadow; its reference is the naive profiler with every induced input
+// disabled.
 func TestDifferentialVsNaive(t *testing.T) {
-	configs := []Options{
-		{},
-		{DisableThreadInduced: true},
-		{DisableExternal: true},
-		{DisableThreadInduced: true, DisableExternal: true},
+	noInduced := Options{DisableThreadInduced: true, DisableExternal: true}
+	configs := []struct{ fast, naive Options }{
+		{Options{}, Options{}},
+		{Options{DisableThreadInduced: true}, Options{DisableThreadInduced: true}},
+		{Options{DisableExternal: true}, Options{DisableExternal: true}},
+		{noInduced, noInduced},
+		{Options{RMSOnly: true}, noInduced},
 	}
 	for seed := int64(1); seed <= 25; seed++ {
-		for ci, opts := range configs {
-			fast := New(opts)
-			naive := NewNaive(opts)
-			rp := randProgram{
-				seed:      seed,
-				threads:   2 + int(seed%3),
-				opsPer:    300,
-				cells:     24,
-				timeslice: 1 + int(seed%9),
-			}
-			rp.run(t, fast, naive)
-			if diffs := fast.Profile().Diff(naive.Profile()); len(diffs) > 0 {
-				t.Fatalf("seed %d config %d: timestamping disagrees with naive reference:\n%s",
-					seed, ci, joinLines(diffs, 12))
+		for ci, c := range configs {
+			for _, unbatched := range []bool{false, true} {
+				fast := New(c.fast)
+				naive := NewNaive(c.naive)
+				rp := randProgram{
+					seed:      seed,
+					threads:   2 + int(seed%3),
+					opsPer:    300,
+					cells:     24,
+					timeslice: 1 + int(seed%9),
+					unbatched: unbatched,
+				}
+				rp.run(t, fast, naive)
+				if diffs := fast.Profile().Diff(naive.Profile()); len(diffs) > 0 {
+					t.Fatalf("seed %d config %d unbatched=%v: timestamping disagrees with naive reference:\n%s",
+						seed, ci, unbatched, joinLines(diffs, 12))
+				}
 			}
 		}
 	}

@@ -99,12 +99,11 @@ func (n *Naive) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	tv.stack = tv.stack[:len(tv.stack)-1]
 
 	name := n.env.RoutineName(f.rtn)
-	n.profile.record(name, t, frame{
-		rtn:             f.rtn,
-		trms:            f.trms,
-		rms:             f.rms,
-		inducedThread:   f.inducedThread,
-		inducedExternal: f.inducedExternal,
+	n.profile.record(name, t, &Frame[uint32]{
+		TRMS:            f.trms,
+		RMS:             f.rms,
+		InducedThread:   f.inducedThread,
+		InducedExternal: f.inducedExternal,
 	}, bb-f.bbEnter)
 
 	// A completed subtree's accesses belong to the parent's subtree; its

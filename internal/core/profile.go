@@ -62,7 +62,7 @@ type Activations struct {
 	// SumCost — both stay exact, since observing less cannot change what
 	// the guest executes — but contribute nothing to the metric sums or the
 	// histograms; consistency checks and mean-cost readers must use
-	// MeasuredCalls. Always zero for exact and suppress-tier profiles.
+	// MeasuredCalls. Always zero for exact profiles.
 	SampledOut     uint64
 	SampledOutCost uint64
 
@@ -118,13 +118,6 @@ func (a *Activations) Record(trms, rms, inducedThread, inducedExternal, cost uin
 		a.ByRMS[rms] = pr
 	}
 	pr.add(cost)
-}
-
-func (a *Activations) record(f frame, cost uint64) {
-	a.Record(clampMetric(f.trms), clampMetric(f.rms), f.inducedThread, f.inducedExternal, cost)
-	if f.partial {
-		a.PartialCalls++
-	}
 }
 
 // RecordSampledOut folds one activation that ran without measurement (burst
@@ -315,7 +308,7 @@ func (p *Profile) AddActivations(name string, a *Activations) {
 	a.mergeInto(dst)
 }
 
-func (p *Profile) record(name string, t guest.ThreadID, f frame, cost uint64) {
+func (p *Profile) record(name string, t guest.ThreadID, f *Frame[uint32], cost uint64) {
 	rp := p.Routines[name]
 	if rp == nil {
 		rp = &RoutineProfile{Name: name, PerThread: make(map[guest.ThreadID]*Activations)}
@@ -326,7 +319,7 @@ func (p *Profile) record(name string, t guest.ThreadID, f frame, cost uint64) {
 		a = newActivations(t)
 		rp.PerThread[t] = a
 	}
-	a.record(f, cost)
+	f.RecordInto(a, cost)
 }
 
 // Routine returns the profile of the named routine, or nil.

@@ -33,20 +33,12 @@ const renumberHeadroom = 32
 func (p *Profiler) renumber() {
 	p.renumbers++
 
-	// Invalidate every thread's redundancy filter (Options.Sampling): the
-	// pass rewrites the very timestamps the filter's validity tag stands
-	// for, and the compacted counter could in principle land back on a
-	// stale tag value. An impossible depth forces the next batch to flush.
-	for _, tv := range p.threads {
-		tv.filtDepth = -1
-	}
-
 	// Collect and rank all pending activation timestamps (they are
 	// distinct: the counter is bumped at every call).
 	var acts []uint32
 	for _, tv := range p.threads {
 		for _, f := range tv.stack {
-			acts = append(acts, f.ts)
+			acts = append(acts, f.TS)
 		}
 	}
 	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
@@ -132,8 +124,8 @@ func (p *Profiler) renumber() {
 	// Remap pending activation timestamps by rank.
 	for _, tv := range p.threads {
 		for i := range tv.stack {
-			r := interval(tv.stack[i].ts) // exact rank: frame timestamps are in acts
-			tv.stack[i].ts = uint32(3 * (r + 1))
+			r := interval(tv.stack[i].TS) // exact rank: frame timestamps are in acts
+			tv.stack[i].TS = uint32(3 * (r + 1))
 		}
 	}
 

@@ -1,18 +1,13 @@
 // Adaptive instrumentation: the Options.Sampling tiers. The exact profiler
-// pays a shadow-memory probe for every memory access even when the access is
-// provably a no-op — the paper's first-access semantics make any repeat read
-// of a cell the thread already stamped at the current counter value pure
-// overhead (see the early exit in readAt). The suppress tier removes that
-// probe with a small per-thread recently-read-cell filter and changes no
-// profile byte. The burst tier goes further and trades accuracy for speed:
-// once a routine has been observed SamplingHotThreshold times, most of its
-// later activations run with shadow instrumentation disabled entirely, with
-// periodic full-instrumentation bursts keeping the cost curves populated.
-// Sampled-out activations are still counted (Calls and SumCost stay exact;
-// observers cannot change what the guest executes) but contribute no metric
-// or histogram data, and the profile records them per (routine, thread) in
-// Activations.SampledOut so reports can mark sampled routines and bound the
-// error instead of trusting the counts.
+// pays a shadow-memory probe for every memory access. The burst tier trades
+// accuracy for speed: once a routine has been observed SamplingHotThreshold
+// times, most of its later activations run with shadow instrumentation
+// disabled entirely, with periodic full-instrumentation bursts keeping the
+// cost curves populated. Sampled-out activations are still counted (Calls
+// and SumCost stay exact; observers cannot change what the guest executes)
+// but contribute no metric or histogram data, and the profile records them
+// per (routine, thread) in Activations.SampledOut so reports can mark
+// sampled routines and bound the error instead of trusting the counts.
 package core
 
 import (
@@ -26,13 +21,8 @@ import (
 // SamplingTier selects the adaptive-instrumentation tier (Options.Sampling).
 type SamplingTier uint8
 
-// The three sampling tiers. SamplingOff (the zero value) runs the exact
-// profiler. SamplingSuppress adds the per-thread redundancy filter: same-cell
-// re-reads within one counter quantum skip the shadow probe. It is provably
-// profile-identical to SamplingOff — a filter hit implies the thread's shadow
-// timestamp for the cell already equals the current counter value, which is
-// exactly the condition under which the exact read path is a complete no-op.
-// SamplingBurst additionally samples hot routines: after a routine's first
+// The sampling tiers. SamplingOff (the zero value) runs the exact profiler.
+// SamplingBurst samples hot routines: after a routine's first
 // SamplingHotThreshold activations (which always run fully instrumented),
 // only SamplingBurstLen out of every SamplingInterval activations are
 // measured; the rest execute with no shadow updates at all and are recorded
@@ -40,17 +30,14 @@ type SamplingTier uint8
 // provenance is global state other threads' measurements depend on.
 const (
 	SamplingOff SamplingTier = iota
-	SamplingSuppress
 	SamplingBurst
 )
 
-// String returns the tier's flag spelling: off, suppress or burst.
+// String returns the tier's flag spelling: off or burst.
 func (s SamplingTier) String() string {
 	switch s {
 	case SamplingOff:
 		return "off"
-	case SamplingSuppress:
-		return "suppress"
 	case SamplingBurst:
 		return "burst"
 	}
@@ -62,12 +49,10 @@ func ParseSamplingTier(s string) (SamplingTier, error) {
 	switch s {
 	case "off", "":
 		return SamplingOff, nil
-	case "suppress":
-		return SamplingSuppress, nil
 	case "burst":
 		return SamplingBurst, nil
 	}
-	return SamplingOff, fmt.Errorf("unknown sampling tier %q (want off, suppress or burst)", s)
+	return SamplingOff, fmt.Errorf("unknown sampling tier %q (want off or burst)", s)
 }
 
 // Burst-sampling schedule. A routine's first SamplingHotThreshold activations
@@ -93,19 +78,10 @@ const (
 	SamplingBurstLen = 2
 )
 
-// readFilterSize is the number of slots in the per-thread recently-read-cell
-// filter: a direct-mapped array small enough to live in cache next to the
-// shadow cursor. Must be a power of two.
-const readFilterSize = 16
-
-// readFilterMask indexes the filter by the cell address's low bits.
-const readFilterMask = readFilterSize - 1
-
 // samplingStats tallies the sampling tier's work in plain fields on the hot
 // path (no atomics, no registry traffic); publishSampling pushes them to the
 // telemetry registry once, at Finish.
 type samplingStats struct {
-	suppressed    uint64 // reads answered by the redundancy filter
 	skippedEvents uint64 // memory events dropped inside sampled-out subtrees
 	burstWindows  uint64 // full-instrumentation bursts started on hot routines
 	sampledOut    uint64 // activations recorded without measurement
@@ -135,127 +111,6 @@ func (p *Profiler) burstCall(tv *threadView, r guest.RoutineID) {
 		// shadow updates until the matching return pops this frame.
 		tv.skipRoot = int32(len(tv.stack))
 	}
-}
-
-// memBatchFiltered is MemBatch's loop for the suppress and burst tiers when
-// the current subtree is being measured. It is the exact trms loop of
-// MemBatch with the redundancy filter spliced in: each filter slot holds
-// addr+1 of a cell this thread read since the counter and stack depth last
-// changed (0 = empty). A hit proves the thread's shadow timestamp for the
-// cell equals the current counter value — the exact path's repeat-access
-// no-op — so the shadow probe is skipped outright. The tags are checked once
-// per batch: calls, returns, thread switches and kernel writes all either
-// bump the counter or change the stack depth, so stale entries can never
-// survive into a quantum where they would lie. Plain writes clear their slot
-// (one store); kernel writes move the counter and flush the whole filter.
-func (p *Profiler) memBatchFiltered(t guest.ThreadID, tv *threadView, events []guest.MemEvent) {
-	cnt := p.count
-	tsc := &tv.tsc
-	gc := &p.gcur
-
-	var top *frame
-	var topTS uint32
-	if n := len(tv.stack); n > 0 {
-		top = &tv.stack[n-1]
-		topTS = top.ts
-	}
-
-	if depth := int32(len(tv.stack)); tv.filtCnt != cnt || tv.filtDepth != depth {
-		tv.filt = [readFilterSize]guest.Addr{}
-		tv.filtCnt = cnt
-		tv.filtDepth = depth
-	}
-
-	prov := uint64(cnt)<<32 | uint64(uint32(t)+1)
-	thrInduced := !p.opts.DisableThreadInduced
-	extInduced := !p.opts.DisableExternal
-	var suppressed uint64
-
-	for _, e := range events {
-		a := e.Addr()
-		if e.IsWrite() {
-			if e.IsKernel() {
-				// Kernel write: exactly as in MemBatch, plus a filter
-				// flush — the counter moved, so every entry is stale.
-				if cnt >= p.threshold {
-					p.renumber()
-					cnt = p.count
-					if top != nil {
-						topTS = top.ts
-					}
-				}
-				cnt++
-				p.count = cnt
-				gc.Chunk(a)[a&(shadow.ChunkSize-1)] = uint64(cnt)<<32 | uint64(kernelWriter)
-				prov = uint64(cnt)<<32 | uint64(uint32(t)+1)
-				tv.filt = [readFilterSize]guest.Addr{}
-				tv.filtCnt = cnt
-				continue
-			}
-			tsc.Chunk(a)[a&(shadow.ChunkSize-1)] = cnt
-			gc.Chunk(a)[a&(shadow.ChunkSize-1)] = prov
-			tv.filt[a&readFilterMask] = 0
-			continue
-		}
-		slot := &tv.filt[a&readFilterMask]
-		if *slot == a+1 {
-			suppressed++
-			continue
-		}
-		ch := tsc.Chunk(a)
-		old := ch[a&(shadow.ChunkSize-1)]
-		if old == cnt {
-			*slot = a + 1
-			continue // repeat access: no-op, see readAt
-		}
-		if top != nil {
-			g := gc.Peek(a)
-			wts := uint32(g >> 32)
-			j := notSearched
-
-			induced := false
-			if old < wts {
-				if uint32(g) == kernelWriter {
-					induced = extInduced
-				} else {
-					induced = thrInduced
-				}
-			}
-			if induced {
-				top.trms++
-				if uint32(g) == kernelWriter {
-					top.inducedExternal++
-					p.inducedExternal++
-				} else {
-					top.inducedThread++
-					p.inducedThread++
-				}
-			} else if old == 0 {
-				top.trms++
-			} else if old < topTS {
-				top.trms++
-				j = findFrame(tv.stack, old)
-				if j >= 0 {
-					tv.stack[j].trms--
-				}
-			}
-
-			if old == 0 {
-				top.rms++
-			} else if old < topTS {
-				top.rms++
-				if j == notSearched {
-					j = findFrame(tv.stack, old)
-				}
-				if j >= 0 {
-					tv.stack[j].rms--
-				}
-			}
-		}
-		ch[a&(shadow.ChunkSize-1)] = cnt
-		*slot = a + 1
-	}
-	p.sstats.suppressed += suppressed
 }
 
 // memBatchSkip consumes a batch inside a sampled-out subtree: every thread
@@ -299,7 +154,6 @@ func (p *Profiler) publishSampling(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("core/sampling_suppressed_reads").Add(p.sstats.suppressed)
 	reg.Counter("core/sampling_skipped_events").Add(p.sstats.skippedEvents)
 	reg.Counter("core/sampling_burst_windows").Add(p.sstats.burstWindows)
 	reg.Counter("core/sampling_sampled_out").Add(p.sstats.sampledOut)

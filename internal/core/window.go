@@ -32,12 +32,12 @@ func (p *Profiler) CutWindow() *PartialProfile {
 
 	// Reset the aggregates — and only the aggregates. Retired views'
 	// shadow memories are already released; live views keep id, shadow,
-	// stack and sampling filter, losing only their recorded activations.
+	// stack and skip window, losing only their recorded activations.
 	p.retired = nil
 	for _, tv := range p.threads {
 		tv.acts = nil
 	}
-	p.inducedThread, p.inducedExternal = 0, 0
+	p.k.InducedThread, p.k.InducedExternal = 0, 0
 	if p.ctxTree != nil {
 		p.ctxTree.clearAggregates()
 	}

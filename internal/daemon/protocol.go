@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire constants. The hello magic is distinct from the trace-file magic so
@@ -29,6 +30,10 @@ const (
 	// maxFrame bounds one frame's payload. Guests flush far more often
 	// than this; a larger length is a framing fault, not a big frame.
 	maxFrame = 1 << 26
+
+	// frameReadStep bounds how far readFrame grows its buffer ahead of the
+	// bytes that have actually arrived.
+	frameReadStep = 1 << 16
 )
 
 // hello identifies a guest connection: the tenant whose rolling profile the
@@ -90,10 +95,27 @@ func validName(what, s string) error {
 	return nil
 }
 
+// byteCounter counts the bytes a uvarint decode consumes.
+type byteCounter struct {
+	r *bufio.Reader
+	n int
+}
+
+func (c *byteCounter) ReadByte() (byte, error) {
+	c.n++
+	return c.r.ReadByte()
+}
+
+// readName reads one length-prefixed name. The length must be a minimal
+// uvarint, so an accepted hello re-encodes to exactly the bytes it came from.
 func readName(r *bufio.Reader, what string) (string, error) {
-	n, err := binary.ReadUvarint(r)
+	c := &byteCounter{r: r}
+	n, err := binary.ReadUvarint(c)
 	if err != nil {
 		return "", fmt.Errorf("daemon: reading %s name: %w", what, err)
+	}
+	if c.n != len(binary.AppendUvarint(nil, n)) {
+		return "", fmt.Errorf("daemon: non-minimal %s name length encoding", what)
 	}
 	if n == 0 || n > maxNameLen {
 		return "", fmt.Errorf("daemon: implausible %s name length %d", what, n)
@@ -125,7 +147,9 @@ func writeFrame(w io.Writer, payload []byte) error {
 
 // readFrame reads one complete frame, reusing buf when it is large enough.
 // io.EOF at a frame boundary is a clean end of input; any other truncation
-// surfaces as io.ErrUnexpectedEOF.
+// surfaces as io.ErrUnexpectedEOF. The length header is untrusted, so the
+// buffer grows with the payload bytes that actually arrive, never to the
+// claimed length up front.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -134,19 +158,26 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(head[:])
+	n := int(binary.BigEndian.Uint32(head[:]))
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("daemon: implausible frame length %d", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), frameReadStep)
+		if cap(buf)-len(buf) < step {
+			// Grow geometrically, so a large frame costs amortized O(1)
+			// copies.
+			buf = slices.Grow(buf, max(step, len(buf)))
 		}
-		return nil, fmt.Errorf("daemon: truncated frame: %w", err)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("daemon: truncated frame: %w", err)
+		}
 	}
 	return buf, nil
 }

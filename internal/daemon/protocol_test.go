@@ -3,9 +3,11 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,6 +82,24 @@ func TestFrameRoundTripAndBounds(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 9, 'x'}), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated body: got %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadFrameAllocatesOnlyWhatArrives: a header claiming the largest
+// legal frame, followed by EOF, fails as a truncation without allocating
+// the claimed buffer.
+func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
+	var head [4]byte
+	binary.BigEndian.PutUint32(head[:], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(head[:]), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want ErrUnexpectedEOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("reading a bare %d-byte frame header allocated %d bytes", maxFrame, n)
 	}
 }
 

@@ -68,7 +68,6 @@ type inlineBenchStep struct {
 	Native     float64 `json:"native_ms"`
 	Sequential float64 `json:"sequential_ms"`
 	Batched    float64 `json:"batched_ms"`
-	Suppress   float64 `json:"suppress_ms"`
 	Burst      float64 `json:"burst_ms"`
 	Speedup    float64 `json:"speedup"`
 	// BurstSpeedup is batched_ms / burst_ms: what burst sampling buys over
@@ -114,8 +113,7 @@ func runInline(cfg Config) error {
 		Reps:       reps,
 		Note: "min-of-reps wall time of one profiled workload run; sequential " +
 			"is per-event dispatch (guest.Config.Unbatched), batched is the " +
-			"event-ring fast path, suppress adds the profile-identical " +
-			"redundancy filter, burst adds sampled hot routines (bounded " +
+			"event-ring fast path, burst adds sampled hot routines (bounded " +
 			"error); baseline_pre_batching_ms is the pre-batching profiler " +
 			"(commit 2ee0156) measured with the same methodology",
 	}
@@ -123,8 +121,8 @@ func runInline(cfg Config) error {
 	fmt.Fprintf(w, "## Inline profiling overhead — batched vs per-event dispatch vs sampling\n\n")
 	fmt.Fprintf(w, "Wall time of one profiled run (min of %d), on %d CPU(s) (GOMAXPROCS %d).\n\n",
 		reps, bench.NumCPU, bench.GOMAXPROCS)
-	fmt.Fprintf(w, "| workload | events | native (ms) | per-event (ms) | batched (ms) | suppress (ms) | burst (ms) | batched speedup | burst speedup |\n")
-	fmt.Fprintf(w, "|---|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+	fmt.Fprintf(w, "| workload | events | native (ms) | per-event (ms) | batched (ms) | burst (ms) | batched speedup | burst speedup |\n")
+	fmt.Fprintf(w, "|---|---:|---:|---:|---:|---:|---:|---:|\n")
 
 	for _, wl := range inlineWorkloads {
 		params := workloads.Params{Size: wl.size, Threads: wl.threads}
@@ -161,13 +159,6 @@ func runInline(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		sup, err := minOf(func() error {
-			_, err := workloads.RunByName(wl.name, params, core.New(core.Options{Sampling: core.SamplingSuppress}))
-			return err
-		})
-		if err != nil {
-			return err
-		}
 		bur, err := minOf(func() error {
 			_, err := workloads.RunByName(wl.name, params, core.New(core.Options{Sampling: core.SamplingBurst}))
 			return err
@@ -184,7 +175,6 @@ func runInline(cfg Config) error {
 			Native:       ms(native),
 			Sequential:   ms(seq),
 			Batched:      ms(bat),
-			Suppress:     ms(sup),
 			Burst:        ms(bur),
 			Speedup:      float64(seq) / float64(bat),
 			BurstSpeedup: float64(bat) / float64(bur),
@@ -198,8 +188,8 @@ func runInline(cfg Config) error {
 		}
 		bench.Workloads = append(bench.Workloads, step)
 
-		fmt.Fprintf(w, "| %s | %d | %.3f | %.3f | %.3f | %.3f | %.3f | %.2fx | %.2fx |\n",
-			wl.name, events, ms(native), ms(seq), ms(bat), ms(sup), ms(bur),
+		fmt.Fprintf(w, "| %s | %d | %.3f | %.3f | %.3f | %.3f | %.2fx | %.2fx |\n",
+			wl.name, events, ms(native), ms(seq), ms(bat), ms(bur),
 			step.Speedup, step.BurstSpeedup)
 	}
 	fmt.Fprintln(w)
@@ -209,9 +199,7 @@ func runInline(cfg Config) error {
 	fmt.Fprintf(w, "word out of the per-event path, and persistent shadow-chunk cursors plus\n")
 	fmt.Fprintf(w, "chunk pooling remove the per-access table walks; per-event dispatch\n")
 	fmt.Fprintf(w, "shares most of those gains, which is why the two columns are close.\n")
-	fmt.Fprintf(w, "The sampling tiers run on top of batching: suppress skips the shadow\n")
-	fmt.Fprintf(w, "update for reads the same activation already timestamped (the profile\n")
-	fmt.Fprintf(w, "is byte-identical), and burst additionally skips whole activations of\n")
+	fmt.Fprintf(w, "Burst sampling runs on top of batching: it skips whole activations of\n")
 	fmt.Fprintf(w, "hot routines outside periodic measurement windows, trading bounded\n")
 	fmt.Fprintf(w, "metric error for speed (calls and cost stay exact).\n")
 	if !cfg.Quick {

@@ -321,18 +321,13 @@ func Run(cfg Config) (*Result, error) {
 			timesliceVariant(spec, cfg.Params, res.Report, base, tr, q))
 	}
 
-	// Adaptive-instrumentation axis (core.Options.Sampling). The suppress
-	// tier is exact by construction — a redundancy-filter hit is only taken
-	// where the exact read path is a no-op — so it must reproduce the
-	// baseline byte for byte. The burst tier is the statistical tier: Calls
-	// and SumCost must stay exactly equal (observing less cannot change what
-	// the guest executes), sampled-out work must be marked, the profile must
-	// stay well-formed, and the per-routine mean metrics must stay within
-	// the stated drift tolerance; on workloads where no routine ever gets
-	// hot it escalates to byte-identity.
-	strict("sampling=suppress", func() ([]byte, error) {
-		return runInline(spec, cfg.Params, core.Options{CheckLevel: core.CheckCheap, Sampling: core.SamplingSuppress}, res.Report)
-	})
+	// Adaptive-instrumentation axis (core.Options.Sampling). The burst tier
+	// is the statistical tier: Calls and SumCost must stay exactly equal
+	// (observing less cannot change what the guest executes), sampled-out
+	// work must be marked, the profile must stay well-formed, and the
+	// per-routine mean metrics must stay within the stated drift tolerance;
+	// on workloads where no routine ever gets hot it escalates to
+	// byte-identity.
 	res.Variants = append(res.Variants, samplingBurstVariant(spec, cfg.Params, res.Report, base))
 
 	return res, nil

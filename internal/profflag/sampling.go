@@ -16,7 +16,7 @@ type samplingValue struct {
 // String renders the current tier for flag-package help output.
 func (v *samplingValue) String() string { return v.tier.String() }
 
-// Set parses one of the tier spellings: off, suppress or burst.
+// Set parses one of the tier spellings: off or burst.
 func (v *samplingValue) Set(s string) error {
 	tier, err := core.ParseSamplingTier(s)
 	if err != nil {
@@ -29,7 +29,7 @@ func (v *samplingValue) Set(s string) error {
 // registerSampling adds -sampling to fs; Register calls it so every tool
 // sharing this package exposes the same adaptive-instrumentation knob.
 func (p *Flags) registerSampling(fs *flag.FlagSet) {
-	fs.Var(&p.sampling, "sampling", "adaptive instrumentation `tier`: off (exact), suppress (redundancy filter, profile-identical) or burst (sampled hot routines, bounded error)")
+	fs.Var(&p.sampling, "sampling", "adaptive instrumentation `tier`: off (exact) or burst (sampled hot routines, bounded error)")
 }
 
 // Sampling returns the tier parsed from -sampling (SamplingOff when the

@@ -23,7 +23,6 @@ func TestSamplingFlagTiers(t *testing.T) {
 		want core.SamplingTier
 	}{
 		{"off", core.SamplingOff},
-		{"suppress", core.SamplingSuppress},
 		{"burst", core.SamplingBurst},
 	} {
 		fs, p := newFlagSet()
@@ -37,12 +36,14 @@ func TestSamplingFlagTiers(t *testing.T) {
 }
 
 func TestSamplingFlagRejectsUnknownTier(t *testing.T) {
-	fs, _ := newFlagSet()
-	err := fs.Parse([]string{"-sampling=bogus"})
-	if err == nil {
-		t.Fatal("parsing -sampling=bogus should fail")
-	}
-	if !strings.Contains(err.Error(), "bogus") {
-		t.Errorf("error %q does not name the bad tier", err)
+	for _, bad := range []string{"bogus", "suppress"} {
+		fs, _ := newFlagSet()
+		err := fs.Parse([]string{"-sampling=" + bad})
+		if err == nil {
+			t.Fatalf("parsing -sampling=%s should fail", bad)
+		}
+		if !strings.Contains(err.Error(), bad) {
+			t.Errorf("error %q does not name the bad tier", err)
+		}
 	}
 }

@@ -171,7 +171,7 @@ type workerState struct {
 	nextRead        int
 	inducedThread   uint64
 	inducedExternal uint64
-	stack           []frame
+	stack           core.Stack[uint64] // Frame.Partial is never set here, so not encoded
 	acts            map[guest.RoutineID]*core.Activations
 
 	// cells holds the non-zero shadow cells, sorted by address. On capture
@@ -340,13 +340,13 @@ func (st *workerState) encode() []byte {
 
 	e.u(uint64(len(st.stack)))
 	for _, f := range st.stack {
-		e.u(uint64(f.rtn))
-		e.u(f.ts)
-		e.u(f.bbEnter)
-		e.i(f.trms)
-		e.i(f.rms)
-		e.u(f.inducedThread)
-		e.u(f.inducedExternal)
+		e.u(uint64(f.Rtn))
+		e.u(f.TS)
+		e.u(f.BBEnter)
+		e.i(f.TRMS)
+		e.i(f.RMS)
+		e.u(f.InducedThread)
+		e.u(f.InducedExternal)
 	}
 
 	ids := make([]guest.RoutineID, 0, len(st.acts))
@@ -500,14 +500,14 @@ func decodeWorker(payload []byte) (*workerState, error) {
 
 	nf := p.count(7)
 	for i := 0; i < nf; i++ {
-		st.stack = append(st.stack, frame{
-			rtn:             guest.RoutineID(p.u()),
-			ts:              p.u(),
-			bbEnter:         p.u(),
-			trms:            p.i(),
-			rms:             p.i(),
-			inducedThread:   p.u(),
-			inducedExternal: p.u(),
+		st.stack = append(st.stack, core.Frame[uint64]{
+			Rtn:             guest.RoutineID(p.u()),
+			TS:              p.u(),
+			BBEnter:         p.u(),
+			TRMS:            p.i(),
+			RMS:             p.i(),
+			InducedThread:   p.u(),
+			InducedExternal: p.u(),
 		})
 	}
 

@@ -545,9 +545,9 @@ func TestWorkerStateRoundTrip(t *testing.T) {
 		nextRead:        9999,
 		inducedThread:   5,
 		inducedExternal: 6,
-		stack: []frame{
-			{rtn: 1, ts: 10, bbEnter: 100, trms: -3, rms: 2, inducedThread: 1},
-			{rtn: 2, ts: 20, bbEnter: 200, trms: 7, rms: -1, inducedExternal: 4},
+		stack: core.Stack[uint64]{
+			{Rtn: 1, TS: 10, BBEnter: 100, TRMS: -3, RMS: 2, InducedThread: 1},
+			{Rtn: 2, TS: 20, BBEnter: 200, TRMS: 7, RMS: -1, InducedExternal: 4},
 		},
 		acts:  map[guest.RoutineID]*core.Activations{4: a},
 		cells: []cellPair{{addr: 64, val: 1}, {addr: 1 << 33, val: 1 << 35}},

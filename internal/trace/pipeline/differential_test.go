@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,14 +12,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// recordAndProfile runs the named workload once with the inline profiler and
-// the trace recorder attached side by side, returning the inline profile's
-// canonical export and the recorded trace.
-func recordAndProfile(t *testing.T, name string, params workloads.Params, opts core.Options) ([]byte, *trace.Trace) {
+// recordAndProfile runs the named workload once with the inline profiler,
+// the trace recorder and any extra tools attached side by side, returning
+// the inline profile's canonical export and the recorded trace.
+func recordAndProfile(t *testing.T, name string, params workloads.Params, opts core.Options, extra ...guest.Tool) ([]byte, *trace.Trace) {
 	t.Helper()
 	prof := core.New(opts)
 	rec := trace.NewRecorder()
-	if _, err := workloads.RunByName(name, params, prof, rec); err != nil {
+	if _, err := workloads.RunByName(name, params, append([]guest.Tool{prof, rec}, extra...)...); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	want := export(t, prof.Profile())
@@ -75,7 +76,11 @@ func TestDifferentialWorkloads(t *testing.T) {
 }
 
 // TestDifferentialOptions holds the pipeline to the inline profiler under
-// every supported Options variant, including the metric ablations.
+// every supported Options variant, including the metric ablations. Both run
+// core's rms/trms kernel, so each is also held to the naive set-based
+// profiler (Fig. 10), which shares no timestamping code with them. The naive
+// profiler has no RMSOnly mode; with every induced input disabled it
+// computes the same profile.
 func TestDifferentialOptions(t *testing.T) {
 	variants := []struct {
 		name string
@@ -89,13 +94,21 @@ func TestDifferentialOptions(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			want, tr := recordAndProfile(t, "producer-consumer", workloads.Params{Size: 40}, v.opts)
+			naiveOpts := v.opts
+			if v.opts.RMSOnly {
+				naiveOpts = core.Options{DisableThreadInduced: true, DisableExternal: true}
+			}
+			naive := core.NewNaive(naiveOpts)
+			want, tr := recordAndProfile(t, "producer-consumer", workloads.Params{Size: 40}, v.opts, naive)
 			got, err := pipeline.Analyze(tr, pipeline.Options{TieSeed: 1, Workers: 3, Profile: v.opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(export(t, got), want) {
 				t.Fatalf("pipeline diverges from inline profile under %+v", v.opts)
+			}
+			if diffs := got.Diff(naive.Profile()); len(diffs) > 0 {
+				t.Fatalf("pipeline diverges from the naive reference under %+v:\n%s", v.opts, strings.Join(diffs, "\n"))
 			}
 		})
 	}
@@ -151,6 +164,9 @@ func TestRejectsUnsupportedOptions(t *testing.T) {
 	cb := func(string, guest.ThreadID, uint64, uint64, uint64) {}
 	if _, err := pipeline.BuildPlan(tr, 0, core.Options{OnActivation: cb}); err == nil {
 		t.Error("OnActivation was not rejected")
+	}
+	if _, err := pipeline.Analyze(tr, pipeline.Options{Profile: core.Options{Sampling: core.SamplingBurst}}); err == nil {
+		t.Error("burst sampling was not rejected")
 	}
 }
 

@@ -110,11 +110,6 @@ type Options struct {
 	Resume *Checkpoint
 }
 
-// kernelWriter marks a cell whose latest write was performed by the kernel
-// (external input). It mirrors the inline profiler's provenance encoding:
-// writer 0 means "never written", thread t is encoded as t+1.
-const kernelWriter = trace.KernelWriter
-
 // segment is a run of one thread's events in the merged order: the unit the
 // plan shards traces into. Lo and Hi index into the events of thread trace
 // Src; StartCount is the global counter value on entry (after the preceding
@@ -216,6 +211,11 @@ func validateOptions(opts core.Options) error {
 	}
 	if opts.OnActivation != nil {
 		return fmt.Errorf("pipeline: OnActivation streaming requires the sequential replayer (core.FromTrace)")
+	}
+	if opts.Sampling != core.SamplingOff {
+		// The burst schedule counts activations per routine across all
+		// threads in merged order, which per-thread workers cannot see.
+		return fmt.Errorf("pipeline: sampling tier %s requires the sequential replayer (core.FromTrace)", opts.Sampling)
 	}
 	return nil
 }

@@ -26,11 +26,12 @@ type cell interface {
 // segment entry and the (wts, writer) pair each read observes — comes
 // precomputed from the plan, so threads are analyzed fully independently.
 //
-// The logic mirrors core.Profiler event for event, with never-renumbered
-// counter values in place of the inline profiler's renumbered timestamps;
-// profiles depend only on timestamp order relations, which renumbering
-// preserves, so the results are identical. The differential tests in this
-// package hold the two implementations together.
+// The read rule, the shadow-stack frame, call push and the return fold are
+// core's rms/trms kernel (internal/core/kernel.go), the same code the inline
+// profiler runs, instantiated with never-renumbered 64-bit counter values
+// in place of the inline profiler's renumbered 32-bit timestamps; profiles
+// depend only on timestamp order relations, which renumbering preserves, so
+// the results are identical.
 //
 // A panic anywhere in the analysis — e.g. inconsistent plan state from a
 // corrupted trace — is converted into an error carrying the thread and the
@@ -87,6 +88,7 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		opts:  opts,
 		reads: tp.reads,
 		ts:    shadow.NewTable[C](),
+		k:     core.NewKernel[uint64](opts),
 		acts:  make(map[guest.RoutineID]*core.Activations),
 		ck:    ck,
 	}
@@ -153,10 +155,10 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 func (w *worker[C]) restore(st *workerState) {
 	w.count = st.count
 	w.nextRead = st.nextRead
-	w.inducedThread = st.inducedThread
-	w.inducedExternal = st.inducedExternal
+	w.k.InducedThread = st.inducedThread
+	w.k.InducedExternal = st.inducedExternal
 	w.events = st.events
-	w.stack = append([]frame(nil), st.stack...)
+	w.stack = append(core.Stack[uint64](nil), st.stack...)
 	for id, a := range st.acts {
 		w.acts[id] = cloneActs(a)
 	}
@@ -240,9 +242,9 @@ func (w *worker[C]) captureState(segIdx, off int, snap *shadow.Snapshot[C]) *wor
 		events:          w.events,
 		count:           w.count,
 		nextRead:        w.nextRead,
-		inducedThread:   w.inducedThread,
-		inducedExternal: w.inducedExternal,
-		stack:           append([]frame(nil), w.stack...),
+		inducedThread:   w.k.InducedThread,
+		inducedExternal: w.k.InducedExternal,
+		stack:           append(core.Stack[uint64](nil), w.stack...),
 		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
 	}
 	for id, a := range w.acts {
@@ -259,8 +261,8 @@ func (w *worker[C]) finalState() *workerState {
 		id:              w.id,
 		done:            true,
 		events:          w.events,
-		inducedThread:   w.inducedThread,
-		inducedExternal: w.inducedExternal,
+		inducedThread:   w.k.InducedThread,
+		inducedExternal: w.k.InducedExternal,
 		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
 	}
 	for id, a := range w.acts {
@@ -290,11 +292,10 @@ type worker[C cell] struct {
 	nextRead int           // cursor into reads
 
 	ts    *shadow.Table[C] // the thread's latest-access shadow memory
-	stack []frame
+	stack core.Stack[uint64]
+	k     core.Kernel[uint64] // the read rule and the thread's induced tallies
 
-	acts            map[guest.RoutineID]*core.Activations
-	inducedThread   uint64
-	inducedExternal uint64
+	acts map[guest.RoutineID]*core.Activations
 
 	// Checkpointing state (nil/zero when checkpointing is off): events is
 	// the total processed event tally (resumed work included), snapper an
@@ -307,46 +308,26 @@ type worker[C cell] struct {
 	snapEpoch int
 }
 
-// frame is one shadow-stack entry; see core's frame.
-type frame struct {
-	rtn     guest.RoutineID
-	ts      uint64
-	bbEnter uint64
-
-	trms, rms int64
-
-	inducedThread   uint64
-	inducedExternal uint64
-}
-
 func (w *worker[C]) step(e *trace.Event) {
 	switch e.Kind {
 	case trace.KindCall:
 		w.count++
-		w.stack = append(w.stack, frame{rtn: guest.RoutineID(e.Arg), ts: w.count, bbEnter: e.Aux})
+		w.stack.Push(guest.RoutineID(e.Arg), w.count, e.Aux)
 
 	case trace.KindReturn:
 		if len(w.stack) == 0 {
 			return
 		}
-		f := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
+		f := w.stack.Pop()
 		if w.opts.CheckLevel != core.CheckOff {
 			checkActivation(&f)
 		}
-		a := w.acts[f.rtn]
+		a := w.acts[f.Rtn]
 		if a == nil {
 			a = core.NewActivations(w.id)
-			w.acts[f.rtn] = a
+			w.acts[f.Rtn] = a
 		}
-		a.Record(clamp(f.trms), clamp(f.rms), f.inducedThread, f.inducedExternal, e.Aux-f.bbEnter)
-		if n := len(w.stack); n > 0 {
-			parent := &w.stack[n-1]
-			parent.trms += f.trms
-			parent.rms += f.rms
-			parent.inducedThread += f.inducedThread
-			parent.inducedExternal += f.inducedExternal
-		}
+		f.RecordInto(a, e.Aux-f.BBEnter)
 
 	case trace.KindRead, trace.KindKernelRead:
 		var st trace.Stamp
@@ -354,7 +335,13 @@ func (w *worker[C]) step(e *trace.Event) {
 			st = w.reads[w.nextRead]
 			w.nextRead++
 		}
-		w.read(guest.Addr(e.Arg), st.WTS, st.Writer)
+		slot := w.ts.Slot(guest.Addr(e.Arg)) // one chunk probe for the load and the store
+		if old := uint64(*slot); old != w.count {
+			// A repeat read at the current counter value changes nothing
+			// (see core.Kernel.Read).
+			w.k.Read(w.stack, old, st.WTS, st.Writer)
+			*slot = C(w.count)
+		}
 
 	case trace.KindWrite:
 		w.ts.Set(guest.Addr(e.Arg), C(w.count))
@@ -382,77 +369,16 @@ func (w *worker[C]) step(e *trace.Event) {
 	// ThreadStart, Sync, Alloc, Free carry no profiling state.
 }
 
-// checkActivation enforces a completed activation's paper invariants under
-// Options.Profile.CheckLevel: Definition 1 makes rms a set cardinality
-// (never negative), trms extends rms by induced first-accesses only
-// (trms >= rms), and trms can exceed rms by at most the induced
-// first-accesses the subtree recorded. The pipeline carries no violation
-// collector, so a violation panics with an "invariant:" prefix; runWorker's
-// panic recovery converts that into a clean per-thread error carrying
-// thread and segment context.
-func checkActivation(f *frame) {
-	induced := int64(f.inducedThread) + int64(f.inducedExternal)
-	if f.rms < 0 || f.trms < f.rms || f.trms > f.rms+induced {
+// checkActivation enforces a completed activation's paper invariants
+// (core.Frame.WellFormed) under Options.Profile.CheckLevel. The pipeline
+// carries no violation collector, so a violation panics with an
+// "invariant:" prefix; runWorker's panic recovery converts that into a clean
+// per-thread error carrying thread and segment context.
+func checkActivation(f *core.Frame[uint64]) {
+	if !f.WellFormed() {
 		panic(fmt.Sprintf("invariant: activation of routine %d violates trms/rms well-formedness: trms=%d rms=%d induced=%d+%d",
-			f.rtn, f.trms, f.rms, f.inducedThread, f.inducedExternal))
+			f.Rtn, f.TRMS, f.RMS, f.InducedThread, f.InducedExternal))
 	}
-}
-
-// read applies the Fig. 11 read rules plus the parallel rms computation,
-// mirroring core.Profiler.Read.
-func (w *worker[C]) read(a guest.Addr, wts uint64, writer uint32) {
-	slot := w.ts.Slot(a) // one chunk probe for both the load and the store
-	old := uint64(*slot)
-
-	if len(w.stack) > 0 {
-		top := &w.stack[len(w.stack)-1]
-		// The trms and rms branches share at most one ancestor search;
-		// notSearched marks it as not yet computed.
-		const notSearched = -2
-		j := notSearched
-
-		if old < wts && w.inducedEnabled(writer) {
-			// Induced first-access: new input for the topmost activation
-			// and, by Invariant 2, for every ancestor.
-			top.trms++
-			if writer == kernelWriter {
-				top.inducedExternal++
-				w.inducedExternal++
-			} else {
-				top.inducedThread++
-				w.inducedThread++
-			}
-		} else if old == 0 {
-			top.trms++
-		} else if old < top.ts {
-			top.trms++
-			j = findFrame(w.stack, old)
-			if j >= 0 {
-				w.stack[j].trms--
-			}
-		}
-
-		if old == 0 {
-			top.rms++
-		} else if old < top.ts {
-			top.rms++
-			if j == notSearched {
-				j = findFrame(w.stack, old)
-			}
-			if j >= 0 {
-				w.stack[j].rms--
-			}
-		}
-	}
-
-	*slot = C(w.count)
-}
-
-func (w *worker[C]) inducedEnabled(writer uint32) bool {
-	if writer == kernelWriter {
-		return !w.opts.DisableExternal
-	}
-	return !w.opts.DisableThreadInduced
 }
 
 // profile folds the worker's per-routine aggregates into a single-thread
@@ -462,8 +388,8 @@ func (w *worker[C]) inducedEnabled(writer uint32) bool {
 // them).
 func (w *worker[C]) profile() *core.Profile {
 	out := core.NewProfile()
-	out.InducedThread = w.inducedThread
-	out.InducedExternal = w.inducedExternal
+	out.InducedThread = w.k.InducedThread
+	out.InducedExternal = w.k.InducedExternal
 	ids := make([]guest.RoutineID, 0, len(w.acts))
 	for id := range w.acts {
 		ids = append(ids, id)
@@ -473,29 +399,4 @@ func (w *worker[C]) profile() *core.Profile {
 		out.AddActivations(w.tr.RoutineName(id), w.acts[id])
 	}
 	return out
-}
-
-func clamp(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
-
-// findFrame returns the largest index j with stack[j].ts <= ts, or -1, by
-// binary search over the monotone frame timestamps — the O(log depth)
-// ancestor adjustment of the paper's analysis.
-func findFrame(stack []frame, ts uint64) int {
-	lo, hi := 0, len(stack)-1
-	j := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if stack[mid].ts <= ts {
-			j = mid
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return j
 }

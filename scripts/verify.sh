@@ -6,7 +6,8 @@
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
-#           the recovery paths and the checkpoint loader
+#           the recovery paths, the checkpoint loader and the aprofd
+#           wire protocol
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,16 +64,12 @@ for key in guest/mem_events core/events_consumed shadow/chunks_allocated \
 done
 echo "telemetry snapshot OK: $snap"
 
-echo "== sampling smoke: suppress byte-identity and burst cross-check"
+echo "== sampling smoke: burst cross-check"
 # The analyze path runs the inline profiler and the offline pipeline side
-# by side and insists they agree, so these two runs double as end-to-end
-# sampling gates: under -sampling=suppress the pipeline also runs the
-# redundancy filter and the strict comparison proves byte-identity with
-# the exact route; under -sampling=burst the exact pipeline profile is
+# by side and insists they agree, so this run doubles as an end-to-end
+# sampling gate: under -sampling=burst the exact pipeline profile is
 # cross-checked against the sampled inline one (calls and cost must match
 # exactly, sampled-out counts must be consistent).
-go run ./cmd/aprof-trace analyze -workload mysqld -sampling=suppress \
-	-progress=false -top 3 >/dev/null
 go run ./cmd/aprof-trace analyze -workload mysqld -sampling=burst \
 	-progress=false -top 3 >/dev/null
 echo "sampling smoke OK"
@@ -161,6 +158,8 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzRecover -fuzztime=30s ./internal/trace
 	echo "== fuzz smoke: FuzzLoadCheckpoint (30s)"
 	go test -fuzz=FuzzLoadCheckpoint -fuzztime=30s ./internal/trace/pipeline
+	echo "== fuzz smoke: FuzzProtocol (30s)"
+	go test -fuzz=FuzzProtocol -fuzztime=30s ./internal/daemon
 fi
 
 echo "verify: all checks passed"
