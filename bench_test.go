@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/aprof"
@@ -539,6 +540,47 @@ func BenchmarkPipelinePhases(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecode times trace.Decode of a streamed mysqld recording, with
+// and without record-time stamp annotations: the decode layer of the
+// offline route (record, decode, analyze). It reports ns/event and the
+// bytes Decode allocates per event, so a change to the decoder has a
+// before/after next to BenchmarkPipelinePhases.
+func BenchmarkDecode(b *testing.B) {
+	params := workloads.Params{Size: 2 * benchSize("mysqld"), Threads: 8}
+	for _, annotate := range []bool{true, false} {
+		var buf bytes.Buffer
+		rec := trace.NewStreamRecorder(&buf)
+		rec.SetAnnotations(annotate)
+		runWorkload(b, "mysqld", params, rec)
+		if err := rec.Close(); err != nil {
+			b.Fatal(err)
+		}
+		raw := buf.Bytes()
+		name := "annotated"
+		if !annotate {
+			name = "unannotated"
+		}
+		b.Run(name, func(b *testing.B) {
+			var events int
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := trace.Decode(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = tr.NumEvents()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(events) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
+		})
+	}
 }
 
 // BenchmarkInlineOverhead times one inline-profiled workload run — the

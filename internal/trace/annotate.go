@@ -200,18 +200,6 @@ func (a *annotator) closeRun() {
 	a.open = StampRun{StartCount: a.count, KernelBumps: a.kernel}
 }
 
-// numReads counts a thread's read events — the number of stamps a complete
-// annotation must carry.
-func numReads(events []Event) int {
-	n := 0
-	for i := range events {
-		if k := events[i].Kind; k == KindRead || k == KindKernelRead {
-			n++
-		}
-	}
-	return n
-}
-
 // writerToWire maps a Stamp provenance code to its wire encoding: 0 stays 0
 // (never written), KernelWriter becomes 1, and thread codes t+1 shift up by
 // one so every realistic value stays a short varint.
@@ -264,67 +252,67 @@ func appendAnnotationPayload(dst []byte, id guest.ThreadID, runs []StampRun, sta
 	return dst
 }
 
-// parseAnnotationPayload decodes an 'A' block payload. Counts are bounded
-// by the payload size (a run costs at least three bytes, a stamp at least
-// two) before any allocation.
-func parseAnnotationPayload(payload []byte) (guest.ThreadID, []StampRun, []Stamp, error) {
-	p := &byteParser{b: payload}
-	idWire, err := p.uvarint()
-	if err != nil {
-		return 0, nil, nil, err
+// annotationHeader parses an 'A' block payload's thread id, run count and
+// stamp count, and returns the header's length, where the runs begin. The
+// stamp count follows the runs, which it steps over. Both counts are
+// bounded by the payload size (a run costs at least three bytes, a stamp at
+// least two), so callers may allocate them.
+func annotationHeader(payload []byte) (id guest.ThreadID, nr, ns, hdr int, err error) {
+	p := byteParser{b: payload}
+	id = threadIDFromWire(p.uvarint())
+	runs := p.uvarint()
+	if p.err != nil {
+		return id, 0, 0, 0, p.err
 	}
-	id := threadIDFromWire(idWire)
-	nr, err := p.uvarint()
-	if err != nil {
-		return id, nil, nil, err
+	if runs > uint64(len(payload))/3+1 {
+		return id, 0, 0, 0, fmt.Errorf("implausible run count %d in %d-byte annotation", runs, len(payload))
 	}
-	if nr > uint64(len(payload))/3+1 {
-		return id, nil, nil, fmt.Errorf("implausible run count %d in %d-byte annotation", nr, len(payload))
+	hdr = p.off
+	for i := 0; i < 3*int(runs) && p.err == nil; i++ {
+		p.uvarint()
 	}
-	runs := make([]StampRun, 0, nr)
-	for i := uint64(0); i < nr; i++ {
-		ev, err := p.uvarint()
-		if err != nil {
-			return id, nil, nil, fmt.Errorf("run %d: %w", i, err)
+	stamps := p.uvarint()
+	if p.err != nil {
+		return id, 0, 0, 0, p.err
+	}
+	if stamps > uint64(len(payload))/2+1 {
+		return id, 0, 0, 0, fmt.Errorf("implausible stamp count %d in %d-byte annotation", stamps, len(payload))
+	}
+	return id, int(runs), int(stamps), hdr, nil
+}
+
+// parseAnnotation decodes an 'A' block's runs and stamps, the payload after
+// its header, into runs and stamps, which hold exactly the header's counts.
+func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
+	p := byteParser{b: body}
+	for i := range runs {
+		ev, start, kb := p.uvarint(), p.uvarint(), p.uvarint()
+		if p.err != nil {
+			return fmt.Errorf("run %d: %w", i, p.err)
 		}
 		if ev > maxRunEvents {
-			return id, nil, nil, fmt.Errorf("run %d: implausible event count %d", i, ev)
+			return fmt.Errorf("run %d: implausible event count %d", i, ev)
 		}
-		start, err := p.uvarint()
-		if err != nil {
-			return id, nil, nil, fmt.Errorf("run %d: %w", i, err)
-		}
-		kb, err := p.uvarint()
-		if err != nil {
-			return id, nil, nil, fmt.Errorf("run %d: %w", i, err)
-		}
-		runs = append(runs, StampRun{Events: int(ev), StartCount: start, KernelBumps: kb})
+		runs[i] = StampRun{Events: int(ev), StartCount: start, KernelBumps: kb}
 	}
-	ns, err := p.uvarint()
-	if err != nil {
-		return id, runs, nil, err
-	}
-	if ns > uint64(len(payload))/2+1 {
-		return id, runs, nil, fmt.Errorf("implausible stamp count %d in %d-byte annotation", ns, len(payload))
-	}
-	stamps := make([]Stamp, 0, ns)
-	for i := uint64(0); i < ns; i++ {
-		wts, err := p.uvarint()
-		if err != nil {
-			return id, runs, nil, fmt.Errorf("stamp %d: %w", i, err)
+	p.uvarint() // the stamp count, read by annotationHeader
+	for i := range stamps {
+		wts, ok := p.small()
+		if !ok {
+			wts = p.uvarint()
 		}
-		ww, err := p.uvarint()
-		if err != nil {
-			return id, runs, nil, fmt.Errorf("stamp %d: %w", i, err)
+		ww, ok := p.small()
+		if !ok {
+			ww = p.uvarint()
+		}
+		if p.err != nil {
+			return fmt.Errorf("stamp %d: %w", i, p.err)
 		}
 		writer, err := writerFromWire(ww)
 		if err != nil {
-			return id, runs, nil, fmt.Errorf("stamp %d: %w", i, err)
+			return fmt.Errorf("stamp %d: %w", i, err)
 		}
-		stamps = append(stamps, Stamp{WTS: wts, Writer: writer})
+		stamps[i] = Stamp{WTS: wts, Writer: writer}
 	}
-	if !p.done() {
-		return id, runs, stamps, fmt.Errorf("trailing bytes after annotation stamps")
-	}
-	return id, runs, stamps, nil
+	return p.end("trailing bytes after annotation stamps")
 }

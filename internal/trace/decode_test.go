@@ -1,0 +1,181 @@
+package trace_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/workloads"
+)
+
+// selfInconsistentCase is a trace whose every block checksums but which is
+// still wrong as a whole, with the intact trace it was made from.
+type selfInconsistentCase struct {
+	name   string
+	data   []byte
+	intact *trace.Trace
+}
+
+// appendFramedBlock frames payload as one v2 block: kind, uvarint length,
+// payload, CRC32-C of the three.
+func appendFramedBlock(dst []byte, kind byte, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	sum := crc32.Checksum(dst[start:], crc32.MakeTable(crc32.Castagnoli))
+	return binary.LittleEndian.AppendUint32(dst, sum)
+}
+
+// selfInconsistentTraces builds the two self-inconsistent inputs: an
+// annotated stream recording with three bytes after its footer, and a
+// 2-event trace whose re-framed footer (valid checksum) claims 99 events.
+func selfInconsistentTraces(tb testing.TB) []selfInconsistentCase {
+	var rec bytes.Buffer
+	sr := trace.NewStreamRecorder(&rec)
+	exampleRun(tb, 5, sr)
+	if err := sr.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	recorded, err := trace.Decode(bytes.NewReader(rec.Bytes()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+
+	small := &trace.Trace{
+		Routines: []string{"main"},
+		Threads: []trace.ThreadTrace{{ID: 0, Events: []trace.Event{
+			{TS: 1, Kind: trace.KindCall},
+			{TS: 2, Kind: trace.KindReturn},
+		}}},
+	}
+	var enc bytes.Buffer
+	if _, err := small.Encode(&enc); err != nil {
+		tb.Fatal(err)
+	}
+	vr, err := trace.Verify(bytes.NewReader(enc.Bytes()))
+	if err != nil || !vr.OK() {
+		tb.Fatalf("clean 2-event trace does not verify: %v %+v", err, vr)
+	}
+	footer := vr.Blocks[len(vr.Blocks)-1]
+	var payload []byte
+	payload = binary.AppendUvarint(payload, uint64(len(vr.Blocks)-1))
+	payload = binary.AppendUvarint(payload, 99)
+	payload = binary.AppendUvarint(payload, 1)
+	lying := appendFramedBlock(bytes.Clone(enc.Bytes()[:footer.Offset]), 'F', payload)
+
+	return []selfInconsistentCase{
+		{"trailing-bytes", append(bytes.Clone(rec.Bytes()), 1, 2, 3), recorded},
+		{"footer-mismatch", lying, small},
+	}
+}
+
+// TestSelfInconsistentTraces: Decode rejects bytes after the footer and a
+// footer that disagrees with the stream, so Verify must not pass them and
+// Recover must not call them complete. Salvage still returns every event,
+// without the annotations a lossy recovery strips.
+func TestSelfInconsistentTraces(t *testing.T) {
+	for _, c := range selfInconsistentTraces(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := trace.Decode(bytes.NewReader(c.data)); err == nil {
+				t.Fatal("Decode accepted the trace")
+			}
+			vr, err := trace.Verify(bytes.NewReader(c.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vr.OK() || vr.Bad != 1 {
+				t.Fatalf("Verify OK=%v Bad=%d, want one bad block", vr.OK(), vr.Bad)
+			}
+			rtr, rep, err := trace.Recover(bytes.NewReader(c.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Complete() || len(rep.Dropped) != 1 {
+				t.Fatalf("Recover complete=%v with %d drops, want one drop:\n%s", rep.Complete(), len(rep.Dropped), rep)
+			}
+			if rep.SalvagedBlocks+len(rep.Dropped) != rep.BlocksSeen || rep.BlocksSeen != len(vr.Blocks) {
+				t.Fatalf("block accounting: %d salvaged + %d dropped, %d seen, Verify walked %d",
+					rep.SalvagedBlocks, len(rep.Dropped), rep.BlocksSeen, len(vr.Blocks))
+			}
+			for _, blk := range vr.Blocks {
+				if blk.Err != nil && blk.Offset != rep.Dropped[0].Offset {
+					t.Fatalf("Verify flags offset %d, Recover drops offset %d", blk.Offset, rep.Dropped[0].Offset)
+				}
+			}
+			if rtr.Annotated {
+				t.Fatal("incomplete recovery kept its annotations")
+			}
+			want := *c.intact
+			want.StripAnnotations()
+			if !reflect.DeepEqual(normalized(rtr), normalized(&want)) {
+				t.Fatal("salvaged events differ from the intact trace")
+			}
+		})
+	}
+}
+
+// TestDecodeExactCapacity: Decode sizes every thread's events, runs and
+// stamps from the block headers before filling them, so no slice grows by
+// appending (cap == len), and the bytes it allocates stay a small multiple
+// of the 32-byte Event.
+func TestDecodeExactCapacity(t *testing.T) {
+	var buf bytes.Buffer
+	rec := trace.NewStreamRecorder(&buf)
+	if _, err := workloads.RunByName("mysqld", workloads.Params{Size: 16, Threads: 4}, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Annotated {
+		t.Fatal("recorded trace decoded unannotated")
+	}
+	for _, tt := range tr.Threads {
+		if cap(tt.Events) != len(tt.Events) || cap(tt.Ann.Runs) != len(tt.Ann.Runs) || cap(tt.Ann.Stamps) != len(tt.Ann.Stamps) {
+			t.Fatalf("thread %d: cap/len events %d/%d, runs %d/%d, stamps %d/%d", tt.ID,
+				cap(tt.Events), len(tt.Events), cap(tt.Ann.Runs), len(tt.Ann.Runs), cap(tt.Ann.Stamps), len(tt.Ann.Stamps))
+		}
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.NumEvents())
+	t.Logf("%d events, %d bytes encoded, %.1f B/event allocated", tr.NumEvents(), buf.Len(), perEvent)
+	if perEvent >= 80 {
+		t.Fatalf("Decode allocated %.1f B/event, want < 80", perEvent)
+	}
+}
+
+// TestDecodeTimePublished: Decode, Recover and Verify each add their wall
+// time to the process-wide trace/decode_ns gauge.
+func TestDecodeTimePublished(t *testing.T) {
+	_, data := encodeExample(t)
+	reg := telemetry.NewRegistry()
+	trace.PublishTelemetry(reg)
+	before := reg.Gauge("trace/decode_ns").Load()
+	for _, read := range []func() error{
+		func() error { _, err := trace.Decode(bytes.NewReader(data)); return err },
+		func() error { _, _, err := trace.Recover(bytes.NewReader(data)); return err },
+		func() error { _, err := trace.Verify(bytes.NewReader(data)); return err },
+	} {
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		trace.PublishTelemetry(reg)
+		after := reg.Gauge("trace/decode_ns").Load()
+		if after <= before {
+			t.Fatalf("trace/decode_ns went from %d to %d", before, after)
+		}
+		before = after
+	}
+}

@@ -1,10 +1,11 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/guest"
 )
@@ -57,20 +58,21 @@ func (e *VersionError) Error() string {
 
 // Decode reads a trace in the binary format, strictly: in the current
 // segmented format every checksum must verify and the footer must be
-// present and consistent, and in the legacy v1 format the stream must parse
-// to its end. Use Recover to salvage intact segments from damaged v2
-// traces instead.
+// present, consistent and last, and in the legacy v1 format the stream must
+// parse to its end. Decode reads all of r before decoding; see
+// docs/TRACE_FORMAT.md for what that costs in memory. Use Recover to
+// salvage intact segments from damaged v2 traces instead.
 func Decode(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	ver, err := readPrelude(br)
+	defer tallyDecode(time.Now())
+	data, ver, err := readTrace(r)
 	if err != nil {
 		return nil, err
 	}
 	switch ver {
 	case legacyVersion:
-		return decodeV1(br)
+		return decodeV1(bytes.NewReader(data[preludeLen:]))
 	case formatVersion:
-		return decodeV2(&trackReader{br: br, n: preludeLen})
+		return decodeV2(data)
 	default:
 		return nil, &VersionError{Want: formatVersion, Got: ver}
 	}
@@ -79,20 +81,23 @@ func Decode(r io.Reader) (*Trace, error) {
 // preludeLen is the size of the shared prelude: 8 magic bytes + 1 version.
 const preludeLen = 9
 
-// readPrelude consumes and validates the magic and returns the version byte.
-func readPrelude(br *bufio.Reader) (byte, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return 0, fmt.Errorf("trace: bad magic %q", m[:])
-	}
-	ver, err := br.ReadByte()
+// readTrace reads all of r (readInput) and validates the magic, returning
+// the whole input, prelude included, and its version byte.
+func readTrace(r io.Reader) ([]byte, byte, error) {
+	data, err := readInput(r)
 	if err != nil {
-		return 0, fmt.Errorf("trace: reading version: %w", err)
+		return nil, 0, fmt.Errorf("trace: reading input: %w", err)
 	}
-	return ver, nil
+	if len(data) < len(magic) {
+		return nil, 0, fmt.Errorf("trace: reading magic: %d of %d bytes", len(data), len(magic))
+	}
+	if [8]byte(data) != magic {
+		return nil, 0, fmt.Errorf("trace: bad magic %q", data[:len(magic)])
+	}
+	if len(data) < preludeLen {
+		return nil, 0, fmt.Errorf("trace: reading version: %w", io.EOF)
+	}
+	return data, data[len(magic)], nil
 }
 
 // decodeV1 reads the legacy v1 body (everything after the version byte).
@@ -100,7 +105,7 @@ func readPrelude(br *bufio.Reader) (byte, error) {
 // allocation, so hostile inputs cannot force huge allocations. A thread id
 // listed twice is an error: one ThreadTrace per id is what the v2 decoder
 // and Combine guarantee too.
-func decodeV1(br *bufio.Reader) (*Trace, error) {
+func decodeV1(br *bytes.Reader) (*Trace, error) {
 	readStrings := func() ([]string, error) {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -1,12 +1,13 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"slices"
 
 	"repro/internal/guest"
 )
@@ -232,169 +233,130 @@ func (tr *Trace) Encode(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// trackReader reads from a bufio.Reader while tracking exactly how many
-// bytes of the underlying stream have been consumed, so block offsets in
-// errors and recovery reports are real file offsets.
-type trackReader struct {
-	br *bufio.Reader
-	n  int64 // bytes consumed so far, including any prelude
-}
-
-// ReadByte implements io.ByteReader.
-func (t *trackReader) ReadByte() (byte, error) {
-	b, err := t.br.ReadByte()
-	if err == nil {
-		t.n++
-	}
-	return b, err
-}
-
-// Read implements io.Reader.
-func (t *trackReader) Read(p []byte) (int, error) {
-	n, err := t.br.Read(p)
-	t.n += int64(n)
-	return n, err
-}
-
-// block is one framed unit read back from a v2 stream.
-type block struct {
-	offset  int64 // stream offset of the kind byte
+// frame is one v2 block framed in place: payload aliases the input.
+type frame struct {
+	off     int // input offset of the kind byte
+	end     int // input offset just past the checksum
 	kind    byte
 	payload []byte
 	crcOK   bool
 }
 
-// readBlock reads the next block. It returns io.EOF exactly at a clean
-// block boundary; a mid-block end of input is reported as errTruncated and
-// an unknown kind or implausible length as errFraming (both wrapped).
-// Checksum mismatches are NOT errors: the block is returned with crcOK
-// false so callers choose between strict rejection and recovery.
-func readBlock(t *trackReader) (block, error) {
-	blk := block{offset: t.n}
-	kind, err := t.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return blk, io.EOF
-		}
-		return blk, err
+// nextFrame frames the block that starts at data[off]. It returns io.EOF
+// when off is exactly the end of data, an error wrapping errTruncated when
+// data ends inside the block (a stream decoder waits for more bytes), and
+// one wrapping errFraming for an unknown kind or an implausible length. A
+// checksum mismatch is not an error: the frame comes back with crcOK false
+// so callers choose between strict rejection and salvage. This is the only
+// v2 block framer; every reader goes through it.
+func nextFrame(data []byte, off int) (frame, error) {
+	f := frame{off: off}
+	if off >= len(data) {
+		return f, io.EOF
 	}
-	blk.kind = kind
-	if !validBlockKind(kind) {
-		return blk, fmt.Errorf("%w: unknown block kind 0x%02x", errFraming, kind)
+	f.kind = data[off]
+	if !validBlockKind(f.kind) {
+		return f, fmt.Errorf("%w: unknown block kind 0x%02x", errFraming, f.kind)
 	}
-	crc := crc32.Update(0, castagnoli, []byte{kind})
-	plen, lenBytes, err := readUvarintTracked(t)
-	if err != nil {
-		return blk, fmt.Errorf("%w: block length: %v", errTruncated, err)
+	plen, w := binary.Uvarint(data[off+1:])
+	if w == 0 {
+		return f, fmt.Errorf("%w: block length: unexpected end of input", errTruncated)
 	}
-	crc = crc32.Update(crc, castagnoli, lenBytes)
-	if plen > maxBlockPayload {
-		return blk, fmt.Errorf("%w: implausible block length %d", errFraming, plen)
+	if w < 0 || plen > maxBlockPayload {
+		return f, fmt.Errorf("%w: implausible block length %d", errFraming, plen)
 	}
-	payload, err := readFullCapped(t, int(plen))
-	if err != nil {
-		return blk, fmt.Errorf("%w: block payload: %v", errTruncated, err)
+	start := off + 1 + w
+	if uint64(len(data)-start) < plen+4 {
+		return f, fmt.Errorf("%w: %d-byte payload and checksum need %d bytes, %d remain",
+			errTruncated, plen, plen+4, len(data)-start)
 	}
-	blk.payload = payload
-	crc = crc32.Update(crc, castagnoli, payload)
-	var sum [4]byte
-	if _, err := io.ReadFull(t, sum[:]); err != nil {
-		return blk, fmt.Errorf("%w: block checksum: %v", errTruncated, err)
-	}
-	blk.crcOK = binary.LittleEndian.Uint32(sum[:]) == crc
-	ioStats.blocksRead.Add(1)
-	ioStats.bytesRead.Add(uint64(len(payload)))
-	if !blk.crcOK {
-		ioStats.crcFailures.Add(1)
-	}
-	return blk, nil
+	body := start + int(plen)
+	f.end = body + 4
+	f.payload = data[start:body]
+	f.crcOK = crc32.Checksum(data[off:body], castagnoli) == binary.LittleEndian.Uint32(data[body:])
+	return f, nil
 }
 
-// readUvarintTracked reads a uvarint and also returns its encoded bytes (for
-// checksumming).
-func readUvarintTracked(t *trackReader) (uint64, []byte, error) {
-	var buf [binary.MaxVarintLen64]byte
-	n := 0
-	for {
-		b, err := t.ReadByte()
-		if err != nil {
-			return 0, nil, err
-		}
-		if n == len(buf) {
-			return 0, nil, errors.New("uvarint overflows 64 bits")
-		}
-		buf[n] = b
-		n++
-		if b < 0x80 {
-			break
-		}
-	}
-	v, w := binary.Uvarint(buf[:n])
-	if w <= 0 {
-		return 0, nil, errors.New("malformed uvarint")
-	}
-	return v, buf[:n], nil
-}
+// Sentinel errors of the payload parsers; fixed values keep the hot
+// parse loops free of allocation.
+var (
+	errVarint       = errors.New("malformed uvarint")
+	errShortPayload = errors.New("unexpected end of payload")
+)
 
-// readFullCapped reads exactly n bytes, growing the buffer in bounded chunks
-// so a corrupted length field cannot force one huge allocation before the
-// short read is noticed.
-func readFullCapped(t *trackReader, n int) ([]byte, error) {
-	const chunk = 1 << 16
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		lo := len(buf)
-		hi := min(lo+chunk, n)
-		buf = append(buf, make([]byte, hi-lo)...)
-		if _, err := io.ReadFull(t, buf[lo:hi]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// byteParser is a bounds-checked cursor over one block payload.
+// byteParser is a bounds-checked cursor over one block payload. The first
+// failure sticks in err and the cursor never passes the end, so a parse
+// loop may read a whole record and check err once; values read after a
+// failure are meaningless.
 type byteParser struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (p *byteParser) uvarint() (uint64, error) {
+func (p *byteParser) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// small reads the next uvarint if it is one byte long, the common case on
+// the wire (timestamp deltas, small args). Unlike uvarint, which is over
+// the compiler's inlining budget, it inlines, so the hot loops try it
+// first.
+func (p *byteParser) small() (uint64, bool) {
+	if p.off < len(p.b) && p.b[p.off] < 0x80 {
+		p.off++
+		return uint64(p.b[p.off-1]), true
+	}
+	return 0, false
+}
+
+// uvarint reads one uvarint.
+func (p *byteParser) uvarint() uint64 {
 	v, n := binary.Uvarint(p.b[p.off:])
 	if n <= 0 {
-		return 0, errors.New("malformed uvarint")
+		p.fail(errVarint)
+		return 0
 	}
 	p.off += n
-	return v, nil
+	return v
 }
 
-func (p *byteParser) readByte() (byte, error) {
+func (p *byteParser) readByte() byte {
 	if p.off >= len(p.b) {
-		return 0, errors.New("unexpected end of payload")
+		p.fail(errShortPayload)
+		return 0
 	}
-	b := p.b[p.off]
 	p.off++
-	return b, nil
+	return p.b[p.off-1]
 }
 
-func (p *byteParser) take(n int) ([]byte, error) {
+func (p *byteParser) take(n int) []byte {
 	if n < 0 || p.off+n > len(p.b) {
-		return nil, errors.New("unexpected end of payload")
+		p.fail(errShortPayload)
+		return nil
 	}
-	b := p.b[p.off : p.off+n]
 	p.off += n
-	return b, nil
+	return p.b[p.off-n : p.off]
 }
 
-func (p *byteParser) done() bool { return p.off == len(p.b) }
+// end reports the parse outcome: the sticky error, or trailing if bytes
+// remain after the last field.
+func (p *byteParser) end(trailing string) error {
+	if p.err == nil && p.off != len(p.b) {
+		return errors.New(trailing)
+	}
+	return p.err
+}
 
 // parseTablePayload decodes an R/Y block payload into its names. Counts and
 // name lengths are bounded by the payload size before any allocation.
 func parseTablePayload(payload []byte) ([]string, error) {
-	p := &byteParser{b: payload}
-	n, err := p.uvarint()
-	if err != nil {
-		return nil, err
+	p := byteParser{b: payload}
+	n := p.uvarint()
+	if p.err != nil {
+		return nil, p.err
 	}
 	// Every name costs at least one length byte, so n is bounded by the
 	// payload size; reject before allocating.
@@ -402,278 +364,519 @@ func parseTablePayload(payload []byte) ([]string, error) {
 		return nil, fmt.Errorf("implausible name count %d in %d-byte block", n, len(payload))
 	}
 	names := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	for i := uint64(0); i < n && p.err == nil; i++ {
+		l := p.uvarint()
 		if l > maxNameLen {
 			return nil, fmt.Errorf("implausible name length %d", l)
 		}
-		raw, err := p.take(int(l))
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, string(raw))
+		names = append(names, string(p.take(int(l))))
 	}
-	if !p.done() {
-		return nil, errors.New("trailing bytes after name table")
+	if err := p.end("trailing bytes after name table"); err != nil {
+		return nil, err
 	}
 	return names, nil
 }
 
-// parseSegmentPayload decodes an E block payload into its thread id and
-// events. The event count is bounded by the payload size (every event is at
-// least four bytes) before allocating.
-func parseSegmentPayload(payload []byte) (guest.ThreadID, []Event, error) {
-	p := &byteParser{b: payload}
-	idWire, err := p.uvarint()
-	if err != nil {
-		return 0, nil, err
+// segmentHeader parses an E block payload's header: the thread id and the
+// event count, and the header's length, where the events begin. The count
+// is bounded by the payload size (every event is at least four bytes), so
+// callers may allocate it.
+func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
+	p := byteParser{b: payload}
+	idWire := p.uvarint()
+	count := p.uvarint()
+	if p.err != nil {
+		return threadIDFromWire(idWire), 0, 0, p.err
 	}
-	id := threadIDFromWire(idWire)
-	n, err := p.uvarint()
-	if err != nil {
-		return id, nil, err
+	if count > uint64(len(payload))/4+1 {
+		return threadIDFromWire(idWire), 0, 0, fmt.Errorf("implausible event count %d in %d-byte segment", count, len(payload))
 	}
-	if n > uint64(len(payload))/4+1 {
-		return id, nil, fmt.Errorf("implausible event count %d in %d-byte segment", n, len(payload))
+	return threadIDFromWire(idWire), int(count), p.off, nil
+}
+
+// parseEvents decodes a segment's events, the payload after its header,
+// into dst, which holds exactly the header's count: timestamps restart from
+// 0 at each segment and come back absolute. It returns how many of the
+// events are reads, the stamps a complete annotation carries for them.
+func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err error) {
+	p := byteParser{b: body}
+	ts := uint64(0)
+	for i := range dst {
+		delta, ok := p.small()
+		if !ok {
+			delta = p.uvarint()
+		}
+		k := Kind(p.readByte())
+		arg, ok := p.small()
+		if !ok {
+			arg = p.uvarint()
+		}
+		aux, ok := p.small()
+		if !ok {
+			aux = p.uvarint()
+		}
+		if p.err != nil {
+			return 0, fmt.Errorf("event %d: %w", i, p.err)
+		}
+		if k >= numKinds {
+			return 0, fmt.Errorf("event %d: invalid event kind %d", i, k)
+		}
+		ts += delta
+		dst[i] = Event{TS: ts, Thread: id, Kind: k, Arg: arg, Aux: aux}
+		if k == KindRead || k == KindKernelRead {
+			reads++
+		}
 	}
-	events := make([]Event, 0, n)
-	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		delta, err := p.uvarint()
-		if err != nil {
-			return id, nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		prev += delta
-		kb, err := p.readByte()
-		if err != nil {
-			return id, nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		if Kind(kb) >= numKinds {
-			return id, nil, fmt.Errorf("event %d: invalid event kind %d", i, kb)
-		}
-		arg, err := p.uvarint()
-		if err != nil {
-			return id, nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		aux, err := p.uvarint()
-		if err != nil {
-			return id, nil, fmt.Errorf("event %d: %w", i, err)
-		}
-		events = append(events, Event{TS: prev, Thread: id, Kind: Kind(kb), Arg: arg, Aux: aux})
-	}
-	if !p.done() {
-		return id, nil, errors.New("trailing bytes after segment events")
-	}
-	return id, events, nil
+	return reads, p.end("trailing bytes after segment events")
 }
 
 // parseFooterPayload decodes the F block payload.
 func parseFooterPayload(payload []byte) (blocks, events, threads uint64, err error) {
-	p := &byteParser{b: payload}
-	if blocks, err = p.uvarint(); err != nil {
-		return
-	}
-	if events, err = p.uvarint(); err != nil {
-		return
-	}
-	if threads, err = p.uvarint(); err != nil {
-		return
-	}
-	if !p.done() {
-		err = errors.New("trailing bytes after footer fields")
-	}
-	return
+	p := byteParser{b: payload}
+	blocks, events, threads = p.uvarint(), p.uvarint(), p.uvarint()
+	return blocks, events, threads, p.end("trailing bytes after footer fields")
 }
 
-// traceBuilder accumulates decoded blocks into a Trace, shared by the strict
-// v2 decoder and Recover.
-type traceBuilder struct {
-	tr *Trace
-	// byID maps a thread id to its index in tr.Threads: indices stay valid
-	// when appends reallocate the slice, pointers would not.
-	byID map[guest.ThreadID]int
-	// reads counts each thread's read events, and anns accumulates its 'A'
-	// blocks; build checks the two against each other before trusting the
-	// annotations.
-	reads map[guest.ThreadID]int
-	anns  map[guest.ThreadID]*ThreadAnnotation
-}
-
-func newTraceBuilder() *traceBuilder {
-	return &traceBuilder{
-		tr:    &Trace{Version: formatVersion},
-		byID:  make(map[guest.ThreadID]int),
-		reads: make(map[guest.ThreadID]int),
-		anns:  make(map[guest.ThreadID]*ThreadAnnotation),
-	}
-}
-
-func (b *traceBuilder) addRoutines(names []string) error {
-	if len(b.tr.Routines)+len(names) > maxTableEntries {
-		return fmt.Errorf("implausible routine-table size %d", len(b.tr.Routines)+len(names))
-	}
-	b.tr.Routines = append(b.tr.Routines, names...)
-	return nil
-}
-
-func (b *traceBuilder) addSyncs(names []string) error {
-	if len(b.tr.Syncs)+len(names) > maxTableEntries {
-		return fmt.Errorf("implausible sync-table size %d", len(b.tr.Syncs)+len(names))
-	}
-	b.tr.Syncs = append(b.tr.Syncs, names...)
-	return nil
-}
-
-func (b *traceBuilder) addSegment(id guest.ThreadID, events []Event) error {
-	ioStats.segmentsDecoded.Add(1)
-	ioStats.eventsDecoded.Add(uint64(len(events)))
-	idx, ok := b.byID[id]
-	if !ok {
-		if len(b.tr.Threads) >= maxThreads {
-			return fmt.Errorf("implausible thread count %d", len(b.tr.Threads)+1)
+// readInput reads all of r into one buffer. A reader that reports its
+// length (*bytes.Reader, *bytes.Buffer) or a regular file sizes the buffer
+// up front, so the input is copied exactly once; any other reader falls
+// back to io.ReadAll.
+func readInput(r io.Reader) ([]byte, error) {
+	size := -1
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
 		}
-		idx = len(b.tr.Threads)
-		b.tr.Threads = append(b.tr.Threads, ThreadTrace{ID: id})
-		b.byID[id] = idx
 	}
-	tt := &b.tr.Threads[idx]
-	tt.Events = append(tt.Events, events...)
-	b.reads[id] += numReads(events)
-	return nil
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	// The spare byte lets the last Read report io.EOF without growing.
+	buf := make([]byte, 0, size+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)] // more than the size said: grow
+		}
+	}
 }
 
-// addAnnotation accumulates one 'A' block's run and stamp batches onto the
-// thread's annotation; batches concatenate in file order.
-func (b *traceBuilder) addAnnotation(id guest.ThreadID, runs []StampRun, stamps []Stamp) error {
-	ann := b.anns[id]
-	if ann == nil {
-		ann = &ThreadAnnotation{}
-		b.anns[id] = ann
-	}
-	if len(ann.Stamps)+len(stamps) > maxBlockPayload || len(ann.Runs)+len(runs) > maxBlockPayload {
-		return fmt.Errorf("implausible accumulated annotation size for thread %d", id)
-	}
-	ann.Runs = append(ann.Runs, runs...)
-	ann.Stamps = append(ann.Stamps, stamps...)
-	return nil
+// scanMode selects how a v2 walk treats a bad block.
+type scanMode int
+
+const (
+	// scanStrict (Decode): the first bad block ends the walk.
+	scanStrict scanMode = iota
+	// scanSalvage (Recover): bad blocks are skipped, but a lost name-table
+	// delta ends the walk, since later name ids would not resolve.
+	scanSalvage
+	// scanVerify (Verify): every bad block is skipped and payloads are
+	// parsed into reused scratch, so no trace is materialized.
+	scanVerify
+)
+
+// scanBlock is one walked block and what the two passes made of it.
+type scanBlock struct {
+	frame
+	// err is why the block is bad, nil when it is intact: a framing error
+	// (errFraming, errTruncated), errChecksum, or a payload that did not
+	// parse or add up.
+	err error
+	// id is the thread an E or A payload names; hasID reports that it was
+	// parsed (for a checksum failure, only from an E payload's first
+	// varint).
+	id    guest.ThreadID
+	hasID bool
+	// slot indexes v2scan.threads (intact E and A blocks) and hdr is the
+	// payload's header length.
+	slot, hdr int
+	// n counts the block's names (R, Y), events (E) or runs (A); ns counts
+	// an A block's stamps.
+	n, ns int
 }
 
-// build finalizes the accumulated trace, attaching stamp annotations if —
-// and only if — their coverage is provably complete: every thread's run
-// lengths sum to its event count, its stamp count equals its read count,
-// and no annotation references an unknown thread. Anything inconsistent
-// (e.g. a recording whose annotator shut off mid-run, or a hand-damaged
-// file that still checksums) silently degrades the trace to unannotated,
-// never to wrong analysis inputs.
-func (b *traceBuilder) build() *Trace {
-	tr := b.tr
-	if len(b.anns) == 0 {
+// errChecksum marks a block whose CRC32-C did not match.
+var errChecksum = errors.New("CRC32-C mismatch")
+
+// threadSlot is one thread's size-pass tallies and, after the fill pass,
+// its exactly sized slices.
+type threadSlot struct {
+	id                      guest.ThreadID
+	nEvents, nRuns, nStamps int
+	events                  []Event
+	runs                    []StampRun
+	stamps                  []Stamp
+	reads                   int
+	// listed reports a filled segment, so the thread appears in the trace
+	// (at its position in v2scan.order); annotated reports a filled A
+	// block.
+	listed, annotated bool
+}
+
+// v2scan decodes one in-memory v2 input in two passes (see scanV2).
+type v2scan struct {
+	data            []byte
+	mode            scanMode
+	blocks          []scanBlock // every block walked, in file order
+	routines, syncs []string
+	threads         []threadSlot
+	slots           map[guest.ThreadID]int
+	order           []int // slots in order of their first filled segment
+	// footer indexes the intact footer in blocks (-1 if none was reached);
+	// fb, fe and ft are its block, event and thread counts.
+	footer     int
+	fb, fe, ft uint64
+	// truncated reports that the walk stopped early: the input ended
+	// without a footer, a block's framing failed, or a salvage lost a
+	// name-table delta.
+	truncated bool
+}
+
+// scanV2 decodes data, a whole v2 input including its prelude, in mode.
+// The size pass walks the blocks up to the footer: it frames each one,
+// verifies its checksum, parses the name tables and, from segment and
+// annotation headers alone, tallies every thread's event, run and stamp
+// counts. The fill pass then allocates each thread's slices at exactly
+// those sizes and parses every intact payload straight into them, so no
+// slice reallocates and no per-segment buffer exists. Counts come only
+// from checksummed headers that pass the per-block plausibility bounds, so
+// what is allocated stays proportional to len(data); a payload that fails
+// to parse in the fill pass leaves only unused capacity. A strict scan
+// stops at the first bad block and skips the fill pass if there is one.
+func scanV2(data []byte, mode scanMode) *v2scan {
+	s := &v2scan{data: data, mode: mode, slots: make(map[guest.ThreadID]int), footer: -1}
+	s.sizePass()
+	if mode != scanStrict || (s.footer >= 0 && s.firstBad() < 0) {
+		s.fillPass()
+		s.checkEnd()
+	}
+	return s
+}
+
+// firstBad returns the index of the first bad block, or -1.
+func (s *v2scan) firstBad() int {
+	for i := range s.blocks {
+		if s.blocks[i].err != nil {
+			return i
+		}
+	}
+	return -1
+}
+
+// sizePass walks the blocks up to the footer; see scanV2.
+func (s *v2scan) sizePass() {
+	for off := preludeLen; ; {
+		f, err := nextFrame(s.data, off)
+		if err == io.EOF {
+			s.truncated = true
+			return
+		}
+		s.blocks = append(s.blocks, scanBlock{frame: f, err: err})
+		b := &s.blocks[len(s.blocks)-1]
+		if err != nil {
+			s.truncated = true
+			return
+		}
+		off = f.end
+		ioStats.blocksRead.Add(1)
+		ioStats.bytesRead.Add(uint64(len(f.payload)))
+		s.size(b)
+		table := b.kind == blockRoutines || b.kind == blockSyncs
+		switch {
+		case b.err == nil && b.kind == blockFooter:
+			s.footer = len(s.blocks) - 1
+			return
+		case b.err == nil:
+		case s.mode == scanStrict:
+			return
+		case s.mode == scanSalvage && table:
+			s.truncated = true
+			return
+		}
+	}
+}
+
+// size checks one framed block and tallies its header.
+func (s *v2scan) size(b *scanBlock) {
+	if !b.crcOK {
+		ioStats.crcFailures.Add(1)
+		b.err = errChecksum
+		if b.kind == blockEvents {
+			p := byteParser{b: b.payload}
+			if v := p.uvarint(); p.err == nil {
+				b.id, b.hasID = threadIDFromWire(v), true
+			}
+		}
+		return
+	}
+	switch b.kind {
+	case blockRoutines, blockSyncs:
+		names, err := parseTablePayload(b.payload)
+		if err == nil {
+			table := &s.routines
+			if b.kind == blockSyncs {
+				table = &s.syncs
+			}
+			if len(*table)+len(names) > maxTableEntries {
+				err = fmt.Errorf("implausible name-table size %d", len(*table)+len(names))
+			} else {
+				*table = append(*table, names...)
+			}
+		}
+		b.n, b.err = len(names), err
+	case blockEvents:
+		b.id, b.n, b.hdr, b.err = segmentHeader(b.payload)
+		b.hasID = true
+		if b.err == nil {
+			b.slot, b.err = s.slot(b.id)
+		}
+		if b.err == nil {
+			s.threads[b.slot].nEvents += b.n
+		}
+	case blockAnnotations:
+		b.id, b.n, b.ns, b.hdr, b.err = annotationHeader(b.payload)
+		b.hasID = true
+		if b.err == nil {
+			b.slot, b.err = s.slot(b.id)
+		}
+		if b.err == nil {
+			t := &s.threads[b.slot]
+			if t.nRuns+b.n > maxBlockPayload || t.nStamps+b.ns > maxBlockPayload {
+				b.err = fmt.Errorf("implausible accumulated annotation size for thread %d", b.id)
+				return
+			}
+			t.nRuns += b.n
+			t.nStamps += b.ns
+		}
+	case blockFooter:
+		s.fb, s.fe, s.ft, b.err = parseFooterPayload(b.payload)
+	}
+}
+
+// slot returns the index of thread id's slot, creating it on first use
+// within the maxThreads cap.
+func (s *v2scan) slot(id guest.ThreadID) (int, error) {
+	k, ok := s.slots[id]
+	if !ok {
+		if len(s.threads) >= maxThreads {
+			return 0, fmt.Errorf("implausible thread count %d", len(s.threads)+1)
+		}
+		k = len(s.threads)
+		s.threads = append(s.threads, threadSlot{id: id})
+		s.slots[id] = k
+	}
+	return k, nil
+}
+
+// fillPass parses every intact segment and annotation payload; see scanV2.
+// A payload that fails marks its block bad, which ends a strict scan.
+func (s *v2scan) fillPass() {
+	keep := s.mode != scanVerify
+	if keep {
+		for i := range s.threads {
+			t := &s.threads[i]
+			t.events = makeExact[Event](t.nEvents)
+			t.runs = makeExact[StampRun](t.nRuns)
+			t.stamps = makeExact[Stamp](t.nStamps)
+		}
+	}
+	var events []Event
+	var runs []StampRun
+	var stamps []Stamp
+	for i := range s.blocks {
+		b := &s.blocks[i]
+		if b.err != nil || (b.kind != blockEvents && b.kind != blockAnnotations) {
+			continue
+		}
+		t := &s.threads[b.slot]
+		body := b.payload[b.hdr:]
+		if b.kind == blockEvents {
+			if keep {
+				events = t.events[len(t.events) : len(t.events)+b.n]
+			} else {
+				events = slices.Grow(events[:0], b.n)[:b.n]
+			}
+			var reads int
+			if reads, b.err = parseEvents(body, b.id, events); b.err == nil {
+				if keep {
+					t.events = t.events[:len(t.events)+b.n]
+					ioStats.segmentsDecoded.Add(1)
+					ioStats.eventsDecoded.Add(uint64(b.n))
+				}
+				t.reads += reads
+				if !t.listed {
+					t.listed = true
+					s.order = append(s.order, b.slot)
+				}
+			}
+		} else {
+			if keep {
+				runs = t.runs[len(t.runs) : len(t.runs)+b.n]
+				stamps = t.stamps[len(t.stamps) : len(t.stamps)+b.ns]
+			} else {
+				runs = slices.Grow(runs[:0], b.n)[:b.n]
+				stamps = slices.Grow(stamps[:0], b.ns)[:b.ns]
+			}
+			if b.err = parseAnnotation(body, runs, stamps); b.err == nil {
+				if keep {
+					t.runs = t.runs[:len(t.runs)+b.n]
+					t.stamps = t.stamps[:len(t.stamps)+b.ns]
+				}
+				t.annotated = true
+			}
+		}
+		if b.err != nil && s.mode == scanStrict {
+			return
+		}
+	}
+}
+
+// makeExact returns an empty slice with capacity n, or nil when n is 0.
+func makeExact[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// checkEnd catches the two ways a stream whose blocks are all intact can
+// still be wrong: an intact footer whose counts disagree with the stream,
+// and bytes after the footer. Both mark a block bad, so Decode rejects,
+// Recover drops and Verify reports them alike. The counts are compared
+// only when every block before the footer is intact; after a loss they
+// disagree by construction, and the loss is already reported.
+func (s *v2scan) checkEnd() {
+	if s.footer < 0 {
+		return
+	}
+	events := 0
+	for i := range s.blocks[:s.footer] {
+		if b := &s.blocks[i]; b.err != nil {
+			events = -1
+			break
+		} else if b.kind == blockEvents {
+			events += b.n
+		}
+	}
+	if events >= 0 && (s.fb != uint64(s.footer) || s.fe != uint64(events) || s.ft != uint64(len(s.order))) {
+		s.blocks[s.footer].err = fmt.Errorf("footer mismatch: footer says %d blocks/%d events/%d threads, stream has %d/%d/%d",
+			s.fb, s.fe, s.ft, s.footer, events, len(s.order))
+	}
+	if end := s.blocks[s.footer].end; end < len(s.data) {
+		s.blocks = append(s.blocks, scanBlock{
+			frame: frame{off: end, kind: s.data[end]},
+			err:   fmt.Errorf("%w: %d bytes of trailing data after the footer", errFraming, len(s.data)-end),
+		})
+	}
+}
+
+// trace assembles the filled threads into a Trace, in order of their first
+// segment, attaching the stamp annotations if — and only if — their
+// coverage is provably complete (annotationsComplete).
+func (s *v2scan) trace() *Trace {
+	tr := &Trace{Version: formatVersion, Routines: s.routines, Syncs: s.syncs}
+	tr.Threads = make([]ThreadTrace, len(s.order))
+	for i, k := range s.order {
+		tr.Threads[i] = ThreadTrace{ID: s.threads[k].id, Events: s.threads[k].events}
+	}
+	if !s.annotationsComplete() {
 		return tr
 	}
-	for id := range b.anns {
-		if _, ok := b.byID[id]; !ok {
-			return tr // annotation for a thread with no events: drop all
-		}
-	}
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		ann := b.anns[tt.ID]
-		if ann == nil {
-			if len(tt.Events) == 0 {
-				continue // an empty thread is vacuously annotated
-			}
-			return tr
-		}
-		sum := 0
-		for _, r := range ann.Runs {
-			if sum += r.Events; sum > len(tt.Events) {
-				return tr
-			}
-		}
-		if sum != len(tt.Events) || len(ann.Stamps) != b.reads[tt.ID] {
-			return tr
-		}
-	}
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		if ann := b.anns[tt.ID]; ann != nil {
-			tt.Ann = ann
-		} else {
-			tt.Ann = &ThreadAnnotation{}
-		}
+	anns := make([]ThreadAnnotation, len(s.order))
+	for i, k := range s.order {
+		anns[i] = ThreadAnnotation{Runs: s.threads[k].runs, Stamps: s.threads[k].stamps}
+		tr.Threads[i].Ann = &anns[i]
 	}
 	tr.Annotated = true
 	return tr
 }
 
-// decodeV2 strictly decodes a v2 block stream positioned just past the
-// prelude: any checksum mismatch, framing fault, truncation, missing footer,
-// footer/count disagreement or trailing data is an error. Use Recover for
-// best-effort salvage instead.
-func decodeV2(t *trackReader) (*Trace, error) {
-	b := newTraceBuilder()
-	nblocks := 0
-	nevents := 0
-	for {
-		blk, err := readBlock(t)
-		if err == io.EOF {
-			return nil, fmt.Errorf("trace: truncated: stream ends at offset %d without a footer", t.n)
+// annotationsComplete reports whether the filled annotations cover the
+// trace exactly: every thread's run lengths sum to its event count, its
+// stamp count equals its read count, and no annotation names a thread with
+// no segment. Anything inconsistent (e.g. a recording whose annotator shut
+// off mid-run, or a hand-damaged file that still checksums) degrades the
+// trace to unannotated, never to wrong analysis inputs.
+func (s *v2scan) annotationsComplete() bool {
+	found := false
+	for i := range s.threads {
+		if t := &s.threads[i]; t.annotated {
+			if !t.listed {
+				return false
+			}
+			found = true
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: block at offset %d: %w", blk.offset, err)
-		}
-		if !blk.crcOK {
-			return nil, fmt.Errorf("trace: block at offset %d (kind %q): checksum mismatch", blk.offset, blk.kind)
-		}
-		switch blk.kind {
-		case blockRoutines, blockSyncs:
-			names, err := parseTablePayload(blk.payload)
-			if err != nil {
-				return nil, fmt.Errorf("trace: name-table block at offset %d: %w", blk.offset, err)
-			}
-			if blk.kind == blockRoutines {
-				err = b.addRoutines(names)
-			} else {
-				err = b.addSyncs(names)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: name-table block at offset %d: %w", blk.offset, err)
-			}
-		case blockEvents:
-			id, events, err := parseSegmentPayload(blk.payload)
-			if err != nil {
-				return nil, fmt.Errorf("trace: segment at offset %d: %w", blk.offset, err)
-			}
-			if err := b.addSegment(id, events); err != nil {
-				return nil, fmt.Errorf("trace: segment at offset %d: %w", blk.offset, err)
-			}
-			nevents += len(events)
-		case blockAnnotations:
-			id, runs, stamps, err := parseAnnotationPayload(blk.payload)
-			if err != nil {
-				return nil, fmt.Errorf("trace: annotation at offset %d: %w", blk.offset, err)
-			}
-			if err := b.addAnnotation(id, runs, stamps); err != nil {
-				return nil, fmt.Errorf("trace: annotation at offset %d: %w", blk.offset, err)
-			}
-		case blockFooter:
-			fb, fe, ft, err := parseFooterPayload(blk.payload)
-			if err != nil {
-				return nil, fmt.Errorf("trace: footer at offset %d: %w", blk.offset, err)
-			}
-			tr := b.build()
-			if fb != uint64(nblocks) || fe != uint64(nevents) || ft != uint64(len(tr.Threads)) {
-				return nil, fmt.Errorf("trace: footer mismatch: footer says %d blocks/%d events/%d threads, stream has %d/%d/%d",
-					fb, fe, ft, nblocks, nevents, len(tr.Threads))
-			}
-			if _, err := t.ReadByte(); err != io.EOF {
-				return nil, fmt.Errorf("trace: trailing data after footer at offset %d", t.n-1)
-			}
-			return tr, nil
-		}
-		nblocks++
 	}
+	if !found {
+		return false
+	}
+	for _, k := range s.order {
+		t := &s.threads[k]
+		if !t.annotated {
+			if len(t.events) == 0 {
+				continue // an empty thread is vacuously annotated
+			}
+			return false
+		}
+		sum := 0
+		for _, r := range t.runs {
+			if sum += r.Events; sum > len(t.events) {
+				return false
+			}
+		}
+		if sum != len(t.events) || len(t.stamps) != t.reads {
+			return false
+		}
+	}
+	return true
+}
+
+// strictErr renders the first bad block of a strict scan as Decode's
+// error, naming the block's offset; nil when every block is intact and
+// the footer was reached.
+func (s *v2scan) strictErr() error {
+	i := s.firstBad()
+	if i < 0 {
+		if s.footer < 0 {
+			return fmt.Errorf("trace: truncated: stream ends at offset %d without a footer", len(s.data))
+		}
+		return nil
+	}
+	b := &s.blocks[i]
+	what := "block"
+	switch {
+	case errors.Is(b.err, errFraming), errors.Is(b.err, errTruncated):
+	case errors.Is(b.err, errChecksum):
+		return fmt.Errorf("trace: block at offset %d (kind %q): checksum mismatch", b.off, b.kind)
+	case b.kind == blockRoutines, b.kind == blockSyncs:
+		what = "name-table block"
+	case b.kind == blockEvents:
+		what = "segment"
+	case b.kind == blockAnnotations:
+		what = "annotation"
+	case b.kind == blockFooter:
+		what = "footer"
+	}
+	return fmt.Errorf("trace: %s at offset %d: %w", what, b.off, b.err)
+}
+
+// decodeV2 strictly decodes data, a whole v2 input: any checksum mismatch,
+// framing fault, truncation, missing footer, footer/count disagreement or
+// trailing data is an error. Use Recover for best-effort salvage instead.
+func decodeV2(data []byte) (*Trace, error) {
+	s := scanV2(data, scanStrict)
+	if err := s.strictErr(); err != nil {
+		return nil, err
+	}
+	return s.trace(), nil
 }

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -37,34 +38,82 @@ func fuzzSeedTrace() *trace.Trace {
 	return tr
 }
 
-func fuzzSeeds(f *testing.F) {
+// fuzzInputs returns the shared seed inputs of the decoder fuzz targets:
+// clean v2 and v1 encodings, truncations, bit flips, bare magic, empty
+// input, and the two self-inconsistent traces Decode rejects although
+// every block checksums (bytes after the footer, and a footer whose counts
+// disagree with the stream).
+func fuzzInputs(tb testing.TB) [][]byte {
 	tr := fuzzSeedTrace()
 	var buf bytes.Buffer
 	if _, err := tr.Encode(&buf); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	clean := buf.Bytes()
-	f.Add(clean)
-	f.Add(encodeV1(tr))
-	f.Add(clean[:len(clean)/2])
-	f.Add(clean[:len(clean)-2])
-	f.Add(faultinject.FlipBits(clean, 1, 3, 0))
-	f.Add(faultinject.FlipBits(clean, 2, 8, 9))
-	f.Add([]byte("ISPTRACE"))
-	f.Add([]byte{})
+	inputs := [][]byte{
+		clean,
+		encodeV1(tr),
+		clean[:len(clean)/2],
+		clean[:len(clean)-2],
+		faultinject.FlipBits(clean, 1, 3, 0),
+		faultinject.FlipBits(clean, 2, 8, 9),
+		[]byte("ISPTRACE"),
+		{},
+	}
+	for _, c := range selfInconsistentTraces(tb) {
+		inputs = append(inputs, c.data)
+	}
+	return inputs
+}
+
+func fuzzSeeds(f *testing.F) {
+	for _, in := range fuzzInputs(f) {
+		f.Add(in)
+	}
+}
+
+// normalized returns a copy of tr for comparison with reflect.DeepEqual:
+// Version cleared (a v1 trace re-encodes as v2) and empty slices nil.
+func normalized(tr *trace.Trace) *trace.Trace {
+	out := *tr
+	out.Version = 0
+	out.Routines = nilIfEmpty(tr.Routines)
+	out.Syncs = nilIfEmpty(tr.Syncs)
+	out.Threads = make([]trace.ThreadTrace, len(tr.Threads))
+	for i, tt := range tr.Threads {
+		tt.Events = nilIfEmpty(tt.Events)
+		if tt.Ann != nil {
+			ann := trace.ThreadAnnotation{Runs: nilIfEmpty(tt.Ann.Runs), Stamps: nilIfEmpty(tt.Ann.Stamps)}
+			tt.Ann = &ann
+		}
+		out.Threads[i] = tt
+	}
+	return &out
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // FuzzDecode: the strict decoder must never panic or over-allocate on
-// arbitrary bytes, and anything it accepts must survive a re-encode/decode
-// round trip.
+// arbitrary bytes. Whatever it accepts must re-encode and decode back to an
+// equal trace, and, for v2 input, Recover must return the same trace as a
+// complete salvage and Verify must pass it. Conversely, a trace Verify
+// passes must decode.
 func FuzzDecode(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Decode(bytes.NewReader(data))
+		vr, verr := trace.Verify(bytes.NewReader(data))
+		if verr == nil && vr.OK() && err != nil {
+			t.Fatalf("Verify passes a trace Decode rejects: %v", err)
+		}
 		if err != nil {
 			return
 		}
-		n := tr.NumEvents()
 		var buf bytes.Buffer
 		if _, err := tr.Encode(&buf); err != nil {
 			t.Fatalf("re-encoding an accepted trace: %v", err)
@@ -73,15 +122,29 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding a fresh encoding: %v", err)
 		}
-		if back.NumEvents() != n {
-			t.Fatalf("round trip changed event count: %d -> %d", n, back.NumEvents())
+		if !reflect.DeepEqual(normalized(back), normalized(tr)) {
+			t.Fatal("Decode(Encode(tr)) differs from tr")
+		}
+		if tr.Version != trace.FormatVersion() {
+			return
+		}
+		rtr, rep, err := trace.Recover(bytes.NewReader(data))
+		if err != nil || !rep.Complete() {
+			t.Fatalf("Recover of an accepted trace: err=%v report=%v", err, rep)
+		}
+		if !reflect.DeepEqual(normalized(rtr), normalized(tr)) {
+			t.Fatal("Recover returned a different trace than Decode")
+		}
+		if verr != nil || !vr.OK() {
+			t.Fatalf("Verify rejects an accepted trace: err=%v report=%+v", verr, vr)
 		}
 	})
 }
 
 // FuzzRecover: on arbitrary bytes Recover must never panic, and when it
 // succeeds the report must be non-nil and account exactly for the salvaged
-// trace. Verify must agree on never panicking.
+// trace; a complete salvage must be a trace Decode accepts. Verify must
+// agree on never panicking.
 func FuzzRecover(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -101,9 +164,94 @@ func FuzzRecover(f *testing.F) {
 				t.Fatalf("per-thread events sum to %d, report says %d", perThread, rep.SalvagedEvents)
 			}
 			_ = rep.String()
+			if _, derr := trace.Decode(bytes.NewReader(data)); rep.Complete() && derr != nil {
+				t.Fatalf("Recover calls a trace complete that Decode rejects: %v", derr)
+			}
 		}
 		if vr, verr := trace.Verify(bytes.NewReader(data)); verr == nil && vr == nil {
 			t.Fatal("successful Verify returned a nil report")
+		}
+	})
+}
+
+// streamFeed feeds data to a fresh StreamDecoder in chunks whose sizes
+// cycle through cuts (each byte plus one; the whole input at once when cuts
+// is empty) and returns the concatenated deltas and the first error.
+func streamFeed(data, cuts []byte) (trace.StreamDelta, error) {
+	d := trace.NewStreamDecoder()
+	var all trace.StreamDelta
+	for off, i := 0, 0; off < len(data); i++ {
+		end := len(data)
+		if len(cuts) > 0 {
+			end = min(off+int(cuts[i%len(cuts)])+1, len(data))
+		}
+		delta, err := d.Feed(data[off:end])
+		all.Routines = append(all.Routines, delta.Routines...)
+		all.Syncs = append(all.Syncs, delta.Syncs...)
+		all.Segments = append(all.Segments, delta.Segments...)
+		all.Footer = all.Footer || delta.Footer
+		if err != nil {
+			return all, err
+		}
+		off = end
+	}
+	return all, nil
+}
+
+// FuzzStreamDecoder: the incremental decoder must never panic, must not
+// depend on how its input is chunked — a whole feed and a split feed yield
+// the same deltas and both fail or neither does — and on a v2 trace Decode
+// accepts it must stream exactly the decoded name tables and, per thread,
+// the decoded events.
+func FuzzStreamDecoder(f *testing.F) {
+	var buf bytes.Buffer
+	sr := trace.NewStreamRecorder(&buf)
+	sr.SetSegmentEvents(8)
+	exampleRun(f, 5, sr)
+	if err := sr.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw := buf.Bytes()
+	corrupt := bytes.Clone(raw)
+	corrupt[len(corrupt)/2] ^= 0xff
+	badVersion := bytes.Clone(raw)
+	badVersion[8] = 99
+	inputs := append(fuzzInputs(f), raw, corrupt, badVersion, append(bytes.Clone(raw), 0))
+	for _, in := range inputs {
+		f.Add(in, []byte{0})
+		f.Add(in, []byte{6, 200, 30})
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		whole, werr := streamFeed(data, nil)
+		split, serr := streamFeed(data, cuts)
+		if (werr == nil) != (serr == nil) {
+			t.Fatalf("whole feed error %v, split feed error %v", werr, serr)
+		}
+		if !reflect.DeepEqual(whole, split) {
+			t.Fatal("whole and split feeds decoded different deltas")
+		}
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil || tr.Version != trace.FormatVersion() {
+			return
+		}
+		if werr != nil || !whole.Footer {
+			t.Fatalf("stream of an accepted trace: error %v, footer %v", werr, whole.Footer)
+		}
+		if !reflect.DeepEqual(nilIfEmpty(whole.Routines), nilIfEmpty(tr.Routines)) ||
+			!reflect.DeepEqual(nilIfEmpty(whole.Syncs), nilIfEmpty(tr.Syncs)) {
+			t.Fatal("streamed name tables differ from the decoded ones")
+		}
+		streamed := make(map[guest.ThreadID][]trace.Event)
+		for _, seg := range whole.Segments {
+			streamed[seg.Thread] = append(streamed[seg.Thread], seg.Events...)
+		}
+		if len(streamed) != len(tr.Threads) {
+			t.Fatalf("streamed %d threads, decoded %d", len(streamed), len(tr.Threads))
+		}
+		for _, tt := range tr.Threads {
+			if !reflect.DeepEqual(nilIfEmpty(streamed[tt.ID]), nilIfEmpty(tt.Events)) {
+				t.Fatalf("thread %d: streamed events differ from the decoded ones", tt.ID)
+			}
 		}
 	})
 }

@@ -1,11 +1,12 @@
 package trace
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
 	"repro/internal/guest"
 )
@@ -111,7 +112,9 @@ type RecoveryReport struct {
 }
 
 // Complete reports whether the trace was salvaged in full: nothing dropped,
-// no truncation, and an intact footer.
+// no truncation, and an intact footer. A footer that disagrees with an
+// otherwise intact stream, and bytes after the footer, are reported as
+// dropped blocks, so Complete implies that Decode accepts the trace.
 func (r *RecoveryReport) Complete() bool {
 	return r.FooterValid && !r.Truncated && len(r.Dropped) == 0
 }
@@ -176,13 +179,13 @@ func (r *RecoveryReport) String() string {
 // Otherwise the error is nil and the report, which is always non-nil in
 // that case, describes the salvage, even when nothing was salvageable.
 func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
-	br := bufio.NewReader(r)
-	ver, err := readPrelude(br)
+	defer tallyDecode(time.Now())
+	data, ver, err := readTrace(r)
 	if err != nil {
 		return nil, nil, err
 	}
 	if ver == legacyVersion {
-		tr, err := decodeV1(br)
+		tr, err := decodeV1(bytes.NewReader(data[preludeLen:]))
 		if err != nil {
 			return nil, nil, fmt.Errorf("trace: v1 trace has no segment checksums and cannot be partially recovered: %w", err)
 		}
@@ -199,113 +202,27 @@ func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 		return nil, nil, &VersionError{Want: formatVersion, Got: ver}
 	}
 
-	t := &trackReader{br: br, n: preludeLen}
-	b := newTraceBuilder()
-	rep := &RecoveryReport{Version: ver, ExpectedEvents: -1}
-	segs := make(map[guest.ThreadID]int)
-
-scan:
-	for {
-		blk, err := readBlock(t)
-		if err == io.EOF {
-			rep.Truncated = !rep.FooterValid
-			break
-		}
-		rep.BlocksSeen++
-		if err != nil {
-			cause := DropTruncated
-			if errors.Is(err, errFraming) {
-				cause = DropFraming
-			}
-			rep.Dropped = append(rep.Dropped, DroppedBlock{
-				Offset: blk.offset, Kind: blk.kind, Cause: cause, Detail: err.Error(),
-			})
-			rep.Truncated = true
-			break
-		}
-		if !blk.crcOK {
-			d := DroppedBlock{Offset: blk.offset, Kind: blk.kind, Cause: DropChecksum, Detail: "CRC32-C mismatch"}
-			if blk.kind == blockEvents {
-				// Best-effort thread attribution from the untrusted payload.
-				if idWire, err := (&byteParser{b: blk.payload}).uvarint(); err == nil {
-					d.Thread, d.HasThread = threadIDFromWire(idWire), true
-				}
-			}
-			if blk.kind == blockRoutines || blk.kind == blockSyncs {
-				// A lost table delta makes every later name id unresolvable,
-				// so salvage stops here rather than misattribute routines.
-				d.Detail += "; name-table delta lost, recovery stopped"
-				rep.Dropped = append(rep.Dropped, d)
-				rep.Truncated = true
-				break
-			}
-			rep.Dropped = append(rep.Dropped, d)
+	s := scanV2(data, scanSalvage)
+	rep := &RecoveryReport{Version: ver, BlocksSeen: len(s.blocks), Truncated: s.truncated, ExpectedEvents: -1}
+	if s.footer >= 0 {
+		rep.FooterValid = true
+		rep.ExpectedEvents = int(s.fe)
+	}
+	segs := make([]int, len(s.threads))
+	for i := range s.blocks {
+		b := &s.blocks[i]
+		if b.err != nil {
+			rep.Dropped = append(rep.Dropped, b.dropped())
 			continue
 		}
-		switch blk.kind {
-		case blockRoutines, blockSyncs:
-			names, perr := parseTablePayload(blk.payload)
-			if perr == nil {
-				if blk.kind == blockRoutines {
-					perr = b.addRoutines(names)
-				} else {
-					perr = b.addSyncs(names)
-				}
-			}
-			if perr != nil {
-				rep.Dropped = append(rep.Dropped, DroppedBlock{
-					Offset: blk.offset, Kind: blk.kind, Cause: DropInvalid,
-					Detail: perr.Error() + "; name-table delta lost, recovery stopped",
-				})
-				rep.Truncated = true
-				break scan
-			}
-			rep.SalvagedBlocks++
-		case blockEvents:
-			id, events, perr := parseSegmentPayload(blk.payload)
-			if perr == nil {
-				perr = b.addSegment(id, events)
-			}
-			if perr != nil {
-				rep.Dropped = append(rep.Dropped, DroppedBlock{
-					Offset: blk.offset, Kind: blk.kind, Cause: DropInvalid, Detail: perr.Error(),
-					Thread: id, HasThread: true,
-				})
-				continue
-			}
-			segs[id]++
-			rep.SalvagedBlocks++
+		rep.SalvagedBlocks++
+		if b.kind == blockEvents {
+			segs[b.slot]++
 			rep.SalvagedSegments++
-			rep.SalvagedEvents += len(events)
-		case blockAnnotations:
-			id, runs, stamps, perr := parseAnnotationPayload(blk.payload)
-			if perr == nil {
-				perr = b.addAnnotation(id, runs, stamps)
-			}
-			if perr != nil {
-				rep.Dropped = append(rep.Dropped, DroppedBlock{
-					Offset: blk.offset, Kind: blk.kind, Cause: DropInvalid, Detail: perr.Error(),
-					Thread: id, HasThread: true,
-				})
-				continue
-			}
-			rep.SalvagedBlocks++
-		case blockFooter:
-			_, fe, _, perr := parseFooterPayload(blk.payload)
-			if perr != nil {
-				rep.Dropped = append(rep.Dropped, DroppedBlock{
-					Offset: blk.offset, Kind: blk.kind, Cause: DropInvalid, Detail: perr.Error(),
-				})
-				continue
-			}
-			rep.SalvagedBlocks++
-			rep.FooterValid = true
-			rep.ExpectedEvents = int(fe)
-			break scan
+			rep.SalvagedEvents += b.n
 		}
 	}
-
-	tr := b.build()
+	tr := s.trace()
 	if !rep.Complete() {
 		// Salvaged stamp annotations may reference writes that happened in
 		// lost segments, so they are only trustworthy when nothing was lost:
@@ -313,13 +230,30 @@ scan:
 		// events offline rather than risk a wrong profile.
 		tr.StripAnnotations()
 	}
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		rep.PerThread = append(rep.PerThread, ThreadRecovery{
-			ID: tt.ID, Segments: segs[tt.ID], Events: len(tt.Events),
-		})
+	for _, k := range s.order {
+		t := &s.threads[k]
+		rep.PerThread = append(rep.PerThread, ThreadRecovery{ID: t.id, Segments: segs[k], Events: len(t.events)})
 	}
 	return tr, rep, nil
+}
+
+// dropped describes a bad block as Recover reports it.
+func (b *scanBlock) dropped() DroppedBlock {
+	d := DroppedBlock{Offset: int64(b.off), Kind: b.kind, Cause: DropInvalid, Detail: b.err.Error(), Thread: b.id, HasThread: b.hasID}
+	switch {
+	case errors.Is(b.err, errFraming):
+		d.Cause = DropFraming
+	case errors.Is(b.err, errTruncated):
+		d.Cause = DropTruncated
+	case errors.Is(b.err, errChecksum):
+		d.Cause = DropChecksum
+	}
+	if (b.kind == blockRoutines || b.kind == blockSyncs) && (d.Cause == DropChecksum || d.Cause == DropInvalid) {
+		// A lost table delta makes every later name id unresolvable, so
+		// salvage stopped here rather than misattribute routines.
+		d.Detail += "; name-table delta lost, recovery stopped"
+	}
+	return d
 }
 
 // BlockInfo is one block's diagnostics from a Verify walk.
@@ -378,8 +312,9 @@ type VerifyReport struct {
 // same accounting identity RecoveryReport maintains with SalvagedBlocks.
 func (vr *VerifyReport) Intact() int { return len(vr.Blocks) - vr.Bad }
 
-// OK reports whether the trace verified clean: every checksum matched and
-// the footer was present (v2), or the strict decode succeeded (v1).
+// OK reports whether the trace verified clean: every block was intact, the
+// footer was present, agreed with the stream and was last (v2), or the
+// strict decode succeeded (v1). OK implies that Decode accepts the trace.
 func (vr *VerifyReport) OK() bool {
 	if vr.Version == legacyVersion {
 		return vr.StrictErr == nil
@@ -387,21 +322,23 @@ func (vr *VerifyReport) OK() bool {
 	return vr.Bad == 0 && vr.FooterValid && !vr.Truncated
 }
 
-// Verify walks a trace file's blocks, checking every checksum without
-// materializing events, and reports per-block diagnostics. Unlike Recover
-// it keeps scanning past corrupt name-table blocks (it resolves no ids), and
-// stops only at framing damage or truncation. For v1 traces, which carry no
-// checksums, it falls back to a strict decode and reports only overall
-// success or failure in StrictErr.
+// Verify walks a trace file's blocks, checking every checksum and parsing
+// every payload without materializing events, and reports per-block
+// diagnostics. Unlike Recover it keeps scanning past corrupt name-table
+// blocks (it resolves no ids), and stops only at framing damage or
+// truncation. A footer whose counts disagree with an otherwise intact
+// stream, and bytes after the footer, count as bad blocks. For v1 traces,
+// which carry no checksums, it falls back to a strict decode and reports
+// only overall success or failure in StrictErr.
 func Verify(r io.Reader) (*VerifyReport, error) {
-	br := bufio.NewReader(r)
-	ver, err := readPrelude(br)
+	defer tallyDecode(time.Now())
+	data, ver, err := readTrace(r)
 	if err != nil {
 		return nil, err
 	}
 	if ver == legacyVersion {
 		vr := &VerifyReport{Version: ver}
-		tr, err := decodeV1(br)
+		tr, err := decodeV1(bytes.NewReader(data[preludeLen:]))
 		if err != nil {
 			vr.StrictErr = err
 		} else {
@@ -414,62 +351,28 @@ func Verify(r io.Reader) (*VerifyReport, error) {
 		return nil, &VersionError{Want: formatVersion, Got: ver}
 	}
 
-	t := &trackReader{br: br, n: preludeLen}
-	vr := &VerifyReport{Version: ver}
-	threads := make(map[guest.ThreadID]bool)
-	for {
-		blk, err := readBlock(t)
-		if err == io.EOF {
-			vr.Truncated = !vr.FooterValid
-			vr.Threads = len(threads)
-			return vr, nil
-		}
-		info := BlockInfo{Offset: blk.offset, Kind: blk.kind, PayloadLen: len(blk.payload)}
-		if err != nil {
-			info.Err = err
-			vr.Blocks = append(vr.Blocks, info)
+	s := scanV2(data, scanVerify)
+	vr := &VerifyReport{Version: ver, Blocks: make([]BlockInfo, len(s.blocks)), Threads: len(s.order),
+		FooterValid: s.footer >= 0, Truncated: s.truncated}
+	for i := range s.blocks {
+		b := &s.blocks[i]
+		info := &vr.Blocks[i]
+		*info = BlockInfo{Offset: int64(b.off), Kind: b.kind, PayloadLen: len(b.payload), Err: b.err}
+		if b.err != nil {
 			vr.Bad++
-			vr.Truncated = true
-			vr.Threads = len(threads)
-			return vr, nil
+			continue
 		}
-		if !blk.crcOK {
-			info.Err = errors.New("CRC32-C mismatch")
-		} else {
-			switch blk.kind {
-			case blockRoutines, blockSyncs:
-				names, perr := parseTablePayload(blk.payload)
-				info.Names, info.Err = len(names), perr
-			case blockEvents:
-				id, events, perr := parseSegmentPayload(blk.payload)
-				info.Thread, info.HasThread, info.Events, info.Err = id, perr == nil, len(events), perr
-				if perr == nil {
-					vr.Segments++
-					vr.Events += len(events)
-					threads[id] = true
-				}
-			case blockAnnotations:
-				id, runs, stamps, perr := parseAnnotationPayload(blk.payload)
-				info.Thread, info.HasThread, info.Err = id, perr == nil, perr
-				info.Runs, info.Stamps = len(runs), len(stamps)
-				if perr == nil {
-					vr.Annotations++
-				}
-			case blockFooter:
-				_, _, _, perr := parseFooterPayload(blk.payload)
-				info.Err = perr
-				if perr == nil {
-					vr.FooterValid = true
-				}
-			}
-		}
-		if info.Err != nil {
-			vr.Bad++
-		}
-		vr.Blocks = append(vr.Blocks, info)
-		if blk.kind == blockFooter && vr.FooterValid {
-			vr.Threads = len(threads)
-			return vr, nil
+		switch b.kind {
+		case blockRoutines, blockSyncs:
+			info.Names = b.n
+		case blockEvents:
+			info.Thread, info.HasThread, info.Events = b.id, true, b.n
+			vr.Segments++
+			vr.Events += b.n
+		case blockAnnotations:
+			info.Thread, info.HasThread, info.Runs, info.Stamps = b.id, true, b.n, b.ns
+			vr.Annotations++
 		}
 	}
+	return vr, nil
 }

@@ -2,10 +2,9 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 
 	"repro/internal/guest"
 )
@@ -123,58 +122,51 @@ func (d *StreamDecoder) Feed(p []byte) (StreamDelta, error) {
 // returning its total framed size, or 0 when the buffer holds only part of
 // a block.
 func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
-	b := d.buf.Bytes()
-	if len(b) == 0 {
-		return 0, nil
+	f, err := nextFrame(d.buf.Bytes(), 0)
+	if err == io.EOF || errors.Is(err, errTruncated) {
+		return 0, nil // wait for the rest of the block
 	}
-	kind := b[0]
-	if !validBlockKind(kind) {
-		return 0, fmt.Errorf("trace: %w: unknown block kind 0x%02x", errFraming, kind)
+	if err != nil {
+		return 0, fmt.Errorf("trace: %w", err)
 	}
-	plen, lenBytes := binary.Uvarint(b[1:])
-	if lenBytes == 0 {
-		return 0, nil // length varint still incomplete
+	if !f.crcOK {
+		return 0, fmt.Errorf("trace: block kind %q: checksum mismatch", f.kind)
 	}
-	if lenBytes < 0 || plen > maxBlockPayload {
-		return 0, fmt.Errorf("trace: %w: implausible payload length %d", errFraming, plen)
-	}
-	total := 1 + lenBytes + int(plen) + 4
-	if len(b) < total {
-		return 0, nil
-	}
-	body := b[:total-4]
-	sum := binary.LittleEndian.Uint32(b[total-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
-		return 0, fmt.Errorf("trace: block kind %q: checksum mismatch", kind)
-	}
-	payload := body[1+lenBytes:]
-	switch kind {
+	switch f.kind {
 	case blockRoutines, blockSyncs:
-		names, err := parseTablePayload(payload)
+		names, err := parseTablePayload(f.payload)
 		if err != nil {
 			return 0, fmt.Errorf("trace: name-table block: %w", err)
 		}
-		if kind == blockRoutines {
+		if f.kind == blockRoutines {
 			delta.Routines = append(delta.Routines, names...)
 		} else {
 			delta.Syncs = append(delta.Syncs, names...)
 		}
 	case blockEvents:
-		id, events, err := parseSegmentPayload(payload)
+		id, n, hdr, err := segmentHeader(f.payload)
+		events := make([]Event, n)
+		if err == nil {
+			_, err = parseEvents(f.payload[hdr:], id, events)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}
 		delta.Segments = append(delta.Segments, StreamSegment{Thread: id, Events: events})
 	case blockAnnotations:
-		if _, _, _, err := parseAnnotationPayload(payload); err != nil {
+		_, nr, ns, hdr, err := annotationHeader(f.payload)
+		if err == nil {
+			err = parseAnnotation(f.payload[hdr:], make([]StampRun, nr), make([]Stamp, ns))
+		}
+		if err != nil {
 			return 0, fmt.Errorf("trace: annotation block: %w", err)
 		}
 	case blockFooter:
-		if _, _, _, err := parseFooterPayload(payload); err != nil {
+		if _, _, _, err := parseFooterPayload(f.payload); err != nil {
 			return 0, fmt.Errorf("trace: footer block: %w", err)
 		}
 		d.footer = true
 		delta.Footer = true
 	}
-	return total, nil
+	return f.end, nil
 }

@@ -2,15 +2,17 @@ package trace
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/telemetry"
 )
 
 // ioStats tallies the package's encode/decode traffic process-wide. The
-// decode side (readBlock) is shared by Decode, Verify and Recover, and may
-// run from concurrent pipeline builds, so the tallies are atomic; they fire
-// once per block (a segment holds up to DefaultSegmentEvents events), so
-// the cost is negligible whether or not telemetry is ever published.
+// decode side (scanV2) is shared by Decode, Verify and Recover, and may run
+// from concurrent pipeline builds, so the tallies are atomic; they fire
+// once per block (a segment holds up to DefaultSegmentEvents events) or
+// once per call (decodeNS), so the cost is negligible whether or not
+// telemetry is ever published.
 var ioStats struct {
 	blocksRead      atomic.Uint64 // framed blocks read back (all kinds)
 	bytesRead       atomic.Uint64 // payload bytes of those blocks
@@ -19,6 +21,14 @@ var ioStats struct {
 	eventsDecoded   atomic.Uint64 // events in those segments
 	bytesEncoded    atomic.Uint64 // bytes produced by Trace.Encode
 	blocksEncoded   atomic.Uint64 // blocks produced by Trace.Encode
+	decodeNS        atomic.Uint64 // wall time inside Decode, Recover and Verify
+}
+
+// tallyDecode adds the wall time since start to ioStats.decodeNS; Decode,
+// Recover and Verify defer it with their start time, one clock pair per
+// call.
+func tallyDecode(start time.Time) {
+	ioStats.decodeNS.Add(uint64(time.Since(start)))
 }
 
 // PublishTelemetry copies the process-wide trace I/O tallies into reg as
@@ -35,6 +45,7 @@ func PublishTelemetry(reg *telemetry.Registry) {
 	reg.Gauge("trace/events_decoded").Set(int64(ioStats.eventsDecoded.Load()))
 	reg.Gauge("trace/bytes_encoded").Set(int64(ioStats.bytesEncoded.Load()))
 	reg.Gauge("trace/blocks_encoded").Set(int64(ioStats.blocksEncoded.Load()))
+	reg.Gauge("trace/decode_ns").Set(int64(ioStats.decodeNS.Load()))
 }
 
 // SetTelemetry attaches a registry to the streaming recorder: segments,

@@ -13,7 +13,7 @@ import (
 
 // exampleRun executes a small multithreaded guest program with the given
 // tools attached and returns the machine.
-func exampleRun(t *testing.T, timeslice int, tools ...guest.Tool) *guest.Machine {
+func exampleRun(t testing.TB, timeslice int, tools ...guest.Tool) *guest.Machine {
 	t.Helper()
 	m := guest.NewMachine(guest.Config{Timeslice: timeslice, Tools: tools})
 	shared := m.Static(16)

@@ -6,8 +6,8 @@
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
-#           the recovery paths, the checkpoint loader and the aprofd
-#           wire protocol
+#           the recovery paths, the stream decoder, the checkpoint loader
+#           and the aprofd wire protocol
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -156,6 +156,8 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzDecode -fuzztime=30s ./internal/trace
 	echo "== fuzz smoke: FuzzRecover (30s)"
 	go test -fuzz=FuzzRecover -fuzztime=30s ./internal/trace
+	echo "== fuzz smoke: FuzzStreamDecoder (30s)"
+	go test -fuzz=FuzzStreamDecoder -fuzztime=30s ./internal/trace
 	echo "== fuzz smoke: FuzzLoadCheckpoint (30s)"
 	go test -fuzz=FuzzLoadCheckpoint -fuzztime=30s ./internal/trace/pipeline
 	echo "== fuzz smoke: FuzzProtocol (30s)"
