@@ -315,14 +315,6 @@ func verify(args []string) error {
 		}
 		return verifyVerdict(vr, path)
 	}
-	if vr.Version == 1 {
-		if vr.StrictErr != nil {
-			return fmt.Errorf("verify: %s: legacy v1 trace failed to decode: %w", path, vr.StrictErr)
-		}
-		fmt.Printf("%s: legacy v1 trace, %d events in %d threads (no per-segment checksums)\n",
-			path, vr.Events, vr.Threads)
-		return nil
-	}
 	var rows [][]string
 	for _, blk := range vr.Blocks {
 		status := "ok"
@@ -356,12 +348,6 @@ func verify(args []string) error {
 // when the trace is intact, a descriptive error otherwise. Shared by the
 // table and -json output modes so both exit identically.
 func verifyVerdict(vr *aprof.TraceVerifyReport, path string) error {
-	if vr.Version == 1 {
-		if vr.StrictErr != nil {
-			return fmt.Errorf("verify: %s: legacy v1 trace failed to decode: %w", path, vr.StrictErr)
-		}
-		return nil
-	}
 	if vr.OK() {
 		return nil
 	}

@@ -157,7 +157,7 @@ func cloneContextNode(n, parent *ContextNode) *ContextNode {
 	if len(n.PerThread) > 0 {
 		cp.PerThread = make(map[guest.ThreadID]*Activations, len(n.PerThread))
 		for id, a := range n.PerThread {
-			cp.PerThread[id] = a.clone()
+			cp.PerThread[id] = a.Clone()
 		}
 	}
 	if len(n.children) > 0 {

@@ -288,7 +288,7 @@ func (p *Profiler) foldView(out *Profile, tv *threadView) {
 		if a == nil {
 			continue
 		}
-		out.AddActivations(p.env.RoutineName(guest.RoutineID(rtn)), a.clone())
+		out.AddActivations(p.env.RoutineName(guest.RoutineID(rtn)), a.Clone())
 	}
 }
 

@@ -151,9 +151,10 @@ func clampMetric(v int64) uint64 {
 	return uint64(v)
 }
 
-// clone deep-copies the aggregate, including both histograms. The Profiler
-// hands clones to materialized profiles so the originals keep accumulating.
-func (a *Activations) clone() *Activations {
+// Clone deep-copies the aggregate, including both histograms. The Profiler
+// hands clones to materialized profiles so the originals keep accumulating,
+// and pipeline checkpoints clone so nothing restored from one aliases it.
+func (a *Activations) Clone() *Activations {
 	out := &Activations{
 		Thread:          a.Thread,
 		Calls:           a.Calls,

@@ -8,25 +8,29 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
 
 const (
 	// checkpointMagic heads every checkpoint file; the trailing byte is the
-	// format version.
-	checkpointMagic = "APRDCKP\x01"
+	// format version. Version 2 frames its two blocks with internal/block.
+	checkpointMagic = "APRDCKP\x02"
 	// checkpointExt is the checkpoint file suffix under CheckpointDir.
 	checkpointExt = ".aprofdck"
+
+	// The two blocks of a checkpoint, in this order.
+	blockMeta    = 'M' // checkpointMeta as JSON
+	blockProfile = 'P' // the rolling profile's canonical Export
 )
 
-var checkpointTable = crc32.MakeTable(crc32.Castagnoli)
+// checkpointFormat is the tenant checkpoint's view of the block framing.
+var checkpointFormat = block.Format{Kinds: string([]byte{blockMeta, blockProfile}), MaxPayload: 1 << 31}
 
 // checkpointMeta is the checkpoint's accounting header, stored as JSON in
 // the first block.
@@ -48,34 +52,6 @@ type loadedCheckpoint struct {
 	profile *core.Profile
 }
 
-// appendBlock appends one CRC32-C framed block: u32 length, payload, u32
-// checksum (both little-endian, matching the trace block framing).
-func appendBlock(buf, payload []byte) []byte {
-	var head [4]byte
-	binary.LittleEndian.PutUint32(head[:], uint32(len(payload)))
-	buf = append(buf, head[:]...)
-	buf = append(buf, payload...)
-	binary.LittleEndian.PutUint32(head[:], crc32.Checksum(payload, checkpointTable))
-	return append(buf, head[:]...)
-}
-
-// readBlock slices one framed block off b, verifying its checksum.
-func readBlock(b []byte) (payload, rest []byte, err error) {
-	if len(b) < 8 {
-		return nil, nil, fmt.Errorf("daemon: checkpoint truncated")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if int(n) > len(b)-8 {
-		return nil, nil, fmt.Errorf("daemon: checkpoint block truncated")
-	}
-	payload = b[4 : 4+n]
-	sum := binary.LittleEndian.Uint32(b[4+n:])
-	if crc32.Checksum(payload, checkpointTable) != sum {
-		return nil, nil, fmt.Errorf("daemon: checkpoint block checksum mismatch")
-	}
-	return payload, b[8+n:], nil
-}
-
 // writeCheckpoint atomically persists a tenant checkpoint: magic, meta
 // block, profile-export block.
 func writeCheckpoint(path string, meta checkpointMeta, export []byte) error {
@@ -83,17 +59,20 @@ func writeCheckpoint(path string, meta checkpointMeta, export []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(checkpointMagic)+len(mj)+len(export)+16)
+	buf := make([]byte, 0, len(checkpointMagic)+len(mj)+len(export)+32)
 	buf = append(buf, checkpointMagic...)
-	buf = appendBlock(buf, mj)
-	buf = appendBlock(buf, export)
+	buf = block.Append(buf, blockMeta, mj)
+	buf = block.Append(buf, blockProfile, export)
 	_, err = trace.AtomicWriteFile(path, buf)
 	return err
 }
 
 // loadCheckpoint reads a tenant checkpoint. A missing file (or an empty
 // path: checkpointing disabled) is (nil, nil); a present-but-corrupt file
-// is an error — the caller starts fresh but should say so.
+// is an error — the caller starts fresh but should say so. Only the bytes
+// writeCheckpoint would write for what is loaded are accepted: a meta
+// block that does not re-marshal to itself, or a profile that does not
+// re-export to itself, is corrupt too.
 func loadCheckpoint(path string) (*loadedCheckpoint, error) {
 	if path == "" {
 		return nil, nil
@@ -105,27 +84,29 @@ func loadCheckpoint(path string) (*loadedCheckpoint, error) {
 		}
 		return nil, err
 	}
-	if len(b) < len(checkpointMagic) || string(b[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("daemon: %s is not a checkpoint file", path)
+	if !bytes.HasPrefix(b, []byte(checkpointMagic)) {
+		return nil, fmt.Errorf("daemon: %s is not a version-2 checkpoint file", path)
 	}
-	b = b[len(checkpointMagic):]
-	mj, b, err := readBlock(b)
+	blocks, err := checkpointFormat.Split(b, len(checkpointMagic))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("daemon: checkpoint: %w", err)
 	}
+	if len(blocks) != 2 || blocks[0].Kind != blockMeta || blocks[1].Kind != blockProfile {
+		return nil, fmt.Errorf("daemon: checkpoint: want a meta block and a profile block")
+	}
+	mj, export := blocks[0].Payload, blocks[1].Payload
 	ck := &loadedCheckpoint{}
 	if err := json.Unmarshal(mj, &ck.Meta); err != nil {
 		return nil, fmt.Errorf("daemon: checkpoint meta: %w", err)
 	}
-	export, b, err := readBlock(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("daemon: %d trailing bytes after checkpoint", len(b))
+	if again, err := json.Marshal(ck.Meta); err != nil || !bytes.Equal(again, mj) {
+		return nil, fmt.Errorf("daemon: checkpoint meta is not canonical")
 	}
 	if ck.profile, err = core.ReadJSON(bytes.NewReader(export)); err != nil {
 		return nil, fmt.Errorf("daemon: checkpoint profile: %w", err)
+	}
+	if again, err := ck.profile.Export(); err != nil || !bytes.Equal(again, export) {
+		return nil, fmt.Errorf("daemon: checkpoint profile is not canonical")
 	}
 	return ck, nil
 }

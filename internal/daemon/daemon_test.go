@@ -18,7 +18,7 @@ import (
 
 // recordedRun executes a small multithreaded recursive program under the
 // trace recorder and returns the recording.
-func recordedRun(t *testing.T) *trace.Trace {
+func recordedRun(t testing.TB) *trace.Trace {
 	t.Helper()
 	rec := trace.NewRecorder()
 	m := guest.NewMachine(guest.Config{Timeslice: 3, Tools: []guest.Tool{rec}})
@@ -79,7 +79,7 @@ func batchExport(t *testing.T, tr *trace.Trace) []byte {
 	return out
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for !cond() {
@@ -281,18 +281,16 @@ func prefixMissing(shard *trace.Trace, watermark uint64) int {
 	return n
 }
 
-// TestDaemonCheckpointRestart: a daemon restart restores each tenant's
-// rolling profile and window accounting from its checkpoint.
-func TestDaemonCheckpointRestart(t *testing.T) {
-	tr := recordedRun(t)
-	want := batchExport(t, tr)
-	dir := t.TempDir()
-
-	d1, err := Start(Options{CheckpointDir: dir})
+// checkpointedEpoch streams tr as one epoch of tenant "acme" into a daemon
+// checkpointing under dir, closes the daemon, and returns the tenant's
+// status at the close; dir then holds the tenant's checkpoint.
+func checkpointedEpoch(t testing.TB, dir string, tr *trace.Trace) Status {
+	t.Helper()
+	d, err := Start(Options{CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial("tcp", d1.Addr(), "acme", "guest")
+	c, err := Dial("tcp", d.Addr(), "acme", "guest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +300,22 @@ func TestDaemonCheckpointRestart(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ten := d1.Tenant("acme")
+	ten := d.Tenant("acme")
 	waitFor(t, "epoch end", func() bool { return ten.Status().Epoch == 1 })
-	before := ten.Status()
-	if err := d1.Close(); err != nil {
+	st := ten.Status()
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// TestDaemonCheckpointRestart: a daemon restart restores each tenant's
+// rolling profile and window accounting from its checkpoint.
+func TestDaemonCheckpointRestart(t *testing.T) {
+	tr := recordedRun(t)
+	want := batchExport(t, tr)
+	dir := t.TempDir()
+	before := checkpointedEpoch(t, dir, tr)
 
 	d2, err := Start(Options{CheckpointDir: dir})
 	if err != nil {

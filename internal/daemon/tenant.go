@@ -107,7 +107,11 @@ func newTenant(d *Daemon, name string) *Tenant {
 	}
 	t.in = core.NewIncremental(d.profOpts())
 	t.est.SetPhase("idle")
-	if ck, err := loadCheckpoint(d.checkpointPath(name)); err == nil && ck != nil {
+	ck, err := loadCheckpoint(d.checkpointPath(name))
+	if err != nil {
+		d.logf("aprofd: checkpoint %s: %v; starting fresh", name, err)
+	}
+	if ck != nil {
 		t.rolling = core.NewPartialProfile(ck.profile)
 		t.rolling.Events = ck.Meta.Events
 		t.rolling.LastWindow = ck.Meta.Windows - 1
@@ -115,7 +119,7 @@ func newTenant(d *Daemon, name string) *Tenant {
 		t.eventsFed = ck.Meta.Events
 		t.degraded = ck.Meta.Degraded
 		t.est.Update(t.eventsFed)
-		t.publishLocked()
+		t.flushLocked(false)
 	}
 	return t
 }
@@ -248,8 +252,7 @@ func (t *Tenant) advanceLocked() {
 	}
 	if fed > 0 {
 		t.cutLocked()
-		t.publishLocked()
-		t.checkpointLocked()
+		t.flushLocked(true)
 	}
 }
 
@@ -331,20 +334,29 @@ func (t *Tenant) endEpochLocked() {
 	} else {
 		t.est.SetPhase("complete")
 	}
-	t.publishLocked()
-	t.checkpointLocked()
+	t.flushLocked(true)
 }
 
-// publishLocked assembles the tenant's profile document and delivers it to
-// the feed. The document is hand-assembled so the embedded profile is the
-// rolling profile's canonical Export byte for byte — json.Marshal would
-// compact it, breaking the byte-identity contract consumers rely on.
-func (t *Tenant) publishLocked() {
+// flushLocked exports the rolling profile once and hands the bytes to the
+// feed and, when checkpoint is set, to the tenant's checkpoint.
+func (t *Tenant) flushLocked(checkpoint bool) {
 	export, err := t.rolling.Profile.Export()
 	if err != nil {
 		t.d.reg().Counter("daemon/export_errors").Inc()
 		return
 	}
+	t.publishLocked(export)
+	if checkpoint {
+		t.checkpointLocked(export)
+	}
+}
+
+// publishLocked assembles the tenant's profile document around export, the
+// rolling profile's canonical Export, and delivers it to the feed. The
+// document is hand-assembled so the embedded profile is that export byte
+// for byte — json.Marshal would compact it, breaking the byte-identity
+// contract consumers rely on.
+func (t *Tenant) publishLocked(export []byte) {
 	export = bytes.TrimSuffix(export, []byte("\n"))
 	nameJSON, _ := json.Marshal(t.name)
 	var b bytes.Buffer
@@ -359,13 +371,11 @@ func (t *Tenant) windowsLocked() int {
 	return t.windowsBase + t.in.Profiler().Windows()
 }
 
-func (t *Tenant) checkpointLocked() {
+// checkpointLocked persists export, the rolling profile's canonical
+// Export, with the tenant's window accounting.
+func (t *Tenant) checkpointLocked(export []byte) {
 	path := t.d.checkpointPath(t.name)
 	if path == "" {
-		return
-	}
-	export, err := t.rolling.Profile.Export()
-	if err != nil {
 		return
 	}
 	meta := checkpointMeta{
@@ -464,7 +474,6 @@ func (t *Tenant) Status() Status {
 func (t *Tenant) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.publishLocked()
-	t.checkpointLocked()
+	t.flushLocked(true)
 	t.feed.Finish()
 }

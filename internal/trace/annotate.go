@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/block"
 	"repro/internal/guest"
 	"repro/internal/shadow"
 )
@@ -14,8 +15,8 @@ import (
 // run boundary and the global write-shadow observation of every read. They
 // come from one sequential pass over the merged order, the annotator below.
 // StreamRecorder runs it live while recording, so its traces are "born
-// analysis-ready"; Annotate runs it offline over any other trace (v1,
-// pre-annotation v2, hand-built, lossily recovered). Given annotations, the
+// analysis-ready"; Annotate runs it offline over any other trace
+// (recorded without annotations, hand-built, lossily recovered). Given annotations, the
 // parallel pipeline assembles its plan in O(#segments) and analyzes threads
 // independently. Annotations are pure acceleration metadata: stripping them
 // never changes a profile, and the decoder drops them whenever their
@@ -258,22 +259,22 @@ func appendAnnotationPayload(dst []byte, id guest.ThreadID, runs []StampRun, sta
 // bounded by the payload size (a run costs at least three bytes, a stamp at
 // least two), so callers may allocate them.
 func annotationHeader(payload []byte) (id guest.ThreadID, nr, ns, hdr int, err error) {
-	p := byteParser{b: payload}
-	id = threadIDFromWire(p.uvarint())
-	runs := p.uvarint()
-	if p.err != nil {
-		return id, 0, 0, 0, p.err
+	p := block.NewParser(payload)
+	id = threadIDFromWire(p.Uvarint())
+	runs := p.Uvarint()
+	if p.Err() != nil {
+		return id, 0, 0, 0, p.Err()
 	}
 	if runs > uint64(len(payload))/3+1 {
 		return id, 0, 0, 0, fmt.Errorf("implausible run count %d in %d-byte annotation", runs, len(payload))
 	}
-	hdr = p.off
-	for i := 0; i < 3*int(runs) && p.err == nil; i++ {
-		p.uvarint()
+	hdr = p.Off()
+	for i := 0; i < 3*int(runs) && p.Err() == nil; i++ {
+		p.Uvarint()
 	}
-	stamps := p.uvarint()
-	if p.err != nil {
-		return id, 0, 0, 0, p.err
+	stamps := p.Uvarint()
+	if p.Err() != nil {
+		return id, 0, 0, 0, p.Err()
 	}
 	if stamps > uint64(len(payload))/2+1 {
 		return id, 0, 0, 0, fmt.Errorf("implausible stamp count %d in %d-byte annotation", stamps, len(payload))
@@ -284,29 +285,29 @@ func annotationHeader(payload []byte) (id guest.ThreadID, nr, ns, hdr int, err e
 // parseAnnotation decodes an 'A' block's runs and stamps, the payload after
 // its header, into runs and stamps, which hold exactly the header's counts.
 func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
-	p := byteParser{b: body}
+	p := block.NewParser(body)
 	for i := range runs {
-		ev, start, kb := p.uvarint(), p.uvarint(), p.uvarint()
-		if p.err != nil {
-			return fmt.Errorf("run %d: %w", i, p.err)
+		ev, start, kb := p.Uvarint(), p.Uvarint(), p.Uvarint()
+		if p.Err() != nil {
+			return fmt.Errorf("run %d: %w", i, p.Err())
 		}
 		if ev > maxRunEvents {
 			return fmt.Errorf("run %d: implausible event count %d", i, ev)
 		}
 		runs[i] = StampRun{Events: int(ev), StartCount: start, KernelBumps: kb}
 	}
-	p.uvarint() // the stamp count, read by annotationHeader
+	p.Uvarint() // the stamp count, read by annotationHeader
 	for i := range stamps {
-		wts, ok := p.small()
+		wts, ok := p.Small()
 		if !ok {
-			wts = p.uvarint()
+			wts = p.Uvarint()
 		}
-		ww, ok := p.small()
+		ww, ok := p.Small()
 		if !ok {
-			ww = p.uvarint()
+			ww = p.Uvarint()
 		}
-		if p.err != nil {
-			return fmt.Errorf("stamp %d: %w", i, p.err)
+		if p.Err() != nil {
+			return fmt.Errorf("stamp %d: %w", i, p.Err())
 		}
 		writer, err := writerFromWire(ww)
 		if err != nil {
@@ -314,5 +315,5 @@ func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
 		}
 		stamps[i] = Stamp{WTS: wts, Writer: writer}
 	}
-	return p.end("trailing bytes after annotation stamps")
+	return p.End("trailing bytes after annotation stamps")
 }

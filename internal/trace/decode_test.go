@@ -3,11 +3,11 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -19,17 +19,6 @@ type selfInconsistentCase struct {
 	name   string
 	data   []byte
 	intact *trace.Trace
-}
-
-// appendFramedBlock frames payload as one v2 block: kind, uvarint length,
-// payload, CRC32-C of the three.
-func appendFramedBlock(dst []byte, kind byte, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[start:], crc32.MakeTable(crc32.Castagnoli))
-	return binary.LittleEndian.AppendUint32(dst, sum)
 }
 
 // selfInconsistentTraces builds the two self-inconsistent inputs: an
@@ -67,7 +56,7 @@ func selfInconsistentTraces(tb testing.TB) []selfInconsistentCase {
 	payload = binary.AppendUvarint(payload, uint64(len(vr.Blocks)-1))
 	payload = binary.AppendUvarint(payload, 99)
 	payload = binary.AppendUvarint(payload, 1)
-	lying := appendFramedBlock(bytes.Clone(enc.Bytes()[:footer.Offset]), 'F', payload)
+	lying := block.Append(bytes.Clone(enc.Bytes()[:footer.Offset]), 'F', payload)
 
 	return []selfInconsistentCase{
 		{"trailing-bytes", append(bytes.Clone(rec.Bytes()), 1, 2, 3), recorded},

@@ -4,17 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"slices"
 
+	"repro/internal/block"
 	"repro/internal/guest"
 )
 
 // Wire-format v2: after the shared 9-byte prelude (magic + version byte)
 // the stream is a sequence of self-describing, individually checksummed
-// blocks:
+// blocks in the framing of internal/block:
 //
 //	kind byte | uvarint payload length | payload | CRC32-C (4 bytes, LE)
 //
@@ -64,40 +64,20 @@ const DefaultSegmentEvents = 4096
 // larger is treated as framing corruption rather than trusted.
 const maxBlockPayload = 1 << 28
 
-// maxTableEntries bounds the accumulated routine/sync name tables, matching
-// the v1 decoder's plausibility cap.
+// maxTableEntries bounds the accumulated routine/sync name tables.
 const maxTableEntries = 1 << 24
 
-// maxNameLen bounds one table name, matching the v1 decoder's cap.
+// maxNameLen bounds one table name.
 const maxNameLen = 1 << 16
 
-// maxThreads bounds the per-trace thread count, matching the v1 decoder.
+// maxThreads bounds the per-trace thread count.
 const maxThreads = 1 << 20
 
-// castagnoli is the CRC32-C polynomial table used by every v2 checksum.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Sentinel causes for unreadable blocks; recovery classifies drops by them.
-var (
-	errFraming   = errors.New("invalid block framing")
-	errTruncated = errors.New("truncated block")
-)
-
-// validBlockKind reports whether b is one of the five v2 block kinds.
-func validBlockKind(b byte) bool {
-	return b == blockRoutines || b == blockSyncs || b == blockEvents ||
-		b == blockAnnotations || b == blockFooter
-}
-
-// appendBlock frames payload as one v2 block (kind, length, payload,
-// CRC32-C) appended to dst.
-func appendBlock(dst []byte, kind byte, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	sum := crc32.Checksum(dst[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, sum)
+// traceFormat is the v2 block framing: the five kinds and the payload
+// bound.
+var traceFormat = block.Format{
+	Kinds:      string([]byte{blockRoutines, blockSyncs, blockEvents, blockAnnotations, blockFooter}),
+	MaxPayload: maxBlockPayload,
 }
 
 // appendTablePayload encodes a run of names as an R/Y block payload.
@@ -173,7 +153,7 @@ func (tr *Trace) Encode(w io.Writer) (int64, error) {
 	blocks := 0
 	var scratch []byte
 	writeBlock := func(kind byte, payload []byte) error {
-		scratch = appendBlock(scratch[:0], kind, payload)
+		scratch = block.Append(scratch[:0], kind, payload)
 		if err := emit(scratch); err != nil {
 			return err
 		}
@@ -217,14 +197,14 @@ func (tr *Trace) Encode(w io.Writer) (int64, error) {
 		}
 	}
 	// The footer counts distinct thread ids, matching what a decoder's
-	// builder reconstructs even if the in-memory trace (e.g. a hand-built or
-	// legacy-decoded one) carries duplicate ids that decoding would merge.
+	// builder reconstructs even if the in-memory trace (e.g. a hand-built
+	// one) carries duplicate ids that decoding would merge.
 	distinct := make(map[guest.ThreadID]bool, len(tr.Threads))
 	for i := range tr.Threads {
 		distinct[tr.Threads[i].ID] = true
 	}
 	footer := appendFooterPayload(nil, blocks, events, len(distinct))
-	scratch = appendBlock(scratch[:0], blockFooter, footer)
+	scratch = block.Append(scratch[:0], blockFooter, footer)
 	if err := emit(scratch); err != nil {
 		return total, err
 	}
@@ -233,130 +213,13 @@ func (tr *Trace) Encode(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// frame is one v2 block framed in place: payload aliases the input.
-type frame struct {
-	off     int // input offset of the kind byte
-	end     int // input offset just past the checksum
-	kind    byte
-	payload []byte
-	crcOK   bool
-}
-
-// nextFrame frames the block that starts at data[off]. It returns io.EOF
-// when off is exactly the end of data, an error wrapping errTruncated when
-// data ends inside the block (a stream decoder waits for more bytes), and
-// one wrapping errFraming for an unknown kind or an implausible length. A
-// checksum mismatch is not an error: the frame comes back with crcOK false
-// so callers choose between strict rejection and salvage. This is the only
-// v2 block framer; every reader goes through it.
-func nextFrame(data []byte, off int) (frame, error) {
-	f := frame{off: off}
-	if off >= len(data) {
-		return f, io.EOF
-	}
-	f.kind = data[off]
-	if !validBlockKind(f.kind) {
-		return f, fmt.Errorf("%w: unknown block kind 0x%02x", errFraming, f.kind)
-	}
-	plen, w := binary.Uvarint(data[off+1:])
-	if w == 0 {
-		return f, fmt.Errorf("%w: block length: unexpected end of input", errTruncated)
-	}
-	if w < 0 || plen > maxBlockPayload {
-		return f, fmt.Errorf("%w: implausible block length %d", errFraming, plen)
-	}
-	start := off + 1 + w
-	if uint64(len(data)-start) < plen+4 {
-		return f, fmt.Errorf("%w: %d-byte payload and checksum need %d bytes, %d remain",
-			errTruncated, plen, plen+4, len(data)-start)
-	}
-	body := start + int(plen)
-	f.end = body + 4
-	f.payload = data[start:body]
-	f.crcOK = crc32.Checksum(data[off:body], castagnoli) == binary.LittleEndian.Uint32(data[body:])
-	return f, nil
-}
-
-// Sentinel errors of the payload parsers; fixed values keep the hot
-// parse loops free of allocation.
-var (
-	errVarint       = errors.New("malformed uvarint")
-	errShortPayload = errors.New("unexpected end of payload")
-)
-
-// byteParser is a bounds-checked cursor over one block payload. The first
-// failure sticks in err and the cursor never passes the end, so a parse
-// loop may read a whole record and check err once; values read after a
-// failure are meaningless.
-type byteParser struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *byteParser) fail(err error) {
-	if p.err == nil {
-		p.err = err
-	}
-}
-
-// small reads the next uvarint if it is one byte long, the common case on
-// the wire (timestamp deltas, small args). Unlike uvarint, which is over
-// the compiler's inlining budget, it inlines, so the hot loops try it
-// first.
-func (p *byteParser) small() (uint64, bool) {
-	if p.off < len(p.b) && p.b[p.off] < 0x80 {
-		p.off++
-		return uint64(p.b[p.off-1]), true
-	}
-	return 0, false
-}
-
-// uvarint reads one uvarint.
-func (p *byteParser) uvarint() uint64 {
-	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		p.fail(errVarint)
-		return 0
-	}
-	p.off += n
-	return v
-}
-
-func (p *byteParser) readByte() byte {
-	if p.off >= len(p.b) {
-		p.fail(errShortPayload)
-		return 0
-	}
-	p.off++
-	return p.b[p.off-1]
-}
-
-func (p *byteParser) take(n int) []byte {
-	if n < 0 || p.off+n > len(p.b) {
-		p.fail(errShortPayload)
-		return nil
-	}
-	p.off += n
-	return p.b[p.off-n : p.off]
-}
-
-// end reports the parse outcome: the sticky error, or trailing if bytes
-// remain after the last field.
-func (p *byteParser) end(trailing string) error {
-	if p.err == nil && p.off != len(p.b) {
-		return errors.New(trailing)
-	}
-	return p.err
-}
-
 // parseTablePayload decodes an R/Y block payload into its names. Counts and
 // name lengths are bounded by the payload size before any allocation.
 func parseTablePayload(payload []byte) ([]string, error) {
-	p := byteParser{b: payload}
-	n := p.uvarint()
-	if p.err != nil {
-		return nil, p.err
+	p := block.NewParser(payload)
+	n := p.Uvarint()
+	if p.Err() != nil {
+		return nil, p.Err()
 	}
 	// Every name costs at least one length byte, so n is bounded by the
 	// payload size; reject before allocating.
@@ -364,14 +227,14 @@ func parseTablePayload(payload []byte) ([]string, error) {
 		return nil, fmt.Errorf("implausible name count %d in %d-byte block", n, len(payload))
 	}
 	names := make([]string, 0, n)
-	for i := uint64(0); i < n && p.err == nil; i++ {
-		l := p.uvarint()
+	for i := uint64(0); i < n && p.Err() == nil; i++ {
+		l := p.Uvarint()
 		if l > maxNameLen {
 			return nil, fmt.Errorf("implausible name length %d", l)
 		}
-		names = append(names, string(p.take(int(l))))
+		names = append(names, string(p.Take(int(l))))
 	}
-	if err := p.end("trailing bytes after name table"); err != nil {
+	if err := p.End("trailing bytes after name table"); err != nil {
 		return nil, err
 	}
 	return names, nil
@@ -382,16 +245,16 @@ func parseTablePayload(payload []byte) ([]string, error) {
 // is bounded by the payload size (every event is at least four bytes), so
 // callers may allocate it.
 func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
-	p := byteParser{b: payload}
-	idWire := p.uvarint()
-	count := p.uvarint()
-	if p.err != nil {
-		return threadIDFromWire(idWire), 0, 0, p.err
+	p := block.NewParser(payload)
+	idWire := p.Uvarint()
+	count := p.Uvarint()
+	if p.Err() != nil {
+		return threadIDFromWire(idWire), 0, 0, p.Err()
 	}
 	if count > uint64(len(payload))/4+1 {
 		return threadIDFromWire(idWire), 0, 0, fmt.Errorf("implausible event count %d in %d-byte segment", count, len(payload))
 	}
-	return threadIDFromWire(idWire), int(count), p.off, nil
+	return threadIDFromWire(idWire), int(count), p.Off(), nil
 }
 
 // parseEvents decodes a segment's events, the payload after its header,
@@ -399,24 +262,24 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 // 0 at each segment and come back absolute. It returns how many of the
 // events are reads, the stamps a complete annotation carries for them.
 func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err error) {
-	p := byteParser{b: body}
+	p := block.NewParser(body)
 	ts := uint64(0)
 	for i := range dst {
-		delta, ok := p.small()
+		delta, ok := p.Small()
 		if !ok {
-			delta = p.uvarint()
+			delta = p.Uvarint()
 		}
-		k := Kind(p.readByte())
-		arg, ok := p.small()
+		k := Kind(p.Byte())
+		arg, ok := p.Small()
 		if !ok {
-			arg = p.uvarint()
+			arg = p.Uvarint()
 		}
-		aux, ok := p.small()
+		aux, ok := p.Small()
 		if !ok {
-			aux = p.uvarint()
+			aux = p.Uvarint()
 		}
-		if p.err != nil {
-			return 0, fmt.Errorf("event %d: %w", i, p.err)
+		if p.Err() != nil {
+			return 0, fmt.Errorf("event %d: %w", i, p.Err())
 		}
 		if k >= numKinds {
 			return 0, fmt.Errorf("event %d: invalid event kind %d", i, k)
@@ -427,14 +290,14 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err er
 			reads++
 		}
 	}
-	return reads, p.end("trailing bytes after segment events")
+	return reads, p.End("trailing bytes after segment events")
 }
 
 // parseFooterPayload decodes the F block payload.
 func parseFooterPayload(payload []byte) (blocks, events, threads uint64, err error) {
-	p := byteParser{b: payload}
-	blocks, events, threads = p.uvarint(), p.uvarint(), p.uvarint()
-	return blocks, events, threads, p.end("trailing bytes after footer fields")
+	p := block.NewParser(payload)
+	blocks, events, threads = p.Uvarint(), p.Uvarint(), p.Uvarint()
+	return blocks, events, threads, p.End("trailing bytes after footer fields")
 }
 
 // readInput reads all of r into one buffer. A reader that reports its
@@ -487,10 +350,10 @@ const (
 
 // scanBlock is one walked block and what the two passes made of it.
 type scanBlock struct {
-	frame
+	block.Frame
 	// err is why the block is bad, nil when it is intact: a framing error
-	// (errFraming, errTruncated), errChecksum, or a payload that did not
-	// parse or add up.
+	// (block.ErrFraming, block.ErrTruncated), block.ErrChecksum, or a
+	// payload that did not parse or add up.
 	err error
 	// id is the thread an E or A payload names; hasID reports that it was
 	// parsed (for a checksum failure, only from an E payload's first
@@ -504,9 +367,6 @@ type scanBlock struct {
 	// an A block's stamps.
 	n, ns int
 }
-
-// errChecksum marks a block whose CRC32-C did not match.
-var errChecksum = errors.New("CRC32-C mismatch")
 
 // threadSlot is one thread's size-pass tallies and, after the fill pass,
 // its exactly sized slices.
@@ -576,24 +436,24 @@ func (s *v2scan) firstBad() int {
 // sizePass walks the blocks up to the footer; see scanV2.
 func (s *v2scan) sizePass() {
 	for off := preludeLen; ; {
-		f, err := nextFrame(s.data, off)
+		f, err := traceFormat.Next(s.data, off)
 		if err == io.EOF {
 			s.truncated = true
 			return
 		}
-		s.blocks = append(s.blocks, scanBlock{frame: f, err: err})
+		s.blocks = append(s.blocks, scanBlock{Frame: f, err: err})
 		b := &s.blocks[len(s.blocks)-1]
 		if err != nil {
 			s.truncated = true
 			return
 		}
-		off = f.end
+		off = f.End
 		ioStats.blocksRead.Add(1)
-		ioStats.bytesRead.Add(uint64(len(f.payload)))
+		ioStats.bytesRead.Add(uint64(len(f.Payload)))
 		s.size(b)
-		table := b.kind == blockRoutines || b.kind == blockSyncs
+		table := b.Kind == blockRoutines || b.Kind == blockSyncs
 		switch {
-		case b.err == nil && b.kind == blockFooter:
+		case b.err == nil && b.Kind == blockFooter:
 			s.footer = len(s.blocks) - 1
 			return
 		case b.err == nil:
@@ -608,23 +468,23 @@ func (s *v2scan) sizePass() {
 
 // size checks one framed block and tallies its header.
 func (s *v2scan) size(b *scanBlock) {
-	if !b.crcOK {
+	if !b.CRCOK {
 		ioStats.crcFailures.Add(1)
-		b.err = errChecksum
-		if b.kind == blockEvents {
-			p := byteParser{b: b.payload}
-			if v := p.uvarint(); p.err == nil {
+		b.err = block.ErrChecksum
+		if b.Kind == blockEvents {
+			p := block.NewParser(b.Payload)
+			if v := p.Uvarint(); p.Err() == nil {
 				b.id, b.hasID = threadIDFromWire(v), true
 			}
 		}
 		return
 	}
-	switch b.kind {
+	switch b.Kind {
 	case blockRoutines, blockSyncs:
-		names, err := parseTablePayload(b.payload)
+		names, err := parseTablePayload(b.Payload)
 		if err == nil {
 			table := &s.routines
-			if b.kind == blockSyncs {
+			if b.Kind == blockSyncs {
 				table = &s.syncs
 			}
 			if len(*table)+len(names) > maxTableEntries {
@@ -635,7 +495,7 @@ func (s *v2scan) size(b *scanBlock) {
 		}
 		b.n, b.err = len(names), err
 	case blockEvents:
-		b.id, b.n, b.hdr, b.err = segmentHeader(b.payload)
+		b.id, b.n, b.hdr, b.err = segmentHeader(b.Payload)
 		b.hasID = true
 		if b.err == nil {
 			b.slot, b.err = s.slot(b.id)
@@ -644,7 +504,7 @@ func (s *v2scan) size(b *scanBlock) {
 			s.threads[b.slot].nEvents += b.n
 		}
 	case blockAnnotations:
-		b.id, b.n, b.ns, b.hdr, b.err = annotationHeader(b.payload)
+		b.id, b.n, b.ns, b.hdr, b.err = annotationHeader(b.Payload)
 		b.hasID = true
 		if b.err == nil {
 			b.slot, b.err = s.slot(b.id)
@@ -659,7 +519,7 @@ func (s *v2scan) size(b *scanBlock) {
 			t.nStamps += b.ns
 		}
 	case blockFooter:
-		s.fb, s.fe, s.ft, b.err = parseFooterPayload(b.payload)
+		s.fb, s.fe, s.ft, b.err = parseFooterPayload(b.Payload)
 	}
 }
 
@@ -695,12 +555,12 @@ func (s *v2scan) fillPass() {
 	var stamps []Stamp
 	for i := range s.blocks {
 		b := &s.blocks[i]
-		if b.err != nil || (b.kind != blockEvents && b.kind != blockAnnotations) {
+		if b.err != nil || (b.Kind != blockEvents && b.Kind != blockAnnotations) {
 			continue
 		}
 		t := &s.threads[b.slot]
-		body := b.payload[b.hdr:]
-		if b.kind == blockEvents {
+		body := b.Payload[b.hdr:]
+		if b.Kind == blockEvents {
 			if keep {
 				events = t.events[len(t.events) : len(t.events)+b.n]
 			} else {
@@ -764,7 +624,7 @@ func (s *v2scan) checkEnd() {
 		if b := &s.blocks[i]; b.err != nil {
 			events = -1
 			break
-		} else if b.kind == blockEvents {
+		} else if b.Kind == blockEvents {
 			events += b.n
 		}
 	}
@@ -772,10 +632,10 @@ func (s *v2scan) checkEnd() {
 		s.blocks[s.footer].err = fmt.Errorf("footer mismatch: footer says %d blocks/%d events/%d threads, stream has %d/%d/%d",
 			s.fb, s.fe, s.ft, s.footer, events, len(s.order))
 	}
-	if end := s.blocks[s.footer].end; end < len(s.data) {
+	if end := s.blocks[s.footer].End; end < len(s.data) {
 		s.blocks = append(s.blocks, scanBlock{
-			frame: frame{off: end, kind: s.data[end]},
-			err:   fmt.Errorf("%w: %d bytes of trailing data after the footer", errFraming, len(s.data)-end),
+			Frame: block.Frame{Off: end, Kind: s.data[end]},
+			err:   fmt.Errorf("%w: %d bytes of trailing data after the footer", block.ErrFraming, len(s.data)-end),
 		})
 	}
 }
@@ -855,19 +715,19 @@ func (s *v2scan) strictErr() error {
 	b := &s.blocks[i]
 	what := "block"
 	switch {
-	case errors.Is(b.err, errFraming), errors.Is(b.err, errTruncated):
-	case errors.Is(b.err, errChecksum):
-		return fmt.Errorf("trace: block at offset %d (kind %q): checksum mismatch", b.off, b.kind)
-	case b.kind == blockRoutines, b.kind == blockSyncs:
+	case errors.Is(b.err, block.ErrFraming), errors.Is(b.err, block.ErrTruncated):
+	case errors.Is(b.err, block.ErrChecksum):
+		return fmt.Errorf("trace: block at offset %d (kind %q): checksum mismatch", b.Off, b.Kind)
+	case b.Kind == blockRoutines, b.Kind == blockSyncs:
 		what = "name-table block"
-	case b.kind == blockEvents:
+	case b.Kind == blockEvents:
 		what = "segment"
-	case b.kind == blockAnnotations:
+	case b.Kind == blockAnnotations:
 		what = "annotation"
-	case b.kind == blockFooter:
+	case b.Kind == blockFooter:
 		what = "footer"
 	}
-	return fmt.Errorf("trace: %s at offset %d: %w", what, b.off, b.err)
+	return fmt.Errorf("trace: %s at offset %d: %w", what, b.Off, b.err)
 }
 
 // decodeV2 strictly decodes data, a whole v2 input: any checksum mismatch,

@@ -38,9 +38,13 @@ func fuzzSeedTrace() *trace.Trace {
 	return tr
 }
 
+// v1Trace is a one-thread trace (routine "main", one call and its return)
+// in the retired unframed v1 format, which every reader rejects.
+const v1Trace = "ISPTRACE\x01\x01\x04main\x00\x01\x00\x02\x01\x00\x00\x00\x01\x01\x00\x05"
+
 // fuzzInputs returns the shared seed inputs of the decoder fuzz targets:
-// clean v2 and v1 encodings, truncations, bit flips, bare magic, empty
-// input, and the two self-inconsistent traces Decode rejects although
+// a clean encoding, a v1 encoding (rejected), truncations, bit flips, bare
+// magic, empty input, and the two self-inconsistent traces Decode rejects although
 // every block checksums (bytes after the footer, and a footer whose counts
 // disagree with the stream).
 func fuzzInputs(tb testing.TB) [][]byte {
@@ -52,7 +56,7 @@ func fuzzInputs(tb testing.TB) [][]byte {
 	clean := buf.Bytes()
 	inputs := [][]byte{
 		clean,
-		encodeV1(tr),
+		[]byte(v1Trace),
 		clean[:len(clean)/2],
 		clean[:len(clean)-2],
 		faultinject.FlipBits(clean, 1, 3, 0),
@@ -73,7 +77,7 @@ func fuzzSeeds(f *testing.F) {
 }
 
 // normalized returns a copy of tr for comparison with reflect.DeepEqual:
-// Version cleared (a v1 trace re-encodes as v2) and empty slices nil.
+// Version cleared (a hand-built trace carries none) and empty slices nil.
 func normalized(tr *trace.Trace) *trace.Trace {
 	out := *tr
 	out.Version = 0
@@ -100,7 +104,7 @@ func nilIfEmpty[T any](s []T) []T {
 
 // FuzzDecode: the strict decoder must never panic or over-allocate on
 // arbitrary bytes. Whatever it accepts must re-encode and decode back to an
-// equal trace, and, for v2 input, Recover must return the same trace as a
+// equal trace, Recover must return the same trace as a
 // complete salvage and Verify must pass it. Conversely, a trace Verify
 // passes must decode.
 func FuzzDecode(f *testing.F) {
@@ -124,9 +128,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(normalized(back), normalized(tr)) {
 			t.Fatal("Decode(Encode(tr)) differs from tr")
-		}
-		if tr.Version != trace.FormatVersion() {
-			return
 		}
 		rtr, rep, err := trace.Recover(bytes.NewReader(data))
 		if err != nil || !rep.Complete() {

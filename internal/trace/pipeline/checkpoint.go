@@ -2,9 +2,9 @@
 // worker's position and partial state, and low-pause live snapshots of the
 // profile mid-run.
 //
-// The checkpoint file imitates the trace format's v2 framing — its own
-// magic and version prelude followed by CRC32-C framed blocks — and is
-// rewritten atomically (temp file + fsync + rename + directory fsync), so
+// The checkpoint file is its own magic and version prelude followed by
+// blocks in the trace format's framing (internal/block), and is rewritten
+// atomically (temp file + fsync + rename + directory fsync), so
 // a kill -9 at any instant leaves either the previous complete checkpoint
 // or the new complete checkpoint, never a torn one. Each worker
 // contributes a 'W' block recording exactly where it stopped (segment
@@ -18,10 +18,10 @@
 // byte-identical (core.Profile.Export) to an uninterrupted run's.
 //
 // Loading is strict: every block's checksum must verify, the footer must
-// be present and final, and the header must fingerprint the same trace and
-// options. Any inconsistency fails the load, and Plan.RunContext degrades
-// to full re-analysis — a damaged checkpoint can cost time, never
-// correctness.
+// be present and final, and the header must fingerprint the same trace
+// content and options. Any inconsistency fails the load, and
+// Plan.RunContext degrades to full re-analysis — a damaged checkpoint can
+// cost time, never correctness.
 //
 // Shadow serialization rides the shadow package's low-pause snapshots: a
 // worker begins a snapshot at one safepoint, keeps analyzing while the
@@ -35,12 +35,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math/bits"
 	"os"
 	"sort"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/shadow"
@@ -126,12 +127,12 @@ const defaultEveryEvents = 1 << 18
 // poll is noise.
 const safepointStride = 4096
 
-// Checkpoint file framing: an 8-byte magic plus a version byte, then
-// CRC32-C framed blocks (kind, uvarint payload length, payload, checksum
-// over kind and payload), ending with a footer block that must be last.
+// Checkpoint file layout: an 8-byte magic plus a version byte, then
+// blocks in the shared framing (internal/block): a header first, one
+// worker block per checkpointed thread, and a footer last.
 const (
 	ckptMagic   = "aprofCP\x00"
-	ckptVersion = 1
+	ckptVersion = 2
 
 	ckptBlockHeader = 'H'
 	ckptBlockWorker = 'W'
@@ -145,7 +146,11 @@ const (
 	ckptComplete = 2 // final write of a completed run
 )
 
-var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
+// ckptFormat is the checkpoint's view of the block framing.
+var ckptFormat = block.Format{
+	Kinds:      string([]byte{ckptBlockHeader, ckptBlockWorker, ckptBlockFooter}),
+	MaxPayload: 1 << 31,
+}
 
 // cellPair is one non-zero shadow cell: address and timestamp value.
 type cellPair struct {
@@ -205,14 +210,18 @@ type ckptHeader struct {
 	threads []ckptThread
 }
 
-// ckptThread is one plan thread's share of the fingerprint.
+// ckptThread is one plan thread's share of the fingerprint: its shape and
+// a hash of its content (threadHash).
 type ckptThread struct {
 	id     guest.ThreadID
 	events int
 	nsegs  int
+	hash   uint64
 }
 
-// fingerprint derives the header a checkpoint of this plan must carry.
+// fingerprint derives the header a checkpoint of this plan must carry. It
+// hashes every event of the plan, so runs compute it only when they
+// checkpoint or resume.
 func (p *Plan) fingerprint() ckptHeader {
 	h := ckptHeader{
 		numEvents:            p.tr.NumEvents(),
@@ -225,10 +234,33 @@ func (p *Plan) fingerprint() ckptHeader {
 		checkLevel:           uint8(p.opts.CheckLevel),
 	}
 	for _, tp := range p.threads {
-		h.threads = append(h.threads, ckptThread{id: tp.id, events: tp.events, nsegs: len(tp.segments)})
+		h.threads = append(h.threads, ckptThread{id: tp.id, events: tp.events, nsegs: len(tp.segments), hash: p.threadHash(tp)})
 	}
 	return h
 }
+
+// threadHash hashes every field of one plan thread's events, its segment
+// start counts and its read stamps: everything its analysis reads. Each
+// step of the mix is a bijection of the running hash, so one changed field
+// always changes the result, and more changes collide only by chance.
+func (p *Plan) threadHash(tp *threadPlan) uint64 {
+	h := uint64(len(tp.segments))
+	for _, seg := range tp.segments {
+		h = mix(h, seg.startCount)
+		for _, e := range p.tr.Threads[seg.src].Events[seg.lo:seg.hi] {
+			for _, v := range [...]uint64{e.TS, uint64(e.Thread), uint64(e.Kind), e.Arg, e.Aux} {
+				h = mix(h, v)
+			}
+		}
+	}
+	for _, st := range tp.reads {
+		h = mix(mix(h, st.WTS), uint64(st.Writer))
+	}
+	return h
+}
+
+// mix folds v into the running hash h.
+func mix(h, v uint64) uint64 { return bits.RotateLeft64(h^v, 27) * 0x9e3779b97f4a7c15 }
 
 // matches reports whether two fingerprints describe the same analysis
 // (ignoring the run state, which only records how the file was written).
@@ -278,75 +310,46 @@ func (c *Checkpoint) Events() uint64 {
 
 // --- encoding ---
 
-// ckptEncoder builds block payloads with uvarint/zigzag primitives.
-type ckptEncoder struct {
-	buf []byte
-}
-
-func (e *ckptEncoder) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *ckptEncoder) i(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *ckptEncoder) b(v byte)   { e.buf = append(e.buf, v) }
-func (e *ckptEncoder) flag(v bool) {
-	if v {
-		e.b(1)
-	} else {
-		e.b(0)
+// appendUvarints appends each of vs as a uvarint.
+func appendUvarints(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
 	}
+	return b
 }
 
-// appendCkptBlock frames one block: kind, payload length, payload, and a
-// CRC32-C over kind and payload.
-func appendCkptBlock(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	crc := crc32.Update(crc32.Checksum([]byte{kind}, ckptCRC), ckptCRC, payload)
-	return binary.LittleEndian.AppendUint32(dst, crc)
+// flag encodes a bool as one byte.
+func flag(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 func (h ckptHeader) encode() []byte {
-	var e ckptEncoder
-	e.u(uint64(h.numEvents))
-	e.flag(h.wide)
-	e.flag(h.annotated)
-	e.b(h.runState)
-	e.flag(h.rmsOnly)
-	e.flag(h.disableThreadInduced)
-	e.flag(h.disableExternal)
-	e.b(h.sampling)
-	e.b(h.checkLevel)
-	e.u(uint64(len(h.threads)))
+	b := appendUvarints(nil, uint64(h.numEvents))
+	b = append(b, flag(h.wide), flag(h.annotated), h.runState, flag(h.rmsOnly),
+		flag(h.disableThreadInduced), flag(h.disableExternal), h.sampling, h.checkLevel)
+	b = appendUvarints(b, uint64(len(h.threads)))
 	for _, t := range h.threads {
-		e.i(int64(t.id))
-		e.u(uint64(t.events))
-		e.u(uint64(t.nsegs))
+		b = binary.AppendVarint(b, int64(t.id))
+		b = appendUvarints(b, uint64(t.events), uint64(t.nsegs), t.hash)
 	}
-	return e.buf
+	return b
 }
 
 func (st *workerState) encode() []byte {
 	st.materialize()
-	var e ckptEncoder
-	e.u(uint64(st.threadIdx))
-	e.i(int64(st.id))
-	e.flag(st.done)
-	e.u(uint64(st.segIdx))
-	e.u(uint64(st.off))
-	e.u(st.events)
-	e.u(st.count)
-	e.u(uint64(st.nextRead))
-	e.u(st.inducedThread)
-	e.u(st.inducedExternal)
-
-	e.u(uint64(len(st.stack)))
+	b := appendUvarints(nil, uint64(st.threadIdx))
+	b = binary.AppendVarint(b, int64(st.id))
+	b = append(b, flag(st.done))
+	b = appendUvarints(b, uint64(st.segIdx), uint64(st.off), st.events, st.count,
+		uint64(st.nextRead), st.inducedThread, st.inducedExternal, uint64(len(st.stack)))
 	for _, f := range st.stack {
-		e.u(uint64(f.Rtn))
-		e.u(f.TS)
-		e.u(f.BBEnter)
-		e.i(f.TRMS)
-		e.i(f.RMS)
-		e.u(f.InducedThread)
-		e.u(f.InducedExternal)
+		b = appendUvarints(b, uint64(f.Rtn), f.TS, f.BBEnter)
+		b = binary.AppendVarint(b, f.TRMS)
+		b = binary.AppendVarint(b, f.RMS)
+		b = appendUvarints(b, f.InducedThread, f.InducedExternal)
 	}
 
 	ids := make([]guest.RoutineID, 0, len(st.acts))
@@ -354,48 +357,32 @@ func (st *workerState) encode() []byte {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.u(uint64(len(ids)))
+	b = appendUvarints(b, uint64(len(ids)))
 	for _, id := range ids {
 		a := st.acts[id]
-		e.u(uint64(id))
-		e.u(a.Calls)
-		e.u(a.SumCost)
-		e.u(a.SumTRMS)
-		e.u(a.SumRMS)
-		e.u(a.InducedThread)
-		e.u(a.InducedExternal)
-		e.u(a.SampledOut)
-		e.u(a.SampledOutCost)
-		e.u(a.PartialCalls)
-		encodePoints(&e, a.ByTRMS)
-		encodePoints(&e, a.ByRMS)
+		b = appendUvarints(b, uint64(id), a.Calls, a.SumCost, a.SumTRMS, a.SumRMS, a.InducedThread,
+			a.InducedExternal, a.SampledOut, a.SampledOutCost, a.PartialCalls)
+		b = appendPoints(b, a.ByTRMS)
+		b = appendPoints(b, a.ByRMS)
 	}
 
-	e.u(uint64(len(st.cells)))
+	b = appendUvarints(b, uint64(len(st.cells)))
 	prev := uint64(0)
 	for _, c := range st.cells {
-		e.u(c.addr - prev)
+		b = appendUvarints(b, c.addr-prev, c.val)
 		prev = c.addr
-		e.u(c.val)
 	}
-	return e.buf
+	return b
 }
 
-func encodePoints(e *ckptEncoder, m map[uint64]*core.Point) {
-	ns := make([]uint64, 0, len(m))
-	for n := range m {
-		ns = append(ns, n)
+// appendPoints encodes a histogram in ascending input-size order.
+func appendPoints(b []byte, m map[uint64]*core.Point) []byte {
+	pts := core.SortedPoints(m)
+	b = appendUvarints(b, uint64(len(pts)))
+	for _, pt := range pts {
+		b = appendUvarints(b, pt.N, pt.Calls, pt.MinCost, pt.MaxCost, pt.SumCost)
 	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	e.u(uint64(len(ns)))
-	for _, n := range ns {
-		pt := m[n]
-		e.u(pt.N)
-		e.u(pt.Calls)
-		e.u(pt.MinCost)
-		e.u(pt.MaxCost)
-		e.u(pt.SumCost)
-	}
+	return b
 }
 
 // --- decoding ---
@@ -403,168 +390,114 @@ func encodePoints(e *ckptEncoder, m map[uint64]*core.Point) {
 // errCkpt wraps every structural load failure.
 var errCkpt = errors.New("pipeline: invalid checkpoint")
 
-// ckptParser decodes block payloads; any overrun poisons the parser.
-type ckptParser struct {
-	buf []byte
-	bad bool
-}
-
-func (p *ckptParser) u() uint64 {
-	v, n := binary.Uvarint(p.buf)
-	if n <= 0 {
-		p.bad = true
-		return 0
-	}
-	p.buf = p.buf[n:]
-	return v
-}
-
-func (p *ckptParser) i() int64 {
-	v, n := binary.Varint(p.buf)
-	if n <= 0 {
-		p.bad = true
-		return 0
-	}
-	p.buf = p.buf[n:]
-	return v
-}
-
-func (p *ckptParser) b() byte {
-	if len(p.buf) == 0 {
-		p.bad = true
-		return 0
-	}
-	v := p.buf[0]
-	p.buf = p.buf[1:]
-	return v
-}
-
-func (p *ckptParser) flag() bool { return p.b() != 0 }
-
-// length-capped count: rejects counts that cannot fit the remaining bytes
-// (each element costs at least min bytes), so corrupt counts cannot drive
-// huge allocations.
-func (p *ckptParser) count(min int) int {
-	v := p.u()
-	if min < 1 {
-		min = 1
-	}
-	if p.bad || v > uint64(len(p.buf)/min)+1 {
-		p.bad = true
-		return 0
-	}
-	return int(v)
-}
-
-func (p *ckptParser) done() bool { return !p.bad && len(p.buf) == 0 }
-
 func decodeHeader(payload []byte) (ckptHeader, error) {
-	p := &ckptParser{buf: payload}
+	p := block.NewParser(payload)
 	var h ckptHeader
-	h.numEvents = int(p.u())
-	h.wide = p.flag()
-	h.annotated = p.flag()
-	h.runState = p.b()
-	h.rmsOnly = p.flag()
-	h.disableThreadInduced = p.flag()
-	h.disableExternal = p.flag()
-	h.sampling = p.b()
-	h.checkLevel = p.b()
-	n := p.count(3)
+	h.numEvents = int(p.Uvarint())
+	h.wide = p.Byte() != 0
+	h.annotated = p.Byte() != 0
+	h.runState = p.Byte()
+	h.rmsOnly = p.Byte() != 0
+	h.disableThreadInduced = p.Byte() != 0
+	h.disableExternal = p.Byte() != 0
+	h.sampling = p.Byte()
+	h.checkLevel = p.Byte()
+	n := p.Count(4)
 	for i := 0; i < n; i++ {
 		h.threads = append(h.threads, ckptThread{
-			id:     guest.ThreadID(p.i()),
-			events: int(p.u()),
-			nsegs:  int(p.u()),
+			id:     guest.ThreadID(p.Varint()),
+			events: int(p.Uvarint()),
+			nsegs:  int(p.Uvarint()),
+			hash:   p.Uvarint(),
 		})
 	}
-	if !p.done() || h.runState > ckptComplete {
+	if p.End("trailing bytes") != nil || h.runState > ckptComplete {
 		return ckptHeader{}, fmt.Errorf("%w: malformed header", errCkpt)
 	}
 	return h, nil
 }
 
 func decodeWorker(payload []byte) (*workerState, error) {
-	p := &ckptParser{buf: payload}
+	p := block.NewParser(payload)
 	st := &workerState{}
-	st.threadIdx = int(p.u())
-	st.id = guest.ThreadID(p.i())
-	st.done = p.flag()
-	st.segIdx = int(p.u())
-	st.off = int(p.u())
-	st.events = p.u()
-	st.count = p.u()
-	st.nextRead = int(p.u())
-	st.inducedThread = p.u()
-	st.inducedExternal = p.u()
+	st.threadIdx = int(p.Uvarint())
+	st.id = guest.ThreadID(p.Varint())
+	st.done = p.Byte() != 0
+	st.segIdx = int(p.Uvarint())
+	st.off = int(p.Uvarint())
+	st.events = p.Uvarint()
+	st.count = p.Uvarint()
+	st.nextRead = int(p.Uvarint())
+	st.inducedThread = p.Uvarint()
+	st.inducedExternal = p.Uvarint()
 
-	nf := p.count(7)
+	nf := p.Count(7)
 	for i := 0; i < nf; i++ {
 		st.stack = append(st.stack, core.Frame[uint64]{
-			Rtn:             guest.RoutineID(p.u()),
-			TS:              p.u(),
-			BBEnter:         p.u(),
-			TRMS:            p.i(),
-			RMS:             p.i(),
-			InducedThread:   p.u(),
-			InducedExternal: p.u(),
+			Rtn:             guest.RoutineID(p.Uvarint()),
+			TS:              p.Uvarint(),
+			BBEnter:         p.Uvarint(),
+			TRMS:            p.Varint(),
+			RMS:             p.Varint(),
+			InducedThread:   p.Uvarint(),
+			InducedExternal: p.Uvarint(),
 		})
 	}
 
-	na := p.count(10)
+	na := p.Count(12)
 	st.acts = make(map[guest.RoutineID]*core.Activations, na)
 	for i := 0; i < na; i++ {
-		id := guest.RoutineID(p.u())
+		id := guest.RoutineID(p.Uvarint())
 		if _, dup := st.acts[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate routine in worker state", errCkpt)
 		}
 		a := core.NewActivations(st.id)
-		a.Calls = p.u()
-		a.SumCost = p.u()
-		a.SumTRMS = p.u()
-		a.SumRMS = p.u()
-		a.InducedThread = p.u()
-		a.InducedExternal = p.u()
-		a.SampledOut = p.u()
-		a.SampledOutCost = p.u()
-		a.PartialCalls = p.u()
-		if err := decodePoints(p, a.ByTRMS); err != nil {
+		a.Calls = p.Uvarint()
+		a.SumCost = p.Uvarint()
+		a.SumTRMS = p.Uvarint()
+		a.SumRMS = p.Uvarint()
+		a.InducedThread = p.Uvarint()
+		a.InducedExternal = p.Uvarint()
+		a.SampledOut = p.Uvarint()
+		a.SampledOutCost = p.Uvarint()
+		a.PartialCalls = p.Uvarint()
+		if err := decodePoints(&p, a.ByTRMS); err != nil {
 			return nil, err
 		}
-		if err := decodePoints(p, a.ByRMS); err != nil {
+		if err := decodePoints(&p, a.ByRMS); err != nil {
 			return nil, err
 		}
 		st.acts[id] = a
 	}
 
-	nc := p.count(2)
+	nc := p.Count(2)
 	prev := uint64(0)
 	for i := 0; i < nc; i++ {
-		prev += p.u()
-		val := p.u()
+		prev += p.Uvarint()
+		val := p.Uvarint()
 		if val == 0 {
 			return nil, fmt.Errorf("%w: zero shadow cell in worker state", errCkpt)
 		}
 		st.cells = append(st.cells, cellPair{addr: prev, val: val})
 	}
-	if !p.done() {
+	if p.End("trailing bytes") != nil {
 		return nil, fmt.Errorf("%w: malformed worker state", errCkpt)
 	}
 	return st, nil
 }
 
-func decodePoints(p *ckptParser, m map[uint64]*core.Point) error {
-	n := p.count(5)
+func decodePoints(p *block.Parser, m map[uint64]*core.Point) error {
+	n := p.Count(5)
 	prev, first := uint64(0), true
 	for i := 0; i < n; i++ {
-		pt := &core.Point{N: p.u(), Calls: p.u(), MinCost: p.u(), MaxCost: p.u(), SumCost: p.u()}
+		pt := &core.Point{N: p.Uvarint(), Calls: p.Uvarint(), MinCost: p.Uvarint(), MaxCost: p.Uvarint(), SumCost: p.Uvarint()}
 		if !first && pt.N <= prev {
 			return fmt.Errorf("%w: unsorted histogram in worker state", errCkpt)
 		}
 		prev, first = pt.N, false
 		m[pt.N] = pt
 	}
-	if p.bad {
+	if p.Err() != nil {
 		return fmt.Errorf("%w: malformed histogram", errCkpt)
 	}
 	return nil
@@ -574,18 +507,16 @@ func decodePoints(p *ckptParser, m map[uint64]*core.Point) error {
 // checkpoint file image.
 func encodeCheckpoint(h ckptHeader, states map[int]*workerState) []byte {
 	out := append([]byte(ckptMagic), ckptVersion)
-	out = appendCkptBlock(out, ckptBlockHeader, h.encode())
+	out = block.Append(out, ckptBlockHeader, h.encode())
 	idxs := make([]int, 0, len(states))
 	for i := range states {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
 	for _, i := range idxs {
-		out = appendCkptBlock(out, ckptBlockWorker, states[i].encode())
+		out = block.Append(out, ckptBlockWorker, states[i].encode())
 	}
-	var f ckptEncoder
-	f.u(uint64(len(idxs)))
-	return appendCkptBlock(out, ckptBlockFooter, f.buf)
+	return block.Append(out, ckptBlockFooter, appendUvarints(nil, uint64(len(idxs))))
 }
 
 // LoadCheckpoint strictly decodes the checkpoint file at path. Every block
@@ -608,65 +539,35 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if data[len(ckptMagic)] != ckptVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", errCkpt, data[len(ckptMagic)])
 	}
-	rest := data[len(ckptMagic)+1:]
-
-	c := &Checkpoint{workers: make(map[int]*workerState)}
-	sawHeader, sawFooter := false, false
-	nWorkers := 0
-	for len(rest) > 0 {
-		if sawFooter {
-			return nil, fmt.Errorf("%w: data after footer", errCkpt)
-		}
-		kind := rest[0]
-		plen, n := binary.Uvarint(rest[1:])
-		if n <= 0 || plen > uint64(len(rest)) || 1+n+int(plen)+4 > len(rest) {
-			return nil, fmt.Errorf("%w: truncated block", errCkpt)
-		}
-		body := rest[1+n : 1+n+int(plen)]
-		tail := rest[1+n+int(plen):]
-		want := binary.LittleEndian.Uint32(tail)
-		got := crc32.Update(crc32.Checksum([]byte{kind}, ckptCRC), ckptCRC, body)
-		if want != got {
-			return nil, fmt.Errorf("%w: block checksum mismatch", errCkpt)
-		}
-		rest = tail[4:]
-
-		switch kind {
-		case ckptBlockHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("%w: duplicate header", errCkpt)
-			}
-			sawHeader = true
-			h, err := decodeHeader(body)
-			if err != nil {
-				return nil, err
-			}
-			c.header = h
-		case ckptBlockWorker:
-			if !sawHeader {
-				return nil, fmt.Errorf("%w: worker block before header", errCkpt)
-			}
-			st, err := decodeWorker(body)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := c.workers[st.threadIdx]; dup {
-				return nil, fmt.Errorf("%w: duplicate worker state", errCkpt)
-			}
-			c.workers[st.threadIdx] = st
-			nWorkers++
-		case ckptBlockFooter:
-			p := &ckptParser{buf: body}
-			if cnt := p.u(); !p.done() || cnt != uint64(nWorkers) {
-				return nil, fmt.Errorf("%w: footer count mismatch", errCkpt)
-			}
-			sawFooter = true
-		default:
-			return nil, fmt.Errorf("%w: unknown block kind %q", errCkpt, kind)
-		}
+	blocks, err := ckptFormat.Split(data, len(ckptMagic)+1)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errCkpt, err)
 	}
-	if !sawHeader || !sawFooter {
+	n := len(blocks)
+	if n < 2 || blocks[0].Kind != ckptBlockHeader || blocks[n-1].Kind != ckptBlockFooter {
 		return nil, fmt.Errorf("%w: missing header or footer", errCkpt)
+	}
+	h, err := decodeHeader(blocks[0].Payload)
+	if err != nil {
+		return nil, err
+	}
+	c := &Checkpoint{header: h, workers: make(map[int]*workerState)}
+	for _, b := range blocks[1 : n-1] {
+		if b.Kind != ckptBlockWorker {
+			return nil, fmt.Errorf("%w: block %q between header and footer", errCkpt, b.Kind)
+		}
+		st, err := decodeWorker(b.Payload)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := c.workers[st.threadIdx]; dup {
+			return nil, fmt.Errorf("%w: duplicate worker state", errCkpt)
+		}
+		c.workers[st.threadIdx] = st
+	}
+	p := block.NewParser(blocks[n-1].Payload)
+	if cnt := p.Uvarint(); p.End("trailing bytes") != nil || cnt != uint64(n-2) {
+		return nil, fmt.Errorf("%w: footer count mismatch", errCkpt)
 	}
 	return c, nil
 }
@@ -698,7 +599,7 @@ type ckptManager struct {
 	snapWant  bool
 }
 
-func newCkptManager(p *Plan, opts CheckpointOptions, reg *telemetry.Registry, seed map[int]*workerState) *ckptManager {
+func newCkptManager(p *Plan, opts CheckpointOptions, header ckptHeader, reg *telemetry.Registry, seed map[int]*workerState) *ckptManager {
 	every := opts.EveryEvents
 	if every <= 0 {
 		every = defaultEveryEvents
@@ -708,7 +609,7 @@ func newCkptManager(p *Plan, opts CheckpointOptions, reg *telemetry.Registry, se
 		plan:   p,
 		reg:    reg,
 		every:  every,
-		header: p.fingerprint(),
+		header: header,
 		ch:     make(chan *workerState, 2*len(p.threads)+4),
 		stop:   make(chan struct{}),
 		donec:  make(chan struct{}),
@@ -835,7 +736,11 @@ func (m *ckptManager) writeSnapshot() {
 	var events uint64
 	for _, st := range m.states {
 		events += st.events
-		merged.Merge(stateProfile(m.plan.tr, st))
+		merged.InducedThread += st.inducedThread
+		merged.InducedExternal += st.inducedExternal
+		for id, a := range st.acts {
+			merged.AddActivations(m.plan.tr.RoutineName(id), a.Clone())
+		}
 	}
 	doc := liveSnapshot{
 		Partial:         events < m.plan.NumEvents(),
@@ -877,49 +782,6 @@ func (m *ckptManager) close(canceled bool) {
 	if canceled || m.opts.SnapshotInterval > 0 || m.opts.Trigger != nil || m.opts.SnapshotSink != nil {
 		m.writeSnapshot()
 	}
-}
-
-// stateProfile rebuilds the single-thread profile a worker state carries —
-// the same fold worker.profile performs, so a resumed-done thread merges
-// byte-identically.
-func stateProfile(tr *trace.Trace, st *workerState) *core.Profile {
-	out := core.NewProfile()
-	out.InducedThread = st.inducedThread
-	out.InducedExternal = st.inducedExternal
-	ids := make([]guest.RoutineID, 0, len(st.acts))
-	for id := range st.acts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		out.AddActivations(tr.RoutineName(id), cloneActs(st.acts[id]))
-	}
-	return out
-}
-
-// cloneActs deep-copies an aggregate (the pipeline-side sibling of core's
-// internal clone): checkpoint states are reusable across runs, so nothing
-// restored from one may alias it.
-func cloneActs(a *core.Activations) *core.Activations {
-	out := core.NewActivations(a.Thread)
-	out.Calls = a.Calls
-	out.SumCost = a.SumCost
-	out.SumTRMS = a.SumTRMS
-	out.SumRMS = a.SumRMS
-	out.InducedThread = a.InducedThread
-	out.InducedExternal = a.InducedExternal
-	out.SampledOut = a.SampledOut
-	out.SampledOutCost = a.SampledOutCost
-	out.PartialCalls = a.PartialCalls
-	for n, pt := range a.ByTRMS {
-		cp := *pt
-		out.ByTRMS[n] = &cp
-	}
-	for n, pt := range a.ByRMS {
-		cp := *pt
-		out.ByRMS[n] = &cp
-	}
-	return out
 }
 
 // validState cross-checks one loaded worker state against the plan: thread

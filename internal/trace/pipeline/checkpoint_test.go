@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -283,42 +284,69 @@ func TestCheckpointCorruptionDegrades(t *testing.T) {
 }
 
 // TestCheckpointMismatchDegrades: a checkpoint from a different trace or
-// different options is ignored wholesale and the run re-analyzes fully.
+// different options is ignored wholesale and the run re-analyzes fully,
+// exporting exactly what a fresh run does. That includes a trace of the
+// same shape — the same threads, event and segment counts — whose content
+// differs, which only the fingerprint's content hash tells apart.
 func TestCheckpointMismatchDegrades(t *testing.T) {
 	trA, _ := ckptTrace(t, "fig1a", workloads.Params{Size: 24})
 	trB, wantB := ckptTrace(t, "producer-consumer", workloads.Params{Size: 32})
-	path := filepath.Join(t.TempDir(), "m.ckpt")
-	if _, err := runCheckpointed(t, trA, path, 2, nil, nil); err != nil {
+	dir := t.TempDir()
+	pathA := filepath.Join(dir, "a.ckpt")
+	if _, err := runCheckpointed(t, trA, pathA, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := LoadCheckpoint(path)
+	pathB := filepath.Join(dir, "b.ckpt")
+	// Canceled about halfway; a fast host may finish first, which leaves a
+	// complete checkpoint and tests the same thing.
+	if _, err := runCheckpointed(t, trB, pathB, 0.5, nil, nil); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatal(err)
+	}
+	ckA, err := LoadCheckpoint(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckB, err := LoadCheckpoint(pathB)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.NewRegistry()
-	prof, err := Analyze(trB, Options{TieSeed: 1, Workers: 2, Resume: ck, Telemetry: reg})
-	if err != nil {
-		t.Fatalf("mismatched resume errored instead of degrading: %v", err)
+	// trB2 is trB with every read address in the first quarter of each
+	// thread moved: same shape, different content, different profile.
+	trB2 := *trB
+	trB2.Threads = make([]trace.ThreadTrace, len(trB.Threads))
+	for i, tt := range trB.Threads {
+		tt.Events = slices.Clone(tt.Events)
+		for j := range tt.Events[:len(tt.Events)/4] {
+			if e := &tt.Events[j]; e.Kind == trace.KindRead {
+				e.Arg += 1 << 30
+			}
+		}
+		trB2.Threads[i] = tt
 	}
-	got, err := prof.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantB) {
-		t.Fatal("mismatched checkpoint perturbed the profile")
-	}
-	if reg.Counter("resume/checkpoint_mismatched").Load() == 0 {
-		t.Fatal("mismatch not recorded in telemetry")
+	if bytes.Equal(analyzeExport(t, &trB2, Options{TieSeed: 1, Workers: 2}), wantB) {
+		t.Fatal("moving the read addresses left the profile unchanged")
 	}
 
-	// Same trace, different options: also a mismatch.
-	prof2, err := Analyze(trA, Options{TieSeed: 1, Workers: 2, Profile: core.Options{RMSOnly: true}, Resume: ck})
-	if err != nil {
-		t.Fatalf("option-mismatched resume errored: %v", err)
-	}
-	if prof2 == nil {
-		t.Fatal("nil profile")
+	for _, c := range []struct {
+		name  string
+		ck    *Checkpoint
+		tr    *trace.Trace
+		popts core.Options
+	}{
+		{"other trace", ckA, trB, core.Options{}},
+		{"other options", ckA, trA, core.Options{RMSOnly: true}},
+		{"same shape, other content", ckB, &trB2, core.Options{}},
+	} {
+		want := analyzeExport(t, c.tr, Options{TieSeed: 1, Workers: 2, Profile: c.popts})
+		reg := telemetry.NewRegistry()
+		got := analyzeExport(t, c.tr, Options{TieSeed: 1, Workers: 2, Profile: c.popts, Resume: c.ck, Telemetry: reg})
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: mismatched checkpoint perturbed the profile", c.name)
+		}
+		if n := reg.Counter("resume/checkpoint_mismatched").Load(); n != 1 {
+			t.Errorf("%s: resume/checkpoint_mismatched = %d, want 1", c.name, n)
+		}
 	}
 }
 

@@ -383,10 +383,17 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	// that fails cross-checking (that thread restarts from scratch), and
 	// count the work the surviving states let us skip. A fingerprint
 	// mismatch discards the checkpoint wholesale — degrade, never guess.
+	// The fingerprint hashes the whole trace, so only runs that resume or
+	// checkpoint compute it.
+	checkpointing := p.Checkpoint != nil && p.Checkpoint.enabled()
+	var fp ckptHeader
+	if p.Resume != nil || checkpointing {
+		fp = p.fingerprint()
+	}
 	resumeStates := make(map[int]*workerState)
 	var skipped uint64
 	if p.Resume != nil {
-		if p.Resume.header.matches(p.fingerprint()) {
+		if p.Resume.header.matches(fp) {
 			for idx, st := range p.Resume.workers {
 				if validState(p, idx, st) {
 					resumeStates[idx] = st
@@ -406,8 +413,8 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	// the resumed states so an early re-kill cannot lose progress of
 	// threads whose workers have not submitted yet.
 	var mgr *ckptManager
-	if p.Checkpoint != nil && p.Checkpoint.enabled() {
-		mgr = newCkptManager(p, *p.Checkpoint, reg, resumeStates)
+	if checkpointing {
+		mgr = newCkptManager(p, *p.Checkpoint, fp, reg, resumeStates)
 	}
 
 	// Progress plumbing: workers accumulate processed events into one

@@ -94,12 +94,12 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 	}
 	startSeg, startOff := 0, 0
 	if resume != nil {
+		w.restore(resume)
 		if resume.done {
 			// The thread finished before the checkpoint: its profile is
 			// exactly the fold of its stored aggregates.
-			return stateProfile(tr, resume), nil
+			return w.profile(), nil
 		}
-		w.restore(resume)
 		startSeg, startOff = resume.segIdx, resume.off
 	}
 	for i := startSeg; i < len(tp.segments); i++ {
@@ -160,7 +160,7 @@ func (w *worker[C]) restore(st *workerState) {
 	w.events = st.events
 	w.stack = append(core.Stack[uint64](nil), st.stack...)
 	for id, a := range st.acts {
-		w.acts[id] = cloneActs(a)
+		w.acts[id] = a.Clone()
 	}
 	for _, c := range st.cells {
 		w.ts.Set(guest.Addr(c.addr), C(c.val))
@@ -248,7 +248,7 @@ func (w *worker[C]) captureState(segIdx, off int, snap *shadow.Snapshot[C]) *wor
 		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
 	}
 	for id, a := range w.acts {
-		st.acts[id] = cloneActs(a)
+		st.acts[id] = a.Clone()
 	}
 	st.cellsFn = func() []cellPair { return snapCells(snap) }
 	return st
@@ -266,7 +266,7 @@ func (w *worker[C]) finalState() *workerState {
 		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
 	}
 	for id, a := range w.acts {
-		st.acts[id] = cloneActs(a)
+		st.acts[id] = a.Clone()
 	}
 	return st
 }

@@ -1,13 +1,13 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/guest"
 )
 
@@ -84,7 +84,6 @@ type RecoveryReport struct {
 	Version byte
 	// BlocksSeen counts every block the salvage scan encountered —
 	// salvaged or dropped, of any kind — up to the point the scan stopped.
-	// Zero for v1 traces, which have no block structure.
 	BlocksSeen int
 	// SalvagedBlocks counts the blocks consumed intact (name tables,
 	// event segments and the footer). BlocksSeen - SalvagedBlocks ==
@@ -166,7 +165,7 @@ func (r *RecoveryReport) String() string {
 	return sb.String()
 }
 
-// Recover reads as much of a damaged v2 trace as possible: every segment
+// Recover reads as much of a damaged trace as possible: every segment
 // whose checksum verifies is salvaged, and the report records what was
 // dropped and why (checksum mismatch vs. truncation vs. framing damage,
 // with file offsets). The returned trace contains all intact segments in
@@ -174,36 +173,17 @@ func (r *RecoveryReport) String() string {
 // unchanged. Recover never panics on arbitrary input.
 //
 // An error is returned only when the input cannot be identified as a trace
-// at all (bad magic, unknown version) or, for v1 traces — which carry no
-// checksums and no segment structure — when the strict decode fails.
-// Otherwise the error is nil and the report, which is always non-nil in
-// that case, describes the salvage, even when nothing was salvageable.
+// at all (bad magic, unsupported version). Otherwise the error is nil and
+// the report, which is always non-nil in that case, describes the salvage,
+// even when nothing was salvageable.
 func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 	defer tallyDecode(time.Now())
-	data, ver, err := readTrace(r)
+	data, err := readTrace(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	if ver == legacyVersion {
-		tr, err := decodeV1(bytes.NewReader(data[preludeLen:]))
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: v1 trace has no segment checksums and cannot be partially recovered: %w", err)
-		}
-		rep := &RecoveryReport{Version: ver, FooterValid: true, ExpectedEvents: tr.NumEvents()}
-		for i := range tr.Threads {
-			tt := &tr.Threads[i]
-			rep.PerThread = append(rep.PerThread, ThreadRecovery{ID: tt.ID, Segments: 1, Events: len(tt.Events)})
-			rep.SalvagedEvents += len(tt.Events)
-			rep.SalvagedSegments++
-		}
-		return tr, rep, nil
-	}
-	if ver != formatVersion {
-		return nil, nil, &VersionError{Want: formatVersion, Got: ver}
-	}
-
 	s := scanV2(data, scanSalvage)
-	rep := &RecoveryReport{Version: ver, BlocksSeen: len(s.blocks), Truncated: s.truncated, ExpectedEvents: -1}
+	rep := &RecoveryReport{Version: formatVersion, BlocksSeen: len(s.blocks), Truncated: s.truncated, ExpectedEvents: -1}
 	if s.footer >= 0 {
 		rep.FooterValid = true
 		rep.ExpectedEvents = int(s.fe)
@@ -216,7 +196,7 @@ func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 			continue
 		}
 		rep.SalvagedBlocks++
-		if b.kind == blockEvents {
+		if b.Kind == blockEvents {
 			segs[b.slot]++
 			rep.SalvagedSegments++
 			rep.SalvagedEvents += b.n
@@ -239,16 +219,16 @@ func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 
 // dropped describes a bad block as Recover reports it.
 func (b *scanBlock) dropped() DroppedBlock {
-	d := DroppedBlock{Offset: int64(b.off), Kind: b.kind, Cause: DropInvalid, Detail: b.err.Error(), Thread: b.id, HasThread: b.hasID}
+	d := DroppedBlock{Offset: int64(b.Off), Kind: b.Kind, Cause: DropInvalid, Detail: b.err.Error(), Thread: b.id, HasThread: b.hasID}
 	switch {
-	case errors.Is(b.err, errFraming):
+	case errors.Is(b.err, block.ErrFraming):
 		d.Cause = DropFraming
-	case errors.Is(b.err, errTruncated):
+	case errors.Is(b.err, block.ErrTruncated):
 		d.Cause = DropTruncated
-	case errors.Is(b.err, errChecksum):
+	case errors.Is(b.err, block.ErrChecksum):
 		d.Cause = DropChecksum
 	}
-	if (b.kind == blockRoutines || b.kind == blockSyncs) && (d.Cause == DropChecksum || d.Cause == DropInvalid) {
+	if (b.Kind == blockRoutines || b.Kind == blockSyncs) && (d.Cause == DropChecksum || d.Cause == DropInvalid) {
 		// A lost table delta makes every later name id unresolvable, so
 		// salvage stopped here rather than misattribute routines.
 		d.Detail += "; name-table delta lost, recovery stopped"
@@ -285,7 +265,7 @@ type BlockInfo struct {
 type VerifyReport struct {
 	// Version is the trace's wire-format version byte.
 	Version byte
-	// Blocks lists per-block diagnostics in file order (v2 only).
+	// Blocks lists per-block diagnostics in file order.
 	Blocks []BlockInfo
 	// Segments, Events and Threads count the intact event blocks, their
 	// events, and the distinct thread ids seen in them.
@@ -302,9 +282,6 @@ type VerifyReport struct {
 	FooterValid bool
 	// Truncated reports that the input ended unexpectedly.
 	Truncated bool
-	// StrictErr is the strict-decode outcome for v1 traces, which have no
-	// per-block structure to walk; nil means the trace decoded fully.
-	StrictErr error
 }
 
 // Intact counts the blocks that verified clean. Every walked block is
@@ -312,13 +289,10 @@ type VerifyReport struct {
 // same accounting identity RecoveryReport maintains with SalvagedBlocks.
 func (vr *VerifyReport) Intact() int { return len(vr.Blocks) - vr.Bad }
 
-// OK reports whether the trace verified clean: every block was intact, the
-// footer was present, agreed with the stream and was last (v2), or the
-// strict decode succeeded (v1). OK implies that Decode accepts the trace.
+// OK reports whether the trace verified clean: every block was intact and
+// the footer was present, agreed with the stream and was last. OK implies
+// that Decode accepts the trace.
 func (vr *VerifyReport) OK() bool {
-	if vr.Version == legacyVersion {
-		return vr.StrictErr == nil
-	}
 	return vr.Bad == 0 && vr.FooterValid && !vr.Truncated
 }
 
@@ -327,42 +301,25 @@ func (vr *VerifyReport) OK() bool {
 // diagnostics. Unlike Recover it keeps scanning past corrupt name-table
 // blocks (it resolves no ids), and stops only at framing damage or
 // truncation. A footer whose counts disagree with an otherwise intact
-// stream, and bytes after the footer, count as bad blocks. For v1 traces,
-// which carry no checksums, it falls back to a strict decode and reports
-// only overall success or failure in StrictErr.
+// stream, and bytes after the footer, count as bad blocks.
 func Verify(r io.Reader) (*VerifyReport, error) {
 	defer tallyDecode(time.Now())
-	data, ver, err := readTrace(r)
+	data, err := readTrace(r)
 	if err != nil {
 		return nil, err
 	}
-	if ver == legacyVersion {
-		vr := &VerifyReport{Version: ver}
-		tr, err := decodeV1(bytes.NewReader(data[preludeLen:]))
-		if err != nil {
-			vr.StrictErr = err
-		} else {
-			vr.Events = tr.NumEvents()
-			vr.Threads = len(tr.Threads)
-		}
-		return vr, nil
-	}
-	if ver != formatVersion {
-		return nil, &VersionError{Want: formatVersion, Got: ver}
-	}
-
 	s := scanV2(data, scanVerify)
-	vr := &VerifyReport{Version: ver, Blocks: make([]BlockInfo, len(s.blocks)), Threads: len(s.order),
+	vr := &VerifyReport{Version: formatVersion, Blocks: make([]BlockInfo, len(s.blocks)), Threads: len(s.order),
 		FooterValid: s.footer >= 0, Truncated: s.truncated}
 	for i := range s.blocks {
 		b := &s.blocks[i]
 		info := &vr.Blocks[i]
-		*info = BlockInfo{Offset: int64(b.off), Kind: b.kind, PayloadLen: len(b.payload), Err: b.err}
+		*info = BlockInfo{Offset: int64(b.Off), Kind: b.Kind, PayloadLen: len(b.Payload), Err: b.err}
 		if b.err != nil {
 			vr.Bad++
 			continue
 		}
-		switch b.kind {
+		switch b.Kind {
 		case blockRoutines, blockSyncs:
 			info.Names = b.n
 		case blockEvents:

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -239,107 +237,6 @@ func TestVerifyDiagnostics(t *testing.T) {
 	}
 	if short.OK() || !short.Truncated {
 		t.Fatalf("truncated verify OK=%v Truncated=%v, want failure with truncation", short.OK(), short.Truncated)
-	}
-}
-
-// encodeV1 writes tr in the legacy v1 wire format (which Encode no longer
-// produces), for compatibility testing.
-func encodeV1(tr *trace.Trace) []byte {
-	var b []byte
-	b = append(b, "ISPTRACE"...)
-	b = append(b, 1)
-	writeStrings := func(ss []string) {
-		b = binary.AppendUvarint(b, uint64(len(ss)))
-		for _, s := range ss {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		}
-	}
-	writeStrings(tr.Routines)
-	writeStrings(tr.Syncs)
-	b = binary.AppendUvarint(b, uint64(len(tr.Threads)))
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		b = binary.AppendUvarint(b, uint64(uint32(tt.ID)))
-		b = binary.AppendUvarint(b, uint64(len(tt.Events)))
-		prev := uint64(0)
-		for _, e := range tt.Events {
-			b = binary.AppendUvarint(b, e.TS-prev)
-			prev = e.TS
-			b = append(b, byte(e.Kind))
-			b = binary.AppendUvarint(b, e.Arg)
-			b = binary.AppendUvarint(b, e.Aux)
-		}
-	}
-	return b
-}
-
-// TestV1Compatibility: legacy v1 traces must still decode via Decode and
-// pass through Recover as a full salvage; damaged v1 traces have no segment
-// structure, so Recover reports them unrecoverable rather than guessing.
-func TestV1Compatibility(t *testing.T) {
-	rec := trace.NewRecorder()
-	exampleRun(t, 5, rec)
-	orig := rec.Trace()
-	data := encodeV1(orig)
-
-	dec, err := trace.Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Version != 1 {
-		t.Fatalf("decoded Version = %d, want 1", dec.Version)
-	}
-	if dec.NumEvents() != orig.NumEvents() || len(dec.Threads) != len(orig.Threads) {
-		t.Fatalf("v1 decode: %d events / %d threads, want %d / %d",
-			dec.NumEvents(), len(dec.Threads), orig.NumEvents(), len(orig.Threads))
-	}
-
-	rtr, rep, err := trace.Recover(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Complete() || rtr.NumEvents() != orig.NumEvents() {
-		t.Fatalf("v1 Recover = %d events, complete=%v; want full salvage", rtr.NumEvents(), rep.Complete())
-	}
-
-	if _, _, err := trace.Recover(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Fatal("Recover accepted a truncated v1 trace, which has no recoverable structure")
-	}
-
-	vr, err := trace.Verify(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vr.OK() || vr.Version != 1 {
-		t.Fatalf("v1 verify OK=%v version=%d, want clean v1", vr.OK(), vr.Version)
-	}
-}
-
-// TestV1RejectsRepeatedThread: a v1 file listing one thread id twice has
-// no single-ThreadTrace reading, so Decode, Recover and Verify all reject it
-// and name the id.
-func TestV1RejectsRepeatedThread(t *testing.T) {
-	rec := trace.NewRecorder()
-	exampleRun(t, 5, rec)
-	tr := rec.Trace()
-	dup := *tr
-	dup.Threads = append(append([]trace.ThreadTrace(nil), tr.Threads...), tr.Threads[0])
-	data := encodeV1(&dup)
-	want := fmt.Sprintf("thread %d listed twice", tr.Threads[0].ID)
-
-	if _, err := trace.Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Decode = %v, want %q", err, want)
-	}
-	if _, _, err := trace.Recover(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Recover = %v, want %q", err, want)
-	}
-	vr, err := trace.Verify(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vr.OK() || vr.StrictErr == nil || !strings.Contains(vr.StrictErr.Error(), want) {
-		t.Fatalf("Verify OK=%v StrictErr=%v, want %q", vr.OK(), vr.StrictErr, want)
 	}
 }
 

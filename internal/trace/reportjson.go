@@ -35,7 +35,6 @@ type verifyReportJSON struct {
 	Bad         int             `json:"bad_blocks"`
 	FooterValid bool            `json:"footer_valid"`
 	Truncated   bool            `json:"truncated"`
-	StrictErr   string          `json:"strict_error,omitempty"`
 	Blocks      []blockInfoJSON `json:"blocks,omitempty"`
 }
 
@@ -68,7 +67,6 @@ func (vr *VerifyReport) WriteJSON(w io.Writer) error {
 		Bad:         vr.Bad,
 		FooterValid: vr.FooterValid,
 		Truncated:   vr.Truncated,
-		StrictErr:   errString(vr.StrictErr),
 	}
 	for _, b := range vr.Blocks {
 		out.Blocks = append(out.Blocks, blockInfoJSON{

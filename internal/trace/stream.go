@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 
+	"repro/internal/block"
 	"repro/internal/guest"
 	"repro/internal/telemetry"
 )
@@ -148,7 +149,7 @@ func (r *StreamRecorder) write(b []byte) {
 
 // writeBlock frames and writes one block.
 func (r *StreamRecorder) writeBlock(kind byte, payload []byte) {
-	r.scratch = appendBlock(r.scratch[:0], kind, payload)
+	r.scratch = block.Append(r.scratch[:0], kind, payload)
 	r.write(r.scratch)
 	if r.err == nil {
 		r.blocks++

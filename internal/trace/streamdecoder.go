@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/block"
 	"repro/internal/guest"
 )
 
@@ -122,51 +123,51 @@ func (d *StreamDecoder) Feed(p []byte) (StreamDelta, error) {
 // returning its total framed size, or 0 when the buffer holds only part of
 // a block.
 func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
-	f, err := nextFrame(d.buf.Bytes(), 0)
-	if err == io.EOF || errors.Is(err, errTruncated) {
+	f, err := traceFormat.Next(d.buf.Bytes(), 0)
+	if err == io.EOF || errors.Is(err, block.ErrTruncated) {
 		return 0, nil // wait for the rest of the block
 	}
 	if err != nil {
 		return 0, fmt.Errorf("trace: %w", err)
 	}
-	if !f.crcOK {
-		return 0, fmt.Errorf("trace: block kind %q: checksum mismatch", f.kind)
+	if !f.CRCOK {
+		return 0, fmt.Errorf("trace: block kind %q: checksum mismatch", f.Kind)
 	}
-	switch f.kind {
+	switch f.Kind {
 	case blockRoutines, blockSyncs:
-		names, err := parseTablePayload(f.payload)
+		names, err := parseTablePayload(f.Payload)
 		if err != nil {
 			return 0, fmt.Errorf("trace: name-table block: %w", err)
 		}
-		if f.kind == blockRoutines {
+		if f.Kind == blockRoutines {
 			delta.Routines = append(delta.Routines, names...)
 		} else {
 			delta.Syncs = append(delta.Syncs, names...)
 		}
 	case blockEvents:
-		id, n, hdr, err := segmentHeader(f.payload)
+		id, n, hdr, err := segmentHeader(f.Payload)
 		events := make([]Event, n)
 		if err == nil {
-			_, err = parseEvents(f.payload[hdr:], id, events)
+			_, err = parseEvents(f.Payload[hdr:], id, events)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}
 		delta.Segments = append(delta.Segments, StreamSegment{Thread: id, Events: events})
 	case blockAnnotations:
-		_, nr, ns, hdr, err := annotationHeader(f.payload)
+		_, nr, ns, hdr, err := annotationHeader(f.Payload)
 		if err == nil {
-			err = parseAnnotation(f.payload[hdr:], make([]StampRun, nr), make([]Stamp, ns))
+			err = parseAnnotation(f.Payload[hdr:], make([]StampRun, nr), make([]Stamp, ns))
 		}
 		if err != nil {
 			return 0, fmt.Errorf("trace: annotation block: %w", err)
 		}
 	case blockFooter:
-		if _, _, _, err := parseFooterPayload(f.payload); err != nil {
+		if _, _, _, err := parseFooterPayload(f.Payload); err != nil {
 			return 0, fmt.Errorf("trace: footer block: %w", err)
 		}
 		d.footer = true
 		delta.Footer = true
 	}
-	return f.end, nil
+	return f.End, nil
 }

@@ -24,6 +24,7 @@ import (
 
 // lintDirs are the directories whose exported symbols must be documented.
 var lintDirs = []string{
+	"internal/block",
 	"internal/trace",
 	"internal/trace/pipeline",
 	"internal/core",

@@ -6,8 +6,8 @@
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
-#           the recovery paths, the stream decoder, the checkpoint loader
-#           and the aprofd wire protocol
+#           the recovery paths, the stream decoder, the checkpoint loader,
+#           the aprofd wire protocol and the aprofd tenant checkpoint
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -162,6 +162,8 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzLoadCheckpoint -fuzztime=30s ./internal/trace/pipeline
 	echo "== fuzz smoke: FuzzProtocol (30s)"
 	go test -fuzz=FuzzProtocol -fuzztime=30s ./internal/daemon
+	echo "== fuzz smoke: FuzzTenantCheckpoint (30s)"
+	go test -fuzz=FuzzTenantCheckpoint -fuzztime=30s ./internal/daemon
 fi
 
 echo "verify: all checks passed"
