@@ -99,13 +99,6 @@ func (in *Incremental) ExtendTables(routines, syncs []string) error {
 	return err
 }
 
-// AppendTables appends newly interned names to the routine and sync
-// tables, the form incremental v2 stream decoding delivers them in.
-func (in *Incremental) AppendTables(routines, syncs []string) {
-	in.env.routines = append(in.env.routines, routines...)
-	in.env.syncs = append(in.env.syncs, syncs...)
-}
-
 func extendTable(what string, have, got []string) ([]string, error) {
 	n := len(have)
 	if len(got) < n {
@@ -128,8 +121,19 @@ func extendTable(what string, have, got []string) ([]string, error) {
 // merged total order; windows produced by trace.SplitByTS and walked in
 // sequence satisfy this by construction.
 func (in *Incremental) FeedEvent(e trace.Event) error {
+	return in.FeedRun([]trace.Event{e})
+}
+
+// FeedRun dispatches a run of the merged stream: consecutive events of one
+// thread, all of them due before any other thread's next event. It feeds
+// exactly what FeedEvent on each event would, with the attach, finish and
+// thread-switch checks done once for the whole run instead of per event.
+func (in *Incremental) FeedRun(run []trace.Event) error {
 	if in.finished {
-		return fmt.Errorf("core: FeedEvent after Finish")
+		return fmt.Errorf("core: FeedRun after Finish")
+	}
+	if len(run) == 0 {
+		return nil
 	}
 	if !in.attached {
 		for _, tl := range in.tools {
@@ -137,23 +141,26 @@ func (in *Incremental) FeedEvent(e trace.Event) error {
 		}
 		in.attached = true
 	}
-	if in.haveLast && in.last != e.Thread {
+	th := run[0].Thread
+	if in.haveLast && in.last != th {
 		sw := trace.Event{
-			TS:     e.TS,
+			TS:     run[0].TS,
 			Thread: in.last,
 			Kind:   trace.KindSwitch,
-			Arg:    uint64(uint32(e.Thread)),
+			Arg:    uint64(uint32(th)),
 		}
 		in.env.now = sw.TS
 		if err := trace.Dispatch(sw, in.tools); err != nil {
 			return err
 		}
 	}
-	in.env.now = e.TS
-	if err := trace.Dispatch(e, in.tools); err != nil {
-		return err
+	in.last, in.haveLast = th, true
+	for i := range run {
+		in.env.now = run[i].TS
+		if err := trace.Dispatch(run[i], in.tools); err != nil {
+			return err
+		}
 	}
-	in.last, in.haveLast = e.Thread, true
 	return nil
 }
 

@@ -33,6 +33,10 @@ func (f *frameBuffer) Write(p []byte) (int, error) {
 
 // Dial connects to a daemon at network/addr (e.g. "tcp", "127.0.0.1:9121"
 // or "unix", "/run/aprofd.sock") and sends the hello identifying the guest.
+// The client's recorder emits no stamp annotations ('A' blocks): the
+// daemon's merge re-derives the interleaving itself and its stream decoder
+// only validates and drops them, so annotating on the guest would be pure
+// cost on this route.
 func Dial(network, addr, tenant, process string) (*Client, error) {
 	conn, err := net.Dial(network, addr)
 	if err != nil {
@@ -44,6 +48,7 @@ func Dial(network, addr, tenant, process string) (*Client, error) {
 	}
 	c := &Client{conn: conn}
 	c.rec = trace.NewStreamRecorder(&c.buf)
+	c.rec.SetAnnotations(false)
 	return c, nil
 }
 

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -47,12 +48,14 @@ type Options struct {
 	Addr    string
 
 	// CheckpointDir, when non-empty, enables per-tenant checkpoints:
-	// <dir>/<tenant>.aprofdck, written at every window cut and restored
-	// when a tenant first appears after a restart.
+	// <dir>/<tenant>.aprofdck, written at every window cut (each one an
+	// export of the rolling profile) and restored when a tenant first
+	// appears after a restart.
 	CheckpointDir string
 
-	// Registry receives the daemon's telemetry (daemon/* counters). May be
-	// nil.
+	// Registry receives the daemon's telemetry: daemon/* counters and
+	// the self-timing histograms (see timing). May be nil, which also
+	// turns the timing off.
 	Registry *telemetry.Registry
 
 	// Profile configures each tenant's analyzer (core.New options).
@@ -67,6 +70,7 @@ type Options struct {
 type Daemon struct {
 	opts Options
 	ln   net.Listener
+	tm   timing
 
 	mu      sync.Mutex
 	tenants map[string]*Tenant
@@ -97,7 +101,14 @@ func Start(opts Options) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: listen %s %s: %w", opts.Network, opts.Addr, err)
 	}
-	d := &Daemon{opts: opts, ln: ln, tenants: make(map[string]*Tenant)}
+	reg := opts.Registry
+	d := &Daemon{opts: opts, ln: ln, tenants: make(map[string]*Tenant), tm: timing{
+		decode:   reg.Histogram("daemon/decode_ns"),
+		feed:     reg.Histogram("daemon/feed_ns"),
+		cut:      reg.Histogram("daemon/cut_ns"),
+		flush:    reg.Histogram("daemon/flush_ns"),
+		lockWait: reg.Histogram("daemon/lock_wait_ns"),
+	}}
 	d.wg.Add(1)
 	go d.acceptLoop()
 	return d, nil
@@ -173,7 +184,9 @@ func (d *Daemon) serveConn(conn net.Conn) {
 			d.logf("aprofd: %s %s/%s: %v", conn.RemoteAddr(), h.Tenant, h.Process, err)
 			return
 		}
+		t0 := d.tm.start()
 		delta, err := dec.Feed(frame)
+		observe(d.tm.decode, t0)
 		if err != nil {
 			// The frame is block-aligned, so a decode fault means the
 			// stream corrupted in flight; nothing of this frame commits.
@@ -231,6 +244,28 @@ func (d *Daemon) tenantList() []*Tenant {
 }
 
 func (d *Daemon) reg() *telemetry.Registry { return d.opts.Registry }
+
+// timing holds the daemon's self-timing histograms (daemon/*_ns, see
+// docs/OBSERVABILITY.md). Without a registry every handle is nil and start
+// returns the zero time, so no clock is read.
+type timing struct {
+	decode, feed, cut, flush, lockWait *telemetry.Histogram
+}
+
+// start returns the current time, or the zero time when timing is off.
+func (tm *timing) start() time.Time {
+	if tm.decode == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observe records the time since t0 in h; a zero t0 records nothing.
+func observe(h *telemetry.Histogram, t0 time.Time) {
+	if !t0.IsZero() {
+		h.Observe(uint64(time.Since(t0)))
+	}
+}
 
 // profOpts returns the per-tenant analyzer options. Telemetry flows into
 // the daemon's registry so /metrics aggregates core counters across

@@ -2,9 +2,11 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,17 +56,29 @@ func (c *tenantConn) effectiveWatermark() uint64 {
 	return c.w
 }
 
-// queue is one thread's not-yet-fed events, in timestamp order.
+// queue is one thread's unfed events: the non-empty segment slices the
+// stream decoder produced, in delivery order, the head one resliced past
+// its fed prefix. owner is the connection streaming the thread.
 type queue struct {
-	events []trace.Event
-	head   int
+	thread guest.ThreadID
+	owner  uint64
+	segs   [][]trace.Event
+}
+
+// push enqueues a delivered segment; an empty one adds nothing.
+func (q *queue) push(events []trace.Event) {
+	if len(events) > 0 {
+		q.segs = append(q.segs, events)
+	}
 }
 
 // Tenant is one tenant's continuous analysis: concurrent guest streams
 // merged through per-connection watermarks into an Incremental analyzer,
 // with a window cut (and a rolling-profile merge) at every frontier
-// advance. All mutation happens under mu; connection handlers call in from
-// their own goroutines.
+// advance. The rolling profile is exported only on a /profile request (the
+// feed's requester), at epoch end and close, and at every cut when
+// checkpointing. All mutation happens under mu; connection handlers call
+// in from their own goroutines.
 type Tenant struct {
 	name string
 	d    *Daemon
@@ -77,9 +91,9 @@ type Tenant struct {
 	feed    *obs.ProfileFeed
 	est     *telemetry.RateEstimator
 
-	conns       map[uint64]*tenantConn
-	queues      map[guest.ThreadID]*queue
-	threadOwner map[guest.ThreadID]uint64
+	conns map[uint64]*tenantConn
+	// queues holds one queue per thread of the epoch, sorted by thread id.
+	queues []*queue
 
 	// watermark is the tenant's merge frontier: every event with TS <=
 	// watermark has been fed to the analyzer, in global timestamp order.
@@ -96,15 +110,14 @@ type Tenant struct {
 // newTenant creates a tenant, restoring its checkpoint when one exists.
 func newTenant(d *Daemon, name string) *Tenant {
 	t := &Tenant{
-		name:        name,
-		d:           d,
-		feed:        obs.NewProfileFeed(),
-		est:         telemetry.NewRateEstimator(0),
-		conns:       make(map[uint64]*tenantConn),
-		queues:      make(map[guest.ThreadID]*queue),
-		threadOwner: make(map[guest.ThreadID]uint64),
-		rolling:     core.MergePartials(),
+		name:    name,
+		d:       d,
+		feed:    obs.NewProfileFeed(),
+		est:     telemetry.NewRateEstimator(0),
+		conns:   make(map[uint64]*tenantConn),
+		rolling: core.MergePartials(),
 	}
+	t.feed.SetRequester(t.publish, 1)
 	t.in = core.NewIncremental(d.profOpts())
 	t.est.SetPhase("idle")
 	ck, err := loadCheckpoint(d.checkpointPath(name))
@@ -119,7 +132,6 @@ func newTenant(d *Daemon, name string) *Tenant {
 		t.eventsFed = ck.Meta.Events
 		t.degraded = ck.Meta.Degraded
 		t.est.Update(t.eventsFed)
-		t.flushLocked(false)
 	}
 	return t
 }
@@ -138,14 +150,16 @@ func (t *Tenant) connect(id uint64, process string) *tenantConn {
 	return c
 }
 
-// deliver commits one decoded frame delta: tables extend, events enqueue,
-// the connection watermark advances to the frame's maximum timestamp, and
-// the tenant frontier advances as far as every connection allows. The
-// caller must deliver only whole, cleanly decoded frames — a frame that
-// failed to decode contributes nothing.
+// deliver commits one decoded frame delta: tables extend, segments
+// enqueue, the connection watermark advances to the frame's maximum
+// timestamp, and the tenant frontier advances as far as every connection
+// allows. The caller must deliver only whole, cleanly decoded frames — a
+// frame that failed to decode contributes nothing.
 func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
+	t0 := t.d.tm.start()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	observe(t.d.tm.lockWait, t0)
 	if c.state != connOpen {
 		return fmt.Errorf("daemon: delivery on a %s connection", stateName(c.state))
 	}
@@ -157,15 +171,12 @@ func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
 	}
 	frameMax := c.w
 	for _, seg := range delta.Segments {
-		if owner, ok := t.threadOwner[seg.Thread]; ok && owner != c.id {
+		i, ok := slices.BinarySearchFunc(t.queues, seg.Thread, queueCmp)
+		if !ok {
+			t.queues = slices.Insert(t.queues, i, &queue{thread: seg.Thread, owner: c.id})
+		} else if t.queues[i].owner != c.id {
 			t.failLocked(c)
 			return fmt.Errorf("daemon: thread %d streamed by two connections", seg.Thread)
-		}
-		t.threadOwner[seg.Thread] = c.id
-		q := t.queues[seg.Thread]
-		if q == nil {
-			q = &queue{}
-			t.queues[seg.Thread] = q
 		}
 		for _, e := range seg.Events {
 			if e.TS <= t.watermark {
@@ -175,11 +186,9 @@ func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
 				t.failLocked(c)
 				return fmt.Errorf("daemon: thread %d event at TS %d arrived behind the merge frontier %d", seg.Thread, e.TS, t.watermark)
 			}
-			q.events = append(q.events, e)
-			if e.TS > frameMax {
-				frameMax = e.TS
-			}
+			frameMax = max(frameMax, e.TS)
 		}
+		t.queues[i].push(seg.Events)
 	}
 	c.w = frameMax
 	if delta.Footer {
@@ -189,6 +198,8 @@ func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
 	t.advanceLocked()
 	return nil
 }
+
+func queueCmp(q *queue, th guest.ThreadID) int { return cmp.Compare(q.thread, th) }
 
 // fail marks a connection dead: its watermark freezes at the last complete
 // frame and the tenant's rolling profile degrades to the frontier that
@@ -242,7 +253,19 @@ func (t *Tenant) advanceLocked() {
 			open++
 		}
 	}
-	fed := t.feedUpTo(frontier)
+	t0 := t.d.tm.start()
+	fed, err := feedRuns(t.queues, frontier, t.in.FeedRun)
+	observe(t.d.tm.feed, t0)
+	if err != nil {
+		// Unreachable for a well-formed stream; surface loudly in
+		// telemetry rather than silently dropping.
+		t.d.reg().Counter("daemon/feed_errors").Inc()
+	}
+	if fed > 0 {
+		t.eventsFed += fed
+		t.d.reg().Counter("daemon/events").Add(fed)
+		t.est.Update(t.eventsFed)
+	}
 	if frontier > t.watermark && frontier != math.MaxUint64 {
 		t.watermark = frontier
 	}
@@ -252,56 +275,71 @@ func (t *Tenant) advanceLocked() {
 	}
 	if fed > 0 {
 		t.cutLocked()
-		t.flushLocked(true)
+		if t.d.opts.CheckpointDir != "" {
+			t.flushLocked(true)
+		}
 	}
 }
 
-// feedUpTo feeds every queued event with TS <= frontier in global
-// timestamp order (ties, impossible in machine-recorded streams, break by
-// thread id) and returns how many were fed.
-func (t *Tenant) feedUpTo(frontier uint64) uint64 {
+// feedRuns feeds every queued event with TS <= frontier in (TS, thread id)
+// order, by runs: the queue with the smallest head feeds while its head
+// stays below every other head and at or below the frontier. queues must
+// be sorted by thread id; fed segments are released at once. It returns
+// how many events feed accepted; a rejected run is dropped and ends it.
+func feedRuns(queues []*queue, frontier uint64, feed func(run []trace.Event) error) (uint64, error) {
 	var fed uint64
 	for {
-		var best *queue
-		var bestTh guest.ThreadID
-		for th, q := range t.queues {
-			if q.head >= len(q.events) {
+		// best and next get the smallest and second-smallest heads; in
+		// thread order, a later queue wins only with a smaller timestamp.
+		var best, next *queue
+		for _, q := range queues {
+			if len(q.segs) == 0 {
 				continue
 			}
-			e := &q.events[q.head]
-			if e.TS > frontier {
-				continue
-			}
-			if best == nil || e.TS < best.events[best.head].TS ||
-				(e.TS == best.events[best.head].TS && th < bestTh) {
-				best, bestTh = q, th
+			switch ts := q.segs[0][0].TS; {
+			case best == nil || ts < best.segs[0][0].TS:
+				best, next = q, best
+			case next == nil || ts < next.segs[0][0].TS:
+				next = q
 			}
 		}
-		if best == nil {
-			break
+		if best == nil || best.segs[0][0].TS > frontier {
+			return fed, nil
 		}
-		e := best.events[best.head]
-		best.head++
-		if err := t.in.FeedEvent(e); err != nil {
-			// Unreachable for a well-formed stream; surface loudly in
-			// telemetry rather than silently dropping.
-			t.d.reg().Counter("daemon/feed_errors").Inc()
-			break
+		// best's run ends at the frontier or before next's head, which wins
+		// a timestamp tie when its thread id is smaller.
+		limit := frontier
+		if next != nil {
+			h := next.segs[0][0].TS
+			if next.thread < best.thread {
+				h-- // best's head is below h, so h > 0
+			}
+			limit = min(limit, h)
 		}
-		fed++
+		seg := best.segs[0] // its head is within the limit
+		n := 1
+		for n < len(seg) && seg[n].TS <= limit {
+			n++
+		}
+		err := feed(seg[:n])
+		if n == len(seg) {
+			best.segs[0] = nil
+			best.segs = best.segs[1:]
+		} else {
+			best.segs[0] = seg[n:]
+		}
+		if err != nil {
+			return fed, err
+		}
+		fed += uint64(n)
 	}
-	if fed > 0 {
-		t.eventsFed += fed
-		t.d.reg().Counter("daemon/events").Add(fed)
-		t.est.Update(t.eventsFed)
-	}
-	return fed
 }
 
 // cutLocked slices the current window off the analyzer and folds it into
 // the rolling profile, renumbering the window into the tenant's global
 // window sequence.
 func (t *Tenant) cutLocked() {
+	defer observe(t.d.tm.cut, t.d.tm.start())
 	part := t.in.Cut()
 	part.FirstWindow += t.windowsBase
 	part.LastWindow += t.windowsBase
@@ -314,20 +352,21 @@ func (t *Tenant) cutLocked() {
 // connection's frozen watermark are discarded, the analyzer finishes, and
 // the tenant resets for the next execution with the rolling profile intact.
 func (t *Tenant) endEpochLocked() {
+	var discarded uint64
 	for _, q := range t.queues {
-		t.discarded += uint64(len(q.events) - q.head)
+		for _, seg := range q.segs {
+			discarded += uint64(len(seg))
+		}
 	}
-	if t.discarded > 0 {
-		t.d.reg().Counter("daemon/events_discarded").Add(t.discarded)
-	}
+	t.discarded += discarded
+	t.d.reg().Counter("daemon/events_discarded").Add(discarded)
 	t.in.Finish()
 	t.cutLocked()
 	t.windowsBase += t.in.Profiler().Windows()
 	t.epoch++
 	t.in = core.NewIncremental(t.d.profOpts())
 	t.conns = make(map[uint64]*tenantConn)
-	t.queues = make(map[guest.ThreadID]*queue)
-	t.threadOwner = make(map[guest.ThreadID]uint64)
+	t.queues = nil
 	t.watermark = 0
 	if t.degraded {
 		t.est.SetPhase("degraded")
@@ -337,9 +376,17 @@ func (t *Tenant) endEpochLocked() {
 	t.flushLocked(true)
 }
 
+// publish exports the rolling profile into the feed: the feed's requester.
+func (t *Tenant) publish() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flushLocked(false)
+}
+
 // flushLocked exports the rolling profile once and hands the bytes to the
 // feed and, when checkpoint is set, to the tenant's checkpoint.
 func (t *Tenant) flushLocked(checkpoint bool) {
+	defer observe(t.d.tm.flush, t.d.tm.start())
 	export, err := t.rolling.Profile.Export()
 	if err != nil {
 		t.d.reg().Counter("daemon/export_errors").Inc()

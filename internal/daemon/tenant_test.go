@@ -1,0 +1,572 @@
+package daemon
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"net/http"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/block"
+	"repro/internal/guest"
+	"repro/internal/obs"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+)
+
+// minScanFeed is the reference merge: the per-event min-scan the run merge
+// replaced. It feeds, one event at a time, the smallest (TS, thread id)
+// head at or below the frontier, over a map of per-thread event slices.
+func minScanFeed(queues map[guest.ThreadID][]trace.Event, frontier uint64) []trace.Event {
+	var fed []trace.Event
+	for {
+		var best []trace.Event
+		var bestTh guest.ThreadID
+		for th, q := range queues {
+			if len(q) == 0 || q[0].TS > frontier {
+				continue
+			}
+			if best == nil || q[0].TS < best[0].TS || (q[0].TS == best[0].TS && th < bestTh) {
+				best, bestTh = q, th
+			}
+		}
+		if best == nil {
+			return fed
+		}
+		fed = append(fed, best[0])
+		queues[bestTh] = best[1:]
+	}
+}
+
+// TestFeedRunsMatchesMinScan: over randomized queues — several segments
+// per thread, empty segments, timestamps tied across threads, frontiers
+// that stop mid-segment — the run merge feeds exactly the event sequence
+// of the per-event min-scan, in runs of one thread each, and leaves the
+// same events queued.
+func TestFeedRunsMatchesMinScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		var queues []*queue
+		ref := make(map[guest.ThreadID][]trace.Event)
+		id := uint64(0)
+		maxTS := uint64(0)
+		for _, th := range rng.Perm(6)[:1+rng.Intn(5)] {
+			q := &queue{thread: guest.ThreadID(th)}
+			ts := uint64(1 + rng.Intn(3))
+			for s := rng.Intn(5); s > 0; s-- {
+				seg := make([]trace.Event, rng.Intn(5))
+				for i := range seg {
+					id++
+					seg[i] = trace.Event{TS: ts, Thread: q.thread, Arg: id}
+					ref[q.thread] = append(ref[q.thread], seg[i])
+					maxTS = max(maxTS, ts)
+					ts += uint64(rng.Intn(3)) // ties within and across threads
+				}
+				q.push(seg)
+			}
+			queues = append(queues, q)
+		}
+		sort.Slice(queues, func(i, j int) bool { return queues[i].thread < queues[j].thread })
+
+		frontier := uint64(0)
+		for frontier < maxTS {
+			frontier += 1 + uint64(rng.Intn(4))
+			if rng.Intn(4) == 0 {
+				frontier = math.MaxUint64 // a finished connection
+			}
+			want := minScanFeed(ref, frontier)
+			var got []trace.Event
+			n, err := feedRuns(queues, frontier, func(run []trace.Event) error {
+				if len(run) == 0 {
+					t.Fatal("empty run")
+				}
+				for _, e := range run {
+					if e.Thread != run[0].Thread {
+						t.Fatalf("run mixes threads %d and %d", run[0].Thread, e.Thread)
+					}
+				}
+				got = append(got, run...)
+				return nil
+			})
+			if err != nil || n != uint64(len(got)) {
+				t.Fatalf("feedRuns = %d, %v for %d fed events", n, err, len(got))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("iteration %d, frontier %d: run merge fed\n%v\nmin-scan fed\n%v", iter, frontier, got, want)
+			}
+			for _, q := range queues {
+				var rest []trace.Event
+				for _, seg := range q.segs {
+					if len(seg) == 0 {
+						t.Fatalf("thread %d queues an empty segment", q.thread)
+					}
+					rest = append(rest, seg...)
+				}
+				if !slices.Equal(rest, ref[q.thread]) {
+					t.Fatalf("thread %d keeps %v queued, the min-scan %v", q.thread, rest, ref[q.thread])
+				}
+			}
+		}
+	}
+}
+
+// sameArray reports whether two slices share a backing array.
+func sameArray(x, y []trace.Event) bool {
+	return cap(x) > 0 && cap(y) > 0 && &x[:cap(x)][cap(x)-1] == &y[:cap(y)][cap(y)-1]
+}
+
+// TestFedSegmentReleased: once its last event is fed, a segment is no
+// longer referenced by its queue, neither from the queue's live slots nor
+// from the cleared slot before them; a partly fed segment stays, resliced
+// past its fed prefix.
+func TestFedSegmentReleased(t *testing.T) {
+	a := []trace.Event{{TS: 1, Thread: 1}, {TS: 2, Thread: 1}}
+	b := []trace.Event{{TS: 5, Thread: 1}, {TS: 6, Thread: 1}}
+	q := &queue{thread: 1}
+	q.push(a)
+	q.push(b)
+	slots := q.segs[:cap(q.segs)]
+	n, err := feedRuns([]*queue{q}, 5, func([]trace.Event) error { return nil })
+	if err != nil || n != 3 {
+		t.Fatalf("feedRuns = %d, %v; want 3 events", n, err)
+	}
+	for _, s := range append(slots, q.segs[:cap(q.segs)]...) {
+		if sameArray(s, a) {
+			t.Fatal("the fed segment is still referenced by its queue")
+		}
+	}
+	if len(q.segs) != 1 || len(q.segs[0]) != 1 || &q.segs[0][0] != &b[1] {
+		t.Fatalf("the partly fed segment should remain as its unfed suffix, queue holds %v", q.segs)
+	}
+}
+
+// started starts a daemon that closes when the test ends, after the
+// clients dialed to it have been dropped.
+func started(t *testing.T, opts Options) *Daemon {
+	t.Helper()
+	d, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// dialed connects n guests to tenant and waits until the daemon has
+// registered every hello.
+func dialed(t *testing.T, d *Daemon, tenant string, n int) []*Client {
+	t.Helper()
+	var clients []*Client
+	for i := 0; i < n; i++ {
+		c, err := Dial("tcp", d.Addr(), tenant, fmt.Sprintf("guest-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Abort() })
+		clients = append(clients, c)
+	}
+	waitFor(t, "every connection", func() bool {
+		ten := d.Lookup(tenant)
+		return ten != nil && len(ten.Status().Connections) == n
+	})
+	return clients
+}
+
+// streamPrefix records the first n events of shard's merged order into the
+// client and flushes them as one frame. It returns the frame's watermark,
+// the last recorded timestamp.
+func streamPrefix(t *testing.T, c *Client, shard *trace.Trace, n int) uint64 {
+	t.Helper()
+	env := &streamEnv{routines: shard.Routines, syncs: shard.Syncs}
+	c.Recorder().Attach(env)
+	var watermark uint64
+	for _, e := range trace.Merge(shard, 1)[:n] {
+		env.now = e.TS
+		if err := trace.Dispatch(e, []guest.Tool{c.Recorder()}); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != trace.KindSwitch {
+			watermark = e.TS
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return watermark
+}
+
+// countAbove counts the trace's events with TS above ts.
+func countAbove(tr *trace.Trace, ts uint64) uint64 {
+	var n uint64
+	for i := range tr.Threads {
+		for _, e := range tr.Threads[i].Events {
+			if e.TS > ts {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestDiscardedExactAfterAbort: after a guest dies mid-stream, the epoch
+// discards exactly the survivor's events past the victim's frozen
+// watermark, feeds exactly those at or below it, and a following clean
+// epoch leaves the count (and the daemon/events_discarded counter) as is.
+func TestDiscardedExactAfterAbort(t *testing.T) {
+	tr := recordedRun(t)
+	shards := shardThreads(tr, 2)
+	reg := telemetry.NewRegistry()
+	d := started(t, Options{Registry: reg})
+	clients := dialed(t, d, "acme", 2)
+	survivor, victim := clients[0], clients[1]
+
+	watermark := streamPrefix(t, victim, shards[1], shards[1].NumEvents()/2)
+	if err := victim.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	ten := d.Lookup("acme")
+	waitFor(t, "victim marked dead", func() bool { return ten.Status().Degraded })
+	if err := survivor.Stream(shards[0], 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := survivor.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "epoch end", func() bool { return ten.Status().Epoch == 1 })
+
+	wantDiscarded := countAbove(shards[0], watermark)
+	wantEvents := uint64(tr.NumEvents()) - countAbove(tr, watermark)
+	check := func(when string) {
+		t.Helper()
+		st := ten.Status()
+		if st.Discarded != wantDiscarded {
+			t.Errorf("%s: discarded %d, want %d", when, st.Discarded, wantDiscarded)
+		}
+		if got := reg.Counter("daemon/events_discarded").Load(); got != wantDiscarded {
+			t.Errorf("%s: daemon/events_discarded = %d, want %d", when, got, wantDiscarded)
+		}
+	}
+	if st := ten.Status(); st.Events != wantEvents {
+		t.Errorf("fed %d events, want the %d at or below the frozen watermark", st.Events, wantEvents)
+	}
+	check("after the abort")
+
+	c := dialed(t, d, "acme", 1)[0]
+	if err := c.Stream(tr, 1, 32); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "second epoch end", func() bool { return ten.Status().Epoch == 2 })
+	check("after a clean epoch")
+}
+
+// TestOutOfRangeAddressKillsConnection: a guest streaming reads outside
+// the analysed address space loses its connection at the first such
+// frame; its tenant degrades, the daemon keeps serving, and another
+// tenant's profile is unaffected.
+func TestOutOfRangeAddressKillsConnection(t *testing.T) {
+	tr := recordedRun(t)
+	want := batchExport(t, tr)
+	bad := &trace.Trace{Routines: tr.Routines, Syncs: tr.Syncs}
+	for i := range tr.Threads {
+		events := slices.Clone(tr.Threads[i].Events)
+		for j := range events {
+			if events[j].Kind == trace.KindRead {
+				events[j].Arg |= 1 << 45
+			}
+		}
+		bad.Threads = append(bad.Threads, trace.ThreadTrace{ID: tr.Threads[i].ID, Events: events})
+	}
+
+	d := started(t, Options{})
+	evil := dialed(t, d, "evil", 1)[0]
+	evil.Recorder().SetAnnotations(false)
+	// The daemon drops the connection at the first bad frame, so later
+	// writes may fail; only the daemon's side matters here.
+	_ = evil.Stream(bad, 1, 16)
+	_ = evil.Close()
+	bt := d.Lookup("evil")
+	waitFor(t, "the bad connection to die", func() bool {
+		st := bt.Status()
+		return st.Degraded && st.Epoch == 1
+	})
+	if st := bt.Status(); st.Events >= uint64(tr.NumEvents()) {
+		t.Errorf("fed all %d events of a stream with out-of-range reads", st.Events)
+	}
+
+	good := dialed(t, d, "good", 1)[0]
+	if err := good.Stream(tr, 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gt := d.Lookup("good")
+	waitFor(t, "the good epoch to end", func() bool { return gt.Status().Epoch == 1 })
+	doc := tenantDoc(t, gt)
+	if doc.Degraded {
+		t.Error("the good tenant reports degradation")
+	}
+	if got := docProfileBytes(doc); !bytes.Equal(got, want) {
+		t.Fatalf("the good tenant's profile diverges from batch analysis (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestDialSendsNoAnnotations: a client's frames carry event segments but
+// no stamp-annotation blocks, and they still decode to the recorded run.
+func TestDialSendsNoAnnotations(t *testing.T) {
+	tr := recordedRun(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			got <- nil
+			return
+		}
+		defer conn.Close()
+		br := bufioReader(conn)
+		var stream []byte
+		if _, err := readHello(br); err == nil {
+			for {
+				frame, err := readFrame(br, nil)
+				if err != nil {
+					break
+				}
+				stream = append(stream, frame...)
+			}
+		}
+		got <- stream
+	}()
+	c, err := Dial("tcp", ln.Addr().String(), "acme", "guest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stream(tr, 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := <-got
+
+	const prelude = 9 // magic and version byte
+	format := block.Format{Kinds: "RYEAF", MaxPayload: 1 << 28}
+	kinds := make(map[byte]int)
+	for off := prelude; off < len(stream); {
+		f, err := format.Next(stream, off)
+		if err != nil {
+			t.Fatalf("block at offset %d: %v", off, err)
+		}
+		kinds[f.Kind]++
+		off = f.End
+	}
+	if kinds['A'] != 0 || kinds['E'] == 0 {
+		t.Fatalf("client stream has blocks %v; want segments and no annotations", kinds)
+	}
+	dec, err := trace.Decode(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Annotated || dec.NumEvents() != tr.NumEvents() {
+		t.Fatalf("decoded %d events (annotated %v), recorded %d", dec.NumEvents(), dec.Annotated, tr.NumEvents())
+	}
+}
+
+// TestDaemonTimingHistograms: after a two-guest run, every self-timing
+// histogram has observations in the registry and appears on /metrics.
+func TestDaemonTimingHistograms(t *testing.T) {
+	tr := recordedRun(t)
+	shards := shardThreads(tr, 2)
+	reg := telemetry.NewRegistry()
+	srv, err := obs.Start(obs.Options{Addr: "127.0.0.1:0", Registry: reg, Component: "daemon-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	d := started(t, Options{Registry: reg})
+	for i, c := range dialed(t, d, "acme", 2) {
+		if err := c.Stream(shards[i], 1, 16); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "epoch end", func() bool { return d.Lookup("acme").Status().Epoch == 1 })
+
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off := started(t, Options{}); !off.tm.start().IsZero() {
+		t.Error("a daemon without a registry reads the clock")
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"daemon/decode_ns", "daemon/feed_ns", "daemon/cut_ns", "daemon/flush_ns", "daemon/lock_wait_ns"} {
+		if h := snap.Histograms[name]; h.Count == 0 {
+			t.Errorf("%s has no observations", name)
+		}
+		if !strings.Contains(string(metrics), telemetry.PrometheusName(name)+"_count") {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+}
+
+// TestMidEpochProfileMatchesStatus: a /profile request in the middle of
+// an epoch exports on demand a document that agrees with Status and whose
+// profile is the batch analysis of the events fed so far.
+func TestMidEpochProfileMatchesStatus(t *testing.T) {
+	tr := recordedRun(t)
+	d := started(t, Options{})
+	c := dialed(t, d, "acme", 1)[0]
+	watermark := streamPrefix(t, c, tr, tr.NumEvents()/2)
+	ten := d.Lookup("acme")
+	waitFor(t, "the frame to be fed", func() bool { return ten.Status().Watermark == watermark })
+
+	raw, err := ten.Feed().Get(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		profileDoc
+		Watermark uint64 `json:"watermark"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	st := ten.Status()
+	if doc.Events != st.Events || doc.Windows != st.Windows || doc.Watermark != st.Watermark || doc.Epoch != 0 {
+		t.Errorf("document says events %d, windows %d, watermark %d, epoch %d; Status says %d, %d, %d, %d",
+			doc.Events, doc.Windows, doc.Watermark, doc.Epoch, st.Events, st.Windows, st.Watermark, st.Epoch)
+	}
+	want := batchExport(t, trace.SplitByTS(tr, []uint64{watermark})[0])
+	if got := docProfileBytes(doc.profileDoc); !bytes.Equal(got, want) {
+		t.Fatalf("mid-epoch profile is not the batch analysis of the fed prefix (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestCheckpointEveryCut: with CheckpointDir set, every window cut
+// rewrites the tenant's checkpoint with the tenant's current accounting.
+func TestCheckpointEveryCut(t *testing.T) {
+	tr := recordedRun(t)
+	d := started(t, Options{CheckpointDir: t.TempDir()})
+	c := dialed(t, d, "acme", 1)[0]
+	ten := d.Lookup("acme")
+	env := &streamEnv{routines: tr.Routines, syncs: tr.Syncs}
+	c.Recorder().Attach(env)
+	cuts := 0
+	for i, e := range trace.Merge(tr, 1) {
+		env.now = e.TS
+		if err := trace.Dispatch(e, []guest.Tool{c.Recorder()}); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 != 49 {
+			continue
+		}
+		windows := ten.Status().Windows
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "a cut", func() bool { return ten.Status().Windows == windows+1 })
+		st := ten.Status()
+		ck, err := loadCheckpoint(d.checkpointPath("acme"))
+		if err != nil || ck == nil {
+			t.Fatalf("loading the checkpoint after cut %d: %v", st.Windows, err)
+		}
+		if ck.Meta.Windows != st.Windows || ck.Meta.Events != st.Events {
+			t.Fatalf("checkpoint holds %d windows / %d events, the tenant %d / %d", ck.Meta.Windows, ck.Meta.Events, st.Windows, st.Events)
+		}
+		cuts++
+	}
+	if cuts < 2 {
+		t.Fatalf("only %d cuts checked", cuts)
+	}
+}
+
+// TestProfilePollDuringIngest polls the tenant's profile while two guests
+// stream into it. Every document parses and never moves backwards, and
+// the final one matches batch analysis. CI runs it under the race
+// detector many times over.
+func TestProfilePollDuringIngest(t *testing.T) {
+	tr := recordedRun(t)
+	want := batchExport(t, tr)
+	shards := shardThreads(tr, 2)
+	d := started(t, Options{})
+	clients := dialed(t, d, "acme", 2)
+	ten := d.Lookup("acme")
+
+	done := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		var last uint64
+		var err error
+		for polls := 0; err == nil; polls++ {
+			select {
+			case <-done:
+				polled <- nil
+				return
+			default:
+			}
+			var raw []byte
+			if raw, err = ten.Feed().Get(context.Background()); err != nil {
+				break
+			}
+			var doc profileDoc
+			if err = json.Unmarshal(raw, &doc); err != nil {
+				break
+			}
+			if doc.Events < last {
+				err = fmt.Errorf("poll %d: events went back from %d to %d", polls, last, doc.Events)
+			}
+			last = doc.Events
+		}
+		polled <- err
+	}()
+
+	var wg sync.WaitGroup
+	errs := make([]error, len(clients))
+	for i, c := range clients {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			if errs[i] = c.Stream(shards[i], 1, 8); errs[i] == nil {
+				errs[i] = c.Close()
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("guest %d: %v", i, err)
+		}
+	}
+	waitFor(t, "epoch end", func() bool { return ten.Status().Epoch == 1 })
+	close(done)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if got := docProfileBytes(tenantDoc(t, ten)); !bytes.Equal(got, want) {
+		t.Fatalf("rolling profile diverges from batch analysis (%d vs %d bytes)", len(got), len(want))
+	}
+}

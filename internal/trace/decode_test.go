@@ -3,11 +3,13 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -166,5 +168,72 @@ func TestDecodeTimePublished(t *testing.T) {
 			t.Fatalf("trace/decode_ns went from %d to %d", before, after)
 		}
 		before = after
+	}
+}
+
+// TestOutOfRangeAddressRejected: every decoder rejects a memory access at
+// or above 1<<shadow.MaxAddrBits with an *AddressError — Decode and the
+// StreamDecoder fail, Recover drops the segment with DropAddress and keeps
+// the rest, Verify reports the block — while the last in-range address and
+// out-of-range arguments of non-memory events decode.
+func TestOutOfRangeAddressRejected(t *testing.T) {
+	const limit = uint64(1) << shadow.MaxAddrBits
+	encode := func(tr *trace.Trace) []byte {
+		var buf bytes.Buffer
+		if _, err := tr.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	good := trace.ThreadTrace{ID: 1, Events: []trace.Event{
+		{TS: 1, Thread: 1, Kind: trace.KindRead, Arg: limit - 1},
+		{TS: 2, Thread: 1, Kind: trace.KindAlloc, Arg: limit << 4, Aux: 8},
+	}}
+	if _, err := trace.Decode(bytes.NewReader(encode(&trace.Trace{Threads: []trace.ThreadTrace{good}}))); err != nil {
+		t.Fatalf("in-range trace rejected: %v", err)
+	}
+	for _, k := range []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite} {
+		bad := trace.ThreadTrace{ID: 2, Events: []trace.Event{
+			{TS: 3, Thread: 2, Kind: trace.KindWrite, Arg: 64},
+			{TS: 4, Thread: 2, Kind: k, Arg: limit},
+		}}
+		data := encode(&trace.Trace{Threads: []trace.ThreadTrace{good, bad}})
+		isAddr := func(what string, err error) {
+			t.Helper()
+			var ae *trace.AddressError
+			if !errors.As(err, &ae) || ae.Addr != limit || ae.Kind != k || ae.Event != 1 {
+				t.Errorf("%s of a %s at %#x: got %v, want an AddressError", what, k, limit, err)
+			}
+		}
+		_, err := trace.Decode(bytes.NewReader(data))
+		isAddr("Decode", err)
+		_, err = trace.NewStreamDecoder().Feed(data)
+		isAddr("StreamDecoder", err)
+
+		tr, rep, err := trace.Recover(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Dropped) != 1 || rep.Dropped[0].Cause != trace.DropAddress || rep.Dropped[0].Thread != 2 {
+			t.Errorf("Recover of a %s at %#x dropped %+v, want thread 2's segment as %s", k, limit, rep.Dropped, trace.DropAddress)
+		}
+		if tr.NumEvents() != len(good.Events) {
+			t.Errorf("Recover salvaged %d events, want thread 1's %d", tr.NumEvents(), len(good.Events))
+		}
+
+		vr, err := trace.Verify(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad1 := 0
+		for _, b := range vr.Blocks {
+			if b.Err != nil {
+				bad1++
+				isAddr("Verify", b.Err)
+			}
+		}
+		if bad1 != 1 {
+			t.Errorf("Verify reports %d bad blocks, want 1", bad1)
+		}
 	}
 }

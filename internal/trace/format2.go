@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/guest"
+	"repro/internal/shadow"
 )
 
 // Wire-format v2: after the shared 9-byte prelude (magic + version byte)
@@ -257,9 +258,29 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 	return threadIDFromWire(idWire), int(count), p.Off(), nil
 }
 
+// AddressError reports a decoded memory access whose address lies outside
+// the analysed address space, at or above 1<<shadow.MaxAddrBits. The guest
+// machine never issues one, and every consumer of decoded events (the
+// annotator, the profiler, aprofd) indexes shadow memory by address, so
+// the event parser rejects it: a decoded event is always analysable.
+type AddressError struct {
+	// Event is the event's index in its segment.
+	Event int
+	// Kind is the access kind (read, write, kernelRead or kernelWrite).
+	Kind Kind
+	// Addr is the out-of-range address.
+	Addr uint64
+}
+
+// Error names the event, its kind and its address.
+func (e *AddressError) Error() string {
+	return fmt.Sprintf("event %d: %s address %#x outside the %d-bit analysed address space", e.Event, e.Kind, e.Addr, shadow.MaxAddrBits)
+}
+
 // parseEvents decodes a segment's events, the payload after its header,
 // into dst, which holds exactly the header's count: timestamps restart from
-// 0 at each segment and come back absolute. It returns how many of the
+// 0 at each segment and come back absolute. A memory access outside the
+// analysed address space is an *AddressError. It returns how many of the
 // events are reads, the stamps a complete annotation carries for them.
 func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err error) {
 	p := block.NewParser(body)
@@ -283,6 +304,9 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err er
 		}
 		if k >= numKinds {
 			return 0, fmt.Errorf("event %d: invalid event kind %d", i, k)
+		}
+		if arg>>shadow.MaxAddrBits != 0 && k >= KindRead && k <= KindKernelWrite {
+			return 0, &AddressError{Event: i, Kind: k, Addr: arg}
 		}
 		ts += delta
 		dst[i] = Event{TS: ts, Thread: id, Kind: k, Arg: arg, Aux: aux}

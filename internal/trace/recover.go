@@ -28,6 +28,9 @@ const (
 	// DropInvalid: the checksum verified but the payload did not parse —
 	// an encoder bug or a deliberately malformed file.
 	DropInvalid
+	// DropAddress: the checksum verified but a memory access in the segment
+	// lies outside the analysed address space (an *AddressError).
+	DropAddress
 )
 
 // String renders the cause as a short diagnostic word.
@@ -41,6 +44,8 @@ func (c DropCause) String() string {
 		return "framing"
 	case DropInvalid:
 		return "invalid"
+	case DropAddress:
+		return "address"
 	}
 	return fmt.Sprintf("DropCause(%d)", int(c))
 }
@@ -220,7 +225,10 @@ func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 // dropped describes a bad block as Recover reports it.
 func (b *scanBlock) dropped() DroppedBlock {
 	d := DroppedBlock{Offset: int64(b.Off), Kind: b.Kind, Cause: DropInvalid, Detail: b.err.Error(), Thread: b.id, HasThread: b.hasID}
+	var addrErr *AddressError
 	switch {
+	case errors.As(b.err, &addrErr):
+		d.Cause = DropAddress
 	case errors.Is(b.err, block.ErrFraming):
 		d.Cause = DropFraming
 	case errors.Is(b.err, block.ErrTruncated):
