@@ -160,13 +160,18 @@ func (p *Parser) Err() error { return p.err }
 // Off returns how many bytes have been consumed.
 func (p *Parser) Off() int { return p.off }
 
-// Small reads the next uvarint if it is one byte long, the common case on
-// the wire (timestamp deltas, small args). Unlike Uvarint, which is over
-// the compiler's inlining budget, it inlines, so hot loops try it first.
-func (p *Parser) Small() (uint64, bool) {
-	if p.off < len(p.b) && p.b[p.off] < 0x80 {
+// Short reads the next uvarint if it is one or two bytes long, the common
+// case on the wire (timestamp deltas, addresses), accepting exactly the
+// byte strings binary.Uvarint accepts at those lengths (non-minimal
+// two-byte forms included). Unlike Uvarint, which is over the compiler's
+// inlining budget, it inlines, so hot loops try it first.
+func (p *Parser) Short() (uint64, bool) {
+	if b := p.b[p.off:]; len(b) > 0 && b[0] < 0x80 {
 		p.off++
-		return uint64(p.b[p.off-1]), true
+		return uint64(b[0]), true
+	} else if len(b) > 1 && b[1] < 0x80 {
+		p.off += 2
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, true
 	}
 	return 0, false
 }

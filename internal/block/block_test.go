@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -55,14 +56,14 @@ func TestFraming(t *testing.T) {
 // TestParser: a failure sticks, and Count rejects a count the rest of the
 // payload cannot hold.
 func TestParser(t *testing.T) {
-	p := NewParser([]byte{0x05, 0x80, 0x01, 'x'})
-	if v, ok := p.Small(); !ok || v != 5 {
-		t.Fatalf("Small = %d, %v", v, ok)
+	p := NewParser([]byte{0x05, 0x80, 0x80, 0x01, 'x'})
+	if v, ok := p.Short(); !ok || v != 5 {
+		t.Fatalf("Short = %d, %v", v, ok)
 	}
-	if _, ok := p.Small(); ok {
-		t.Fatal("Small read a two-byte uvarint")
+	if _, ok := p.Short(); ok {
+		t.Fatal("Short read a three-byte uvarint")
 	}
-	if v := p.Uvarint(); v != 128 {
+	if v := p.Uvarint(); v != 1<<14 {
 		t.Fatalf("Uvarint = %d", v)
 	}
 	if b := p.Byte(); b != 'x' || p.End("trailing") != nil {
@@ -75,5 +76,32 @@ func TestParser(t *testing.T) {
 	p = NewParser([]byte{3, 1, 2})
 	if n := p.Count(1); n != 0 || p.Err() == nil {
 		t.Fatalf("Count of 3 one-byte elements in 2 bytes = %d, %v", n, p.Err())
+	}
+}
+
+// TestShortMatchesUvarint: on every input of one to three bytes, Short
+// either declines (and binary.Uvarint needs more than two bytes or
+// rejects the input) or reads exactly what binary.Uvarint reads.
+func TestShortMatchesUvarint(t *testing.T) {
+	buf := make([]byte, 3)
+	check := func(in []byte) {
+		want, n := binary.Uvarint(in)
+		p := NewParser(in)
+		got, ok := p.Short()
+		switch {
+		case ok && (n < 1 || n > 2 || got != want || p.Off() != n):
+			t.Fatalf("Short(% x) = %d after %d bytes; binary.Uvarint reads %d in %d", in, got, p.Off(), want, n)
+		case !ok && n >= 1 && n <= 2:
+			t.Fatalf("Short(% x) declined a %d-byte uvarint", in, n)
+		case !ok && p.Off() != 0:
+			t.Fatalf("Short(% x) declined but consumed %d bytes", in, p.Off())
+		}
+	}
+	check(nil)
+	for n := 1; n <= 3; n++ {
+		for v := 0; v < 1<<(8*n); v++ {
+			buf[0], buf[1], buf[2] = byte(v), byte(v>>8), byte(v>>16)
+			check(buf[:n])
+		}
 	}
 }

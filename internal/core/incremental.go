@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/guest"
+	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -69,6 +70,8 @@ type Incremental struct {
 
 	haveLast bool
 	last     guest.ThreadID
+	// batch is FeedRun's reused MemBatch buffer.
+	batch []guest.MemEvent
 }
 
 // NewIncremental returns an incremental analyzer over a fresh Profiler
@@ -128,6 +131,11 @@ func (in *Incremental) FeedEvent(e trace.Event) error {
 // thread, all of them due before any other thread's next event. It feeds
 // exactly what FeedEvent on each event would, with the attach, finish and
 // thread-switch checks done once for the whole run instead of per event.
+// Each maximal stretch of memory accesses goes to the profiler as one
+// MemBatch, the batched loop a live run feeds; only the other events are
+// dispatched one by one. A memory access at or above 1<<shadow.MaxAddrBits
+// is an *trace.AddressError (Event is its index in run), reported after
+// every event before it has been fed.
 func (in *Incremental) FeedRun(run []trace.Event) error {
 	if in.finished {
 		return fmt.Errorf("core: FeedRun after Finish")
@@ -155,27 +163,60 @@ func (in *Incremental) FeedRun(run []trace.Event) error {
 		}
 	}
 	in.last, in.haveLast = th, true
-	for i := range run {
-		in.env.now = run[i].TS
-		if err := trace.Dispatch(run[i], in.tools); err != nil {
+	for i := 0; i < len(run); {
+		if !run[i].Kind.IsMemory() {
+			in.env.now = run[i].TS
+			if err := trace.Dispatch(run[i], in.tools); err != nil {
+				return err
+			}
+			i++
+			continue
+		}
+		batch := in.batch[:0]
+		j := i
+		var err error
+		for ; j < len(run) && run[j].Kind.IsMemory(); j++ {
+			e := &run[j]
+			if e.Arg>>shadow.MaxAddrBits != 0 {
+				err = &trace.AddressError{Event: j, Kind: e.Kind, Addr: e.Arg}
+				break
+			}
+			batch = append(batch, guest.MemEvent(e.Arg)|memFlags[e.Kind-trace.KindRead])
+		}
+		if len(batch) > 0 {
+			in.env.now = run[j-1].TS
+			in.prof.MemBatch(th, run[i].TS, batch)
+		}
+		in.batch = batch
+		if err != nil {
 			return err
 		}
+		i = j
 	}
 	return nil
 }
 
+// memFlags packs a memory access kind, indexed from trace.KindRead, into
+// the flag bits of a guest.MemEvent.
+var memFlags = [...]guest.MemEvent{
+	trace.KindRead - trace.KindRead:        guest.ReadEvent(0),
+	trace.KindWrite - trace.KindRead:       guest.WriteEvent(0),
+	trace.KindKernelRead - trace.KindRead:  guest.KernelReadEvent(0),
+	trace.KindKernelWrite - trace.KindRead: guest.KernelWriteEvent(0),
+}
+
 // FeedTrace feeds one window trace: its name tables extend the accumulated
 // ones (prefix-checked), then its events are walked in merged order and
-// fed. Feeding the windows of trace.SplitByTS in sequence replays exactly
-// the full trace's merged stream.
+// fed run by run. Feeding the windows of trace.SplitByTS in sequence
+// replays exactly the full trace's merged stream.
 func (in *Incremental) FeedTrace(tr *trace.Trace, tieSeed int64) error {
 	if err := in.ExtendTables(tr.Routines, tr.Syncs); err != nil {
 		return err
 	}
 	var ferr error
-	trace.Walk(tr, tieSeed, func(_, _ int, e *trace.Event) {
+	trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
 		if ferr == nil {
-			ferr = in.FeedEvent(*e)
+			ferr = in.FeedRun(tr.Threads[ti].Events[lo:hi])
 		}
 	})
 	return ferr

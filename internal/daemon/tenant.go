@@ -58,11 +58,25 @@ func (c *tenantConn) effectiveWatermark() uint64 {
 
 // queue is one thread's unfed events: the non-empty segment slices the
 // stream decoder produced, in delivery order, the head one resliced past
-// its fed prefix. owner is the connection streaming the thread.
+// its fed prefix. head is the head segment as decoded once it has been
+// resliced, the storage trace.ReleaseSegment takes back. owner is the
+// connection streaming the thread.
 type queue struct {
 	thread guest.ThreadID
 	owner  uint64
 	segs   [][]trace.Event
+	head   []trace.Event
+}
+
+// pop drops the fully fed head segment and releases its storage.
+func (q *queue) pop() {
+	if q.head == nil {
+		q.head = q.segs[0]
+	}
+	trace.ReleaseSegment(q.head)
+	q.head = nil
+	q.segs[0] = nil
+	q.segs = q.segs[1:]
 }
 
 // push enqueues a delivered segment; an empty one adds nothing.
@@ -178,15 +192,17 @@ func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
 			t.failLocked(c)
 			return fmt.Errorf("daemon: thread %d streamed by two connections", seg.Thread)
 		}
-		for _, e := range seg.Events {
-			if e.TS <= t.watermark {
+		// A decoded segment's timestamps never decrease, so its first
+		// event is its earliest and its last its latest.
+		if n := len(seg.Events); n > 0 {
+			if first := seg.Events[0].TS; first <= t.watermark {
 				// The frontier has already passed this timestamp: feeding it
 				// would corrupt the merged order. Late joiners must connect
 				// before their execution's events overlap the fed prefix.
 				t.failLocked(c)
-				return fmt.Errorf("daemon: thread %d event at TS %d arrived behind the merge frontier %d", seg.Thread, e.TS, t.watermark)
+				return fmt.Errorf("daemon: thread %d event at TS %d arrived behind the merge frontier %d", seg.Thread, first, t.watermark)
 			}
-			frameMax = max(frameMax, e.TS)
+			frameMax = max(frameMax, seg.Events[n-1].TS)
 		}
 		t.queues[i].push(seg.Events)
 	}
@@ -284,7 +300,8 @@ func (t *Tenant) advanceLocked() {
 // feedRuns feeds every queued event with TS <= frontier in (TS, thread id)
 // order, by runs: the queue with the smallest head feeds while its head
 // stays below every other head and at or below the frontier. queues must
-// be sorted by thread id; fed segments are released at once. It returns
+// be sorted by thread id; a segment is released (trace.ReleaseSegment)
+// once its last event is fed, so feed must not retain its run. It returns
 // how many events feed accepted; a rejected run is dropped and ends it.
 func feedRuns(queues []*queue, frontier uint64, feed func(run []trace.Event) error) (uint64, error) {
 	var fed uint64
@@ -323,9 +340,11 @@ func feedRuns(queues []*queue, frontier uint64, feed func(run []trace.Event) err
 		}
 		err := feed(seg[:n])
 		if n == len(seg) {
-			best.segs[0] = nil
-			best.segs = best.segs[1:]
+			best.pop()
 		} else {
+			if best.head == nil {
+				best.head = seg
+			}
 			best.segs[0] = seg[n:]
 		}
 		if err != nil {
@@ -354,8 +373,9 @@ func (t *Tenant) cutLocked() {
 func (t *Tenant) endEpochLocked() {
 	var discarded uint64
 	for _, q := range t.queues {
-		for _, seg := range q.segs {
-			discarded += uint64(len(seg))
+		for len(q.segs) > 0 {
+			discarded += uint64(len(q.segs[0]))
+			q.pop()
 		}
 	}
 	t.discarded += discarded

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // minScanFeed is the reference merge: the per-event min-scan the run merge
@@ -568,5 +570,193 @@ func TestProfilePollDuringIngest(t *testing.T) {
 	}
 	if got := docProfileBytes(tenantDoc(t, ten)); !bytes.Equal(got, want) {
 		t.Fatalf("rolling profile diverges from batch analysis (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// streamFrames records tr's merged order into a StreamRecorder cutting
+// segments at segEvents events, and returns the bytes of each frame of
+// flushEvery recorded events, as a client would send them.
+func streamFrames(t *testing.T, tr *trace.Trace, segEvents, flushEvery int) [][]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	rec := trace.NewStreamRecorder(&buf)
+	rec.SetAnnotations(false)
+	rec.SetSegmentEvents(segEvents)
+	env := &streamEnv{routines: tr.Routines, syncs: tr.Syncs}
+	rec.Attach(env)
+	var frames [][]byte
+	cut := func() {
+		frames = append(frames, bytes.Clone(buf.Bytes()))
+		buf.Reset()
+	}
+	n := 0
+	for _, e := range trace.Merge(tr, 1) {
+		env.now = e.TS
+		if err := trace.Dispatch(e, []guest.Tool{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != trace.KindSwitch {
+			if n++; n%flushEvery == 0 {
+				rec.Flush()
+				cut()
+			}
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut()
+	return frames
+}
+
+// TestSegmentStorageRecycling: decoded segments cross goroutines as in the
+// daemon — one goroutine decodes frames, another queues, feeds and
+// releases them — and recycled storage never aliases a segment still
+// queued. A partly fed segment keeps its storage and its unfed events
+// until they are fed, and the merge feeds exactly the recorded order.
+func TestSegmentStorageRecycling(t *testing.T) {
+	rec := trace.NewRecorder()
+	if _, err := workloads.RunByName("mysqld", workloads.Params{Size: 4, Threads: 3, Seed: 1}, rec); err != nil {
+		t.Fatal(err)
+	}
+	tr := rec.Trace()
+	frames := streamFrames(t, tr, 64, 97)
+
+	// A few frames of slack let decoding run ahead of the releases, as a
+	// connection's decoding runs ahead of the tenant's merge.
+	deltas := make(chan trace.StreamDelta, 4)
+	go func() {
+		defer close(deltas)
+		dec := trace.NewStreamDecoder()
+		for _, f := range frames {
+			delta, err := dec.Feed(f)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			deltas <- delta
+		}
+	}()
+
+	var queues []*queue
+	queued := func(s []trace.Event) bool {
+		for _, q := range queues {
+			if q.head != nil && sameArray(s, q.head) {
+				return true
+			}
+			for _, seg := range q.segs {
+				if sameArray(s, seg) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var fed []trace.Event
+	feed := func(run []trace.Event) error {
+		fed = append(fed, run...)
+		return nil
+	}
+	rng := rand.New(rand.NewSource(1))
+	unfed := make(map[guest.ThreadID][]trace.Event) // partly fed heads, as left
+	var frontier, maxTS uint64
+	partial := 0
+	for delta := range deltas {
+		for _, q := range queues {
+			if want, ok := unfed[q.thread]; ok && !slices.Equal(q.segs[0], want) {
+				t.Fatalf("thread %d: a partly fed segment changed while later frames decoded", q.thread)
+			}
+		}
+		for _, seg := range delta.Segments {
+			if queued(seg.Events) {
+				t.Fatalf("a decoded segment of thread %d reuses storage still queued", seg.Thread)
+			}
+			i, ok := slices.BinarySearchFunc(queues, seg.Thread, queueCmp)
+			if !ok {
+				queues = slices.Insert(queues, i, &queue{thread: seg.Thread})
+			}
+			queues[i].push(seg.Events)
+			if n := len(seg.Events); n > 0 {
+				maxTS = max(maxTS, seg.Events[n-1].TS)
+			}
+		}
+		frontier += uint64(rng.Int63n(int64(maxTS-frontier) + 1))
+		if _, err := feedRuns(queues, frontier, feed); err != nil {
+			t.Fatal(err)
+		}
+		clear(unfed)
+		for _, q := range queues {
+			if q.head == nil {
+				continue
+			}
+			if !sameArray(q.segs[0], q.head) {
+				t.Fatalf("thread %d: the partly fed segment lost its storage", q.thread)
+			}
+			unfed[q.thread] = slices.Clone(q.segs[0])
+			partial++
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	if _, err := feedRuns(queues, math.MaxUint64, feed); err != nil {
+		t.Fatal(err)
+	}
+	if partial == 0 {
+		t.Fatal("no segment was ever left partly fed")
+	}
+	var want []trace.Event
+	for i := range tr.Threads {
+		want = append(want, tr.Threads[i].Events...)
+	}
+	slices.SortStableFunc(want, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Thread, b.Thread))
+	})
+	if !slices.Equal(fed, want) {
+		t.Fatalf("fed %d events differing from the %d recorded ones in merged order", len(fed), len(want))
+	}
+}
+
+// TestSegmentBehindFrontierKillsConnection: a frame whose segment starts at
+// or below the merge frontier kills its own connection, and only it: the
+// other connection keeps streaming and the tenant feeds its events.
+func TestSegmentBehindFrontierKillsConnection(t *testing.T) {
+	d := started(t, Options{})
+	ten := d.Tenant("late")
+	a, b := ten.connect(1, "a"), ten.connect(2, "b")
+	seg := func(th guest.ThreadID, ts ...uint64) trace.StreamDelta {
+		var events []trace.Event
+		for _, x := range ts {
+			events = append(events, trace.Event{TS: x, Thread: th, Kind: trace.KindRead, Arg: 8})
+		}
+		return trace.StreamDelta{Segments: []trace.StreamSegment{{Thread: th, Events: events}}}
+	}
+	if err := ten.deliver(a, seg(1, 1, 3, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ten.deliver(b, seg(2, 2, 4, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if st := ten.Status(); st.Watermark != 10 || st.Events != 5 {
+		t.Fatalf("frontier %d after %d events, want 10 after 5", st.Watermark, st.Events)
+	}
+	// Its later events lie above the frontier; its first does not.
+	if err := ten.deliver(b, seg(2, 10, 30, 40)); err == nil {
+		t.Fatal("a segment starting at the frontier was accepted")
+	}
+	if err := ten.deliver(b, seg(2, 50)); err == nil {
+		t.Fatal("the failed connection accepted another frame")
+	}
+	if err := ten.deliver(a, trace.StreamDelta{Segments: seg(1, 15, 25).Segments, Footer: true}); err != nil {
+		t.Fatalf("the other connection was refused: %v", err)
+	}
+	st := ten.Status()
+	if !st.Degraded || st.Epoch != 1 {
+		t.Fatalf("status %+v, want a degraded first epoch", st)
+	}
+	// b's watermark froze at 20, its last complete frame: a's TS 15 and
+	// b's queued TS 20 feed, a's TS 25 is discarded.
+	if st.Events != 7 || st.Discarded != 1 {
+		t.Fatalf("fed %d and discarded %d events, want 7 and 1", st.Events, st.Discarded)
 	}
 }

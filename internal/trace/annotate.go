@@ -298,11 +298,11 @@ func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
 	}
 	p.Uvarint() // the stamp count, read by annotationHeader
 	for i := range stamps {
-		wts, ok := p.Small()
+		wts, ok := p.Short()
 		if !ok {
 			wts = p.Uvarint()
 		}
-		ww, ok := p.Small()
+		ww, ok := p.Short()
 		if !ok {
 			ww = p.Uvarint()
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/block"
@@ -168,6 +169,43 @@ func TestDecodeTimePublished(t *testing.T) {
 			t.Fatalf("trace/decode_ns went from %d to %d", before, after)
 		}
 		before = after
+	}
+}
+
+// TestTimestampOverflowRejected: a segment whose timestamp delta wraps
+// past 2^64 (which the encoder writes for a thread whose timestamps go
+// backwards) fails the shared event parser, so every decoded segment's
+// timestamps are non-decreasing: Decode and StreamDecoder reject it, and
+// Recover drops just that segment as invalid.
+func TestTimestampOverflowRejected(t *testing.T) {
+	good := trace.ThreadTrace{ID: 1, Events: []trace.Event{
+		{TS: 1, Thread: 1, Kind: trace.KindRead, Arg: 8},
+		{TS: 1, Thread: 1, Kind: trace.KindWrite, Arg: 8}, // equal is fine
+	}}
+	bad := trace.ThreadTrace{ID: 2, Events: []trace.Event{
+		{TS: 5, Thread: 2, Kind: trace.KindWrite, Arg: 64},
+		{TS: 3, Thread: 2, Kind: trace.KindRead, Arg: 64},
+	}}
+	var buf bytes.Buffer
+	if _, err := (&trace.Trace{Threads: []trace.ThreadTrace{good, bad}}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if _, err := trace.Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("Decode of an overflowing segment: got %v, want an overflow error", err)
+	}
+	if _, err := trace.NewStreamDecoder().Feed(data); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("StreamDecoder of an overflowing segment: got %v, want an overflow error", err)
+	}
+	tr, rep, err := trace.Recover(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Dropped) != 1 || rep.Dropped[0].Cause != trace.DropInvalid || rep.Dropped[0].Thread != 2 {
+		t.Errorf("Recover dropped %+v, want thread 2's segment as %s", rep.Dropped, trace.DropInvalid)
+	}
+	if tr.NumEvents() != len(good.Events) {
+		t.Errorf("Recover salvaged %d events, want thread 1's %d", tr.NumEvents(), len(good.Events))
 	}
 }
 

@@ -279,23 +279,25 @@ func (e *AddressError) Error() string {
 
 // parseEvents decodes a segment's events, the payload after its header,
 // into dst, which holds exactly the header's count: timestamps restart from
-// 0 at each segment and come back absolute. A memory access outside the
-// analysed address space is an *AddressError. It returns how many of the
-// events are reads, the stamps a complete annotation carries for them.
+// 0 at each segment and come back absolute. A delta that overflows the
+// timestamp is an error, so a parsed segment's timestamps never decrease.
+// A memory access outside the analysed address space is an *AddressError.
+// It returns how many of the events are reads, the stamps a complete
+// annotation carries for them.
 func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err error) {
 	p := block.NewParser(body)
 	ts := uint64(0)
 	for i := range dst {
-		delta, ok := p.Small()
+		delta, ok := p.Short()
 		if !ok {
 			delta = p.Uvarint()
 		}
 		k := Kind(p.Byte())
-		arg, ok := p.Small()
+		arg, ok := p.Short()
 		if !ok {
 			arg = p.Uvarint()
 		}
-		aux, ok := p.Small()
+		aux, ok := p.Short()
 		if !ok {
 			aux = p.Uvarint()
 		}
@@ -305,8 +307,11 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err er
 		if k >= numKinds {
 			return 0, fmt.Errorf("event %d: invalid event kind %d", i, k)
 		}
-		if arg>>shadow.MaxAddrBits != 0 && k >= KindRead && k <= KindKernelWrite {
+		if arg>>shadow.MaxAddrBits != 0 && k.IsMemory() {
 			return 0, &AddressError{Event: i, Kind: k, Addr: arg}
+		}
+		if ts+delta < ts {
+			return 0, fmt.Errorf("event %d: timestamp delta %d overflows from %d", i, delta, ts)
 		}
 		ts += delta
 		dst[i] = Event{TS: ts, Thread: id, Kind: k, Arg: arg, Aux: aux}

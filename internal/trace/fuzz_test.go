@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/trace"
@@ -203,7 +204,8 @@ func streamFeed(data, cuts []byte) (trace.StreamDelta, error) {
 // depend on how its input is chunked — a whole feed and a split feed yield
 // the same deltas and both fail or neither does — and on a v2 trace Decode
 // accepts it must stream exactly the decoded name tables and, per thread,
-// the decoded events.
+// the decoded events, which feed through core.Incremental.FeedRun to the
+// profile batch replay computes (feedStreamed).
 func FuzzStreamDecoder(f *testing.F) {
 	var buf bytes.Buffer
 	sr := trace.NewStreamRecorder(&buf)
@@ -254,5 +256,57 @@ func FuzzStreamDecoder(f *testing.F) {
 				t.Fatalf("thread %d: streamed events differ from the decoded ones", tt.ID)
 			}
 		}
+		feedStreamed(t, tr, whole.Segments)
 	})
+}
+
+// feedStreamed is the daemon's route over an accepted stream: its segments,
+// fed through core.Incremental.FeedRun in the decoded trace's merged order
+// and released once fed, must export exactly what Replay of the decoded
+// trace into core.New does.
+func feedStreamed(t *testing.T, tr *trace.Trace, segs []trace.StreamSegment) {
+	p := core.New(core.Options{})
+	if err := trace.Replay(tr, 1, p); err != nil {
+		t.Fatalf("replay of the decoded trace: %v", err)
+	}
+	want, werr := p.Profile().Export()
+
+	queues := make(map[guest.ThreadID][][]trace.Event)
+	for _, seg := range segs {
+		queues[seg.Thread] = append(queues[seg.Thread], seg.Events)
+	}
+	in := core.NewIncremental(core.Options{})
+	if err := in.ExtendTables(tr.Routines, tr.Syncs); err != nil {
+		t.Fatal(err)
+	}
+	var ferr error
+	fedOf := make(map[guest.ThreadID]int) // events fed from each head segment
+	trace.WalkRuns(tr, 1, func(ti, lo, hi int) {
+		th := tr.Threads[ti].ID
+		for n := hi - lo; n > 0 && ferr == nil; {
+			q, off := queues[th], fedOf[th]
+			if off == len(q[0]) {
+				trace.ReleaseSegment(q[0])
+				queues[th], fedOf[th] = q[1:], 0
+				continue
+			}
+			k := min(n, len(q[0])-off)
+			ferr = in.FeedRun(q[0][off : off+k])
+			fedOf[th] += k
+			n -= k
+		}
+	})
+	if ferr != nil {
+		t.Fatalf("FeedRun of an accepted stream: %v", ferr)
+	}
+	for _, q := range queues {
+		for _, seg := range q {
+			trace.ReleaseSegment(seg)
+		}
+	}
+	in.Finish()
+	got, gerr := in.Profiler().Profile().Export()
+	if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
+		t.Fatalf("fed stream exports %d bytes (%v), replay %d bytes (%v)", len(got), gerr, len(want), werr)
+	}
 }

@@ -37,6 +37,7 @@ type StreamRecorder struct {
 
 	perTh map[guest.ThreadID]*streamThread
 	order []*streamThread
+	last  *streamThread // the previous event's thread
 
 	segCap                        int
 	flushedRoutines, flushedSyncs int
@@ -276,9 +277,11 @@ func (r *StreamRecorder) finish() {
 	r.writeBlock(blockFooter, appendFooterPayload(r.payload[:0], r.blocks, r.events, len(r.order)))
 }
 
-func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
-	if r.finished {
-		return
+// thread returns t's buffer, creating it on t's first event. Consecutive
+// events mostly share a thread, so the map is consulted only on a change.
+func (r *StreamRecorder) thread(t guest.ThreadID) *streamThread {
+	if st := r.last; st != nil && st.id == t {
+		return st
 	}
 	st := r.perTh[t]
 	if st == nil {
@@ -286,6 +289,15 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 		r.perTh[t] = st
 		r.order = append(r.order, st)
 	}
+	r.last = st
+	return st
+}
+
+func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
+	if r.finished {
+		return
+	}
+	st := r.thread(t)
 	ts := r.env.Now()
 	st.pending = append(st.pending, Event{
 		TS:     ts,
@@ -335,12 +347,7 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 	if r.finished {
 		return
 	}
-	st := r.perTh[t]
-	if st == nil {
-		st = &streamThread{id: t, pending: make([]Event, 0, r.segCap)}
-		r.perTh[t] = st
-		r.order = append(r.order, st)
-	}
+	st := r.thread(t)
 	for i, e := range events {
 		var k Kind
 		switch {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/guest"
@@ -15,8 +17,58 @@ import (
 type StreamSegment struct {
 	// Thread is the recording thread's id.
 	Thread guest.ThreadID
-	// Events are the segment's events with absolute timestamps restored.
+	// Events are the segment's events with absolute timestamps restored,
+	// in non-decreasing timestamp order. Their storage comes from a
+	// process-wide pool: a consumer done with a segment may hand it back
+	// with ReleaseSegment, and one that never does leaves it to the GC.
 	Events []Event
+}
+
+// Segment storage is pooled by power-of-two capacity, from minSegmentCap
+// to DefaultSegmentEvents events; larger segments are allocated exactly
+// and never pooled. A decoder writes every event of the storage it takes,
+// so recycled storage needs no clearing.
+const (
+	minSegmentShift = 6
+	maxSegmentShift = 12 // DefaultSegmentEvents
+	minSegmentCap   = 1 << minSegmentShift
+)
+
+var segmentPools [maxSegmentShift - minSegmentShift + 1]sync.Pool
+
+// segmentClass returns the pool serving segments of n events, or -1.
+func segmentClass(n int) int {
+	c := bits.Len(uint(max(n, minSegmentCap)-1)) - minSegmentShift
+	if c >= len(segmentPools) {
+		return -1
+	}
+	return c
+}
+
+// segmentStorage returns storage for a segment of n events, recycled when
+// the pool has some.
+func segmentStorage(n int) []Event {
+	c := segmentClass(n)
+	if c < 0 {
+		return make([]Event, n)
+	}
+	if p, ok := segmentPools[c].Get().(*[]Event); ok {
+		return (*p)[:n]
+	}
+	return make([]Event, n, minSegmentCap<<c)
+}
+
+// ReleaseSegment hands the storage of a decoded StreamSegment's Events back
+// to the decoders' pool. events must be the segment's Events as decoded
+// (not a reslice past a prefix), and neither they nor any slice of them may
+// be used afterwards: the next decoded segment may overwrite them. Storage
+// the pool does not serve is left to the GC.
+func ReleaseSegment(events []Event) {
+	c := segmentClass(cap(events))
+	if c < 0 || cap(events) != minSegmentCap<<c {
+		return
+	}
+	segmentPools[c].Put(&events)
 }
 
 // StreamDelta is what one Feed call decoded: newly interned name-table
@@ -146,11 +198,12 @@ func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
 		}
 	case blockEvents:
 		id, n, hdr, err := segmentHeader(f.Payload)
-		events := make([]Event, n)
-		if err == nil {
-			_, err = parseEvents(f.Payload[hdr:], id, events)
-		}
 		if err != nil {
+			return 0, fmt.Errorf("trace: segment block: %w", err)
+		}
+		events := segmentStorage(n)
+		if _, err := parseEvents(f.Payload[hdr:], id, events); err != nil {
+			ReleaseSegment(events)
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}
 		delta.Segments = append(delta.Segments, StreamSegment{Thread: id, Events: events})

@@ -5,7 +5,8 @@
 #
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector,
-#           then repeat the aprofd profile-polling test under it ten times
+#           then repeat the aprofd profile-polling and segment-recycling
+#           tests under it ten times
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
 #           the recovery paths, the stream decoder, the checkpoint loader,
 #           the aprofd wire protocol and the aprofd tenant checkpoint
@@ -150,8 +151,8 @@ go run ./cmd/aprof-trace check -suite micro -level deep -renumber 48
 if [ "$run_race" = 1 ]; then
 	echo "== go test -race ./..."
 	go test -race ./...
-	echo "== race: /profile polled during two-guest ingest (x10)"
-	go test -race -count=10 -run TestProfilePollDuringIngest ./internal/daemon
+	echo "== race: /profile polled during two-guest ingest, segment recycling (x10)"
+	go test -race -count=10 -run 'TestProfilePollDuringIngest|TestSegmentStorageRecycling' ./internal/daemon
 fi
 
 if [ "$run_fuzz" = 1 ]; then
