@@ -154,20 +154,6 @@ const (
 // ParseCheckLevel parses "off", "cheap" or "deep".
 func ParseCheckLevel(s string) (CheckLevel, error) { return core.ParseCheckLevel(s) }
 
-// SamplingTier selects the profiler's adaptive-instrumentation tier
-// (Options.Sampling).
-type SamplingTier = core.SamplingTier
-
-// The adaptive-instrumentation tiers: exact profiling, and burst sampling
-// of hot routines with bounded-error profiles.
-const (
-	SamplingOff   = core.SamplingOff
-	SamplingBurst = core.SamplingBurst
-)
-
-// ParseSamplingTier parses "off" or "burst".
-func ParseSamplingTier(s string) (SamplingTier, error) { return core.ParseSamplingTier(s) }
-
 // CheckTraceInvariants validates a trace's structural invariants
 // (timestamp monotonicity, call/return balance).
 func CheckTraceInvariants(tr *Trace) *InvariantReport { return invariant.CheckTrace(tr) }
@@ -250,7 +236,7 @@ type (
 	// PowerLaw is a free-exponent power-law fit.
 	PowerLaw = fit.PowerLaw
 	// PowerLawCI is a power-law fit with a jackknife confidence interval on
-	// the exponent, used to report sampled (bounded-error) routines.
+	// the exponent, as the regression diff reports it.
 	PowerLawCI = fit.PowerLawCI
 	// CumulativePoint is one point of an "x% of routines ≥ y" curve.
 	CumulativePoint = report.CumulativePoint
@@ -429,7 +415,7 @@ func BestFit(pts []PlotPoint) (Fit, error) { return fit.Best(pts) }
 func FitPowerLaw(pts []PlotPoint) (PowerLaw, error) { return fit.FitPowerLaw(pts) }
 
 // FitPowerLawCI fits a power law and estimates a jackknife standard error
-// on the exponent, for confidence intervals on sampled profiles.
+// on the exponent (the regression diff's exponent intervals).
 func FitPowerLawCI(pts []PlotPoint) (PowerLawCI, error) { return fit.FitPowerLawCI(pts) }
 
 // Richness computes the routine profile richness metric (the relative gain

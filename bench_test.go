@@ -679,35 +679,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplingOverhead times one inline-profiled workload run at each
-// adaptive-instrumentation tier (core.Options.Sampling): off is the exact
-// batched profiler, and burst samples hot routines in periodic measurement
-// windows. The off/burst gap is what bounded-error profiles buy.
-// cmd/aprof-experiments' inline level records the min-of-reps numbers
-// behind BENCH_INLINE.json with the same workloads at full size.
-func BenchmarkSamplingOverhead(b *testing.B) {
-	cases := []struct {
-		name    string
-		size    int
-		threads int
-	}{
-		{"mysqld", 24, 8},
-		{"dedup", 16, 4},
-		{"fluidanimate", 16, 4},
-	}
-	for _, c := range cases {
-		for _, tier := range []core.SamplingTier{core.SamplingOff, core.SamplingBurst} {
-			b.Run(c.name+"/"+tier.String(), func(b *testing.B) {
-				params := workloads.Params{Size: c.size, Threads: c.threads}
-				for i := 0; i < b.N; i++ {
-					prof := core.New(core.Options{Sampling: tier})
-					runWorkload(b, c.name, params, prof)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkObsOverhead measures what an idle HTTP observability server
 // (-http with nobody scraping) costs a profiled run: the same telemetry-
 // enabled runs as BenchmarkTelemetryOverhead, with and without an

@@ -73,8 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aprof-experiments:", err)
 		os.Exit(1)
 	}
-	cfg := experiments.Config{Out: w, Quick: *quick, BenchJSON: *benchJSON,
-		Sampling: prof.Sampling()}
+	cfg := experiments.Config{Out: w, Quick: *quick, BenchJSON: *benchJSON}
 	for _, e := range selected {
 		if !*raw {
 			fmt.Fprintf(w, "================================================================\n")

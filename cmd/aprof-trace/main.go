@@ -537,7 +537,7 @@ func analyze(args []string) error {
 			srv.SetEstimator(recEst)
 			recProgress = func(events, _ int, _ int64) { recEst.Update(uint64(events)) }
 		}
-		tr, inline, err = recordInProcess(*workload, params, reg, prof.Sampling(), recProgress)
+		tr, inline, err = recordInProcess(*workload, params, reg, recProgress)
 		if err != nil {
 			return err
 		}
@@ -668,69 +668,30 @@ func analyze(args []string) error {
 			return fmt.Errorf("analyze: -export: %w", err)
 		}
 	}
-	if inline != nil {
-		if prof.Sampling() == aprof.SamplingBurst {
-			// The inline profiler sampled; the pipeline ran exact. Only the
-			// invariants burst guarantees can be compared.
-			if err := burstCrossCheck(p, inline); err != nil {
-				return fmt.Errorf("analyze: sampled inline profile violates burst invariants: %w", err)
-			}
-			printProfile(inline, *top)
-			publishLayers(reg)
-			return prof.Stop()
-		}
-		// The exact inline profile must match the pipeline's byte for byte.
-		if !p.Equal(inline) {
-			return fmt.Errorf("analyze: pipeline profile differs from the inline profiler's (%d differences)",
-				len(p.Diff(inline)))
-		}
+	// The inline profile must match the pipeline's byte for byte.
+	if inline != nil && !p.Equal(inline) {
+		return fmt.Errorf("analyze: pipeline profile differs from the inline profiler's (%d differences)",
+			len(p.Diff(inline)))
 	}
 	printProfile(p, *top)
 	publishLayers(reg)
 	return prof.Stop()
 }
 
-// burstCrossCheck validates a burst-sampled inline profile against the
-// pipeline's exact one using only what burst sampling guarantees: the same
-// routine set, and per routine exactly equal call and cost totals (skipped
-// windows drop metric contributions, never calls or basic blocks).
-func burstCrossCheck(exact, sampled *aprof.Profile) error {
-	en, sn := exact.RoutineNames(), sampled.RoutineNames()
-	if len(en) != len(sn) {
-		return fmt.Errorf("routine sets differ: %d vs %d routines", len(en), len(sn))
-	}
-	for i, name := range en {
-		if sn[i] != name {
-			return fmt.Errorf("routine sets differ: %q vs %q", name, sn[i])
-		}
-		e, s := exact.Routines[name].Merged(), sampled.Routines[name].Merged()
-		if e.Calls != s.Calls {
-			return fmt.Errorf("%s: calls %d, exact run has %d", name, s.Calls, e.Calls)
-		}
-		if e.SumCost != s.SumCost {
-			return fmt.Errorf("%s: cost %d, exact run has %d", name, s.SumCost, e.SumCost)
-		}
-		if s.SampledOut > s.Calls {
-			return fmt.Errorf("%s: %d sampled-out of %d calls", name, s.SampledOut, s.Calls)
-		}
-	}
-	return nil
-}
-
 // recordInProcess runs the workload with a streaming recorder and an inline
 // profiler attached, then strictly decodes the recorded bytes: the returned
 // trace has passed the same checksum walk a file round-trip would, and the
-// inline profile lets analyze cross-check the pipeline result. The inline
-// profiler runs at the requested sampling tier. progress, when non-nil,
-// receives the recorder's event/segment/byte tallies as the run advances.
-func recordInProcess(name string, params aprof.WorkloadParams, reg *aprof.TelemetryRegistry, sampling aprof.SamplingTier, progress func(events, segments int, bytes int64)) (*aprof.Trace, *aprof.Profile, error) {
+// inline profile lets analyze cross-check the pipeline result. progress,
+// when non-nil, receives the recorder's event/segment/byte tallies as the
+// run advances.
+func recordInProcess(name string, params aprof.WorkloadParams, reg *aprof.TelemetryRegistry, progress func(events, segments int, bytes int64)) (*aprof.Trace, *aprof.Profile, error) {
 	var buf bytes.Buffer
 	rec := aprof.NewStreamRecorder(&buf)
 	rec.SetTelemetry(reg)
 	if progress != nil {
 		rec.SetProgress(progress)
 	}
-	inline := aprof.NewProfiler(aprof.Options{Telemetry: reg, Sampling: sampling})
+	inline := aprof.NewProfiler(aprof.Options{Telemetry: reg})
 	if _, err := aprof.RunWorkload(name, params, rec, inline); err != nil {
 		return nil, nil, err
 	}
@@ -745,52 +706,26 @@ func recordInProcess(name string, params aprof.WorkloadParams, reg *aprof.Teleme
 }
 
 // printProfile renders a profile as a per-routine summary table, heaviest
-// routines (by cumulative cost) first. Sampled routines are marked and get
-// a confidence interval on their fitted trms exponent, since their cost
-// plots carry bounded error rather than exact values.
+// routines (by cumulative cost) first.
 func printProfile(p *aprof.Profile, top int) {
 	type row struct {
-		name    string
-		a       *aprof.Activations
-		sampled bool
+		name string
+		a    *aprof.Activations
 	}
 	var rows []row
 	for _, name := range p.RoutineNames() {
-		rp := p.Routines[name]
-		rows = append(rows, row{name, rp.Merged(), rp.Sampled()})
+		rows = append(rows, row{name, p.Routines[name].Merged()})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].a.SumCost > rows[j].a.SumCost })
 	if top > 0 && len(rows) > top {
 		rows = rows[:top]
 	}
 	var table [][]string
-	sampledAny := false
 	for _, r := range rows {
-		name := r.name
-		if r.sampled {
-			name += " ~"
-			sampledAny = true
-		}
-		table = append(table, []string{name, fmt.Sprint(r.a.Calls),
+		table = append(table, []string{r.name, fmt.Sprint(r.a.Calls),
 			fmt.Sprint(r.a.SumCost), fmt.Sprint(r.a.SumTRMS), fmt.Sprint(r.a.SumRMS)})
 	}
 	report.Table(os.Stdout, []string{"routine", "calls", "cost(BB)", "trms", "rms"}, table)
-	if !sampledAny {
-		return
-	}
-	fmt.Println("\n~ sampled routine: calls and cost are exact, trms/rms carry bounded error")
-	for _, r := range rows {
-		if !r.sampled {
-			continue
-		}
-		ci, err := aprof.FitPowerLawCI(aprof.WorstCasePlot(r.a.ByTRMS))
-		if err != nil {
-			continue // too few points for an interval; the marker stands alone
-		}
-		fmt.Printf("  %s: cost ~ %.3g * n^%.2f (95%% CI on exponent: %.2f .. %.2f)\n",
-			r.name, ci.Coeff, ci.Exponent,
-			ci.Exponent-1.96*ci.ExponentStderr, ci.Exponent+1.96*ci.ExponentStderr)
-	}
 }
 
 // check runs the metamorphic invariant suite: each selected workload is

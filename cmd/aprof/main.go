@@ -71,7 +71,7 @@ func main() {
 	opts := runOpts{top: *top, plot: *plot, fit: *fitR, induced: *induced,
 		perThread: *perThread, csvOut: *csvOut,
 		contexts: *contexts, jsonOut: *jsonOut, htmlOut: *htmlOut, record: *record, full: *full,
-		reg: reg, sampling: prof.Sampling(), obsSrv: prof.ObsServer()}
+		reg: reg, obsSrv: prof.ObsServer()}
 	if err := run(*workload, *tool, params, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "aprof:", err)
 		os.Exit(1)
@@ -108,7 +108,6 @@ type runOpts struct {
 	htmlOut   string
 	record    string
 	reg       *aprof.TelemetryRegistry
-	sampling  aprof.SamplingTier
 	obsSrv    *obs.Server
 }
 
@@ -132,7 +131,7 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 	switch tool {
 	case "aprof":
 		prof = aprof.NewProfiler(aprof.Options{ContextSensitive: o.contexts, Telemetry: o.reg,
-			Sampling: o.sampling, OnSnapshot: onSnap})
+			OnSnapshot: onSnap})
 		tls = append(tls, prof)
 	case "aprof-rms":
 		prof = aprof.NewProfiler(aprof.Options{RMSOnly: true, Telemetry: o.reg, OnSnapshot: onSnap})
@@ -298,14 +297,11 @@ func summary(p *aprof.Profile, top int) error {
 		dTRMS   int
 		dRMS    int
 		induced float64
-		sampled bool
 	}
 	var rows []row
-	sampledAny := false
 	for _, name := range p.RoutineNames() {
 		rp := p.Routines[name]
 		a := rp.Merged()
-		sampledAny = sampledAny || rp.Sampled()
 		rows = append(rows, row{
 			name:    name,
 			a:       a,
@@ -313,7 +309,6 @@ func summary(p *aprof.Profile, top int) error {
 			dTRMS:   rp.DistinctTRMS(),
 			dRMS:    rp.DistinctRMS(),
 			induced: 100 * aprof.InputVolume(a),
-			sampled: rp.Sampled(),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].a.SumCost > rows[j].a.SumCost })
@@ -322,12 +317,8 @@ func summary(p *aprof.Profile, top int) error {
 	}
 	var table [][]string
 	for _, r := range rows {
-		name := r.name
-		if r.sampled {
-			name += " ~"
-		}
 		table = append(table, []string{
-			name,
+			r.name,
 			fmt.Sprint(r.a.Calls),
 			fmt.Sprint(r.a.SumCost),
 			fmt.Sprint(r.a.SumTRMS),
@@ -337,9 +328,6 @@ func summary(p *aprof.Profile, top int) error {
 		})
 	}
 	report.Table(os.Stdout, []string{"routine", "calls", "cost(BB)", "trms", "|trms|", "|rms|", "input volume"}, table)
-	if sampledAny {
-		fmt.Println("\n~ sampled routine: calls and cost are exact, trms/rms carry bounded error")
-	}
 	tp, ep := aprof.InducedSplit(p)
 	fmt.Printf("\ninduced first-accesses: %.1f%% thread-induced, %.1f%% external\n", tp, ep)
 	return nil

@@ -96,15 +96,6 @@ func diffActivations(name string, id guest.ThreadID, x, y *Activations) []string
 	if x.InducedExternal != y.InducedExternal {
 		add("induced-external %d vs %d", x.InducedExternal, y.InducedExternal)
 	}
-	if x.SampledOut != y.SampledOut {
-		add("sampled-out %d vs %d", x.SampledOut, y.SampledOut)
-	}
-	if x.SampledOutCost != y.SampledOutCost {
-		add("sampled-out cost %d vs %d", x.SampledOutCost, y.SampledOutCost)
-	}
-	if x.PartialCalls != y.PartialCalls {
-		add("partial calls %d vs %d", x.PartialCalls, y.PartialCalls)
-	}
 	diffs = append(diffs, diffHistogram(name, id, "trms", x.ByTRMS, y.ByTRMS)...)
 	diffs = append(diffs, diffHistogram(name, id, "rms", x.ByRMS, y.ByRMS)...)
 	return diffs

@@ -129,20 +129,6 @@ func (n *ContextNode) record(t guest.ThreadID, f *Frame[uint32], cost uint64) {
 	f.RecordInto(a, cost)
 }
 
-// recordSampledOut mirrors record for a sampled-out activation (burst
-// sampling): the call and cost are counted, no metric data is recorded.
-func (n *ContextNode) recordSampledOut(t guest.ThreadID, cost uint64) {
-	if n.PerThread == nil {
-		n.PerThread = make(map[guest.ThreadID]*Activations)
-	}
-	a := n.PerThread[t]
-	if a == nil {
-		a = newActivations(t)
-		n.PerThread[t] = a
-	}
-	a.RecordSampledOut(cost)
-}
-
 // Clone deep-copies the tree: structure, routine names and per-thread
 // aggregates. The clone is detached — the profiler may keep recording into
 // the original.

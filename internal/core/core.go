@@ -71,14 +71,6 @@ type Options struct {
 	// compares aprof-trms against.
 	RMSOnly bool
 
-	// Sampling selects the adaptive-instrumentation tier (see the
-	// SamplingTier constants). SamplingBurst samples hot routines'
-	// activations, keeping Calls and SumCost exact but marking the
-	// unmeasured activations in Activations.SampledOut so reports bound the
-	// error instead of trusting the metric sums. Sampled-out activations are
-	// not streamed to OnActivation. Ignored (forced off) under RMSOnly.
-	Sampling SamplingTier
-
 	// CheckLevel enables the paper-derived invariant checks (see the
 	// CheckLevel constants). CheckCheap validates every completed
 	// activation's metrics and the activation-timestamp order; CheckDeep
@@ -165,13 +157,6 @@ type Profiler struct {
 	renumbers uint64
 	peakBytes uint64
 
-	// sampling mirrors Options.Sampling (forced off under RMSOnly);
-	// rtnCalls counts activations per dense routine id for the burst
-	// schedule, and sstats tallies the sampling tier's work for telemetry.
-	sampling SamplingTier
-	rtnCalls []uint32
-	sstats   samplingStats
-
 	// checks mirrors Options.CheckLevel (one branch on the call/return
 	// paths); violations and violCount collect what the checks find.
 	checks     CheckLevel
@@ -206,11 +191,6 @@ type threadView struct {
 	stack Stack[uint32]
 	acts  []*Activations // indexed by guest.RoutineID; nil until first return
 	ctx   *ContextNode   // current calling context (Options.ContextSensitive)
-
-	// skipRoot, when nonzero, is the 1-based stack index of the root frame
-	// of a sampled-out subtree (burst tier): memory events are dropped until
-	// the matching return pops that frame.
-	skipRoot int32
 }
 
 // activations returns the view's dense aggregate for routine rtn, creating
@@ -248,12 +228,6 @@ func New(opts Options) *Profiler {
 	p.nextSnap = math.MaxUint64
 	if opts.snapshotsEnabled() {
 		p.nextSnap = opts.SnapshotEvery
-	}
-	// RMSOnly is the Table-1 baseline, profiled exactly; sampling is forced
-	// off under it (documented on Options.Sampling).
-	p.sampling = opts.Sampling
-	if opts.RMSOnly {
-		p.sampling = SamplingOff
 	}
 	return p
 }
@@ -396,9 +370,6 @@ func (p *Profiler) Call(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 		}
 		tv.ctx = p.ctxTree.childID(n, r, p.env)
 	}
-	if p.sampling == SamplingBurst {
-		p.burstCall(tv, r)
-	}
 }
 
 // Return implements guest.Tool: the completed activation's trms, rms and
@@ -409,8 +380,7 @@ func (p *Profiler) Call(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	p.events++
 	tv := p.view(t)
-	n := len(tv.stack)
-	if n == 0 {
+	if len(tv.stack) == 0 {
 		return
 	}
 	f := tv.stack.Pop()
@@ -419,29 +389,6 @@ func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	}
 
 	cost := bb - f.BBEnter
-	if sk := tv.skipRoot; sk != 0 && int32(n) >= sk {
-		// Sampled-out activation (burst tier): count the call and its
-		// cost, record nothing else, and close the skip window when its
-		// root frame pops. The frame's partials are zero (no memory event
-		// was processed inside the subtree), so the fold was a no-op. The
-		// enclosing activation just lost its descendants' metric
-		// contributions, so it is marked partial.
-		if int32(n) == sk {
-			tv.skipRoot = 0
-			if n > 1 {
-				tv.stack[n-2].Partial = true
-			}
-		}
-		p.sstats.sampledOut++
-		tv.activations(f.Rtn).RecordSampledOut(cost)
-		if p.ctxTree != nil {
-			if c := tv.ctx; c != nil && c != p.ctxTree.root {
-				c.recordSampledOut(t, cost)
-				tv.ctx = c.parent
-			}
-		}
-		return
-	}
 	f.RecordInto(tv.activations(f.Rtn), cost)
 	if p.ctxTree != nil {
 		if c := tv.ctx; c != nil && c != p.ctxTree.root {
@@ -465,11 +412,6 @@ func (p *Profiler) Read(t guest.ThreadID, a guest.Addr) {
 // for both the load of the old timestamp and the store of the new one, and
 // only reads that change state reach the kernel.
 func (p *Profiler) readAt(tv *threadView, a guest.Addr) {
-	if tv.skipRoot != 0 {
-		// Sampled-out subtree (burst tier): the read is dropped entirely.
-		p.sstats.skippedEvents++
-		return
-	}
 	ch := tv.tsc.Chunk(a)
 	old := ch[a&(shadow.ChunkSize-1)]
 	if old == p.count {
@@ -499,10 +441,6 @@ func (p *Profiler) Write(t guest.ThreadID, a guest.Addr) {
 
 // writeAt is the per-write hot path.
 func (p *Profiler) writeAt(tv *threadView, a guest.Addr) {
-	if tv.skipRoot != 0 {
-		p.sstats.skippedEvents++
-		return
-	}
 	tv.tsc.Chunk(a)[a&(shadow.ChunkSize-1)] = p.count
 	if !p.opts.RMSOnly {
 		p.gcur.Chunk(a)[a&(shadow.ChunkSize-1)] = uint64(p.count)<<32 | uint64(uint32(tv.id)+1)
@@ -528,11 +466,6 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 	p.pollSnapshot()
 	p.events += uint64(len(events))
 	tv := p.view(t)
-	if tv.skipRoot != 0 {
-		// Sampled-out subtree (burst tier): a kernel-writes-only scan.
-		p.memBatchSkip(events)
-		return
-	}
 	cnt := p.count
 	// Persistent shadow cursors: guest access patterns are overwhelmingly
 	// sequential and batches are short, so keeping the cursors across
@@ -646,9 +579,6 @@ func (p *Profiler) publishTelemetry() {
 	reg.Gauge("core/shadow_peak_bytes").SetMax(int64(p.peakBytes))
 	if p.checks != CheckOff {
 		reg.Counter("core/invariant_violations").Add(p.violCount)
-	}
-	if p.sampling != SamplingOff {
-		p.publishSampling(reg)
 	}
 }
 

@@ -34,9 +34,6 @@ type ThreadDump struct {
 	SumRMS          uint64      `json:"sum_rms"`
 	InducedThread   uint64      `json:"induced_thread"`
 	InducedExternal uint64      `json:"induced_external"`
-	SampledOut      uint64      `json:"sampled_out,omitempty"`
-	SampledOutCost  uint64      `json:"sampled_out_cost,omitempty"`
-	PartialCalls    uint64      `json:"partial_calls,omitempty"`
 	ByTRMS          []PointDump `json:"by_trms"`
 	ByRMS           []PointDump `json:"by_rms"`
 }
@@ -72,9 +69,6 @@ func (p *Profile) Dump() *ProfileDump {
 				SumRMS:          a.SumRMS,
 				InducedThread:   a.InducedThread,
 				InducedExternal: a.InducedExternal,
-				SampledOut:      a.SampledOut,
-				SampledOutCost:  a.SampledOutCost,
-				PartialCalls:    a.PartialCalls,
 				ByTRMS:          dumpPoints(a.ByTRMS),
 				ByRMS:           dumpPoints(a.ByRMS),
 			})
@@ -112,9 +106,6 @@ func (d *ProfileDump) Restore() (*Profile, error) {
 			a.SumRMS = td.SumRMS
 			a.InducedThread = td.InducedThread
 			a.InducedExternal = td.InducedExternal
-			a.SampledOut = td.SampledOut
-			a.SampledOutCost = td.SampledOutCost
-			a.PartialCalls = td.PartialCalls
 			for _, pd := range td.ByTRMS {
 				a.ByTRMS[pd.N] = &Point{N: pd.N, Calls: pd.Calls, MinCost: pd.MinCost, MaxCost: pd.MaxCost, SumCost: pd.SumCost}
 			}

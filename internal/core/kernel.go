@@ -38,12 +38,6 @@ type Frame[T Timestamp] struct {
 	// its descendants').
 	InducedThread   uint64
 	InducedExternal uint64
-
-	// Partial marks an activation whose subtree contains sampled-out work
-	// (burst sampling): its metrics undercount the skipped descendants'
-	// contributions. It folds into the parent on return, like the metrics
-	// it qualifies. Only the inline profiler sets it.
-	Partial bool
 }
 
 // WellFormed reports whether a completed activation's metrics satisfy the
@@ -58,12 +52,9 @@ func (f *Frame[T]) WellFormed() bool {
 }
 
 // RecordInto folds the completed activation, of cumulative cost cost, into
-// a: its final metrics, its induced-input split and its partial marker.
+// a: its final metrics and its induced-input split.
 func (f *Frame[T]) RecordInto(a *Activations, cost uint64) {
 	a.Record(clampMetric(f.TRMS), clampMetric(f.RMS), f.InducedThread, f.InducedExternal, cost)
-	if f.Partial {
-		a.PartialCalls++
-	}
 }
 
 // Stack is a thread's shadow run-time stack. Frame timestamps strictly
@@ -78,7 +69,7 @@ func (s *Stack[T]) Push(rtn guest.RoutineID, ts T, bb uint64) {
 }
 
 // Pop closes the topmost activation and returns its frame. Its partial
-// metrics, induced counts and partial marker fold into the parent's frame,
+// metrics and induced counts fold into the parent's frame,
 // preserving Invariant 2. The stack must not be empty.
 func (s *Stack[T]) Pop() Frame[T] {
 	st := *s
@@ -90,7 +81,6 @@ func (s *Stack[T]) Pop() Frame[T] {
 		parent.RMS += f.RMS
 		parent.InducedThread += f.InducedThread
 		parent.InducedExternal += f.InducedExternal
-		parent.Partial = parent.Partial || f.Partial
 	}
 	*s = st[:n-1]
 	return f

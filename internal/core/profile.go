@@ -56,24 +56,6 @@ type Activations struct {
 	InducedThread   uint64
 	InducedExternal uint64
 
-	// SampledOut and SampledOutCost count the activations (and their total
-	// cost) that ran without shadow instrumentation under burst sampling
-	// (Options.Sampling). Sampled-out activations are included in Calls and
-	// SumCost — both stay exact, since observing less cannot change what
-	// the guest executes — but contribute nothing to the metric sums or the
-	// histograms; consistency checks and mean-cost readers must use
-	// MeasuredCalls. Always zero for exact profiles.
-	SampledOut     uint64
-	SampledOutCost uint64
-
-	// PartialCalls counts the measured activations whose subtrees contain
-	// sampled-out work: they enter the histograms (so MeasuredCalls
-	// includes them) but their recorded metrics undercount the skipped
-	// descendants' contributions by an unbounded amount, so bounded-error
-	// reporting must not treat them as exact. Always zero without burst
-	// sampling.
-	PartialCalls uint64
-
 	// ByTRMS and ByRMS are the input-size histograms: one Point per
 	// distinct input-size value, the raw material of every cost plot.
 	ByTRMS map[uint64]*Point
@@ -120,27 +102,6 @@ func (a *Activations) Record(trms, rms, inducedThread, inducedExternal, cost uin
 	pr.add(cost)
 }
 
-// RecordSampledOut folds one activation that ran without measurement (burst
-// sampling) into the aggregate: the call and its cost are counted, and the
-// sampled-out totals advance so consistency checks and reports can separate
-// measured from unmeasured work.
-func (a *Activations) RecordSampledOut(cost uint64) {
-	a.Calls++
-	a.SumCost += cost
-	a.SampledOut++
-	a.SampledOutCost += cost
-}
-
-// MeasuredCalls returns the number of fully measured activations — the
-// denominator for any per-activation metric average, and the count the
-// input-size histograms sum to.
-func (a *Activations) MeasuredCalls() uint64 { return a.Calls - a.SampledOut }
-
-// Sampled reports whether the aggregate's metric data is incomplete under
-// burst sampling: some activations were sampled out entirely, or some
-// measured activations lost sampled-out descendants' contributions.
-func (a *Activations) Sampled() bool { return a.SampledOut != 0 || a.PartialCalls != 0 }
-
 // clampMetric converts a completed activation's partial metric to its final
 // value. At return the partial equals the true metric, which is
 // non-negative; the clamp only defends against misuse on inner frames.
@@ -163,9 +124,6 @@ func (a *Activations) Clone() *Activations {
 		SumRMS:          a.SumRMS,
 		InducedThread:   a.InducedThread,
 		InducedExternal: a.InducedExternal,
-		SampledOut:      a.SampledOut,
-		SampledOutCost:  a.SampledOutCost,
-		PartialCalls:    a.PartialCalls,
 		ByTRMS:          make(map[uint64]*Point, len(a.ByTRMS)),
 		ByRMS:           make(map[uint64]*Point, len(a.ByRMS)),
 	}
@@ -187,9 +145,6 @@ func (a *Activations) mergeInto(dst *Activations) {
 	dst.SumRMS += a.SumRMS
 	dst.InducedThread += a.InducedThread
 	dst.InducedExternal += a.InducedExternal
-	dst.SampledOut += a.SampledOut
-	dst.SampledOutCost += a.SampledOutCost
-	dst.PartialCalls += a.PartialCalls
 	for n, pt := range a.ByTRMS {
 		d := dst.ByTRMS[n]
 		if d == nil {
@@ -223,18 +178,6 @@ func (r *RoutineProfile) Merged() *Activations {
 		r.PerThread[tid].mergeInto(out)
 	}
 	return out
-}
-
-// Sampled reports whether any thread's activations of the routine were
-// sampled out under burst sampling — the per-routine exact/sampled marker
-// reports and CLIs display.
-func (r *RoutineProfile) Sampled() bool {
-	for _, a := range r.PerThread {
-		if a.Sampled() {
-			return true
-		}
-	}
-	return false
 }
 
 // ThreadIDs returns the ids of threads that activated the routine, sorted.

@@ -1,7 +1,7 @@
 // Time-window cuts: CutWindow slices the profiler's accumulated aggregates
 // off as a PartialProfile and resets them, while every piece of analysis
 // *state* — shadow memories, shadow stacks, the global counter, pending
-// activations, the burst-sampling schedule — carries over untouched. An
+// activations — carries over untouched. An
 // activation is recorded exactly once, at its return, into whichever window
 // is open at that moment, so the windows partition the activation multiset
 // and MergePartials over them reproduces the batch profile byte for byte

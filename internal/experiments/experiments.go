@@ -41,10 +41,6 @@ type Config struct {
 	// numbers as JSON. A telemetry snapshot of one instrumented run is
 	// written next to it (BENCH_X.json -> BENCH_X_TELEMETRY.json).
 	BenchJSON string
-	// Sampling is the adaptive-instrumentation tier profile-generating
-	// experiments run at (the -sampling flag). The inline-overhead
-	// experiment ignores it: it times every tier side by side.
-	Sampling core.SamplingTier
 }
 
 // writeBenchTelemetry publishes the process-wide shadow and trace tallies
@@ -147,15 +143,11 @@ func overheadSizeFor(s workloads.Spec, cfg Config) int {
 	return s.DefaultSize * 3
 }
 
-// profileWorkload runs one workload under a full trms profiler at the
-// configured sampling tier (unless the caller's options pick one).
+// profileWorkload runs one workload under a full trms profiler.
 func profileWorkload(name string, cfg Config, opts core.Options, params workloads.Params) (*core.Profile, error) {
 	s, err := workloads.Get(name)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Sampling == core.SamplingOff {
-		opts.Sampling = cfg.Sampling
 	}
 	if params.Size == 0 {
 		params.Size = sizeFor(s, cfg)

@@ -21,9 +21,7 @@ func init() {
 
 // inlineWorkloads are the executions the inline-overhead level times: the
 // kernel-I/O-heavy mysqld model, the parsec models the paper profiles, and
-// one Table-1 (OMP2012) compute kernel. The compute kernel is where burst
-// sampling pays most: with no kernel I/O, skipped windows drop to a pure
-// scan, while mysqld's unskippable kernel-write provenance bounds its win.
+// one Table-1 (OMP2012) compute kernel.
 var inlineWorkloads = []struct {
 	name    string
 	size    int
@@ -68,16 +66,9 @@ type inlineBenchStep struct {
 	Native     float64 `json:"native_ms"`
 	Sequential float64 `json:"sequential_ms"`
 	Batched    float64 `json:"batched_ms"`
-	Burst      float64 `json:"burst_ms"`
 	Speedup    float64 `json:"speedup"`
-	// BurstSpeedup is batched_ms / burst_ms: what burst sampling buys over
-	// the exact batched profiler on the same run.
-	BurstSpeedup float64 `json:"burst_speedup"`
-	Baseline     float64 `json:"baseline_pre_batching_ms,omitempty"`
-	VsBaseline   float64 `json:"speedup_vs_baseline,omitempty"`
-	// BurstVsBaseline is baseline_pre_batching_ms / burst_ms: the combined
-	// batching + sampling win over the pre-batching profiler.
-	BurstVsBaseline float64 `json:"burst_speedup_vs_baseline,omitempty"`
+	Baseline   float64 `json:"baseline_pre_batching_ms,omitempty"`
+	VsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
 }
 
 // runInline times the inline profiler — attached to a live machine, not
@@ -113,16 +104,15 @@ func runInline(cfg Config) error {
 		Reps:       reps,
 		Note: "min-of-reps wall time of one profiled workload run; sequential " +
 			"is per-event dispatch (guest.Config.Unbatched), batched is the " +
-			"event-ring fast path, burst adds sampled hot routines (bounded " +
-			"error); baseline_pre_batching_ms is the pre-batching profiler " +
+			"event-ring fast path; baseline_pre_batching_ms is the pre-batching profiler " +
 			"(commit 2ee0156) measured with the same methodology",
 	}
 
-	fmt.Fprintf(w, "## Inline profiling overhead — batched vs per-event dispatch vs sampling\n\n")
+	fmt.Fprintf(w, "## Inline profiling overhead — batched vs per-event dispatch\n\n")
 	fmt.Fprintf(w, "Wall time of one profiled run (min of %d), on %d CPU(s) (GOMAXPROCS %d).\n\n",
 		reps, bench.NumCPU, bench.GOMAXPROCS)
-	fmt.Fprintf(w, "| workload | events | native (ms) | per-event (ms) | batched (ms) | burst (ms) | batched speedup | burst speedup |\n")
-	fmt.Fprintf(w, "|---|---:|---:|---:|---:|---:|---:|---:|\n")
+	fmt.Fprintf(w, "| workload | events | native (ms) | per-event (ms) | batched (ms) | batched speedup |\n")
+	fmt.Fprintf(w, "|---|---:|---:|---:|---:|---:|\n")
 
 	for _, wl := range inlineWorkloads {
 		params := workloads.Params{Size: wl.size, Threads: wl.threads}
@@ -159,38 +149,27 @@ func runInline(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		bur, err := minOf(func() error {
-			_, err := workloads.RunByName(wl.name, params, core.New(core.Options{Sampling: core.SamplingBurst}))
-			return err
-		})
-		if err != nil {
-			return err
-		}
 
 		step := inlineBenchStep{
-			Workload:     wl.name,
-			Size:         params.Size,
-			Threads:      wl.threads,
-			Events:       events,
-			Native:       ms(native),
-			Sequential:   ms(seq),
-			Batched:      ms(bat),
-			Burst:        ms(bur),
-			Speedup:      float64(seq) / float64(bat),
-			BurstSpeedup: float64(bat) / float64(bur),
+			Workload:   wl.name,
+			Size:       params.Size,
+			Threads:    wl.threads,
+			Events:     events,
+			Native:     ms(native),
+			Sequential: ms(seq),
+			Batched:    ms(bat),
+			Speedup:    float64(seq) / float64(bat),
 		}
 		// The pre-batching baseline was measured at the default sizes
 		// only, so it is not comparable under Quick.
 		if base, ok := inlineBaselines[wl.name]; ok && !cfg.Quick {
 			step.Baseline = base
 			step.VsBaseline = base / ms(bat)
-			step.BurstVsBaseline = base / ms(bur)
 		}
 		bench.Workloads = append(bench.Workloads, step)
 
-		fmt.Fprintf(w, "| %s | %d | %.3f | %.3f | %.3f | %.3f | %.2fx | %.2fx |\n",
-			wl.name, events, ms(native), ms(seq), ms(bat), ms(bur),
-			step.Speedup, step.BurstSpeedup)
+		fmt.Fprintf(w, "| %s | %d | %.3f | %.3f | %.3f | %.2fx |\n",
+			wl.name, events, ms(native), ms(seq), ms(bat), step.Speedup)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "The dominant win over the pre-batching profiler is not the dispatch\n")
@@ -199,19 +178,16 @@ func runInline(cfg Config) error {
 	fmt.Fprintf(w, "word out of the per-event path, and persistent shadow-chunk cursors plus\n")
 	fmt.Fprintf(w, "chunk pooling remove the per-access table walks; per-event dispatch\n")
 	fmt.Fprintf(w, "shares most of those gains, which is why the two columns are close.\n")
-	fmt.Fprintf(w, "Burst sampling runs on top of batching: it skips whole activations of\n")
-	fmt.Fprintf(w, "hot routines outside periodic measurement windows, trading bounded\n")
-	fmt.Fprintf(w, "metric error for speed (calls and cost stay exact).\n")
 	if !cfg.Quick {
 		fmt.Fprintf(w, "Against the pre-batching profiler (commit 2ee0156):\n\n")
-		fmt.Fprintf(w, "| workload | pre-batching (ms) | batched (ms) | burst (ms) | reduction | burst reduction |\n")
-		fmt.Fprintf(w, "|---|---:|---:|---:|---:|---:|\n")
+		fmt.Fprintf(w, "| workload | pre-batching (ms) | batched (ms) | reduction |\n")
+		fmt.Fprintf(w, "|---|---:|---:|---:|\n")
 		for _, s := range bench.Workloads {
 			if s.Baseline == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "| %s | %.3f | %.3f | %.3f | %.2fx | %.2fx |\n",
-				s.Workload, s.Baseline, s.Batched, s.Burst, s.VsBaseline, s.BurstVsBaseline)
+			fmt.Fprintf(w, "| %s | %.3f | %.3f | %.2fx |\n",
+				s.Workload, s.Baseline, s.Batched, s.VsBaseline)
 		}
 		fmt.Fprintln(w)
 	}

@@ -149,12 +149,7 @@ func CheckProfile(p *core.Profile) *Report {
 	return rep
 }
 
-// checkActivations validates one (routine, thread) aggregate. Sampled-out
-// activations (burst sampling, Options.Sampling) are counted in Calls and
-// SumCost but carry no metric or histogram data, so the histograms are
-// validated against the measured subtotals; the metric-sum relations hold
-// unchanged because every recorded trms/rms unit comes from a measured
-// activation.
+// checkActivations validates one (routine, thread) aggregate.
 func checkActivations(rep *Report, name string, tid guest.ThreadID, a *core.Activations) {
 	if a.SumTRMS < a.SumRMS {
 		rep.addf("profile/trms-ge-rms", tid, name,
@@ -165,23 +160,13 @@ func checkActivations(rep *Report, name string, tid guest.ThreadID, a *core.Acti
 			"sum trms %d exceeds sum rms %d + induced %d+%d",
 			a.SumTRMS, a.SumRMS, a.InducedThread, a.InducedExternal)
 	}
-	if a.SampledOut > a.Calls || a.SampledOutCost > a.SumCost {
-		rep.addf("profile/sampled-bound", tid, name,
-			"sampled-out %d/%d exceeds totals %d/%d",
-			a.SampledOut, a.SampledOutCost, a.Calls, a.SumCost)
-	}
-	if a.PartialCalls > a.MeasuredCalls() {
-		rep.addf("profile/sampled-bound", tid, name,
-			"partial calls %d exceed measured calls %d", a.PartialCalls, a.MeasuredCalls())
-	}
-	checkHistogram(rep, name, tid, "trms", a.ByTRMS, a.MeasuredCalls(), a.SumTRMS, a.SumCost-a.SampledOutCost)
-	checkHistogram(rep, name, tid, "rms", a.ByRMS, a.MeasuredCalls(), a.SumRMS, a.SumCost-a.SampledOutCost)
+	checkHistogram(rep, name, tid, "trms", a.ByTRMS, a.Calls, a.SumTRMS, a.SumCost)
+	checkHistogram(rep, name, tid, "rms", a.ByRMS, a.Calls, a.SumRMS, a.SumCost)
 }
 
 // checkHistogram validates one input-size histogram against the aggregate's
-// measured totals: bucket calls sum to the measured activation count,
-// N-weighted calls sum to the metric total, bucket costs sum to the
-// measured cost total, and each bucket
+// totals: bucket calls sum to the activation count, N-weighted calls sum
+// to the metric total, bucket costs sum to the cost total, and each bucket
 // is internally consistent (calls > 0, min <= max, cost between the
 // bounds implied by its extremes).
 func checkHistogram(rep *Report, name string, tid guest.ThreadID, metric string, h map[uint64]*core.Point, calls, sumMetric, sumCost uint64) {

@@ -321,15 +321,6 @@ func Run(cfg Config) (*Result, error) {
 			timesliceVariant(spec, cfg.Params, res.Report, base, tr, q))
 	}
 
-	// Adaptive-instrumentation axis (core.Options.Sampling). The burst tier
-	// is the statistical tier: Calls and SumCost must stay exactly equal
-	// (observing less cannot change what the guest executes), sampled-out
-	// work must be marked, the profile must stay well-formed, and the
-	// per-routine mean metrics must stay within the stated drift tolerance;
-	// on workloads where no routine ever gets hot it escalates to
-	// byte-identity.
-	res.Variants = append(res.Variants, samplingBurstVariant(spec, cfg.Params, res.Report, base))
-
 	return res, nil
 }
 
@@ -563,133 +554,6 @@ func timesliceVariant(spec workloads.Spec, params workloads.Params, rep *Report,
 	}
 	v.OK = true
 	return v
-}
-
-// Burst-sampling drift tolerance for the statistical tier: a cleanly
-// measured routine's mean trms/rms per measured activation may differ from
-// the exact mean per activation by at most burstMeanTolerance relatively,
-// plus burstMeanSlack absolutely (small-mean routines would otherwise fail
-// on single-unit jitter). The bound applies only to routines with no
-// partial activations — an activation that contains sampled-out descendants
-// undercounts their contributions by an unbounded amount, which is exactly
-// why the profile marks it (Activations.PartialCalls) instead of promising
-// accuracy. The drift sources are documented in docs/CORRECTNESS.md:
-// measured activations see staler shadow state (reads that skipped subtrees
-// would have stamped look like first accesses), and the measured subset of
-// a skewed activation population is not a uniform sample.
-const (
-	burstMeanTolerance = 0.5
-	burstMeanSlack     = 16.0
-)
-
-// samplingBurstVariant runs the workload under burst sampling and checks the
-// statistical tier against the baseline profile. When sampling never
-// engaged (no routine reached SamplingHotThreshold activations) the variant
-// escalates to strict byte-identity.
-func samplingBurstVariant(spec workloads.Spec, params workloads.Params, rep *Report, base []byte) Variant {
-	v := Variant{Name: "sampling=burst", Strict: false}
-	reg := telemetry.NewRegistry()
-	params.Telemetry = reg
-	prof := core.New(core.Options{
-		CheckLevel:  core.CheckCheap,
-		OnViolation: rep.Add,
-		Sampling:    core.SamplingBurst,
-		Telemetry:   reg,
-	})
-	if _, err := workloads.Run(spec, params, prof); err != nil {
-		v.Detail = err.Error()
-		return v
-	}
-	got := prof.Profile()
-	if bad := CheckProfile(got); !bad.OK() {
-		rep.Merge(bad)
-		v.Detail = "burst profile violates well-formedness"
-		return v
-	}
-	rep.Merge(CheckConservation(reg))
-
-	var sampledOut uint64
-	for _, rp := range got.Routines {
-		for _, a := range rp.PerThread {
-			sampledOut += a.SampledOut
-		}
-	}
-	if sampledOut == 0 {
-		v.Strict = true
-		gotBytes, err := got.Export()
-		if err != nil {
-			v.Detail = err.Error()
-			return v
-		}
-		if !bytes.Equal(gotBytes, base) {
-			v.Detail = fmt.Sprintf("sampling never engaged but profile diverges from baseline (%d vs %d bytes)", len(gotBytes), len(base))
-			return v
-		}
-		v.OK = true
-		return v
-	}
-
-	want, err := core.ReadJSON(bytes.NewReader(base))
-	if err != nil {
-		v.Detail = "reparsing baseline: " + err.Error()
-		return v
-	}
-	if detail := compareSampled(want, got); detail != "" {
-		v.Detail = detail
-		return v
-	}
-	v.OK = true
-	return v
-}
-
-// compareSampled checks the burst tier's property ladder against the exact
-// baseline: identical routine sets, exactly equal per-routine activation
-// counts and total costs, and per-routine mean metrics (over the measured
-// activations) within the stated drift tolerance of the exact means. A
-// routine with no measured data, or whose measured activations are marked
-// partial (sampled-out descendants), has only its exact-by-construction
-// counts checked — the sampled marker, not a drift bound, is its contract.
-func compareSampled(want, got *core.Profile) string {
-	wantNames, gotNames := want.RoutineNames(), got.RoutineNames()
-	if len(wantNames) != len(gotNames) {
-		return fmt.Sprintf("routine set changed: %d vs %d routines", len(wantNames), len(gotNames))
-	}
-	for i, name := range wantNames {
-		if gotNames[i] != name {
-			return fmt.Sprintf("routine set changed: %q vs %q", name, gotNames[i])
-		}
-		w := want.Routines[name].Merged()
-		g := got.Routines[name].Merged()
-		if w.Calls != g.Calls {
-			return fmt.Sprintf("%s: activation count changed: %d vs %d", name, w.Calls, g.Calls)
-		}
-		if w.SumCost != g.SumCost {
-			return fmt.Sprintf("%s: total cost changed: %d vs %d", name, w.SumCost, g.SumCost)
-		}
-		mc := g.MeasuredCalls()
-		if mc == 0 || w.Calls == 0 || g.PartialCalls != 0 {
-			// No measured data, or the measured data undercounts skipped
-			// descendants (marked partial): the marker is the contract
-			// here, not a drift bound.
-			continue
-		}
-		for _, m := range []struct {
-			metric     string
-			wSum, gSum uint64
-		}{
-			{"trms", w.SumTRMS, g.SumTRMS},
-			{"rms", w.SumRMS, g.SumRMS},
-		} {
-			wantMean := float64(m.wSum) / float64(w.Calls)
-			gotMean := float64(m.gSum) / float64(mc)
-			limit := burstMeanTolerance*wantMean + burstMeanSlack
-			if diff := gotMean - wantMean; diff > limit || diff < -limit {
-				return fmt.Sprintf("%s: mean %s drifted beyond tolerance: %.2f vs exact %.2f (limit ±%.2f)",
-					name, m.metric, gotMean, wantMean, limit)
-			}
-		}
-	}
-	return ""
 }
 
 // compareWeak checks the timeslice-invariant property tier: the perturbed

@@ -21,7 +21,6 @@ type Flags struct {
 	mem       string
 	exectrace string
 	tele      telemetryValue
-	sampling  samplingValue
 	httpAddr  string
 
 	cpuFile   *os.File
@@ -30,15 +29,14 @@ type Flags struct {
 	obsSrv    *obs.Server
 }
 
-// Register adds -cpuprofile, -memprofile, -telemetry, -exectrace,
-// -sampling and -http to fs and returns the handle that starts and stops
+// Register adds -cpuprofile, -memprofile, -telemetry, -exectrace
+// and -http to fs and returns the handle that starts and stops
 // collection.
 func Register(fs *flag.FlagSet) *Flags {
 	p := &Flags{}
 	fs.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&p.mem, "memprofile", "", "write a heap profile to `file`")
 	p.registerTelemetry(fs)
-	p.registerSampling(fs)
 	p.registerObs(fs)
 	return p
 }

@@ -18,7 +18,7 @@ func newFlagSet() (*flag.FlagSet, *Flags) {
 
 func TestRegisterAddsFlags(t *testing.T) {
 	fs, _ := newFlagSet()
-	for _, name := range []string{"cpuprofile", "memprofile", "telemetry", "exectrace", "sampling"} {
+	for _, name := range []string{"cpuprofile", "memprofile", "telemetry", "exectrace"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}

@@ -62,15 +62,9 @@ func WriteFullReport(w io.Writer, p *core.Profile, opts FullReportOptions) error
 		len(names), p.InducedThread, tp, p.InducedExternal, ep)
 
 	var rows [][]string
-	sampledAny := false
 	for _, e := range entries {
-		name := e.name
-		if e.rp.Sampled() {
-			name += " ~"
-			sampledAny = true
-		}
 		rows = append(rows, []string{
-			name,
+			e.name,
 			fmt.Sprint(e.a.Calls),
 			fmt.Sprint(e.a.SumCost),
 			fmt.Sprint(e.a.SumTRMS),
@@ -80,9 +74,6 @@ func WriteFullReport(w io.Writer, p *core.Profile, opts FullReportOptions) error
 		})
 	}
 	Table(w, []string{"routine", "calls", "cost(BB)", "trms", "|trms|", "|rms|", "input volume"}, rows)
-	if sampledAny {
-		fmt.Fprintf(w, "\n~ sampled routine: calls and cost are exact, trms/rms carry bounded error\n")
-	}
 	fmt.Fprintln(w)
 
 	for _, e := range entries {
@@ -98,18 +89,6 @@ func WriteFullReport(w io.Writer, p *core.Profile, opts FullReportOptions) error
 		}
 		if pl, err := fit.FitPowerLaw(pts); err == nil {
 			fmt.Fprintf(w, "power law:  %s\n", pl)
-		}
-		// Sampled plots carry bounded error, so a point estimate alone would
-		// overstate certainty: report the jackknife interval on the exponent.
-		if e.rp.Sampled() {
-			if ci, err := fit.FitPowerLawCI(pts); err == nil {
-				fmt.Fprintf(w, "sampled:    %d of %d calls measured; 95%% CI on exponent: %.2f .. %.2f\n",
-					e.a.MeasuredCalls(), e.a.Calls,
-					ci.Exponent-1.96*ci.ExponentStderr, ci.Exponent+1.96*ci.ExponentStderr)
-			} else {
-				fmt.Fprintf(w, "sampled:    %d of %d calls measured (too few points for a confidence interval)\n",
-					e.a.MeasuredCalls(), e.a.Calls)
-			}
 		}
 		if induced := e.a.InducedThread + e.a.InducedExternal; induced > 0 {
 			fmt.Fprintf(w, "induced input: %d accesses (%.1f%% thread, %.1f%% external)\n",

@@ -84,7 +84,8 @@ func (tr *Trace) StripAnnotations() {
 // Annotations are kept per ThreadTrace, so Annotate rejects traces they
 // cannot describe: two ThreadTraces with the same ID, or an event whose
 // Thread differs from its ThreadTrace's ID. Recorders, the decoders and
-// Combine never produce either.
+// Combine never produce either. A memory access outside the analysed
+// address space is an *AddressError.
 func Annotate(ctx context.Context, tr *Trace, tieSeed int64) (*Trace, error) {
 	out := *tr
 	out.Threads = make([]ThreadTrace, len(tr.Threads))
@@ -103,6 +104,9 @@ func Annotate(ctx context.Context, tr *Trace, tieSeed int64) (*Trace, error) {
 			e := &tt.Events[j]
 			if e.Thread != tt.ID {
 				return nil, fmt.Errorf("trace: cannot annotate: event %d of thread %d belongs to thread %d", j, tt.ID, e.Thread)
+			}
+			if err := e.checkAddr(j); err != nil {
+				return nil, err
 			}
 			if e.Kind == KindRead || e.Kind == KindKernelRead {
 				reads++

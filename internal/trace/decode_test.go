@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -10,9 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/core"
+	"repro/internal/guest"
 	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/trace/pipeline"
 	"repro/internal/workloads"
 )
 
@@ -173,8 +177,8 @@ func TestDecodeTimePublished(t *testing.T) {
 }
 
 // TestTimestampOverflowRejected: a segment whose timestamp delta wraps
-// past 2^64 (which the encoder writes for a thread whose timestamps go
-// backwards) fails the shared event parser, so every decoded segment's
+// past 2^64 (what an unchecked encoder writes for a thread whose timestamps
+// go backwards) fails the shared event parser, so every decoded segment's
 // timestamps are non-decreasing: Decode and StreamDecoder reject it, and
 // Recover drops just that segment as invalid.
 func TestTimestampOverflowRejected(t *testing.T) {
@@ -187,7 +191,7 @@ func TestTimestampOverflowRejected(t *testing.T) {
 		{TS: 3, Thread: 2, Kind: trace.KindRead, Arg: 64},
 	}}
 	var buf bytes.Buffer
-	if _, err := (&trace.Trace{Threads: []trace.ThreadTrace{good, bad}}).Encode(&buf); err != nil {
+	if _, err := (&trace.Trace{Threads: []trace.ThreadTrace{good, bad}}).EncodeUnchecked(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -206,6 +210,106 @@ func TestTimestampOverflowRejected(t *testing.T) {
 	}
 	if tr.NumEvents() != len(good.Events) {
 		t.Errorf("Recover salvaged %d events, want thread 1's %d", tr.NumEvents(), len(good.Events))
+	}
+}
+
+// TestEncodeRejectsBackwardsTimestamps: Encode refuses a thread whose
+// timestamps go backwards, within one entry or across two entries for the
+// same thread, naming the thread and the event and writing nothing, while
+// equal timestamps still round-trip. Decode likewise rejects a thread whose
+// later segment starts before its earlier one ends.
+func TestEncodeRejectsBackwardsTimestamps(t *testing.T) {
+	ev := func(id guest.ThreadID, ts uint64) trace.Event {
+		return trace.Event{TS: ts, Thread: id, Kind: trace.KindRead, Arg: 8}
+	}
+	for _, c := range []struct {
+		name    string
+		threads []trace.ThreadTrace
+		want    string
+	}{
+		{"within a thread", []trace.ThreadTrace{
+			{ID: 1, Events: []trace.Event{ev(1, 1)}},
+			{ID: 2, Events: []trace.Event{ev(2, 4), ev(2, 5), ev(2, 3)}},
+		}, "thread 2 event 2: timestamp 3 goes back from 5"},
+		{"across entries", []trace.ThreadTrace{
+			{ID: 3, Events: []trace.Event{ev(3, 7)}},
+			{ID: 3, Events: []trace.Event{ev(3, 6)}},
+		}, "thread 3 event 0: timestamp 6 goes back from 7"},
+	} {
+		tr := &trace.Trace{Threads: c.threads}
+		var buf bytes.Buffer
+		n, err := tr.Encode(&buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Encode error %v, want %q", c.name, err, c.want)
+		}
+		if n != 0 || buf.Len() != 0 {
+			t.Errorf("%s: Encode wrote %d bytes before failing", c.name, buf.Len())
+		}
+	}
+
+	// Two segments of one thread, each monotone, the second starting
+	// before the first ends: only the decoder can see the step back.
+	var buf bytes.Buffer
+	split := &trace.Trace{Threads: []trace.ThreadTrace{
+		{ID: 3, Events: []trace.Event{ev(3, 7)}},
+		{ID: 3, Events: []trace.Event{ev(3, 6)}},
+	}}
+	if _, err := split.EncodeUnchecked(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Decode(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "before the previous segment") {
+		t.Errorf("Decode of a thread stepping back across segments: got %v", err)
+	}
+
+	equal := &trace.Trace{Routines: []string{"r"}, Threads: []trace.ThreadTrace{
+		{ID: 1, Events: []trace.Event{ev(1, 2), ev(1, 2), ev(1, 2)}},
+	}}
+	buf.Reset()
+	if _, err := equal.Encode(&buf); err != nil {
+		t.Fatalf("equal timestamps rejected: %v", err)
+	}
+	back, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(normalized(back), normalized(equal)) {
+		t.Fatal("equal timestamps do not round-trip")
+	}
+}
+
+// TestOutOfRangeAddressInMemoryTraces: a hand-built trace never passes the
+// parser, so Replay and Annotate (and pipeline.Analyze, which annotates an
+// unannotated trace first) check addresses themselves: a memory access at
+// or above 1<<shadow.MaxAddrBits is an *AddressError naming the event, not
+// a panic in shadow memory.
+func TestOutOfRangeAddressInMemoryTraces(t *testing.T) {
+	const limit = uint64(1) << shadow.MaxAddrBits
+	for _, k := range []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite} {
+		tr := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 0, Events: []trace.Event{
+			{TS: 1, Kind: trace.KindCall, Aux: 1},
+			{TS: 2, Kind: trace.KindWrite, Arg: 64},
+			{TS: 3, Kind: k, Arg: limit},
+			{TS: 4, Kind: trace.KindReturn, Aux: 5},
+		}}}}
+		for _, route := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Replay", func() error { return trace.Replay(tr, 1, core.New(core.Options{})) }},
+			{"Annotate", func() error {
+				_, err := trace.Annotate(context.Background(), tr, 1)
+				return err
+			}},
+			{"pipeline.Analyze", func() error {
+				_, err := pipeline.Analyze(tr, pipeline.Options{})
+				return err
+			}},
+		} {
+			var ae *trace.AddressError
+			if err := route.run(); !errors.As(err, &ae) || ae.Event != 2 || ae.Kind != k || ae.Addr != limit {
+				t.Errorf("%s of a %s at %#x: got %v, want an *AddressError for event 2", route.name, k, limit, err)
+			}
+		}
 	}
 }
 

@@ -131,8 +131,38 @@ func writeAll(w io.Writer, b []byte) error {
 // checksummed name-table blocks, per-thread event segments of at most
 // DefaultSegmentEvents events, and a final footer — and returns the number
 // of bytes written. Any write or flush error is reported; on error the
-// returned count is the number of bytes successfully handed to w.
+// returned count is the number of bytes successfully handed to w. A thread
+// whose timestamps go backwards cannot be encoded, since Decode would
+// reject the file: Encode returns an error naming the thread and the event
+// and writes nothing.
 func (tr *Trace) Encode(w io.Writer) (int64, error) {
+	if err := tr.checkTimestamps(); err != nil {
+		return 0, err
+	}
+	return tr.encode(w)
+}
+
+// checkTimestamps verifies that every thread's timestamps are
+// non-decreasing, across all of tr.Threads' entries for the thread.
+func (tr *Trace) checkTimestamps() error {
+	last := make(map[guest.ThreadID]uint64, len(tr.Threads))
+	for i := range tr.Threads {
+		tt := &tr.Threads[i]
+		prev := last[tt.ID]
+		for j := range tt.Events {
+			ts := tt.Events[j].TS
+			if ts < prev {
+				return fmt.Errorf("trace: thread %d event %d: timestamp %d goes back from %d", tt.ID, j, ts, prev)
+			}
+			prev = ts
+		}
+		last[tt.ID] = prev
+	}
+	return nil
+}
+
+// encode is Encode without the timestamp check.
+func (tr *Trace) encode(w io.Writer) (int64, error) {
 	var total int64
 	emit := func(b []byte) error {
 		err := writeAll(w, b)
@@ -258,13 +288,16 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 	return threadIDFromWire(idWire), int(count), p.Off(), nil
 }
 
-// AddressError reports a decoded memory access whose address lies outside
-// the analysed address space, at or above 1<<shadow.MaxAddrBits. The guest
-// machine never issues one, and every consumer of decoded events (the
-// annotator, the profiler, aprofd) indexes shadow memory by address, so
-// the event parser rejects it: a decoded event is always analysable.
+// AddressError reports a memory access whose address lies outside the
+// analysed address space, at or above 1<<shadow.MaxAddrBits. The guest
+// machine never issues one, and every consumer of events (the annotator,
+// the profiler, aprofd) indexes shadow memory by address, so the event
+// parser rejects it, and so do Replay, Annotate and
+// core.Incremental.FeedRun for events that never passed the parser.
 type AddressError struct {
-	// Event is the event's index in its segment.
+	// Event is the event's index in the input that held it: its segment
+	// for the parser, the merged stream for ReplayMerged, its thread for
+	// Annotate, its run for FeedRun.
 	Event int
 	// Kind is the access kind (read, write, kernelRead or kernelWrite).
 	Kind Kind
@@ -406,6 +439,9 @@ type threadSlot struct {
 	runs                    []StampRun
 	stamps                  []Stamp
 	reads                   int
+	// lastTS is the timestamp of the thread's last filled event: a later
+	// segment that starts below it makes the block bad.
+	lastTS uint64
 	// listed reports a filled segment, so the thread appears in the trace
 	// (at its position in v2scan.order); annotated reports a filled A
 	// block.
@@ -596,7 +632,15 @@ func (s *v2scan) fillPass() {
 				events = slices.Grow(events[:0], b.n)[:b.n]
 			}
 			var reads int
-			if reads, b.err = parseEvents(body, b.id, events); b.err == nil {
+			reads, b.err = parseEvents(body, b.id, events)
+			if b.err == nil && b.n > 0 {
+				if events[0].TS < t.lastTS {
+					b.err = fmt.Errorf("thread %d: segment starts at timestamp %d, before the previous segment's %d", b.id, events[0].TS, t.lastTS)
+				} else {
+					t.lastTS = events[b.n-1].TS
+				}
+			}
+			if b.err == nil {
 				if keep {
 					t.events = t.events[:len(t.events)+b.n]
 					ioStats.segmentsDecoded.Add(1)

@@ -3,16 +3,20 @@ package trace_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/guest"
+	"repro/internal/shadow"
 	"repro/internal/trace"
+	"repro/internal/trace/pipeline"
 )
 
 // fuzzSeedTrace builds a small but representative trace covering both name
-// tables, several threads and every hot event kind.
+// tables, several threads, every hot event kind and a cell that thread 0
+// writes and every thread reads, so the later threads' reads are induced.
 func fuzzSeedTrace() *trace.Trace {
 	tr := &trace.Trace{
 		Routines: []string{"main", "worker", "leaf"},
@@ -29,6 +33,10 @@ func fuzzSeedTrace() *trace.Trace {
 		add(trace.KindCall, 0, 10)
 		add(trace.KindWrite, 0x1000, 0)
 		add(trace.KindRead, 0x1000, 0)
+		if th == 0 {
+			add(trace.KindWrite, 0x3000, 0)
+		}
+		add(trace.KindRead, 0x3000, 0)
 		add(trace.KindSyncAcquire, 0, 0)
 		add(trace.KindKernelRead, 0x2000, 0)
 		add(trace.KindSyncRelease, 0, 0)
@@ -45,16 +53,24 @@ const v1Trace = "ISPTRACE\x01\x01\x04main\x00\x01\x00\x02\x01\x00\x00\x00\x01\x0
 
 // fuzzInputs returns the shared seed inputs of the decoder fuzz targets:
 // a clean encoding, a v1 encoding (rejected), truncations, bit flips, bare
-// magic, empty input, and the two self-inconsistent traces Decode rejects although
+// magic, empty input, the two self-inconsistent traces Decode rejects although
 // every block checksums (bytes after the footer, and a footer whose counts
-// disagree with the stream).
+// disagree with the stream), and two more it rejects although every block
+// checksums: a memory access outside the analysed address space, and a
+// thread whose timestamps go backwards.
 func fuzzInputs(tb testing.TB) [][]byte {
-	tr := fuzzSeedTrace()
-	var buf bytes.Buffer
-	if _, err := tr.Encode(&buf); err != nil {
-		tb.Fatal(err)
+	encode := func(tr *trace.Trace) []byte {
+		var buf bytes.Buffer
+		if _, err := tr.EncodeUnchecked(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	clean := buf.Bytes()
+	clean := encode(fuzzSeedTrace())
+	farAddr := fuzzSeedTrace()
+	farAddr.Threads[1].Events[2].Arg = 1 << shadow.MaxAddrBits
+	backwards := fuzzSeedTrace()
+	backwards.Threads[2].Events[3].TS = 1
 	inputs := [][]byte{
 		clean,
 		[]byte(v1Trace),
@@ -64,6 +80,8 @@ func fuzzInputs(tb testing.TB) [][]byte {
 		faultinject.FlipBits(clean, 2, 8, 9),
 		[]byte("ISPTRACE"),
 		{},
+		encode(farAddr),
+		encode(backwards),
 	}
 	for _, c := range selfInconsistentTraces(tb) {
 		inputs = append(inputs, c.data)
@@ -106,8 +124,9 @@ func nilIfEmpty[T any](s []T) []T {
 // FuzzDecode: the strict decoder must never panic or over-allocate on
 // arbitrary bytes. Whatever it accepts must re-encode and decode back to an
 // equal trace, Recover must return the same trace as a
-// complete salvage and Verify must pass it. Conversely, a trace Verify
-// passes must decode.
+// complete salvage and Verify must pass it, and it must analyse the same
+// way through the pipeline and through replay (analyzeBothWays).
+// Conversely, a trace Verify passes must decode.
 func FuzzDecode(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -140,7 +159,34 @@ func FuzzDecode(f *testing.F) {
 		if verr != nil || !vr.OK() {
 			t.Fatalf("Verify rejects an accepted trace: err=%v report=%+v", verr, vr)
 		}
+		analyzeBothWays(t, tr)
 	})
+}
+
+// analyzeBothWays analyses an accepted trace through pipeline.Analyze and
+// through Replay into core.New. Neither may panic, either both fail or
+// neither does, and when both succeed their exports must be equal.
+func analyzeBothWays(t *testing.T, tr *trace.Trace) {
+	pp, perr := pipeline.Analyze(tr, pipeline.Options{TieSeed: 1, Workers: 2})
+	rp, rerr := core.FromTrace(tr, 1, core.Options{})
+	if (perr == nil) != (rerr == nil) {
+		t.Fatalf("pipeline error %v, replay error %v", perr, rerr)
+	}
+	if perr != nil {
+		return
+	}
+	want, err := rp.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pp.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		d := pp.Diff(rp)
+		t.Fatalf("pipeline export differs from replay's:\n%s", strings.Join(d[:min(len(d), 8)], "\n"))
+	}
 }
 
 // FuzzRecover: on arbitrary bytes Recover must never panic, and when it

@@ -132,7 +132,7 @@ const safepointStride = 4096
 // worker block per checkpointed thread, and a footer last.
 const (
 	ckptMagic   = "aprofCP\x00"
-	ckptVersion = 2
+	ckptVersion = 3
 
 	ckptBlockHeader = 'H'
 	ckptBlockWorker = 'W'
@@ -176,7 +176,7 @@ type workerState struct {
 	nextRead        int
 	inducedThread   uint64
 	inducedExternal uint64
-	stack           core.Stack[uint64] // Frame.Partial is never set here, so not encoded
+	stack           core.Stack[uint64]
 	acts            map[guest.RoutineID]*core.Activations
 
 	// cells holds the non-zero shadow cells, sorted by address. On capture
@@ -204,7 +204,6 @@ type ckptHeader struct {
 	rmsOnly              bool
 	disableThreadInduced bool
 	disableExternal      bool
-	sampling             uint8
 	checkLevel           uint8
 
 	threads []ckptThread
@@ -230,7 +229,6 @@ func (p *Plan) fingerprint() ckptHeader {
 		rmsOnly:              p.opts.RMSOnly,
 		disableThreadInduced: p.opts.DisableThreadInduced,
 		disableExternal:      p.opts.DisableExternal,
-		sampling:             uint8(p.opts.Sampling),
 		checkLevel:           uint8(p.opts.CheckLevel),
 	}
 	for _, tp := range p.threads {
@@ -267,8 +265,8 @@ func mix(h, v uint64) uint64 { return bits.RotateLeft64(h^v, 27) * 0x9e3779b97f4
 func (h ckptHeader) matches(o ckptHeader) bool {
 	if h.numEvents != o.numEvents || h.wide != o.wide || h.annotated != o.annotated ||
 		h.rmsOnly != o.rmsOnly || h.disableThreadInduced != o.disableThreadInduced ||
-		h.disableExternal != o.disableExternal || h.sampling != o.sampling ||
-		h.checkLevel != o.checkLevel || len(h.threads) != len(o.threads) {
+		h.disableExternal != o.disableExternal || h.checkLevel != o.checkLevel ||
+		len(h.threads) != len(o.threads) {
 		return false
 	}
 	for i, t := range h.threads {
@@ -329,7 +327,7 @@ func flag(v bool) byte {
 func (h ckptHeader) encode() []byte {
 	b := appendUvarints(nil, uint64(h.numEvents))
 	b = append(b, flag(h.wide), flag(h.annotated), h.runState, flag(h.rmsOnly),
-		flag(h.disableThreadInduced), flag(h.disableExternal), h.sampling, h.checkLevel)
+		flag(h.disableThreadInduced), flag(h.disableExternal), h.checkLevel)
 	b = appendUvarints(b, uint64(len(h.threads)))
 	for _, t := range h.threads {
 		b = binary.AppendVarint(b, int64(t.id))
@@ -361,7 +359,7 @@ func (st *workerState) encode() []byte {
 	for _, id := range ids {
 		a := st.acts[id]
 		b = appendUvarints(b, uint64(id), a.Calls, a.SumCost, a.SumTRMS, a.SumRMS, a.InducedThread,
-			a.InducedExternal, a.SampledOut, a.SampledOutCost, a.PartialCalls)
+			a.InducedExternal)
 		b = appendPoints(b, a.ByTRMS)
 		b = appendPoints(b, a.ByRMS)
 	}
@@ -400,7 +398,6 @@ func decodeHeader(payload []byte) (ckptHeader, error) {
 	h.rmsOnly = p.Byte() != 0
 	h.disableThreadInduced = p.Byte() != 0
 	h.disableExternal = p.Byte() != 0
-	h.sampling = p.Byte()
 	h.checkLevel = p.Byte()
 	n := p.Count(4)
 	for i := 0; i < n; i++ {
@@ -444,7 +441,7 @@ func decodeWorker(payload []byte) (*workerState, error) {
 		})
 	}
 
-	na := p.Count(12)
+	na := p.Count(9)
 	st.acts = make(map[guest.RoutineID]*core.Activations, na)
 	for i := 0; i < na; i++ {
 		id := guest.RoutineID(p.Uvarint())
@@ -458,9 +455,6 @@ func decodeWorker(payload []byte) (*workerState, error) {
 		a.SumRMS = p.Uvarint()
 		a.InducedThread = p.Uvarint()
 		a.InducedExternal = p.Uvarint()
-		a.SampledOut = p.Uvarint()
-		a.SampledOutCost = p.Uvarint()
-		a.PartialCalls = p.Uvarint()
 		if err := decodePoints(&p, a.ByTRMS); err != nil {
 			return nil, err
 		}

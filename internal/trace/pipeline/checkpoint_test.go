@@ -596,3 +596,26 @@ func TestWorkerStateRoundTrip(t *testing.T) {
 		t.Fatal("decoded aggregates mismatch")
 	}
 }
+
+// TestCheckpointOldVersionRejected: a checkpoint written under an earlier
+// codec version fails the load with the unsupported-version error instead
+// of being misread by the current block layout.
+func TestCheckpointOldVersionRejected(t *testing.T) {
+	tr, _ := ckptTrace(t, "fig1a", workloads.Params{Size: 24})
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := runCheckpointed(t, tr, path, 2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeCheckpoint(data); err != nil {
+		t.Fatalf("current-version checkpoint rejected: %v", err)
+	}
+	data[len(ckptMagic)] = 2
+	_, err = decodeCheckpoint(data)
+	if !errors.Is(err, errCkpt) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version-2 checkpoint: got %v, want the unsupported-version error", err)
+	}
+}

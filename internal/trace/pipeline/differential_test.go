@@ -165,9 +165,6 @@ func TestRejectsUnsupportedOptions(t *testing.T) {
 	if _, err := pipeline.BuildPlan(tr, 0, core.Options{OnActivation: cb}); err == nil {
 		t.Error("OnActivation was not rejected")
 	}
-	if _, err := pipeline.Analyze(tr, pipeline.Options{Profile: core.Options{Sampling: core.SamplingBurst}}); err == nil {
-		t.Error("burst sampling was not rejected")
-	}
 }
 
 // TestEmptyTrace: analyzing an empty trace yields an empty profile rather

@@ -212,11 +212,6 @@ func validateOptions(opts core.Options) error {
 	if opts.OnActivation != nil {
 		return fmt.Errorf("pipeline: OnActivation streaming requires the sequential replayer (core.FromTrace)")
 	}
-	if opts.Sampling != core.SamplingOff {
-		// The burst schedule counts activations per routine across all
-		// threads in merged order, which per-thread workers cannot see.
-		return fmt.Errorf("pipeline: sampling tier %s requires the sequential replayer (core.FromTrace)", opts.Sampling)
-	}
 	return nil
 }
 

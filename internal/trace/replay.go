@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/guest"
+	"repro/internal/shadow"
 )
 
 // replayEnv implements guest.Env on top of a recorded trace, with the
@@ -23,19 +24,25 @@ func (e *replayEnv) Now() uint64                          { return e.now }
 // tools through the resulting event stream exactly as a live machine would:
 // Attach, the merged events (including synthesized switchThread events),
 // then Finish. Profiles computed online and by replay are identical; the
-// tests assert this.
+// tests assert this. A memory access outside the analysed address space
+// stops the replay with an *AddressError.
 func Replay(tr *Trace, tieSeed int64, tools ...guest.Tool) error {
 	merged := Merge(tr, tieSeed)
 	return ReplayMerged(tr, merged, tools...)
 }
 
-// ReplayMerged drives tools from an already-merged event stream.
+// ReplayMerged drives tools from an already-merged event stream. A memory
+// access outside the analysed address space stops it with an
+// *AddressError, before that event reaches the tools.
 func ReplayMerged(tr *Trace, merged []Event, tools ...guest.Tool) error {
 	env := &replayEnv{tr: tr}
 	for _, tl := range tools {
 		tl.Attach(env)
 	}
-	for _, e := range merged {
+	for i, e := range merged {
+		if err := e.checkAddr(i); err != nil {
+			return err
+		}
 		env.now = e.TS
 		if err := dispatch(e, tools); err != nil {
 			return err
@@ -54,6 +61,15 @@ func ReplayMerged(tr *Trace, merged []Event, tools ...guest.Tool) error {
 // from a materialized merged slice; such callers must keep their
 // guest.Env's clock at e.TS while dispatching, mirroring ReplayMerged.
 func Dispatch(e Event, tools []guest.Tool) error { return dispatch(e, tools) }
+
+// checkAddr returns an *AddressError, with index i, if e is a memory
+// access outside the analysed address space.
+func (e *Event) checkAddr(i int) error {
+	if e.Kind.IsMemory() && e.Arg>>shadow.MaxAddrBits != 0 {
+		return &AddressError{Event: i, Kind: e.Kind, Addr: e.Arg}
+	}
+	return nil
+}
 
 func dispatch(e Event, tools []guest.Tool) error {
 	switch e.Kind {

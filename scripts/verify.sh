@@ -66,16 +66,6 @@ for key in guest/mem_events core/events_consumed shadow/chunks_allocated \
 done
 echo "telemetry snapshot OK: $snap"
 
-echo "== sampling smoke: burst cross-check"
-# The analyze path runs the inline profiler and the offline pipeline side
-# by side and insists they agree, so this run doubles as an end-to-end
-# sampling gate: under -sampling=burst the exact pipeline profile is
-# cross-checked against the sampled inline one (calls and cost must match
-# exactly, sampled-out counts must be consistent).
-go run ./cmd/aprof-trace analyze -workload mysqld -sampling=burst \
-	-progress=false -top 3 >/dev/null
-echo "sampling smoke OK"
-
 echo "== scaling smoke: pipeline speedup at GOMAXPROCS=2"
 # Parallelism canary: 2 workers on 2 CPUs must beat 1 worker by > 1.2x
 # on an annotated mid-size trace (self-skips on single-CPU hosts, where
