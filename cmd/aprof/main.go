@@ -116,8 +116,8 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 	var tls []aprof.Tool
 	var prof *aprof.Profiler
 	// With -http, /profile is served straight from the inline profiler's
-	// on-demand snapshots: a request triggers one low-pause capture at the
-	// next batch boundary and the resulting document lands in the feed.
+	// on-demand snapshots: a request triggers one export at the next batch
+	// boundary and the resulting document lands in the feed.
 	var feed *obs.ProfileFeed
 	var onSnap func(*aprof.LiveSnapshot)
 	if o.obsSrv != nil {

@@ -331,7 +331,7 @@ func (p *Profiler) ThreadExit(t guest.ThreadID) {
 	}
 	delete(p.threads, t)
 	if p.cur == tv {
-		// Invalidate the view cache: hand-built event streams may reuse
+		// Drop the view cache: hand-built event streams may reuse
 		// the thread id, which must get a fresh view.
 		p.cur = nil
 	}

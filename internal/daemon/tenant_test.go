@@ -273,10 +273,44 @@ func TestDiscardedExactAfterAbort(t *testing.T) {
 	check("after a clean epoch")
 }
 
-// TestOutOfRangeAddressKillsConnection: a guest streaming reads outside
-// the analysed address space loses its connection at the first such
-// frame; its tenant degrades, the daemon keeps serving, and another
-// tenant's profile is unaffected.
+// lockedBuffer is a bytes.Buffer safe for the daemon's connection
+// goroutines to log into while a test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// rawDial connects to d as a guest of tenant and sends its hello. The
+// caller writes frames with writeFrame, bypassing the client's recorder,
+// which would refuse to record what these tests send.
+func rawDial(t *testing.T, d *Daemon, tenant, process string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := writeHello(conn, hello{Tenant: tenant, Process: process}); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestOutOfRangeAddressKillsConnection: a stream carrying a memory access
+// outside the analysed address space kills its connection at the decoder,
+// and only it: another tenant's stream still matches batch analysis.
 func TestOutOfRangeAddressKillsConnection(t *testing.T) {
 	tr := recordedRun(t)
 	want := batchExport(t, tr)
@@ -290,21 +324,23 @@ func TestOutOfRangeAddressKillsConnection(t *testing.T) {
 		}
 		bad.Threads = append(bad.Threads, trace.ThreadTrace{ID: tr.Threads[i].ID, Events: events})
 	}
+	var raw bytes.Buffer
+	if _, err := bad.Encode(&raw); err != nil {
+		t.Fatal(err)
+	}
 
-	d := started(t, Options{})
-	evil := dialed(t, d, "evil", 1)[0]
-	evil.Recorder().SetAnnotations(false)
-	// The daemon drops the connection at the first bad frame, so later
-	// writes may fail; only the daemon's side matters here.
-	_ = evil.Stream(bad, 1, 16)
-	_ = evil.Close()
-	bt := d.Lookup("evil")
-	waitFor(t, "the bad connection to die", func() bool {
-		st := bt.Status()
-		return st.Degraded && st.Epoch == 1
+	var log lockedBuffer
+	d := started(t, Options{Log: &log})
+	evil := rawDial(t, d, "evil", "guest-0")
+	// The daemon drops the connection at the bad frame, so the write may
+	// fail; only the daemon's side matters here.
+	_ = writeFrame(evil, raw.Bytes())
+	// The daemon fails the connection, then logs why.
+	waitFor(t, "the daemon to log the address error", func() bool {
+		return strings.Contains(log.String(), "analysed address space")
 	})
-	if st := bt.Status(); st.Events >= uint64(tr.NumEvents()) {
-		t.Errorf("fed all %d events of a stream with out-of-range reads", st.Events)
+	if st := d.Lookup("evil").Status(); !st.Degraded || st.Epoch != 1 || st.Events != 0 {
+		t.Errorf("status %+v, want a degraded first epoch with no event fed", st)
 	}
 
 	good := dialed(t, d, "good", 1)[0]
@@ -322,6 +358,65 @@ func TestOutOfRangeAddressKillsConnection(t *testing.T) {
 	}
 	if got := docProfileBytes(doc); !bytes.Equal(got, want) {
 		t.Fatalf("the good tenant's profile diverges from batch analysis (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestSegmentSteppingBackKillsConnection: a thread's segment that starts
+// before the thread's previous segment ended kills its connection at the
+// decoder, even above the merge frontier, and only that connection: the
+// other guest of the tenant finishes cleanly and its events below the dead
+// connection's frozen watermark are fed.
+func TestSegmentSteppingBackKillsConnection(t *testing.T) {
+	var log lockedBuffer
+	d := started(t, Options{Log: &log})
+	cs := dialed(t, d, "order", 2)
+	holder, bad := cs[0], cs[1]
+	envs := make([]*streamEnv, 2)
+	for i, c := range cs {
+		envs[i] = &streamEnv{}
+		c.Recorder().Attach(envs[i])
+	}
+	write := func(c *Client, env *streamEnv, th guest.ThreadID, ts uint64) {
+		env.now = ts
+		c.Recorder().Write(th, 8)
+	}
+	// The holder keeps the frontier at 1, so the step back from 7 to 6
+	// lies above it and only the decoder can see it.
+	write(holder, envs[0], 9, 1)
+	if err := holder.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	write(bad, envs[1], 3, 5)
+	write(bad, envs[1], 3, 7)
+	if err := bad.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	write(bad, envs[1], 3, 6)
+	_ = bad.Flush() // the daemon may already have closed the connection
+	// The daemon fails the connection, then logs the decoders' message.
+	waitFor(t, "the daemon to log the step back", func() bool {
+		return strings.Contains(log.String(), "thread 3: segment starts at timestamp 6, before the previous segment's 7")
+	})
+	ten := d.Lookup("order")
+	for _, c := range ten.Status().Connections {
+		if want := map[string]string{"guest-0": "open", "guest-1": "dead"}[c.Process]; c.State != want {
+			t.Errorf("connection %s is %s, want %s", c.Process, c.State, want)
+		}
+	}
+
+	write(holder, envs[0], 9, 8)
+	if err := holder.Close(); err != nil {
+		t.Fatalf("the other connection was refused: %v", err)
+	}
+	waitFor(t, "the epoch to end", func() bool { return ten.Status().Epoch == 1 })
+	st := ten.Status()
+	if !st.Degraded {
+		t.Fatalf("status %+v, want a degraded epoch", st)
+	}
+	// The dead connection froze at 7: TS 1, 5 and 7 feed, the holder's 8
+	// is discarded.
+	if st.Events != 3 || st.Discarded != 1 {
+		t.Fatalf("fed %d and discarded %d events, want 3 and 1", st.Events, st.Discarded)
 	}
 }
 

@@ -54,32 +54,22 @@ type Table[T comparable] struct {
 	// access patterns that dominate guest programs.
 	lastBase  uint64
 	lastChunk *chunk[T]
-
-	// snapActive is set between BeginSnapshot and Finish/Abort; while set,
-	// chunkFor runs the snapshot write barrier (snapTouch) and the Peek
-	// paths stop caching chunks. snapDirty lists the chunks dirtied or
-	// allocated during the window, for the Finish delta copy.
-	snapActive bool
-	snapDirty  []snapRef[T]
 }
 
 type secondary[T comparable] struct {
 	chunks [secSize]*chunk[T]
 }
 
-// chunkLoc remembers where an allocated chunk is indexed (for Release) and
-// its address base (for snapshot enumeration without an index scan).
+// chunkLoc remembers where an allocated chunk is indexed, for Release.
 type chunkLoc[T comparable] struct {
-	sec  *secondary[T]
-	si   uint32
-	base uint64 // first shadowed address >> ChunkBits
+	sec *secondary[T]
+	si  uint32
 }
 
+// chunk is the paper's bare run of 16 K shadow cells. It carries no other
+// field, so a 32-bit chunk is exactly 64 KB and fills its size class.
 type chunk[T comparable] struct {
 	vals [ChunkSize]T
-	// snap is the chunk's snapshot state (snapIdle outside an active
-	// snapshot); see snapshot.go for the transition protocol.
-	snap atomic.Uint32
 }
 
 // NewTable returns an empty shadow table.
@@ -144,7 +134,6 @@ func newChunk[T comparable]() *chunk[T] {
 		if v := chunkPool32.Get(); v != nil {
 			ch := v.(*chunk[uint32])
 			clear(ch.vals[:])
-			ch.snap.Store(snapIdle)
 			stats.chunksRecycled.Add(1)
 			return any(ch).(*chunk[T])
 		}
@@ -152,7 +141,6 @@ func newChunk[T comparable]() *chunk[T] {
 		if v := chunkPool64.Get(); v != nil {
 			ch := v.(*chunk[uint64])
 			clear(ch.vals[:])
-			ch.snap.Store(snapIdle)
 			stats.chunksRecycled.Add(1)
 			return any(ch).(*chunk[T])
 		}
@@ -186,9 +174,6 @@ func newSecondary[T comparable]() *secondary[T] {
 // chunk and secondary counters are preserved so footprint accounting
 // (FootprintBytes, IndexBytes) remains valid on a released table.
 func (t *Table[T]) Release() {
-	if t.snapActive {
-		panic("shadow: Release with a snapshot active")
-	}
 	var z T
 	for _, loc := range t.allocated {
 		ch := loc.sec.chunks[loc.si]
@@ -242,14 +227,7 @@ func (t *Table[T]) chunkFor(a guest.Addr) *chunk[T] {
 		ch = newChunk[T]()
 		sec.chunks[si] = ch
 		t.chunks++
-		t.allocated = append(t.allocated, chunkLoc[T]{sec: sec, si: uint32(si), base: base})
-		if t.snapActive {
-			// Born inside the snapshot window: capture it at Finish.
-			ch.snap.Store(snapDirty)
-			t.snapDirty = append(t.snapDirty, snapRef[T]{base, ch})
-		}
-	} else if t.snapActive {
-		t.snapTouch(base, ch)
+		t.allocated = append(t.allocated, chunkLoc[T]{sec: sec, si: uint32(si)})
 	}
 	t.lastBase = base
 	t.lastChunk = ch
@@ -291,13 +269,8 @@ func (t *Table[T]) Peek(a guest.Addr) T {
 		var zero T
 		return zero
 	}
-	// While a snapshot is active the chunk must not enter the cache: a
-	// later write hitting the cached fast path would bypass the snapshot
-	// write barrier.
-	if !t.snapActive {
-		t.lastBase = base
-		t.lastChunk = ch
-	}
+	t.lastBase = base
+	t.lastChunk = ch
 	return ch.vals[off]
 }
 
@@ -367,12 +340,8 @@ func (c *Cursor[T]) peekSlow(a guest.Addr) T {
 		var zero T
 		return zero
 	}
-	// See Table.Peek: no caching while a snapshot is active, or a later
-	// write through the cursor would bypass the snapshot write barrier.
-	if !c.t.snapActive {
-		c.base = a >> ChunkBits
-		c.vals = &ch.vals
-	}
+	c.base = a >> ChunkBits
+	c.vals = &ch.vals
 	return ch.vals[off]
 }
 

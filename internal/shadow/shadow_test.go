@@ -3,6 +3,7 @@ package shadow
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/guest"
 )
@@ -20,6 +21,18 @@ func TestZeroValueWithoutAllocation(t *testing.T) {
 	}
 	if tb.Chunks() != 1 {
 		t.Errorf("Get allocated %d chunks, want 1", tb.Chunks())
+	}
+}
+
+// TestChunkHasNoPadding pins a chunk to its cells alone: any extra field
+// pushes a 64 KB chunk[uint32] into the allocator's next size class
+// (72 KB), 12.5% more shadow memory on every route.
+func TestChunkHasNoPadding(t *testing.T) {
+	if got, want := unsafe.Sizeof(chunk[uint32]{}), uintptr(ChunkSize*4); got != want {
+		t.Errorf("sizeof chunk[uint32] = %d, want %d", got, want)
+	}
+	if got, want := unsafe.Sizeof(chunk[uint64]{}), uintptr(ChunkSize*8); got != want {
+		t.Errorf("sizeof chunk[uint64] = %d, want %d", got, want)
 	}
 }
 

@@ -310,6 +310,16 @@ func (e *AddressError) Error() string {
 	return fmt.Sprintf("event %d: %s address %#x outside the %d-bit analysed address space", e.Event, e.Kind, e.Addr, shadow.MaxAddrBits)
 }
 
+// segmentOrder rejects a thread's segment that starts before last, the
+// timestamp its previous segment ended at: a thread's events never go back
+// in time, within a segment (parseEvents) or across its segments.
+func segmentOrder(id guest.ThreadID, events []Event, last uint64) error {
+	if events[0].TS < last {
+		return fmt.Errorf("thread %d: segment starts at timestamp %d, before the previous segment's %d", id, events[0].TS, last)
+	}
+	return nil
+}
+
 // parseEvents decodes a segment's events, the payload after its header,
 // into dst, which holds exactly the header's count: timestamps restart from
 // 0 at each segment and come back absolute. A delta that overflows the
@@ -634,9 +644,7 @@ func (s *v2scan) fillPass() {
 			var reads int
 			reads, b.err = parseEvents(body, b.id, events)
 			if b.err == nil && b.n > 0 {
-				if events[0].TS < t.lastTS {
-					b.err = fmt.Errorf("thread %d: segment starts at timestamp %d, before the previous segment's %d", b.id, events[0].TS, t.lastTS)
-				} else {
+				if b.err = segmentOrder(b.id, events, t.lastTS); b.err == nil {
 					t.lastTS = events[b.n-1].TS
 				}
 			}

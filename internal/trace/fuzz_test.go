@@ -191,8 +191,9 @@ func analyzeBothWays(t *testing.T, tr *trace.Trace) {
 
 // FuzzRecover: on arbitrary bytes Recover must never panic, and when it
 // succeeds the report must be non-nil and account exactly for the salvaged
-// trace; a complete salvage must be a trace Decode accepts. Verify must
-// agree on never panicking.
+// trace; a complete salvage must be a trace Decode accepts, and every
+// salvage must analyse the same way through the pipeline and through
+// replay (analyzeBothWays). Verify must agree on never panicking.
 func FuzzRecover(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -215,6 +216,7 @@ func FuzzRecover(f *testing.F) {
 			if _, derr := trace.Decode(bytes.NewReader(data)); rep.Complete() && derr != nil {
 				t.Fatalf("Recover calls a trace complete that Decode rejects: %v", derr)
 			}
+			analyzeBothWays(t, tr)
 		}
 		if vr, verr := trace.Verify(bytes.NewReader(data)); verr == nil && vr == nil {
 			t.Fatal("successful Verify returned a nil report")
@@ -251,7 +253,8 @@ func streamFeed(data, cuts []byte) (trace.StreamDelta, error) {
 // the same deltas and both fail or neither does — and on a v2 trace Decode
 // accepts it must stream exactly the decoded name tables and, per thread,
 // the decoded events, which feed through core.Incremental.FeedRun to the
-// profile batch replay computes (feedStreamed).
+// profile batch replay computes (feedStreamed), as pipeline.Analyze of the
+// decoded trace does (analyzeBothWays).
 func FuzzStreamDecoder(f *testing.F) {
 	var buf bytes.Buffer
 	sr := trace.NewStreamRecorder(&buf)
@@ -302,6 +305,7 @@ func FuzzStreamDecoder(f *testing.F) {
 				t.Fatalf("thread %d: streamed events differ from the decoded ones", tt.ID)
 			}
 		}
+		analyzeBothWays(t, tr)
 		feedStreamed(t, tr, whole.Segments)
 	})
 }

@@ -1,6 +1,6 @@
 // Checkpointed analysis: periodic, crash-consistent saves of every
-// worker's position and partial state, and low-pause live snapshots of the
-// profile mid-run.
+// worker's position and partial state, and live snapshots of the profile
+// mid-run.
 //
 // The checkpoint file is its own magic and version prelude followed by
 // blocks in the trace format's framing (internal/block), and is rewritten
@@ -23,11 +23,11 @@
 // Plan.RunContext degrades to full re-analysis — a damaged checkpoint can
 // cost time, never correctness.
 //
-// Shadow serialization rides the shadow package's low-pause snapshots: a
-// worker begins a snapshot at one safepoint, keeps analyzing while the
-// copier drains clean chunks, and pauses only for the dirty delta — the
-// checkpoint/pause_ns histogram records these pauses. Serialization and
-// file writes happen on the manager goroutine, off the workers' paths.
+// A worker captures its state synchronously at a safepoint: it clones its
+// position, counter, stack and aggregates and copies the non-zero cells of
+// its shadow memory, and the checkpoint/pause_ns histogram records how long
+// that took. Encoding and file writes happen on the manager goroutine, off
+// the workers' paths.
 package pipeline
 
 import (
@@ -44,7 +44,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -179,19 +178,7 @@ type workerState struct {
 	stack           core.Stack[uint64]
 	acts            map[guest.RoutineID]*core.Activations
 
-	// cells holds the non-zero shadow cells, sorted by address. On capture
-	// it is materialized lazily from a shadow snapshot by cellsFn (on the
-	// manager goroutine, off the worker's path); on load it is direct.
-	cells   []cellPair
-	cellsFn func() []cellPair
-}
-
-// materialize resolves the lazy cell list once.
-func (st *workerState) materialize() {
-	if st.cellsFn != nil {
-		st.cells = st.cellsFn()
-		st.cellsFn = nil
-	}
+	cells []cellPair // the non-zero shadow cells, sorted by address
 }
 
 // ckptHeader fingerprints the trace and options a checkpoint belongs to.
@@ -337,7 +324,6 @@ func (h ckptHeader) encode() []byte {
 }
 
 func (st *workerState) encode() []byte {
-	st.materialize()
 	b := appendUvarints(nil, uint64(st.threadIdx))
 	b = binary.AppendVarint(b, int64(st.id))
 	b = append(b, flag(st.done))
@@ -580,7 +566,7 @@ type ckptManager struct {
 	every  int
 	header ckptHeader
 
-	gen atomic.Uint64 // snapshot generation; workers snapshot when it moves
+	gen atomic.Uint64 // snapshot generation; workers capture a state when it moves
 
 	ch    chan *workerState
 	stop  chan struct{}
@@ -617,14 +603,12 @@ func newCkptManager(p *Plan, opts CheckpointOptions, header ckptHeader, reg *tel
 }
 
 // snapGen returns the current snapshot generation; workers compare it to
-// their last seen value and begin a shadow snapshot when it moved.
+// their last seen value and capture a state when it moved.
 func (m *ckptManager) snapGen() uint64 { return m.gen.Load() }
 
-// observePause records one worker's snapshot pause and chunk split.
-func (m *ckptManager) observePause(pause time.Duration, st shadow.SnapshotStats) {
+// observePause records how long one worker's state capture took.
+func (m *ckptManager) observePause(pause time.Duration) {
 	m.reg.Histogram("checkpoint/pause_ns").Observe(uint64(pause))
-	m.reg.Counter("checkpoint/chunks_precopied").Add(uint64(st.Precopied))
-	m.reg.Counter("checkpoint/chunks_dirty").Add(uint64(st.Dirty))
 }
 
 // submit hands a worker's freshly captured state to the manager. Called
@@ -684,7 +668,6 @@ func (m *ckptManager) loop() {
 }
 
 func (m *ckptManager) fold(st *workerState) {
-	st.materialize()
 	m.states[st.threadIdx] = st
 	m.dirty = true
 }

@@ -172,6 +172,116 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointCadence: with EveryEvents a multiple of safepointStride,
+// each worker captures exactly events/EveryEvents states, one pause each,
+// however its segments cut the strides.
+func TestCheckpointCadence(t *testing.T) {
+	tr, _ := ckptTrace(t, "mysqld", workloads.Params{Size: 24, Threads: 4})
+	for _, every := range []int{safepointStride, 2 * safepointStride} {
+		p, err := BuildPlan(tr, 1, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		p.Telemetry = reg
+		p.Checkpoint = &CheckpointOptions{Path: filepath.Join(t.TempDir(), "c.ckpt"), EveryEvents: every}
+		if _, err := p.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, tp := range p.threads {
+			want += tp.events / every
+		}
+		if want < len(p.threads) {
+			t.Fatalf("every=%d: trace too small to test the cadence (%d captures due)", every, want)
+		}
+		if got := reg.Histogram("checkpoint/pause_ns").Count(); got != uint64(want) {
+			t.Errorf("every=%d: %d captures, want %d", every, got, want)
+		}
+	}
+}
+
+// exitReuseTrace hand-builds a two-thread trace in which thread 1 exits
+// and its id comes back with more than safepointStride further events,
+// re-reading the cells it wrote before the exit. Thread 2 interleaves an
+// event every 400 ticks, so thread 1's events fall into many segments.
+func exitReuseTrace() *trace.Trace {
+	tr := &trace.Trace{Routines: []string{"main", "again"}}
+	t1 := trace.ThreadTrace{ID: 1}
+	ts := uint64(0)
+	add := func(k trace.Kind, arg, aux uint64) {
+		ts++
+		t1.Events = append(t1.Events, trace.Event{TS: ts, Thread: 1, Kind: k, Arg: arg, Aux: aux})
+	}
+	for life, n := range []int{3000, 2 * safepointStride} {
+		add(trace.KindThreadStart, 0, 0)
+		add(trace.KindCall, uint64(life), ts)
+		for i := 0; i < n; i++ {
+			a := uint64(0x10000 + 8*(i%700))
+			if i%3 == life {
+				add(trace.KindWrite, a, 0)
+			} else {
+				add(trace.KindRead, a, 0)
+			}
+		}
+		add(trace.KindReturn, uint64(life), ts)
+		add(trace.KindThreadExit, 0, 0)
+	}
+	t2 := trace.ThreadTrace{ID: 2}
+	for tick := uint64(200); tick < ts; tick += 400 {
+		t2.Events = append(t2.Events, trace.Event{TS: tick, Thread: 2, Kind: trace.KindWrite, Arg: 0x10000 + tick%4096})
+	}
+	tr.Threads = []trace.ThreadTrace{t1, t2}
+	return tr
+}
+
+// TestCheckpointThreadExitResume: checkpoints taken after a thread exits
+// and its id reappears capture the fresh shadow memory, not the one the
+// exit dropped, so resuming from any of them is byte-identical.
+func TestCheckpointThreadExitResume(t *testing.T) {
+	tr := exitReuseTrace()
+	base, err := Analyze(tr, Options{TieSeed: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{0.2, 0.35, 0.5, 0.65, 0.8} {
+		path := filepath.Join(t.TempDir(), "x.ckpt")
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := AnalyzeContext(ctx, tr, Options{
+			TieSeed:    1,
+			Workers:    1,
+			Checkpoint: &CheckpointOptions{Path: path, EveryEvents: safepointStride},
+			Progress:   cancelAfter(cancel, frac),
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("frac %.2f: canceled run returned %v", frac, err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("frac %.2f: %v", frac, err)
+		}
+		if ck.Events() == 0 {
+			t.Fatalf("frac %.2f: checkpoint recorded no progress", frac)
+		}
+		prof, err := Analyze(tr, Options{TieSeed: 1, Workers: 1, Resume: ck})
+		if err != nil {
+			t.Fatalf("frac %.2f: resume: %v", frac, err)
+		}
+		got, err := prof.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frac %.2f: resumed profile differs from uninterrupted profile", frac)
+		}
+	}
+}
+
 // TestCheckpointResumeOptionVariants holds resume byte-identity under the
 // metric ablations, whose counter images differ from the default's.
 func TestCheckpointResumeOptionVariants(t *testing.T) {

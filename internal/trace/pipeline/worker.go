@@ -41,10 +41,10 @@ type cell interface {
 // event count — the grain of the pipeline's progress reporting.
 //
 // ck, when non-nil, enables checkpointing: the worker crosses a safepoint
-// every safepointStride events, where it drives low-pause shadow snapshots
-// and hands serialized states to the checkpoint manager. resume, when
-// non-nil, is a validated prior state: the worker restores it and continues
-// from the recorded position instead of the beginning.
+// every safepointStride events, where it captures its state (shadow cells
+// included) when one is due and hands it to the checkpoint manager.
+// resume, when non-nil, is a validated prior state: the worker restores it
+// and continues from the recorded position instead of the beginning.
 func analyzeThread(ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, wide bool, onSegment func(int), ck *workerCkpt, resume *workerState) (*core.Profile, error) {
 	if wide {
 		return runWorker[uint64](ctx, tr, tp, opts, onSegment, ck, resume)
@@ -58,7 +58,7 @@ type workerCkpt struct {
 	mgr       *ckptManager
 	threadIdx int
 	every     int    // events between serialized states
-	sinceSnap int    // events since the last snapshot was begun
+	sinceSnap int    // events counted toward the next cadence capture
 	gen       uint64 // last seen on-demand snapshot generation
 }
 
@@ -143,7 +143,6 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		}
 	}
 	if ck != nil {
-		w.abortSnap()
 		ck.mgr.submit(w.finalState())
 	}
 	return w.profile(), nil
@@ -167,73 +166,42 @@ func (w *worker[C]) restore(st *workerState) {
 	}
 }
 
-// safepoint runs every safepointStride events when checkpointing is on: it
-// starts a low-pause shadow snapshot when the cadence (or an on-demand
-// trigger) asks for one, and completes a pending snapshot once its
-// pre-copy is done, capturing the worker's state inside the bounded pause.
+// safepoint runs every safepointStride events when checkpointing is on. It
+// captures the worker's state when the EveryEvents cadence or an on-demand
+// trigger asks for one. The cadence subtracts rather than resets, so a
+// thread of n events captures exactly n/EveryEvents cadence states however
+// its segments cut the strides.
 func (w *worker[C]) safepoint(segIdx, off int) {
 	ck := w.ck
-	if w.snapper != nil {
-		if w.snapEpoch != w.tsEpoch {
-			// The shadow table was replaced (thread exit) under the
-			// snapshot; the old table's snapshot no longer describes the
-			// worker. Drop it and start over on the live table.
-			w.snapper.Abort()
-			w.snapper = nil
-			w.snapper, w.snapEpoch = w.ts.BeginSnapshot(), w.tsEpoch
-			return
-		}
-		if !w.snapper.Ready() {
-			return
-		}
-		start := time.Now()
-		snap := w.snapper.Finish()
-		st := w.captureState(segIdx, off, snap)
-		pause := time.Since(start)
-		w.snapper = nil
-		ck.sinceSnap = 0
-		ck.mgr.observePause(pause, snap.Stats())
-		ck.mgr.submit(st)
-		return
+	want := false
+	if ck.sinceSnap >= ck.every {
+		ck.sinceSnap -= ck.every
+		want = true
 	}
-	want := ck.sinceSnap >= ck.every
 	if g := ck.mgr.snapGen(); g != ck.gen {
 		ck.gen = g
 		want = true
 	}
 	if want {
-		w.snapper, w.snapEpoch = w.ts.BeginSnapshot(), w.tsEpoch
+		w.captureState(segIdx, off)
 	}
 }
 
-// abortSnap discards a snapshot still in flight (end of thread or
-// cancellation overtook it).
-func (w *worker[C]) abortSnap() {
-	if w.snapper != nil {
-		w.snapper.Abort()
-		w.snapper = nil
-	}
-}
-
-// cancelCkpt runs when the context fires mid-thread: it abandons any
-// in-flight snapshot, takes a synchronous one (the run is stopping; there
-// is no mutator to overlap with), and submits the final partial state so
-// the shutdown checkpoint records this thread's exact position.
+// cancelCkpt runs when the context fires mid-thread: it submits the final
+// partial state so the shutdown checkpoint records this thread's exact
+// position.
 func (w *worker[C]) cancelCkpt(segIdx, off int) {
-	if w.ck == nil {
-		return
+	if w.ck != nil {
+		w.captureState(segIdx, off)
 	}
-	w.abortSnap()
-	snap := w.ts.TakeSnapshot()
-	w.ck.mgr.observePause(snap.Stats().Pause, snap.Stats())
-	w.ck.mgr.submit(w.captureState(segIdx, off, snap))
 }
 
-// captureState clones the worker's analysis state at position (segIdx,
-// off). The clones happen inside the snapshot pause; the shadow cells are
-// materialized lazily from the immutable snapshot on the manager
-// goroutine, off the worker's path.
-func (w *worker[C]) captureState(segIdx, off int, snap *shadow.Snapshot[C]) *workerState {
+// captureState captures the worker's state at position (segIdx, off) and
+// submits it. The capture is the worker's checkpoint pause: it clones the
+// analysis state and copies the non-zero shadow cells, in ascending
+// address order as the codec wants them.
+func (w *worker[C]) captureState(segIdx, off int) {
+	start := time.Now()
 	st := &workerState{
 		threadIdx:       w.ck.threadIdx,
 		id:              w.id,
@@ -250,8 +218,11 @@ func (w *worker[C]) captureState(segIdx, off int, snap *shadow.Snapshot[C]) *wor
 	for id, a := range w.acts {
 		st.acts[id] = a.Clone()
 	}
-	st.cellsFn = func() []cellPair { return snapCells(snap) }
-	return st
+	w.ts.Range(func(a guest.Addr, v C) {
+		st.cells = append(st.cells, cellPair{addr: uint64(a), val: uint64(v)})
+	})
+	w.ck.mgr.observePause(time.Since(start))
+	w.ck.mgr.submit(st)
 }
 
 // finalState marks the thread fully analyzed: only the aggregates matter.
@@ -271,16 +242,6 @@ func (w *worker[C]) finalState() *workerState {
 	return st
 }
 
-// snapCells flattens a shadow snapshot into the checkpoint's sorted
-// (address, value) pairs.
-func snapCells[C cell](snap *shadow.Snapshot[C]) []cellPair {
-	cells := make([]cellPair, 0, 1024)
-	snap.Range(func(a guest.Addr, v C) {
-		cells = append(cells, cellPair{addr: uint64(a), val: uint64(v)})
-	})
-	return cells
-}
-
 // worker is the state of one per-thread analyzer.
 type worker[C cell] struct {
 	tr   *trace.Trace
@@ -298,14 +259,9 @@ type worker[C cell] struct {
 	acts map[guest.RoutineID]*core.Activations
 
 	// Checkpointing state (nil/zero when checkpointing is off): events is
-	// the total processed event tally (resumed work included), snapper an
-	// in-flight low-pause shadow snapshot, and tsEpoch/snapEpoch detect the
-	// table being replaced (thread exit) under a snapshot.
-	ck        *workerCkpt
-	events    uint64
-	snapper   *shadow.Snapshotter[C]
-	tsEpoch   int
-	snapEpoch int
+	// the total processed event tally, resumed work included.
+	ck     *workerCkpt
+	events uint64
 }
 
 func (w *worker[C]) step(e *trace.Event) {
@@ -360,11 +316,9 @@ func (w *worker[C]) step(e *trace.Event) {
 	case trace.KindThreadExit:
 		// The inline profiler drops the thread's view on exit; further
 		// events under the same id (again only in hand-built traces)
-		// start from fresh shadow state. The epoch bump tells a pending
-		// checkpoint snapshot its table is gone (see safepoint).
+		// start from fresh shadow state.
 		w.ts = shadow.NewTable[C]()
 		w.stack = w.stack[:0]
-		w.tsEpoch++
 	}
 	// ThreadStart, Sync, Alloc, Free carry no profiling state.
 }

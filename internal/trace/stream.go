@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/guest"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
 )
 
@@ -28,9 +29,11 @@ import (
 // annotation coverage incomplete so decoders drop the annotations.
 // SetAnnotations(false) disables the annotator wholesale.
 //
-// Write errors are sticky: the first one stops all further output and is
-// reported by Err and Close. A StreamRecorder must not be reused across
-// runs.
+// Errors are sticky: the first one stops all further recording and output
+// and is reported by Err and Close. Besides write errors, a memory access
+// at or above 1<<shadow.MaxAddrBits, which no decoder would accept, is an
+// *AddressError, and the access is dropped. A StreamRecorder must not be
+// reused across runs.
 type StreamRecorder struct {
 	w   io.Writer
 	env guest.Env
@@ -120,7 +123,8 @@ func (r *StreamRecorder) SetSegmentEvents(n int) {
 	}
 }
 
-// Err returns the first write error encountered, if any.
+// Err returns the first error encountered, if any: a write error or an
+// *AddressError.
 func (r *StreamRecorder) Err() error { return r.err }
 
 // Written returns the number of bytes successfully written so far.
@@ -294,7 +298,7 @@ func (r *StreamRecorder) thread(t guest.ThreadID) *streamThread {
 }
 
 func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
-	if r.finished {
+	if r.finished || r.err != nil {
 		return
 	}
 	st := r.thread(t)
@@ -312,6 +316,29 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 	if len(st.pending) >= r.segCap {
 		r.flushThread(st)
 	}
+}
+
+// mem records a memory access of kind k, refusing one outside the analysed
+// address space.
+func (r *StreamRecorder) mem(t guest.ThreadID, k Kind, a guest.Addr) {
+	if uint64(a)>>shadow.MaxAddrBits != 0 {
+		r.addrErr(k, a)
+		return
+	}
+	r.add(t, k, uint64(a), 0)
+}
+
+// addrErr makes an out-of-range access the sticky error, unless one is
+// already set. Its Event is the access's index in the recorded stream.
+func (r *StreamRecorder) addrErr(k Kind, a guest.Addr) {
+	if r.finished || r.err != nil {
+		return
+	}
+	n := r.events
+	for _, st := range r.order {
+		n += len(st.pending)
+	}
+	r.err = &AddressError{Event: n, Kind: k, Addr: uint64(a)}
 }
 
 // Attach implements guest.Tool.
@@ -334,17 +361,17 @@ func (r *StreamRecorder) Return(t guest.ThreadID, rt guest.RoutineID, bb uint64)
 }
 
 // Read implements guest.Tool.
-func (r *StreamRecorder) Read(t guest.ThreadID, a guest.Addr) { r.add(t, KindRead, uint64(a), 0) }
+func (r *StreamRecorder) Read(t guest.ThreadID, a guest.Addr) { r.mem(t, KindRead, a) }
 
 // Write implements guest.Tool.
-func (r *StreamRecorder) Write(t guest.ThreadID, a guest.Addr) { r.add(t, KindWrite, uint64(a), 0) }
+func (r *StreamRecorder) Write(t guest.ThreadID, a guest.Addr) { r.mem(t, KindWrite, a) }
 
 // MemBatch implements guest.MemEventSink, mirroring Recorder.MemBatch:
 // batched recording produces byte-identical traces to per-event recording,
 // and the annotator observes each batched event exactly as if it had
 // arrived through the per-event callbacks.
 func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []guest.MemEvent) {
-	if r.finished {
+	if r.finished || r.err != nil {
 		return
 	}
 	st := r.thread(t)
@@ -359,6 +386,10 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 			k = KindWrite
 		default:
 			k = KindRead
+		}
+		if uint64(e.Addr())>>shadow.MaxAddrBits != 0 {
+			r.addrErr(k, e.Addr())
+			return
 		}
 		ts := startTS + uint64(i)
 		st.pending = append(st.pending, Event{
@@ -378,12 +409,12 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 
 // KernelRead implements guest.Tool.
 func (r *StreamRecorder) KernelRead(t guest.ThreadID, a guest.Addr) {
-	r.add(t, KindKernelRead, uint64(a), 0)
+	r.mem(t, KindKernelRead, a)
 }
 
 // KernelWrite implements guest.Tool.
 func (r *StreamRecorder) KernelWrite(t guest.ThreadID, a guest.Addr) {
-	r.add(t, KindKernelWrite, uint64(a), 0)
+	r.mem(t, KindKernelWrite, a)
 }
 
 // SwitchThread implements guest.Tool: switches are dropped, as in Recorder

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/guest"
+	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -133,5 +135,73 @@ func TestStreamRecorderRejectsReuse(t *testing.T) {
 	exampleRun(t, 5, sr)
 	if sr.Err() == nil {
 		t.Fatal("reusing a StreamRecorder across runs was not rejected")
+	}
+}
+
+// clockEnv is a guest.Env whose clock advances by one per Now, for driving
+// a recorder by hand.
+type clockEnv struct{ now uint64 }
+
+func (e *clockEnv) RoutineName(guest.RoutineID) string { return "main" }
+func (e *clockEnv) SyncName(guest.SyncID) string       { return "mu" }
+func (e *clockEnv) NumRoutines() int                   { return 1 }
+func (e *clockEnv) NumSyncs() int                      { return 0 }
+func (e *clockEnv) Now() uint64                        { e.now++; return e.now }
+
+// TestStreamRecorderAddressOutOfRange: a memory access at or above
+// 1<<shadow.MaxAddrBits, through any entry point, becomes the recorder's
+// sticky *AddressError. The access is dropped and recording stops, with
+// annotations on or off, and nothing panics.
+func TestStreamRecorderAddressOutOfRange(t *testing.T) {
+	const far = guest.Addr(1) << shadow.MaxAddrBits
+	cases := []struct {
+		name string
+		kind trace.Kind
+		bad  func(sr *trace.StreamRecorder, env *clockEnv)
+	}{
+		{"Read", trace.KindRead, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Read(1, far) }},
+		{"KernelWrite", trace.KindKernelWrite, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.KernelWrite(1, far+8) }},
+		{"MemBatch", trace.KindWrite, func(sr *trace.StreamRecorder, env *clockEnv) {
+			// The first two accesses of the batch are in range and
+			// recorded; the third is refused.
+			sr.MemBatch(1, env.now+1, []guest.MemEvent{guest.ReadEvent(0x40), guest.WriteEvent(0x48), guest.WriteEvent(far + 8), guest.ReadEvent(0x50)})
+			env.now += 4
+		}},
+	}
+	for _, annotate := range []bool{true, false} {
+		for _, tc := range cases {
+			var buf bytes.Buffer
+			env := &clockEnv{}
+			sr := trace.NewStreamRecorder(&buf)
+			sr.SetAnnotations(annotate)
+			sr.Attach(env)
+			sr.ThreadStart(1, 0)
+			sr.Call(1, 0, 1)
+			sr.Write(1, 0x10)
+			sr.Read(1, 0x10)
+			prelude := buf.Len()
+			tc.bad(sr, env)
+			sr.Read(1, 0x20)
+			sr.Return(1, 0, 2)
+			sr.Finish()
+
+			want := 4
+			if tc.name == "MemBatch" {
+				want = 6
+			}
+			var ae *trace.AddressError
+			if !errors.As(sr.Err(), &ae) {
+				t.Fatalf("%s (annotate=%v): Err() = %v, want an *AddressError", tc.name, annotate, sr.Err())
+			}
+			if ae.Event != want || ae.Kind != tc.kind || ae.Addr>>shadow.MaxAddrBits == 0 {
+				t.Errorf("%s (annotate=%v): got %+v, want event %d, kind %s, an out-of-range address", tc.name, annotate, *ae, want, tc.kind)
+			}
+			if err := sr.Close(); err != sr.Err() {
+				t.Errorf("%s (annotate=%v): Close() = %v, lost the sticky error", tc.name, annotate, err)
+			}
+			if buf.Len() != prelude {
+				t.Errorf("%s (annotate=%v): %d bytes written after the error", tc.name, annotate, buf.Len()-prelude)
+			}
+		}
 	}
 }

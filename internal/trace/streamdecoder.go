@@ -94,18 +94,21 @@ type StreamDelta struct {
 // byte is a permanent error: unlike Recover, which salvages what it can
 // from a damaged file at rest, a live stream that corrupts mid-flight has
 // no trustworthy continuation, so the decoder stops at the last intact
-// block. Stamp-annotation blocks are validated and skipped — a consumer
-// merging several streams re-derives interleaving state itself.
+// block. As in the batch decoders, a thread's segment that starts before
+// its previous segment ended is such an error. Stamp-annotation blocks are
+// validated and skipped — a consumer merging several streams re-derives
+// interleaving state itself.
 type StreamDecoder struct {
 	buf      bytes.Buffer
 	preluded bool
 	footer   bool
 	err      error
+	lastTS   map[guest.ThreadID]uint64 // each thread's last decoded timestamp
 }
 
 // NewStreamDecoder returns a decoder expecting the v2 prelude.
 func NewStreamDecoder() *StreamDecoder {
-	return &StreamDecoder{}
+	return &StreamDecoder{lastTS: make(map[guest.ThreadID]uint64)}
 }
 
 // errStreamEnded marks bytes arriving after the footer block.
@@ -202,7 +205,13 @@ func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}
 		events := segmentStorage(n)
-		if _, err := parseEvents(f.Payload[hdr:], id, events); err != nil {
+		_, err = parseEvents(f.Payload[hdr:], id, events)
+		if err == nil && n > 0 {
+			if err = segmentOrder(id, events, d.lastTS[id]); err == nil {
+				d.lastTS[id] = events[n-1].TS
+			}
+		}
+		if err != nil {
 			ReleaseSegment(events)
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}

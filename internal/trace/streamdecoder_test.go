@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -145,6 +146,60 @@ func TestStreamDecoderPermanentErrors(t *testing.T) {
 			t.Fatal("bytes after the footer accepted")
 		}
 	})
+}
+
+// TestStreamDecoderSegmentOrder: as in the batch decoders, a thread's
+// segment that starts before its previous segment ended is a permanent
+// error, while another thread's earlier timestamps in between, or a
+// segment starting at the very timestamp the last one ended, are fine.
+func TestStreamDecoderSegmentOrder(t *testing.T) {
+	ev := func(th int32, ts uint64) trace.Event {
+		return trace.Event{TS: ts, Thread: guest.ThreadID(th), Kind: trace.KindWrite, Arg: 8}
+	}
+	ok := &trace.Trace{Threads: []trace.ThreadTrace{
+		{ID: 3, Events: []trace.Event{ev(3, 5), ev(3, 7)}},
+		{ID: 4, Events: []trace.Event{ev(4, 1)}},
+		{ID: 3, Events: []trace.Event{ev(3, 7), ev(3, 9)}},
+	}}
+	back := &trace.Trace{Threads: []trace.ThreadTrace{
+		{ID: 3, Events: []trace.Event{ev(3, 5), ev(3, 7)}},
+		{ID: 4, Events: []trace.Event{ev(4, 9)}},
+		{ID: 3, Events: []trace.Event{ev(3, 6)}},
+	}}
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		want string
+	}{
+		{"in order", ok, ""},
+		{"steps back", back, "thread 3: segment starts at timestamp 6, before the previous segment's 7"},
+	} {
+		var buf bytes.Buffer
+		if _, err := c.tr.EncodeUnchecked(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, batchErr := trace.Decode(bytes.NewReader(buf.Bytes()))
+		d := trace.NewStreamDecoder()
+		delta, err := d.Feed(buf.Bytes())
+		if c.want == "" {
+			if err != nil || batchErr != nil {
+				t.Fatalf("%s: stream %v, batch %v, want both accepted", c.name, err, batchErr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Feed error %v, want %q", c.name, err, c.want)
+		}
+		if batchErr == nil || !strings.Contains(batchErr.Error(), c.want) {
+			t.Fatalf("%s: Decode error %v, want the same message %q", c.name, batchErr, c.want)
+		}
+		if len(delta.Segments) != 2 {
+			t.Errorf("%s: %d segments delivered before the error, want 2", c.name, len(delta.Segments))
+		}
+		if _, err := d.Feed(nil); err == nil {
+			t.Errorf("%s: error not sticky", c.name)
+		}
+	}
 }
 
 // TestStreamDecoderPartialBlockWaits: a partially delivered block produces
