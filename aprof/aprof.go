@@ -123,7 +123,7 @@ type (
 	// ContextNode is one calling context within a ContextTree.
 	ContextNode = core.ContextNode
 	// LiveSnapshot is a consistent mid-run export of a running profiler's
-	// state (Options.SnapshotEvery / Profiler.RequestSnapshot).
+	// state (Options.OnSnapshot / Profiler.RequestSnapshot).
 	LiveSnapshot = core.LiveSnapshot
 )
 
@@ -193,13 +193,10 @@ type (
 	// AnalyzeOptions configures the parallel trace-analysis pipeline
 	// (workers, tie seed, event limit, telemetry, progress callback).
 	AnalyzeOptions = pipeline.Options
-	// CheckpointOptions enables periodic analysis checkpoints and live
-	// profile snapshots (AnalyzeOptions.Checkpoint); see
-	// docs/ARCHITECTURE.md "Checkpoints & live snapshots".
-	CheckpointOptions = pipeline.CheckpointOptions
-	// AnalysisCheckpoint is a loaded analysis checkpoint; pass it as
-	// AnalyzeOptions.Resume to skip already-analyzed work.
-	AnalysisCheckpoint = pipeline.Checkpoint
+	// SnapshotOptions enables live profile snapshots of a running
+	// analysis (AnalyzeOptions.Snapshot); see docs/ARCHITECTURE.md
+	// "Live snapshots".
+	SnapshotOptions = pipeline.SnapshotOptions
 	// SnapshotTrigger requests a live profile snapshot from a running
 	// analysis, safely from any goroutine (e.g. a signal handler).
 	SnapshotTrigger = pipeline.SnapshotTrigger
@@ -351,13 +348,8 @@ func AnalyzeTraceOptions(ctx context.Context, tr *Trace, opts AnalyzeOptions) (*
 // NewTelemetryRegistry returns an empty metrics registry.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
-// LoadCheckpoint reads and strictly validates an analysis checkpoint
-// written by a checkpointed AnalyzeTraceOptions run. Any truncation or
-// corruption fails the load; callers then simply re-analyze from scratch.
-func LoadCheckpoint(path string) (*AnalysisCheckpoint, error) { return pipeline.LoadCheckpoint(path) }
-
 // NewSnapshotTrigger returns a trigger for on-demand live profile
-// snapshots (CheckpointOptions.Trigger).
+// snapshots (SnapshotOptions.Trigger).
 func NewSnapshotTrigger() *SnapshotTrigger { return pipeline.NewSnapshotTrigger() }
 
 // EncodeTrace and DecodeTrace serialize traces in the binary trace format

@@ -9,8 +9,7 @@
 //	aprof-trace verify run.trace [-json]
 //	aprof-trace replay run.trace [-tieseed 7]
 //	aprof-trace analyze run.trace [-workers 4 -tieseed 7 -recover -json -max-events N -timeout 30s -export prof.json]
-//	aprof-trace analyze run.trace -checkpoint run.ckpt [-checkpoint-events N -checkpoint-interval 5s -resume]
-//	aprof-trace analyze run.trace -checkpoint run.ckpt -snapshot live.json [-snapshot-interval 10s]
+//	aprof-trace analyze run.trace -snapshot live.json [-snapshot-interval 10s]
 //	aprof-trace analyze -workload mysqld [-threads 8 -size 12]
 //	aprof-trace stats run.trace
 //	aprof-trace check [-workload mysqld | -suite micro] [-level deep -renumber 64 -quick -v]
@@ -40,15 +39,12 @@
 // workload is profiled under deep invariant checking and re-derived under
 // perturbed don't-care parameters, which must not change the profile.
 //
-// analyze -checkpoint makes the analysis crash-resumable: workers
-// periodically serialize their position and partial state into an
-// atomically rewritten checkpoint file, so a killed run (power loss,
-// kill -9, SIGINT) can continue with -resume and still produce a profile
-// byte-identical to an uninterrupted one. -snapshot additionally writes a
-// live profile JSON mid-run, on a timer (-snapshot-interval) or on
-// SIGUSR1. analyze and streamed record trap SIGINT/SIGTERM: the run stops
-// promptly, in-flight state is flushed (final checkpoint / trace footer),
-// and the process exits non-zero with a one-line resume hint.
+// analyze -snapshot writes a live profile JSON mid-run, on a timer
+// (-snapshot-interval) or on SIGUSR1. analyze and streamed record trap
+// SIGINT/SIGTERM: the run stops promptly, in-flight state is flushed
+// (final snapshot / trace footer), and the process exits non-zero. A
+// killed analysis is simply re-run: the trace file is still there, and
+// re-analyzing it gives the same byte-identical profile.
 package main
 
 import (
@@ -56,7 +52,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -491,10 +486,6 @@ func analyze(args []string) error {
 	jsonOut := fs.Bool("json", false, "with -recover, print the recovery report as JSON on stderr")
 	maxEvents := fs.Int("max-events", 0, "refuse traces with more events (0: unlimited)")
 	timeout := fs.Duration("timeout", 0, "abort the analysis after this long (0: no limit)")
-	ckptPath := fs.String("checkpoint", "", "checkpoint analysis progress to this file (crash-resumable)")
-	ckptEvents := fs.Int("checkpoint-events", 0, "per-worker events between checkpoint snapshots (0: default cadence)")
-	ckptInterval := fs.Duration("checkpoint-interval", 0, "minimum time between checkpoint file rewrites (0: every update)")
-	resume := fs.Bool("resume", false, "resume from the -checkpoint file, skipping already-analyzed work")
 	snapPath := fs.String("snapshot", "", "write a live profile JSON here mid-run (on SIGUSR1 or -snapshot-interval)")
 	snapInterval := fs.Duration("snapshot-interval", 0, "write the -snapshot file periodically (0: on SIGUSR1 only)")
 	showProgress := fs.Bool("progress", stderrIsTTY(), "draw a live progress line on stderr")
@@ -511,9 +502,9 @@ func analyze(args []string) error {
 		return err
 	}
 	// SIGINT/SIGTERM cancel the analysis cleanly: workers stop at the next
-	// safepoint, the final checkpoint is written, and we exit non-zero with
-	// a resume hint instead of dying with work unrecorded. Registered
-	// before the trace load so a signal during loading is honored too.
+	// safepoint, the final snapshot is written, and we exit non-zero
+	// instead of dying with work unrecorded. Registered before the trace
+	// load so a signal during loading is honored too.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	reg := prof.Registry()
@@ -572,54 +563,27 @@ func analyze(args []string) error {
 		TieSeed: *tieSeed, Workers: *workers, MaxEvents: *maxEvents,
 		Telemetry: reg,
 	}
-	if *ckptPath != "" || *snapPath != "" {
-		ck := &aprof.CheckpointOptions{
-			Path:             *ckptPath,
-			EveryEvents:      *ckptEvents,
-			Interval:         *ckptInterval,
-			SnapshotPath:     *snapPath,
-			SnapshotInterval: *snapInterval,
+	if *snapPath != "" {
+		opts.Snapshot = &aprof.SnapshotOptions{
+			Path:     *snapPath,
+			Interval: *snapInterval,
+			Trigger:  aprof.NewSnapshotTrigger(),
 		}
-		if *snapPath != "" {
-			ck.Trigger = aprof.NewSnapshotTrigger()
-			defer notifyLiveSnapshot(ck.Trigger)()
-		}
-		opts.Checkpoint = ck
+		defer notifyLiveSnapshot(opts.Snapshot.Trigger)()
 	}
 	var feed *obs.ProfileFeed
 	if srv != nil {
-		// Serve /profile from the checkpoint machinery's live snapshots. With
-		// -http alone the machinery runs capture-on-demand only: the huge
-		// EveryEvents cadence means workers never capture periodically, so
-		// idle cost is the safepoint poll and nothing else.
-		if opts.Checkpoint == nil {
-			opts.Checkpoint = &aprof.CheckpointOptions{EveryEvents: math.MaxInt}
-		}
-		if opts.Checkpoint.Trigger == nil {
-			opts.Checkpoint.Trigger = aprof.NewSnapshotTrigger()
+		// Serve /profile from live snapshots: workers capture only when a
+		// request pulls the trigger, so idle cost is the safepoint poll.
+		if opts.Snapshot == nil {
+			opts.Snapshot = &aprof.SnapshotOptions{Trigger: aprof.NewSnapshotTrigger()}
 		}
 		feed = obs.NewProfileFeed()
-		opts.Checkpoint.SnapshotSink = feed.Deliver
+		opts.Snapshot.Sink = feed.Deliver
 		// A trigger request publishes twice: the latest known states
 		// immediately, then the fresh post-capture document.
-		feed.SetRequester(opts.Checkpoint.Trigger.Request, 2)
+		feed.SetRequester(opts.Snapshot.Trigger.Request, 2)
 		srv.SetProfileFeed(feed)
-	}
-	if *resume {
-		if *ckptPath == "" {
-			return fmt.Errorf("analyze: -resume requires -checkpoint")
-		}
-		switch ck, err := aprof.LoadCheckpoint(*ckptPath); {
-		case err == nil:
-			opts.Resume = ck
-			fmt.Fprintf(os.Stderr, "analyze: resuming from %s (%d events checkpointed)\n", *ckptPath, ck.Events())
-		case os.IsNotExist(err):
-			fmt.Fprintf(os.Stderr, "analyze: no checkpoint at %s; starting from scratch\n", *ckptPath)
-		default:
-			// A damaged checkpoint degrades to full re-analysis — it must
-			// never produce a wrong profile.
-			fmt.Fprintf(os.Stderr, "analyze: checkpoint unusable (%v); starting from scratch\n", err)
-		}
 	}
 	if tr.Annotated {
 		fmt.Fprintln(os.Stderr, "analyze: annotated trace — plan assembled from recorded stamps")
@@ -647,13 +611,10 @@ func analyze(args []string) error {
 	feed.Finish()
 	if err != nil {
 		// An aborted analysis still surfaces its partial telemetry, and —
-		// when checkpointing — leaves a resumable checkpoint behind.
+		// with -snapshot — leaves its partial profile behind.
 		publishLayers(reg)
 		if stopErr := prof.Stop(); stopErr != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", stopErr)
-		}
-		if ctx.Err() != nil && *ckptPath != "" {
-			fmt.Fprintf(os.Stderr, "analyze: interrupted; progress saved to %s — resumable with -resume\n", *ckptPath)
 		}
 		return err
 	}

@@ -1,7 +1,6 @@
 // Package block is the one block codec behind every file the profiler
-// persists: trace files and streams (internal/trace), pipeline checkpoints
-// (internal/trace/pipeline) and aprofd tenant checkpoints
-// (internal/daemon). After a format's own prelude, each of those is a
+// persists: trace files and streams (internal/trace) and aprofd tenant
+// checkpoints (internal/daemon). After a format's own prelude, each of those is a
 // sequence of blocks framed as
 //
 //	kind byte | uvarint payload length | payload | CRC32-C (4 bytes, LE)

@@ -93,13 +93,8 @@ type Options struct {
 	// nil disables publication.
 	Telemetry *telemetry.Registry
 
-	// SnapshotEvery, when positive and OnSnapshot is set, delivers a live
-	// profile snapshot every SnapshotEvery consumed events (see
-	// LiveSnapshot). Snapshots can also be requested on demand with
-	// Profiler.RequestSnapshot regardless of this setting.
-	SnapshotEvery uint64
-
-	// OnSnapshot receives each live snapshot. The callback runs on the
+	// OnSnapshot receives each live snapshot (see LiveSnapshot), requested
+	// on demand with Profiler.RequestSnapshot. The callback runs on the
 	// profiler's goroutine with the profiler paused; its duration is not
 	// counted in the snapshot's Pause, but a slow callback still stalls
 	// the run, so heavy work (file writes) should be quick or handed off.
@@ -172,12 +167,9 @@ type Profiler struct {
 	windows     int
 	windowStart uint64
 
-	// nextSnap is the events threshold that triggers the next periodic
-	// live snapshot (MaxUint64 when snapshots are off); snapReq is set by
-	// RequestSnapshot — possibly from another goroutine — and honored at
-	// the next batch boundary. See snapshot.go.
-	nextSnap uint64
-	snapReq  atomic.Bool
+	// snapReq is set by RequestSnapshot — possibly from another goroutine —
+	// and honored at the next batch boundary. See snapshot.go.
+	snapReq atomic.Bool
 }
 
 // threadView is the per-thread profiling state: the thread's shadow memory
@@ -224,10 +216,6 @@ func New(opts Options) *Profiler {
 	p.gcur = p.global.Cursor()
 	if opts.ContextSensitive {
 		p.ctxTree = newContextTree()
-	}
-	p.nextSnap = math.MaxUint64
-	if opts.snapshotsEnabled() {
-		p.nextSnap = opts.SnapshotEvery
 	}
 	return p
 }

@@ -114,7 +114,7 @@ func clampMetric(v int64) uint64 {
 
 // Clone deep-copies the aggregate, including both histograms. The Profiler
 // hands clones to materialized profiles so the originals keep accumulating,
-// and pipeline checkpoints clone so nothing restored from one aliases it.
+// and pipeline workers clone into live snapshots for the same reason.
 func (a *Activations) Clone() *Activations {
 	out := &Activations{
 		Thread:          a.Thread,

@@ -1,8 +1,7 @@
 // Live profile snapshots: a consistent mid-run export of the inline
 // profiler's state, taken at an event boundary and delivered through the
 // existing export codec (ProfileDump), so a long analysis can publish what
-// it has learned so far without stopping. Snapshots are driven two ways:
-// periodically, every Options.SnapshotEvery consumed events, and on demand
+// it has learned so far without stopping. Snapshots are taken on demand
 // through Profiler.RequestSnapshot, which is safe to call from any
 // goroutine (a signal handler's, typically) and is honored at the next
 // batch boundary the profiler crosses.
@@ -13,10 +12,7 @@
 // LiveSnapshot reports and the core/snapshot_pause_ns histogram records.
 package core
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // LiveSnapshot is one consistent mid-run export of the profiler's state:
 // the profile as of an exact event boundary, plus the run-progress and
@@ -37,8 +33,7 @@ type LiveSnapshot struct {
 	Renumbers uint64 `json:"renumbers"`
 
 	// GlobalShadowBytes and ThreadShadowBytes report the shadow-memory
-	// footprint at snapshot time (the "shadow handle" of the run: how much
-	// state a checkpoint of this moment would carry).
+	// footprint at snapshot time.
 	GlobalShadowBytes uint64 `json:"global_shadow_bytes"`
 	ThreadShadowBytes uint64 `json:"thread_shadow_bytes"`
 
@@ -59,31 +54,19 @@ type LiveSnapshot struct {
 // it is a no-op unless Options.OnSnapshot is set.
 func (p *Profiler) RequestSnapshot() { p.snapReq.Store(true) }
 
-// snapshotsEnabled reports whether New should arm the periodic snapshot
-// threshold.
-func (opts Options) snapshotsEnabled() bool {
-	return opts.OnSnapshot != nil && opts.SnapshotEvery > 0
-}
-
 // pollSnapshot runs on the batch-boundary paths (MemBatch, SwitchThread,
-// ThreadStart): it takes a periodic snapshot when the event tally crossed
-// the threshold, and honors a pending RequestSnapshot.
+// ThreadStart) and honors a pending RequestSnapshot.
 func (p *Profiler) pollSnapshot() {
-	if p.events >= p.nextSnap || p.snapReq.Load() {
+	if p.snapReq.Load() {
 		p.takeSnapshot()
 	}
 }
 
 // takeSnapshot materializes a LiveSnapshot and delivers it to
-// Options.OnSnapshot. The per-event paths only compare p.events against
-// p.nextSnap; everything costly lives here, off the hot path.
+// Options.OnSnapshot. The per-event paths only load the request flag;
+// everything costly lives here, off the hot path.
 func (p *Profiler) takeSnapshot() {
 	p.snapReq.Store(false)
-	if p.opts.SnapshotEvery > 0 {
-		p.nextSnap = p.events + p.opts.SnapshotEvery
-	} else {
-		p.nextSnap = math.MaxUint64
-	}
 	cb := p.opts.OnSnapshot
 	if cb == nil {
 		return

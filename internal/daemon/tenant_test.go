@@ -420,6 +420,33 @@ func TestSegmentSteppingBackKillsConnection(t *testing.T) {
 	}
 }
 
+// TestRoutinePastTableKillsConnection: a stream whose call names a routine
+// id past the names it has sent kills its connection at the decoder, and
+// only it: the tenant's other guest is still open.
+func TestRoutinePastTableKillsConnection(t *testing.T) {
+	var log lockedBuffer
+	d := started(t, Options{Log: &log})
+	cs := dialed(t, d, "routines", 2)
+	holder, bad := cs[0], cs[1]
+	for _, c := range cs {
+		c.Recorder().Attach(&streamEnv{})
+	}
+	bad.Recorder().Call(3, 1<<26, 0)
+	bad.Recorder().Return(3, 1<<26, 1)
+	_ = bad.Flush() // the daemon may already have closed the connection
+	waitFor(t, "the daemon to log the routine id", func() bool {
+		return strings.Contains(log.String(), "call of routine 67108864 outside the 0-name routine table")
+	})
+	for _, c := range d.Lookup("routines").Status().Connections {
+		if want := map[string]string{"guest-0": "open", "guest-1": "dead"}[c.Process]; c.State != want {
+			t.Errorf("connection %s is %s, want %s", c.Process, c.State, want)
+		}
+	}
+	if err := holder.Close(); err != nil {
+		t.Fatalf("the other connection was refused: %v", err)
+	}
+}
+
 // TestDialSendsNoAnnotations: a client's frames carry event segments but
 // no stamp-annotation blocks, and they still decode to the recorded run.
 func TestDialSendsNoAnnotations(t *testing.T) {

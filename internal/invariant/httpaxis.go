@@ -2,7 +2,6 @@ package invariant
 
 import (
 	"io"
-	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 // HTTP observability axis: the live plane (internal/obs) is read-only by
 // contract. A scraper hammering /metrics, /profile — which forces mid-run
-// snapshot captures through the checkpoint trigger — /spans.json and the
+// snapshot captures through the snapshot trigger — /spans.json and the
 // SSE progress stream while the pipeline re-derives the profile must not
 // change one byte of the exported result relative to an unobserved run.
 
@@ -45,14 +44,9 @@ func httpScrapeExport(tr *trace.Trace, workers int) ([]byte, error) {
 		TieSeed: 1, Workers: workers,
 		Profile:  core.Options{Telemetry: reg},
 		Progress: func(done, total uint64) { est.SetTotal(total); est.Update(done) },
-		// EveryEvents at MaxInt disables cadence-driven checkpoint writes:
-		// live captures happen only when the scraper's /profile requests
+		// Live captures happen only when the scraper's /profile requests
 		// pull the trigger, the same shape the CLIs wire for plain -http.
-		Checkpoint: &pipeline.CheckpointOptions{
-			EveryEvents:  math.MaxInt,
-			Trigger:      trig,
-			SnapshotSink: feed.Deliver,
-		},
+		Snapshot: &pipeline.SnapshotOptions{Trigger: trig, Sink: feed.Deliver},
 	}
 
 	stop := make(chan struct{})

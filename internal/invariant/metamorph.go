@@ -2,12 +2,7 @@ package invariant
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/guest"
@@ -35,9 +30,6 @@ import (
 //   - CheckLevel: the checks observe, never steer;
 //   - trace segment size: framing only, invisible after decoding;
 //   - event batching: dispatch granularity inside the guest machine;
-//   - checkpoint/resume: a checkpointed analysis interrupted partway and
-//     resumed from disk re-derives the identical profile — the checkpoint
-//     cadence and interruption point are framing, not semantics;
 //   - HTTP observability: a scraper hammering the live endpoints mid-run
 //     (including on-demand /profile captures) observes, never steers;
 //   - window split: the merged event stream cut into consecutive time
@@ -237,31 +229,9 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// Checkpoint/resume axis: interrupt a checkpointed pipeline analysis
-	// partway through, reload the on-disk checkpoint, and resume; the
-	// stitched profile must be byte-identical to the baseline. Checkpoint
-	// cadence and the interruption point are don't-care parameters — the
-	// per-worker state a checkpoint carries is exactly the state the
-	// uninterrupted analysis would have held at the same event.
-	ckptEvery := []int{257}
-	if !cfg.Quick {
-		ckptEvery = []int{64, 1021}
-	}
-	for _, n := range ckptEvery {
-		n := n
-		strict(fmt.Sprintf("checkpoint=%d", n), func() ([]byte, error) {
-			return checkpointResumeExport(tr, n, 0.5)
-		})
-	}
-	if !cfg.Quick {
-		strict("checkpoint=256/complete", func() ([]byte, error) {
-			return checkpointResumeExport(tr, 256, 2)
-		})
-	}
-
 	// HTTP observability axis: a scraper hammering the live plane's
 	// endpoints — including /profile, which forces mid-run snapshot
-	// captures through the checkpoint trigger — while the pipeline
+	// captures through the snapshot trigger — while the pipeline
 	// re-derives the profile. Observation is read-only by contract, so the
 	// export must stay byte-identical (httpaxis.go).
 	strict("http-scrape", func() ([]byte, error) { return httpScrapeExport(tr, 2) })
@@ -360,46 +330,6 @@ func pipelineExport(tr *trace.Trace, tieSeed int64, workers int, opts core.Optio
 	p, err := pipeline.Analyze(tr, pipeline.Options{TieSeed: tieSeed, Workers: workers, Profile: opts})
 	if err != nil {
 		return nil, err
-	}
-	return p.Export()
-}
-
-// checkpointResumeExport analyzes the trace with per-worker checkpointing
-// every n events, cancels the run once frac of the events are processed
-// (frac >= 1 lets it complete), then resumes from the written checkpoint
-// and returns the stitched profile's export.
-func checkpointResumeExport(tr *trace.Trace, n int, frac float64) ([]byte, error) {
-	dir, err := os.MkdirTemp("", "aprof-metamorph-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "m.ckpt")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := pipeline.Options{
-		TieSeed: 1, Workers: 2,
-		Checkpoint: &pipeline.CheckpointOptions{Path: path, EveryEvents: n},
-	}
-	if frac < 1 {
-		var fired atomic.Bool
-		opts.Progress = func(done, total uint64) {
-			if total > 0 && float64(done) >= frac*float64(total) && fired.CompareAndSwap(false, true) {
-				cancel()
-			}
-		}
-	}
-	if _, err := pipeline.AnalyzeContext(ctx, tr, opts); err != nil && !errors.Is(err, context.Canceled) {
-		return nil, err
-	}
-	ck, err := pipeline.LoadCheckpoint(path)
-	if err != nil {
-		return nil, fmt.Errorf("reloading checkpoint: %w", err)
-	}
-	p, err := pipeline.Analyze(tr, pipeline.Options{TieSeed: 1, Workers: 2, Resume: ck})
-	if err != nil {
-		return nil, fmt.Errorf("resuming: %w", err)
 	}
 	return p.Export()
 }

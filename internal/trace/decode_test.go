@@ -379,3 +379,71 @@ func TestOutOfRangeAddressRejected(t *testing.T) {
 		}
 	}
 }
+
+// routineTrace is a one-name routine table and one call/return pair at
+// routine id rtn, encoded without Encode's checks. At rtn 1<<26 it is 59
+// bytes.
+func routineTrace(tb testing.TB, rtn uint64) []byte {
+	tr := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 1, Events: []trace.Event{
+		{TS: 1, Thread: 1, Kind: trace.KindCall, Arg: rtn},
+		{TS: 2, Thread: 1, Kind: trace.KindReturn, Arg: rtn, Aux: 1},
+	}}}}
+	var buf bytes.Buffer
+	if _, err := tr.EncodeUnchecked(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRoutineIDPastTableRejected: a call or return must name a routine in
+// the table, since analyzers index per-routine tables by its id. The
+// 59-byte trace with a call/return pair at id 1<<26 is an error from Decode
+// and the StreamDecoder, Recover drops its segment as DropInvalid, Verify
+// reports the segment, and Encode refuses to write it. The last id in the
+// table decodes.
+func TestRoutineIDPastTableRejected(t *testing.T) {
+	if _, err := trace.Decode(bytes.NewReader(routineTrace(t, 0))); err != nil {
+		t.Fatalf("routine 0 of a 1-name table rejected: %v", err)
+	}
+	data := routineTrace(t, 1<<26)
+	if len(data) != 59 {
+		t.Fatalf("the trace is %d bytes, want 59", len(data))
+	}
+	const want = "call of routine 67108864 outside the 1-name routine table"
+	if _, err := trace.Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Decode: got %v, want %q", err, want)
+	}
+	if _, err := trace.NewStreamDecoder().Feed(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("StreamDecoder: got %v, want %q", err, want)
+	}
+	tr, rep, err := trace.Recover(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Dropped) != 1 || rep.Dropped[0].Cause != trace.DropInvalid || rep.Dropped[0].Thread != 1 || tr.NumEvents() != 0 {
+		t.Errorf("Recover dropped %+v and kept %d events, want thread 1's segment as %s", rep.Dropped, tr.NumEvents(), trace.DropInvalid)
+	}
+	vr, err := trace.Verify(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []trace.BlockInfo
+	for _, b := range vr.Blocks {
+		if b.Err != nil {
+			bad = append(bad, b)
+		}
+	}
+	if len(bad) != 1 || bad[0].Kind != 'E' || !strings.Contains(bad[0].Err.Error(), want) {
+		t.Errorf("Verify reports bad blocks %+v, want the segment", bad)
+	}
+
+	rtn := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 1, Events: []trace.Event{
+		{TS: 1, Thread: 1, Kind: trace.KindCall},
+		{TS: 2, Thread: 1, Kind: trace.KindReturn, Arg: 1, Aux: 1},
+	}}}}
+	var buf bytes.Buffer
+	if _, err := rtn.Encode(&buf); err == nil || buf.Len() != 0 ||
+		!strings.Contains(err.Error(), "thread 1 event 1: return of routine 1 outside the 1-name routine table") {
+		t.Errorf("Encode of a return past the table: got %v after %d bytes", err, buf.Len())
+	}
+}

@@ -132,36 +132,54 @@ func writeAll(w io.Writer, b []byte) error {
 // DefaultSegmentEvents events, and a final footer — and returns the number
 // of bytes written. Any write or flush error is reported; on error the
 // returned count is the number of bytes successfully handed to w. A thread
-// whose timestamps go backwards cannot be encoded, since Decode would
-// reject the file: Encode returns an error naming the thread and the event
-// and writes nothing.
+// whose timestamps go backwards, or a call or return whose routine id is
+// not below len(tr.Routines), cannot be encoded, since Decode would reject
+// the file: Encode returns an error naming the thread and the event and
+// writes nothing.
 func (tr *Trace) Encode(w io.Writer) (int64, error) {
-	if err := tr.checkTimestamps(); err != nil {
+	if err := tr.checkEncodable(); err != nil {
 		return 0, err
 	}
 	return tr.encode(w)
 }
 
-// checkTimestamps verifies that every thread's timestamps are
-// non-decreasing, across all of tr.Threads' entries for the thread.
-func (tr *Trace) checkTimestamps() error {
+// checkEncodable verifies that every thread's timestamps are
+// non-decreasing, across all of tr.Threads' entries for the thread, and
+// that every call and return names a routine in the table.
+func (tr *Trace) checkEncodable() error {
 	last := make(map[guest.ThreadID]uint64, len(tr.Threads))
 	for i := range tr.Threads {
 		tt := &tr.Threads[i]
 		prev := last[tt.ID]
 		for j := range tt.Events {
-			ts := tt.Events[j].TS
-			if ts < prev {
-				return fmt.Errorf("trace: thread %d event %d: timestamp %d goes back from %d", tt.ID, j, ts, prev)
+			e := &tt.Events[j]
+			if e.TS < prev {
+				return fmt.Errorf("trace: thread %d event %d: timestamp %d goes back from %d", tt.ID, j, e.TS, prev)
 			}
-			prev = ts
+			prev = e.TS
+			if pastRoutines(e.Kind, e.Arg, len(tr.Routines)) {
+				return fmt.Errorf("trace: thread %d event %d: %w", tt.ID, j, routineError(e.Kind, e.Arg, len(tr.Routines)))
+			}
 		}
 		last[tt.ID] = prev
 	}
 	return nil
 }
 
-// encode is Encode without the timestamp check.
+// pastRoutines reports whether an event of kind k is a call or return
+// whose routine id arg is not below routines, the length of the routine
+// table. A routine id indexes the analyzers' per-routine tables, so an
+// unbounded one would let a tiny input claim unbounded memory.
+func pastRoutines(k Kind, arg uint64, routines int) bool {
+	return k <= KindReturn && arg >= uint64(routines)
+}
+
+// routineError describes an event pastRoutines rejects.
+func routineError(k Kind, arg uint64, routines int) error {
+	return fmt.Errorf("%s of routine %d outside the %d-name routine table", k, arg, routines)
+}
+
+// encode is Encode without its checks.
 func (tr *Trace) encode(w io.Writer) (int64, error) {
 	var total int64
 	emit := func(b []byte) error {
@@ -324,10 +342,11 @@ func segmentOrder(id guest.ThreadID, events []Event, last uint64) error {
 // into dst, which holds exactly the header's count: timestamps restart from
 // 0 at each segment and come back absolute. A delta that overflows the
 // timestamp is an error, so a parsed segment's timestamps never decrease.
-// A memory access outside the analysed address space is an *AddressError.
-// It returns how many of the events are reads, the stamps a complete
-// annotation carries for them.
-func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err error) {
+// A memory access outside the analysed address space is an *AddressError,
+// and a call or return must name one of the first routines entries of the
+// routine table. It returns how many of the events are reads, the stamps a
+// complete annotation carries for them.
+func parseEvents(body []byte, id guest.ThreadID, dst []Event, routines int) (reads int, err error) {
 	p := block.NewParser(body)
 	ts := uint64(0)
 	for i := range dst {
@@ -352,6 +371,9 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event) (reads int, err er
 		}
 		if arg>>shadow.MaxAddrBits != 0 && k.IsMemory() {
 			return 0, &AddressError{Event: i, Kind: k, Addr: arg}
+		}
+		if pastRoutines(k, arg, routines) {
+			return 0, fmt.Errorf("event %d: %w", i, routineError(k, arg, routines))
 		}
 		if ts+delta < ts {
 			return 0, fmt.Errorf("event %d: timestamp delta %d overflows from %d", i, delta, ts)
@@ -642,7 +664,7 @@ func (s *v2scan) fillPass() {
 				events = slices.Grow(events[:0], b.n)[:b.n]
 			}
 			var reads int
-			reads, b.err = parseEvents(body, b.id, events)
+			reads, b.err = parseEvents(body, b.id, events, len(s.routines))
 			if b.err == nil && b.n > 0 {
 				if b.err = segmentOrder(b.id, events, t.lastTS); b.err == nil {
 					t.lastTS = events[b.n-1].TS

@@ -8,10 +8,12 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/shadow"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -228,4 +230,39 @@ func coalesceRuns(events []trace.Event, runs []trace.StampRun) []trace.StampRun 
 		lo += r.Events
 	}
 	return out
+}
+
+// TestAnnotatedOutOfRangeAddress: planning from annotations skips
+// trace.Annotate and its address check, so the worker checks addresses
+// itself. An access moved out of range after annotation is an
+// *trace.AddressError whose Event is its index within the thread's
+// events, for every memory kind and worker count.
+func TestAnnotatedOutOfRangeAddress(t *testing.T) {
+	const limit = uint64(1) << shadow.MaxAddrBits
+	for _, k := range []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite} {
+		tr, err := trace.Annotate(context.Background(), recordedTrace(t, "mysqld", workloads.Params{Size: 8, Threads: 2}), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ti := len(tr.Threads) - 1
+		events := tr.Threads[ti].Events
+		j := slices.IndexFunc(events, func(e trace.Event) bool { return e.Kind == trace.KindWrite })
+		if j < 0 {
+			t.Fatal("no write to move out of range")
+		}
+		// Write and kernel write carry no stamp, so swapping one for the
+		// other keeps the annotations consistent; reads need a stamp, so a
+		// read test moves an existing read instead.
+		if k == trace.KindRead || k == trace.KindKernelRead {
+			j = slices.IndexFunc(events, func(e trace.Event) bool { return e.Kind == trace.KindRead })
+		}
+		events[j].Kind, events[j].Arg = k, limit
+		for _, workers := range []int{1, 2} {
+			_, err := Analyze(tr, Options{TieSeed: 1, Workers: workers})
+			var ae *trace.AddressError
+			if !errors.As(err, &ae) || ae.Event != j || ae.Kind != k || ae.Addr != limit {
+				t.Errorf("%s at %#x, workers=%d: got %v, want an *AddressError for event %d", k, limit, workers, err, j)
+			}
+		}
+	}
 }

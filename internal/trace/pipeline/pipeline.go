@@ -95,19 +95,9 @@ type Options struct {
 	// (telemetry.Progress is).
 	Progress func(processed, total uint64)
 
-	// Checkpoint, when non-nil and enabled, periodically saves every
-	// worker's position and partial state to an atomically rewritten
-	// checkpoint file, and serves live profile snapshots (see
-	// CheckpointOptions).
-	Checkpoint *CheckpointOptions
-
-	// Resume, when non-nil, is a checkpoint of a previous run of the same
-	// trace with the same options (LoadCheckpoint): validated worker
-	// states skip their already-analyzed events, and the profile is
-	// byte-identical to an uninterrupted run's. A checkpoint that does not
-	// match the trace and options is ignored — the run degrades to full
-	// re-analysis, never a wrong answer.
-	Resume *Checkpoint
+	// Snapshot, when non-nil with a Path or Sink, publishes live profile
+	// snapshots mid-run (see SnapshotOptions).
+	Snapshot *SnapshotOptions
 }
 
 // segment is a run of one thread's events in the merged order: the unit the
@@ -143,14 +133,12 @@ type Plan struct {
 	annotated bool          // assembled from annotations recorded in the file
 	threads   []*threadPlan // in order of first appearance in the merged order
 
-	// Telemetry, Progress, Checkpoint and Resume mirror the same-named
-	// Options fields for callers driving BuildPlan/Run directly;
-	// AnalyzeContext copies them from its Options. Set them between
-	// BuildPlan and Run.
-	Telemetry  *telemetry.Registry
-	Progress   func(processed, total uint64)
-	Checkpoint *CheckpointOptions
-	Resume     *Checkpoint
+	// Telemetry, Progress and Snapshot mirror the same-named Options
+	// fields for callers driving BuildPlan/Run directly; AnalyzeContext
+	// copies them from its Options. Set them between BuildPlan and Run.
+	Telemetry *telemetry.Registry
+	Progress  func(processed, total uint64)
+	Snapshot  *SnapshotOptions
 }
 
 // Annotated reports whether the plan was assembled from stamp annotations
@@ -198,8 +186,7 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*core.P
 	}
 	plan.Telemetry = opts.Telemetry
 	plan.Progress = opts.Progress
-	plan.Checkpoint = opts.Checkpoint
-	plan.Resume = opts.Resume
+	plan.Snapshot = opts.Snapshot
 	return plan.RunContext(ctx, opts.Workers)
 }
 
@@ -374,42 +361,10 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	reg := p.Telemetry
 	reg.Gauge("pipeline/workers").Set(int64(workers))
 
-	// Resume: validate the checkpoint against this plan, drop any state
-	// that fails cross-checking (that thread restarts from scratch), and
-	// count the work the surviving states let us skip. A fingerprint
-	// mismatch discards the checkpoint wholesale — degrade, never guess.
-	// The fingerprint hashes the whole trace, so only runs that resume or
-	// checkpoint compute it.
-	checkpointing := p.Checkpoint != nil && p.Checkpoint.enabled()
-	var fp ckptHeader
-	if p.Resume != nil || checkpointing {
-		fp = p.fingerprint()
-	}
-	resumeStates := make(map[int]*workerState)
-	var skipped uint64
-	if p.Resume != nil {
-		if p.Resume.header.matches(fp) {
-			for idx, st := range p.Resume.workers {
-				if validState(p, idx, st) {
-					resumeStates[idx] = st
-					skipped += st.events
-				} else {
-					reg.Counter("resume/threads_dropped").Inc()
-				}
-			}
-			reg.Counter("resume/threads_restored").Add(uint64(len(resumeStates)))
-			reg.Counter("resume/events_skipped").Add(skipped)
-		} else {
-			reg.Counter("resume/checkpoint_mismatched").Inc()
-		}
-	}
-
-	// Checkpointing: the manager owns all file writes. It is seeded with
-	// the resumed states so an early re-kill cannot lose progress of
-	// threads whose workers have not submitted yet.
-	var mgr *ckptManager
-	if checkpointing {
-		mgr = newCkptManager(p, *p.Checkpoint, fp, reg, resumeStates)
+	// Live snapshots: the manager owns all JSON and file work.
+	var mgr *snapManager
+	if p.Snapshot != nil && p.Snapshot.enabled() {
+		mgr = newSnapManager(p, *p.Snapshot, reg)
 	}
 
 	// Progress plumbing: workers accumulate processed events into one
@@ -418,7 +373,6 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	// wanted, so the default run carries no atomic traffic.
 	total := p.NumEvents()
 	var processed atomic.Uint64
-	processed.Store(skipped) // resumed work counts as already done
 	var onSegment func(events int)
 	evCounter := reg.Counter("pipeline/events_processed")
 	segCounter := reg.Counter("pipeline/segments_processed")
@@ -446,11 +400,11 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 			span := reg.StartSpanAttrs(ctx, "pipeline/thread",
 				map[string]string{"thread": strconv.Itoa(int(tp.id))})
 			start := time.Now()
-			var wc *workerCkpt
+			var snap *workerSnap
 			if mgr != nil {
-				wc = &workerCkpt{mgr: mgr, threadIdx: i, every: mgr.every}
+				snap = &workerSnap{mgr: mgr, threadIdx: i}
 			}
-			prof, err = analyzeThread(ctx, p.tr, tp, p.opts, p.wide, onSegment, wc, resumeStates[i])
+			prof, err = analyzeThread(ctx, p.tr, tp, p.opts, p.wide, onSegment, snap)
 			busyNS.Add(int64(time.Since(start)))
 			span.End()
 		})
@@ -505,9 +459,8 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 		}
 	}
 	if mgr != nil {
-		// The final checkpoint write happens here, synchronously, with the
-		// run's outcome in the header: a canceled run leaves a valid
-		// partial checkpoint on disk before RunContext returns.
+		// The final snapshot is written here, synchronously: a canceled run
+		// leaves its partial profile on disk before RunContext returns.
 		mgr.close(firstErr != nil || ctx.Err() != nil)
 	}
 	if firstErr != nil {

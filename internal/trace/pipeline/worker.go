@@ -36,37 +36,35 @@ type cell interface {
 // A panic anywhere in the analysis — e.g. inconsistent plan state from a
 // corrupted trace — is converted into an error carrying the thread and the
 // segment being processed, so one bad thread cannot crash the whole
-// pipeline run. ctx is polled once per segment.
+// pipeline run. A memory access outside the analysed address space is an
+// *trace.AddressError, returned before the access reaches shadow memory.
+// ctx is polled once per segment.
 // onSegment, when non-nil, is invoked after each completed segment with its
 // event count — the grain of the pipeline's progress reporting.
 //
-// ck, when non-nil, enables checkpointing: the worker crosses a safepoint
-// every safepointStride events, where it captures its state (shadow cells
-// included) when one is due and hands it to the checkpoint manager.
-// resume, when non-nil, is a validated prior state: the worker restores it
-// and continues from the recorded position instead of the beginning.
-func analyzeThread(ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, wide bool, onSegment func(int), ck *workerCkpt, resume *workerState) (*core.Profile, error) {
+// snap, when non-nil, enables live snapshots: the worker crosses a
+// safepoint every safepointStride events, where it captures its state when
+// the manager asked for one, and it captures once more if ctx fires.
+func analyzeThread(ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, wide bool, onSegment func(int), snap *workerSnap) (*core.Profile, error) {
 	if wide {
-		return runWorker[uint64](ctx, tr, tp, opts, onSegment, ck, resume)
+		return runWorker[uint64](ctx, tr, tp, opts, onSegment, snap)
 	}
-	return runWorker[uint32](ctx, tr, tp, opts, onSegment, ck, resume)
+	return runWorker[uint32](ctx, tr, tp, opts, onSegment, snap)
 }
 
-// workerCkpt is one worker's checkpointing context: the shared manager and
-// this worker's identity and cadence state.
-type workerCkpt struct {
-	mgr       *ckptManager
+// workerSnap is one worker's snapshot context: the shared manager, this
+// worker's thread index and the last snapshot generation it saw.
+type workerSnap struct {
+	mgr       *snapManager
 	threadIdx int
-	every     int    // events between serialized states
-	sinceSnap int    // events counted toward the next cadence capture
-	gen       uint64 // last seen on-demand snapshot generation
+	gen       uint64
 }
 
 // workerPanicHook, when non-nil, is invoked at the start of every
 // per-thread analysis; the robustness tests use it to inject worker panics.
 var workerPanicHook func(guest.ThreadID)
 
-func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), ck *workerCkpt, resume *workerState) (prof *core.Profile, err error) {
+func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), snap *workerSnap) (prof *core.Profile, err error) {
 	segIdx := -1
 	defer func() {
 		if r := recover(); r != nil {
@@ -90,147 +88,63 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		ts:    shadow.NewTable[C](),
 		k:     core.NewKernel[uint64](opts),
 		acts:  make(map[guest.RoutineID]*core.Activations),
-		ck:    ck,
 	}
-	startSeg, startOff := 0, 0
-	if resume != nil {
-		w.restore(resume)
-		if resume.done {
-			// The thread finished before the checkpoint: its profile is
-			// exactly the fold of its stored aggregates.
-			return w.profile(), nil
-		}
-		startSeg, startOff = resume.segIdx, resume.off
-	}
-	for i := startSeg; i < len(tp.segments); i++ {
+	for i, seg := range tp.segments {
 		segIdx = i
-		seg := tp.segments[i]
 		events := tr.Threads[seg.src].Events[seg.lo:seg.hi]
+		w.count = seg.startCount
 		off := 0
-		if i == startSeg && resume != nil {
-			// Mid-segment resume: the restored counter image is already
-			// correct at the recorded offset.
-			off = startOff
-		} else {
-			w.count = seg.startCount
-		}
-		firstOff := off
 		for {
 			if err := ctx.Err(); err != nil {
-				w.cancelCkpt(i, off)
+				if snap != nil {
+					w.capture(snap)
+				}
 				return nil, err
 			}
 			if off >= len(events) {
 				break
 			}
 			end := len(events)
-			if ck != nil && off+safepointStride < end {
+			if snap != nil && off+safepointStride < end {
 				end = off + safepointStride
 			}
 			for j := off; j < end; j++ {
-				w.step(&events[j])
+				if e := &events[j]; !w.step(e) {
+					return nil, &trace.AddressError{Event: seg.lo + j, Kind: e.Kind, Addr: e.Arg}
+				}
 			}
-			done := end - off
+			w.events += uint64(end - off)
 			off = end
-			w.events += uint64(done)
-			if ck != nil {
-				ck.sinceSnap += done
-				w.safepoint(i, off)
+			if snap != nil {
+				if g := snap.mgr.gen.Load(); g != snap.gen {
+					snap.gen = g
+					w.capture(snap)
+				}
 			}
 		}
 		if onSegment != nil {
-			onSegment(len(events) - firstOff)
+			onSegment(len(events))
 		}
 	}
-	if ck != nil {
-		ck.mgr.submit(w.finalState())
+	if snap != nil {
+		snap.mgr.submit(w.state(snap))
 	}
 	return w.profile(), nil
 }
 
-// restore rebuilds the worker from a checkpointed state. Everything is
-// deep-copied: the state may belong to a Checkpoint that outlives this run
-// and is resumed again.
-func (w *worker[C]) restore(st *workerState) {
-	w.count = st.count
-	w.nextRead = st.nextRead
-	w.k.InducedThread = st.inducedThread
-	w.k.InducedExternal = st.inducedExternal
-	w.events = st.events
-	w.stack = append(core.Stack[uint64](nil), st.stack...)
-	for id, a := range st.acts {
-		w.acts[id] = a.Clone()
-	}
-	for _, c := range st.cells {
-		w.ts.Set(guest.Addr(c.addr), C(c.val))
-	}
-}
-
-// safepoint runs every safepointStride events when checkpointing is on. It
-// captures the worker's state when the EveryEvents cadence or an on-demand
-// trigger asks for one. The cadence subtracts rather than resets, so a
-// thread of n events captures exactly n/EveryEvents cadence states however
-// its segments cut the strides.
-func (w *worker[C]) safepoint(segIdx, off int) {
-	ck := w.ck
-	want := false
-	if ck.sinceSnap >= ck.every {
-		ck.sinceSnap -= ck.every
-		want = true
-	}
-	if g := ck.mgr.snapGen(); g != ck.gen {
-		ck.gen = g
-		want = true
-	}
-	if want {
-		w.captureState(segIdx, off)
-	}
-}
-
-// cancelCkpt runs when the context fires mid-thread: it submits the final
-// partial state so the shutdown checkpoint records this thread's exact
-// position.
-func (w *worker[C]) cancelCkpt(segIdx, off int) {
-	if w.ck != nil {
-		w.captureState(segIdx, off)
-	}
-}
-
-// captureState captures the worker's state at position (segIdx, off) and
-// submits it. The capture is the worker's checkpoint pause: it clones the
-// analysis state and copies the non-zero shadow cells, in ascending
-// address order as the codec wants them.
-func (w *worker[C]) captureState(segIdx, off int) {
+// capture is the worker's snapshot pause: it clones the state a snapshot
+// document reads and hands it to the manager.
+func (w *worker[C]) capture(snap *workerSnap) {
 	start := time.Now()
-	st := &workerState{
-		threadIdx:       w.ck.threadIdx,
-		id:              w.id,
-		segIdx:          segIdx,
-		off:             off,
-		events:          w.events,
-		count:           w.count,
-		nextRead:        w.nextRead,
-		inducedThread:   w.k.InducedThread,
-		inducedExternal: w.k.InducedExternal,
-		stack:           append(core.Stack[uint64](nil), w.stack...),
-		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
-	}
-	for id, a := range w.acts {
-		st.acts[id] = a.Clone()
-	}
-	w.ts.Range(func(a guest.Addr, v C) {
-		st.cells = append(st.cells, cellPair{addr: uint64(a), val: uint64(v)})
-	})
-	w.ck.mgr.observePause(time.Since(start))
-	w.ck.mgr.submit(st)
+	st := w.state(snap)
+	snap.mgr.observePause(time.Since(start))
+	snap.mgr.submit(st)
 }
 
-// finalState marks the thread fully analyzed: only the aggregates matter.
-func (w *worker[C]) finalState() *workerState {
-	st := &workerState{
-		threadIdx:       w.ck.threadIdx,
-		id:              w.id,
-		done:            true,
+// state clones the worker's contribution to a snapshot document.
+func (w *worker[C]) state(snap *workerSnap) *threadState {
+	st := &threadState{
+		threadIdx:       snap.threadIdx,
 		events:          w.events,
 		inducedThread:   w.k.InducedThread,
 		inducedExternal: w.k.InducedExternal,
@@ -258,13 +172,14 @@ type worker[C cell] struct {
 
 	acts map[guest.RoutineID]*core.Activations
 
-	// Checkpointing state (nil/zero when checkpointing is off): events is
-	// the total processed event tally, resumed work included.
-	ck     *workerCkpt
-	events uint64
+	events uint64 // processed events, reported in snapshots
 }
 
-func (w *worker[C]) step(e *trace.Event) {
+// step applies one event to the worker's state. It returns false for a
+// memory access outside the analysed address space, before the access
+// touches shadow memory: a decoded trace never holds one, but planning
+// from the annotations of a hand-built trace skips trace.Annotate's check.
+func (w *worker[C]) step(e *trace.Event) bool {
 	switch e.Kind {
 	case trace.KindCall:
 		w.count++
@@ -272,7 +187,7 @@ func (w *worker[C]) step(e *trace.Event) {
 
 	case trace.KindReturn:
 		if len(w.stack) == 0 {
-			return
+			return true
 		}
 		f := w.stack.Pop()
 		if w.opts.CheckLevel != core.CheckOff {
@@ -286,6 +201,9 @@ func (w *worker[C]) step(e *trace.Event) {
 		f.RecordInto(a, e.Aux-f.BBEnter)
 
 	case trace.KindRead, trace.KindKernelRead:
+		if !inRange(e.Arg) {
+			return false
+		}
 		var st trace.Stamp
 		if !w.opts.RMSOnly {
 			st = w.reads[w.nextRead]
@@ -300,9 +218,15 @@ func (w *worker[C]) step(e *trace.Event) {
 		}
 
 	case trace.KindWrite:
+		if !inRange(e.Arg) {
+			return false
+		}
 		w.ts.Set(guest.Addr(e.Arg), C(w.count))
 
 	case trace.KindKernelWrite:
+		if !inRange(e.Arg) {
+			return false
+		}
 		if !w.opts.RMSOnly {
 			w.count++
 		}
@@ -321,7 +245,11 @@ func (w *worker[C]) step(e *trace.Event) {
 		w.stack = w.stack[:0]
 	}
 	// ThreadStart, Sync, Alloc, Free carry no profiling state.
+	return true
 }
+
+// inRange reports whether a lies inside the analysed address space.
+func inRange(a uint64) bool { return a>>shadow.MaxAddrBits == 0 }
 
 // checkActivation enforces a completed activation's paper invariants
 // (core.Frame.WellFormed) under Options.Profile.CheckLevel. The pipeline

@@ -45,11 +45,20 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 				order = append(order, tid)
 			}
 			clock[tid] += uint64(r.Delta)
+			k, arg := trace.Kind(r.Kind%uint8(trace.KindSwitch+1)), uint64(r.Arg)
+			if k == trace.KindCall || k == trace.KindReturn {
+				// A well-formed call or return names a routine in the table.
+				if len(tr.Routines) == 0 {
+					k = trace.KindAlloc
+				} else {
+					arg %= uint64(len(tr.Routines))
+				}
+			}
 			tt.Events = append(tt.Events, trace.Event{
 				TS:     clock[tid],
 				Thread: tid,
-				Kind:   trace.Kind(r.Kind % uint8(trace.KindSwitch+1)),
-				Arg:    uint64(r.Arg),
+				Kind:   k,
+				Arg:    arg,
 				Aux:    uint64(r.Aux),
 			})
 		}

@@ -95,7 +95,9 @@ type StreamDelta struct {
 // from a damaged file at rest, a live stream that corrupts mid-flight has
 // no trustworthy continuation, so the decoder stops at the last intact
 // block. As in the batch decoders, a thread's segment that starts before
-// its previous segment ended is such an error. Stamp-annotation blocks are
+// its previous segment ended is such an error, and so is a call or return
+// naming a routine id past the names received so far: a recorder always
+// sends a name before the segment that uses it. Stamp-annotation blocks are
 // validated and skipped — a consumer merging several streams re-derives
 // interleaving state itself.
 type StreamDecoder struct {
@@ -104,6 +106,7 @@ type StreamDecoder struct {
 	footer   bool
 	err      error
 	lastTS   map[guest.ThreadID]uint64 // each thread's last decoded timestamp
+	routines int                       // routine names received so far
 }
 
 // NewStreamDecoder returns a decoder expecting the v2 prelude.
@@ -196,6 +199,7 @@ func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
 		}
 		if f.Kind == blockRoutines {
 			delta.Routines = append(delta.Routines, names...)
+			d.routines += len(names)
 		} else {
 			delta.Syncs = append(delta.Syncs, names...)
 		}
@@ -205,7 +209,7 @@ func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}
 		events := segmentStorage(n)
-		_, err = parseEvents(f.Payload[hdr:], id, events)
+		_, err = parseEvents(f.Payload[hdr:], id, events, d.routines)
 		if err == nil && n > 0 {
 			if err = segmentOrder(id, events, d.lastTS[id]); err == nil {
 				d.lastTS[id] = events[n-1].TS

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/guest"
 	"repro/internal/trace"
 )
@@ -230,5 +231,25 @@ func TestStreamDecoderPartialBlockWaits(t *testing.T) {
 	}
 	if d.Buffered() != 0 {
 		t.Fatalf("%d bytes left undecoded", d.Buffered())
+	}
+}
+
+// TestStreamDecoderRoutinesSoFar: the StreamDecoder bounds a call's routine
+// id by the names received before its segment, since a recorder sends each
+// name before the first segment using it; the batch decoders, which see
+// the whole file, bound it by the whole table.
+func TestStreamDecoderRoutinesSoFar(t *testing.T) {
+	prelude := append([]byte("ISPTRACE"), 2)
+	segment := []byte{1, 2, 1, byte(trace.KindCall), 0, 0, 1, byte(trace.KindReturn), 0, 1}
+	data := block.Append(prelude, 'R', []byte{0})
+	data = block.Append(data, 'E', segment)
+	data = block.Append(data, 'R', []byte{1, 4, 'm', 'a', 'i', 'n'})
+	data = block.Append(data, 'F', []byte{3, 2, 1})
+	if _, err := trace.Decode(bytes.NewReader(data)); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	const want = "call of routine 0 outside the 0-name routine table"
+	if _, err := trace.NewStreamDecoder().Feed(data); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("StreamDecoder: got %v, want %q", err, want)
 	}
 }

@@ -8,8 +8,8 @@
 #           then repeat the aprofd profile-polling and segment-recycling
 #           tests under it ten times
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
-#           the recovery paths, the stream decoder, the checkpoint loader,
-#           the aprofd wire protocol and the aprofd tenant checkpoint
+#           the recovery paths, the stream decoder, the aprofd wire
+#           protocol and the aprofd tenant checkpoint
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,19 +78,6 @@ if ! APROF_SCALING_SMOKE=1 go test -run TestScalingSmoke -v \
 fi
 grep -E "SKIP:|skipping|speedup" "$smoke_log" || true
 
-echo "== checkpoint smoke: kill -9 mid-analysis, resume, byte-compare"
-# Crash-recovery gate: a subprocess analyzes a mysqld trace with
-# checkpointing, the parent SIGKILLs it mid-run, and resuming from the
-# surviving checkpoint must produce a profile byte-identical to an
-# uninterrupted analysis.
-ckpt_log="${TMPDIR:-/tmp}/aprof_ckpt_smoke.log"
-if ! APROF_CKPT_SMOKE=1 go test -run TestCheckpointKillSmoke -v \
-	./internal/trace/pipeline >"$ckpt_log" 2>&1; then
-	cat "$ckpt_log" >&2
-	exit 1
-fi
-grep -E "killed child|byte-identical" "$ckpt_log" || true
-
 echo "== obs smoke: -http live scrape, byte-identical to unobserved run"
 # HTTP observability gate: a subprocess runs analyze -workload with
 # -http 127.0.0.1:0; the parent scrapes /metrics, /progress, /profile and
@@ -139,8 +126,6 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzRecover -fuzztime=30s ./internal/trace
 	echo "== fuzz smoke: FuzzStreamDecoder (30s)"
 	go test -fuzz=FuzzStreamDecoder -fuzztime=30s ./internal/trace
-	echo "== fuzz smoke: FuzzLoadCheckpoint (30s)"
-	go test -fuzz=FuzzLoadCheckpoint -fuzztime=30s ./internal/trace/pipeline
 	echo "== fuzz smoke: FuzzProtocol (30s)"
 	go test -fuzz=FuzzProtocol -fuzztime=30s ./internal/daemon
 	echo "== fuzz smoke: FuzzTenantCheckpoint (30s)"
