@@ -133,9 +133,10 @@ func (in *Incremental) FeedEvent(e trace.Event) error {
 // thread-switch checks done once for the whole run instead of per event.
 // Each maximal stretch of memory accesses goes to the profiler as one
 // MemBatch, the batched loop a live run feeds; only the other events are
-// dispatched one by one. A memory access at or above 1<<shadow.MaxAddrBits
-// is an *trace.AddressError (Event is its index in run), reported after
-// every event before it has been fed.
+// dispatched one by one. A memory access at or above 1<<shadow.MaxAddrBits,
+// or an alloc or free whose range does not fit below it, is an
+// *trace.AddressError (Event is its index in run), reported after every
+// event before it has been fed.
 func (in *Incremental) FeedRun(run []trace.Event) error {
 	if in.finished {
 		return fmt.Errorf("core: FeedRun after Finish")
@@ -165,6 +166,9 @@ func (in *Incremental) FeedRun(run []trace.Event) error {
 	in.last, in.haveLast = th, true
 	for i := 0; i < len(run); {
 		if !run[i].Kind.IsMemory() {
+			if e := &run[i]; (e.Kind == trace.KindAlloc || e.Kind == trace.KindFree) && (e.Arg >= addrLimit || e.Aux > addrLimit-e.Arg) {
+				return &trace.AddressError{Event: i, Kind: e.Kind, Addr: max(e.Arg, addrLimit)}
+			}
 			in.env.now = run[i].TS
 			if err := trace.Dispatch(run[i], in.tools); err != nil {
 				return err
@@ -195,6 +199,9 @@ func (in *Incremental) FeedRun(run []trace.Event) error {
 	}
 	return nil
 }
+
+// addrLimit is the first address outside the analysed address space.
+const addrLimit = uint64(1) << shadow.MaxAddrBits
 
 // memFlags packs a memory access kind, indexed from trace.KindRead, into
 // the flag bits of a guest.MemEvent.

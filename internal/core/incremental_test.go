@@ -77,23 +77,33 @@ func TestFeedRunMatchesReplay(t *testing.T) {
 }
 
 // TestFeedRunRejectsOutOfRangeAddress: a memory access at or above
-// 1<<shadow.MaxAddrBits in a hand-built run is an *trace.AddressError
-// naming the event, after the events before it are fed, not a panic in
-// shadow memory. FeedTrace reports the same error.
+// 1<<shadow.MaxAddrBits in a hand-built run, or an alloc or free whose
+// range runs past it, is an *trace.AddressError naming the event, after the
+// events before it are fed, not a panic in shadow memory. FeedTrace
+// reports the same error.
 func TestFeedRunRejectsOutOfRangeAddress(t *testing.T) {
 	const limit = uint64(1) << shadow.MaxAddrBits
-	for _, k := range []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite} {
+	for _, bad := range []trace.Event{
+		{Kind: trace.KindRead, Arg: limit},
+		{Kind: trace.KindWrite, Arg: limit},
+		{Kind: trace.KindKernelRead, Arg: limit},
+		{Kind: trace.KindKernelWrite, Arg: limit},
+		{Kind: trace.KindAlloc, Arg: limit - 8, Aux: 1 << 40},
+		{Kind: trace.KindFree, Arg: limit, Aux: 1},
+	} {
+		bad.TS, bad.Thread = 3, 1
+		k := bad.Kind
 		run := []trace.Event{
 			{TS: 1, Thread: 1, Kind: trace.KindCall},
 			{TS: 2, Thread: 1, Kind: trace.KindWrite, Arg: limit - 1},
-			{TS: 3, Thread: 1, Kind: k, Arg: limit},
+			bad,
 			{TS: 4, Thread: 1, Kind: trace.KindRead, Arg: 8},
 		}
 		in := NewIncremental(Options{})
 		err := in.FeedRun(run)
 		var ae *trace.AddressError
 		if !errors.As(err, &ae) || ae.Event != 2 || ae.Kind != k || ae.Addr != limit {
-			t.Errorf("FeedRun of a %s at %#x: got %v, want an AddressError for event 2", k, limit, err)
+			t.Errorf("FeedRun of a %s at %#x: got %v, want an AddressError for event 2", k, bad.Arg, err)
 		}
 		if fed := in.Cut().Events; fed != 2 {
 			t.Errorf("FeedRun of a %s at %#x fed %d events before it, want 2", k, limit, fed)

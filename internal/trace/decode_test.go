@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/shadow"
 	"repro/internal/telemetry"
+	"repro/internal/tools"
 	"repro/internal/trace"
 	"repro/internal/trace/pipeline"
 	"repro/internal/workloads"
@@ -280,22 +282,32 @@ func TestEncodeRejectsBackwardsTimestamps(t *testing.T) {
 // TestOutOfRangeAddressInMemoryTraces: a hand-built trace never passes the
 // parser, so Replay and Annotate (and pipeline.Analyze, which annotates an
 // unannotated trace first) check addresses themselves: a memory access at
-// or above 1<<shadow.MaxAddrBits is an *AddressError naming the event, not
-// a panic in shadow memory.
+// or above 1<<shadow.MaxAddrBits, or an alloc or free whose range runs past
+// it, is an *AddressError naming the event, not a panic in shadow memory.
+// Replay includes Memcheck, which sets a shadow cell for every allocated
+// address.
 func TestOutOfRangeAddressInMemoryTraces(t *testing.T) {
 	const limit = uint64(1) << shadow.MaxAddrBits
-	for _, k := range []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite} {
+	for _, bad := range []trace.Event{
+		{TS: 3, Kind: trace.KindRead, Arg: limit},
+		{TS: 3, Kind: trace.KindWrite, Arg: limit},
+		{TS: 3, Kind: trace.KindKernelRead, Arg: limit},
+		{TS: 3, Kind: trace.KindKernelWrite, Arg: limit},
+		{TS: 3, Kind: trace.KindAlloc, Arg: limit - 8, Aux: 1 << 40},
+		{TS: 3, Kind: trace.KindFree, Arg: limit - 8, Aux: 9},
+	} {
 		tr := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 0, Events: []trace.Event{
 			{TS: 1, Kind: trace.KindCall, Aux: 1},
 			{TS: 2, Kind: trace.KindWrite, Arg: 64},
-			{TS: 3, Kind: k, Arg: limit},
+			bad,
 			{TS: 4, Kind: trace.KindReturn, Aux: 5},
 		}}}}
+		k := bad.Kind
 		for _, route := range []struct {
 			name string
 			run  func() error
 		}{
-			{"Replay", func() error { return trace.Replay(tr, 1, core.New(core.Options{})) }},
+			{"Replay", func() error { return trace.Replay(tr, 1, core.New(core.Options{}), tools.NewMemcheck()) }},
 			{"Annotate", func() error {
 				_, err := trace.Annotate(context.Background(), tr, 1)
 				return err
@@ -307,17 +319,18 @@ func TestOutOfRangeAddressInMemoryTraces(t *testing.T) {
 		} {
 			var ae *trace.AddressError
 			if err := route.run(); !errors.As(err, &ae) || ae.Event != 2 || ae.Kind != k || ae.Addr != limit {
-				t.Errorf("%s of a %s at %#x: got %v, want an *AddressError for event 2", route.name, k, limit, err)
+				t.Errorf("%s of a %s at %#x: got %v, want an *AddressError for event 2 at %#x", route.name, k, bad.Arg, err, limit)
 			}
 		}
 	}
 }
 
 // TestOutOfRangeAddressRejected: every decoder rejects a memory access at
-// or above 1<<shadow.MaxAddrBits with an *AddressError — Decode and the
-// StreamDecoder fail, Recover drops the segment with DropAddress and keeps
-// the rest, Verify reports the block — while the last in-range address and
-// out-of-range arguments of non-memory events decode.
+// or above 1<<shadow.MaxAddrBits, and an alloc or free whose range runs
+// past it, with an *AddressError — Decode and the StreamDecoder fail,
+// Recover drops the segment with DropAddress and keeps the rest, Verify
+// reports the block — while the last in-range address, a range that ends
+// exactly at the limit and out-of-range arguments of other events decode.
 func TestOutOfRangeAddressRejected(t *testing.T) {
 	const limit = uint64(1) << shadow.MaxAddrBits
 	encode := func(tr *trace.Trace) []byte {
@@ -329,22 +342,36 @@ func TestOutOfRangeAddressRejected(t *testing.T) {
 	}
 	good := trace.ThreadTrace{ID: 1, Events: []trace.Event{
 		{TS: 1, Thread: 1, Kind: trace.KindRead, Arg: limit - 1},
-		{TS: 2, Thread: 1, Kind: trace.KindAlloc, Arg: limit << 4, Aux: 8},
+		{TS: 2, Thread: 1, Kind: trace.KindAlloc, Arg: limit - 8, Aux: 8},
+		{TS: 3, Thread: 1, Kind: trace.KindFree, Arg: 0, Aux: limit},
+		{TS: 4, Thread: 1, Kind: trace.KindSyncAcquire, Arg: limit << 4},
 	}}
-	if _, err := trace.Decode(bytes.NewReader(encode(&trace.Trace{Threads: []trace.ThreadTrace{good}}))); err != nil {
+	if _, err := trace.Decode(bytes.NewReader(encode(&trace.Trace{Syncs: []string{"mu"}, Threads: []trace.ThreadTrace{good}}))); err != nil {
 		t.Fatalf("in-range trace rejected: %v", err)
 	}
-	for _, k := range []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite} {
+	for _, e := range []trace.Event{
+		{Kind: trace.KindRead, Arg: limit},
+		{Kind: trace.KindWrite, Arg: limit},
+		{Kind: trace.KindKernelRead, Arg: limit},
+		{Kind: trace.KindKernelWrite, Arg: limit},
+		{Kind: trace.KindAlloc, Arg: 8, Aux: 1 << 40},
+		{Kind: trace.KindAlloc, Arg: limit - 8, Aux: 9},
+		{Kind: trace.KindFree, Arg: limit, Aux: 0},
+		{Kind: trace.KindFree, Arg: limit - 1, Aux: math.MaxUint64},
+	} {
+		e.TS, e.Thread = 6, 2
+		k := e.Kind
+		want := max(e.Arg, limit)
 		bad := trace.ThreadTrace{ID: 2, Events: []trace.Event{
-			{TS: 3, Thread: 2, Kind: trace.KindWrite, Arg: 64},
-			{TS: 4, Thread: 2, Kind: k, Arg: limit},
+			{TS: 5, Thread: 2, Kind: trace.KindWrite, Arg: 64},
+			e,
 		}}
-		data := encode(&trace.Trace{Threads: []trace.ThreadTrace{good, bad}})
+		data := encode(&trace.Trace{Syncs: []string{"mu"}, Threads: []trace.ThreadTrace{good, bad}})
 		isAddr := func(what string, err error) {
 			t.Helper()
 			var ae *trace.AddressError
-			if !errors.As(err, &ae) || ae.Addr != limit || ae.Kind != k || ae.Event != 1 {
-				t.Errorf("%s of a %s at %#x: got %v, want an AddressError", what, k, limit, err)
+			if !errors.As(err, &ae) || ae.Addr != want || ae.Kind != k || ae.Event != 1 {
+				t.Errorf("%s of a %s at %#x (aux %#x): got %v, want an AddressError at %#x", what, k, e.Arg, e.Aux, err, want)
 			}
 		}
 		_, err := trace.Decode(bytes.NewReader(data))
@@ -357,7 +384,7 @@ func TestOutOfRangeAddressRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rep.Dropped) != 1 || rep.Dropped[0].Cause != trace.DropAddress || rep.Dropped[0].Thread != 2 {
-			t.Errorf("Recover of a %s at %#x dropped %+v, want thread 2's segment as %s", k, limit, rep.Dropped, trace.DropAddress)
+			t.Errorf("Recover of a %s at %#x dropped %+v, want thread 2's segment as %s", k, e.Arg, rep.Dropped, trace.DropAddress)
 		}
 		if tr.NumEvents() != len(good.Events) {
 			t.Errorf("Recover salvaged %d events, want thread 1's %d", tr.NumEvents(), len(good.Events))

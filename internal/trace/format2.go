@@ -1,12 +1,16 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/block"
 	"repro/internal/guest"
@@ -306,26 +310,56 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 	return threadIDFromWire(idWire), int(count), p.Off(), nil
 }
 
-// AddressError reports a memory access whose address lies outside the
-// analysed address space, at or above 1<<shadow.MaxAddrBits. The guest
-// machine never issues one, and every consumer of events (the annotator,
-// the profiler, aprofd) indexes shadow memory by address, so the event
-// parser rejects it, and so do Replay, Annotate and
-// core.Incremental.FeedRun for events that never passed the parser.
+// AddressError reports an event that leaves the analysed address space,
+// the addresses below 1<<shadow.MaxAddrBits: a memory access at or above
+// the limit, or an alloc or free whose range [Arg, Arg+Aux) does not fit
+// below it. The guest machine never issues one, and every consumer of
+// events (the annotator, the profiler, aprofd, tools that shadow the heap)
+// indexes shadow memory by address, so the event parser rejects it, and so
+// do Replay, Annotate and core.Incremental.FeedRun for events that never
+// passed the parser.
 type AddressError struct {
 	// Event is the event's index in the input that held it: its segment
 	// for the parser, the merged stream for ReplayMerged, its thread for
 	// Annotate, its run for FeedRun.
 	Event int
-	// Kind is the access kind (read, write, kernelRead or kernelWrite).
+	// Kind is the event's kind: a memory access, alloc or free.
 	Kind Kind
-	// Addr is the out-of-range address.
+	// Addr is the first address of the event that lies outside: the
+	// access's address, or the lowest out-of-range address in the alloc's
+	// or free's range.
 	Addr uint64
 }
 
 // Error names the event, its kind and its address.
 func (e *AddressError) Error() string {
-	return fmt.Sprintf("event %d: %s address %#x outside the %d-bit analysed address space", e.Event, e.Kind, e.Addr, shadow.MaxAddrBits)
+	what := "address"
+	if e.Kind == KindAlloc || e.Kind == KindFree {
+		what = "range reaches address"
+	}
+	return fmt.Sprintf("event %d: %s %s %#x outside the %d-bit analysed address space", e.Event, e.Kind, what, e.Addr, shadow.MaxAddrBits)
+}
+
+// addrLimit is the first address outside the analysed address space.
+const addrLimit = uint64(1) << shadow.MaxAddrBits
+
+// outside reports whether an event of kind k with arguments arg and aux
+// leaves the analysed address space: a memory access at or above
+// addrLimit, or an alloc or free of the aux cells from arg that do not all
+// lie below it. A range may end exactly at the limit.
+func outside(k Kind, arg, aux uint64) bool {
+	if k == KindAlloc || k == KindFree {
+		return arg >= addrLimit || aux > addrLimit-arg
+	}
+	return arg >= addrLimit && k.IsMemory()
+}
+
+// addressError is the *AddressError for event i, of kind k and argument
+// arg, which outside rejects. An access's arg is already at or above
+// addrLimit; a range's first outside address is addrLimit unless its base
+// is past it.
+func addressError(i int, k Kind, arg uint64) *AddressError {
+	return &AddressError{Event: i, Kind: k, Addr: max(arg, addrLimit)}
 }
 
 // segmentOrder rejects a thread's segment that starts before last, the
@@ -342,10 +376,10 @@ func segmentOrder(id guest.ThreadID, events []Event, last uint64) error {
 // into dst, which holds exactly the header's count: timestamps restart from
 // 0 at each segment and come back absolute. A delta that overflows the
 // timestamp is an error, so a parsed segment's timestamps never decrease.
-// A memory access outside the analysed address space is an *AddressError,
-// and a call or return must name one of the first routines entries of the
-// routine table. It returns how many of the events are reads, the stamps a
-// complete annotation carries for them.
+// A memory access, alloc or free outside the analysed address space is an
+// *AddressError, and a call or return must name one of the first routines
+// entries of the routine table. It returns how many of the events are
+// reads, the stamps a complete annotation carries for them.
 func parseEvents(body []byte, id guest.ThreadID, dst []Event, routines int) (reads int, err error) {
 	p := block.NewParser(body)
 	ts := uint64(0)
@@ -369,8 +403,8 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event, routines int) (rea
 		if k >= numKinds {
 			return 0, fmt.Errorf("event %d: invalid event kind %d", i, k)
 		}
-		if arg>>shadow.MaxAddrBits != 0 && k.IsMemory() {
-			return 0, &AddressError{Event: i, Kind: k, Addr: arg}
+		if outside(k, arg, aux) {
+			return 0, addressError(i, k, arg)
 		}
 		if pastRoutines(k, arg, routines) {
 			return 0, fmt.Errorf("event %d: %w", i, routineError(k, arg, routines))
@@ -460,6 +494,9 @@ type scanBlock struct {
 	// n counts the block's names (R, Y), events (E) or runs (A); ns counts
 	// an A block's stamps.
 	n, ns int
+	// next indexes the thread's next intact E or A block in file order, -1
+	// after its last (see threadSlot.first).
+	next int
 }
 
 // threadSlot is one thread's size-pass tallies and, after the fill pass,
@@ -467,13 +504,14 @@ type scanBlock struct {
 type threadSlot struct {
 	id                      guest.ThreadID
 	nEvents, nRuns, nStamps int
-	events                  []Event
-	runs                    []StampRun
-	stamps                  []Stamp
-	reads                   int
-	// lastTS is the timestamp of the thread's last filled event: a later
-	// segment that starts below it makes the block bad.
-	lastTS uint64
+	// first and last index the thread's first and last intact E or A block
+	// (-1 when it has none); the size pass chains them through
+	// scanBlock.next, so the fill pass walks one thread's blocks alone.
+	first, last int
+	events      []Event
+	runs        []StampRun
+	stamps      []Stamp
+	reads       int
 	// listed reports a filled segment, so the thread appears in the trace
 	// (at its position in v2scan.order); annotated reports a filled A
 	// block.
@@ -503,13 +541,14 @@ type v2scan struct {
 // The size pass walks the blocks up to the footer: it frames each one,
 // verifies its checksum, parses the name tables and, from segment and
 // annotation headers alone, tallies every thread's event, run and stamp
-// counts. The fill pass then allocates each thread's slices at exactly
-// those sizes and parses every intact payload straight into them, so no
-// slice reallocates and no per-segment buffer exists. Counts come only
-// from checksummed headers that pass the per-block plausibility bounds, so
-// what is allocated stays proportional to len(data); a payload that fails
-// to parse in the fill pass leaves only unused capacity. A strict scan
-// stops at the first bad block and skips the fill pass if there is one.
+// counts and chains its intact blocks. The fill pass then gives each thread
+// to one goroutine, which allocates the thread's slices at exactly those
+// sizes and parses its payloads straight into them, so no slice reallocates
+// and no per-segment buffer exists. Counts come only from checksummed
+// headers that pass the per-block plausibility bounds, so what is allocated
+// stays proportional to len(data); a payload that fails to parse in the
+// fill pass leaves only unused capacity. A strict scan stops at the first
+// bad block and skips the fill pass if there is one.
 func scanV2(data []byte, mode scanMode) *v2scan {
 	s := &v2scan{data: data, mode: mode, slots: make(map[guest.ThreadID]int), footer: -1}
 	s.sizePass()
@@ -548,6 +587,9 @@ func (s *v2scan) sizePass() {
 		ioStats.blocksRead.Add(1)
 		ioStats.bytesRead.Add(uint64(len(f.Payload)))
 		s.size(b)
+		if b.err == nil && (b.Kind == blockEvents || b.Kind == blockAnnotations) {
+			s.chain(len(s.blocks) - 1)
+		}
 		table := b.Kind == blockRoutines || b.Kind == blockSyncs
 		switch {
 		case b.err == nil && b.Kind == blockFooter:
@@ -629,66 +671,137 @@ func (s *v2scan) slot(id guest.ThreadID) (int, error) {
 			return 0, fmt.Errorf("implausible thread count %d", len(s.threads)+1)
 		}
 		k = len(s.threads)
-		s.threads = append(s.threads, threadSlot{id: id})
+		s.threads = append(s.threads, threadSlot{id: id, first: -1, last: -1})
 		s.slots[id] = k
 	}
 	return k, nil
 }
 
-// fillPass parses every intact segment and annotation payload; see scanV2.
-// A payload that fails marks its block bad, which ends a strict scan.
-func (s *v2scan) fillPass() {
-	keep := s.mode != scanVerify
-	if keep {
-		for i := range s.threads {
-			t := &s.threads[i]
-			t.events = makeExact[Event](t.nEvents)
-			t.runs = makeExact[StampRun](t.nRuns)
-			t.stamps = makeExact[Stamp](t.nStamps)
-		}
+// chain appends block i, an intact E or A block, to its thread's chain.
+func (s *v2scan) chain(i int) {
+	b := &s.blocks[i]
+	b.next = -1
+	t := &s.threads[b.slot]
+	if t.first < 0 {
+		t.first = i
+	} else {
+		s.blocks[t.last].next = i
 	}
-	var events []Event
-	var runs []StampRun
-	var stamps []Stamp
+	t.last = i
+}
+
+// fillPass parses every intact segment and annotation payload; see scanV2.
+// Threads are independent once the size pass is done, so up to GOMAXPROCS
+// goroutines each claim whole threads, largest first, and fill them; with
+// one thread or one processor the fill runs inline. What crosses threads
+// (the trace's thread order and the decode tallies) is settled after the
+// join, in file order. A payload that fails marks its block bad, and a
+// strict scan stops filling that thread there; every other thread is
+// filled up to its own first bad block, so firstBad finds the first bad
+// block in file order whichever goroutine fails first.
+func (s *v2scan) fillPass() {
+	if workers := min(runtime.GOMAXPROCS(0), len(s.threads)); workers <= 1 {
+		var f filler
+		for k := range s.threads {
+			f.fill(s, k)
+		}
+	} else {
+		byEvents := make([]int, len(s.threads))
+		for k := range byEvents {
+			byEvents[k] = k
+		}
+		slices.SortStableFunc(byEvents, func(a, b int) int { return cmp.Compare(s.threads[b].nEvents, s.threads[a].nEvents) })
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				var f filler
+				for i := next.Add(1) - 1; i < int64(len(byEvents)); i = next.Add(1) - 1 {
+					f.fill(s, byEvents[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if s.mode == scanStrict && s.firstBad() >= 0 {
+		return
+	}
+	var segments, events uint64
 	for i := range s.blocks {
 		b := &s.blocks[i]
-		if b.err != nil || (b.Kind != blockEvents && b.Kind != blockAnnotations) {
+		if b.err != nil || b.Kind != blockEvents {
 			continue
 		}
-		t := &s.threads[b.slot]
+		if t := &s.threads[b.slot]; !t.listed {
+			t.listed = true
+			s.order = append(s.order, b.slot)
+		}
+		segments++
+		events += uint64(b.n)
+	}
+	if s.mode != scanVerify {
+		ioStats.segmentsDecoded.Add(segments)
+		ioStats.eventsDecoded.Add(events)
+	}
+}
+
+// filler is one fill goroutine's scratch: the reused buffers a verify scan
+// parses into, since it keeps nothing.
+type filler struct {
+	events []Event
+	runs   []StampRun
+	stamps []Stamp
+}
+
+// fill allocates thread k's slices and parses its chained blocks in file
+// order.
+func (f *filler) fill(s *v2scan, k int) {
+	t := &s.threads[k]
+	keep := s.mode != scanVerify
+	if keep {
+		t.events = makeExact[Event](t.nEvents)
+		t.runs = makeExact[StampRun](t.nRuns)
+		t.stamps = makeExact[Stamp](t.nStamps)
+	}
+	// lastTS is the timestamp of the thread's last filled event: a later
+	// segment that starts below it makes the block bad.
+	var lastTS uint64
+	for i := t.first; i >= 0; i = s.blocks[i].next {
+		b := &s.blocks[i]
 		body := b.Payload[b.hdr:]
 		if b.Kind == blockEvents {
+			var events []Event
 			if keep {
 				events = t.events[len(t.events) : len(t.events)+b.n]
 			} else {
-				events = slices.Grow(events[:0], b.n)[:b.n]
+				f.events = slices.Grow(f.events[:0], b.n)[:b.n]
+				events = f.events
 			}
 			var reads int
 			reads, b.err = parseEvents(body, b.id, events, len(s.routines))
 			if b.err == nil && b.n > 0 {
-				if b.err = segmentOrder(b.id, events, t.lastTS); b.err == nil {
-					t.lastTS = events[b.n-1].TS
+				if b.err = segmentOrder(b.id, events, lastTS); b.err == nil {
+					lastTS = events[b.n-1].TS
 				}
 			}
 			if b.err == nil {
 				if keep {
 					t.events = t.events[:len(t.events)+b.n]
-					ioStats.segmentsDecoded.Add(1)
-					ioStats.eventsDecoded.Add(uint64(b.n))
 				}
 				t.reads += reads
-				if !t.listed {
-					t.listed = true
-					s.order = append(s.order, b.slot)
-				}
 			}
 		} else {
+			var runs []StampRun
+			var stamps []Stamp
 			if keep {
 				runs = t.runs[len(t.runs) : len(t.runs)+b.n]
 				stamps = t.stamps[len(t.stamps) : len(t.stamps)+b.ns]
 			} else {
-				runs = slices.Grow(runs[:0], b.n)[:b.n]
-				stamps = slices.Grow(stamps[:0], b.ns)[:b.ns]
+				f.runs = slices.Grow(f.runs[:0], b.n)[:b.n]
+				f.stamps = slices.Grow(f.stamps[:0], b.ns)[:b.ns]
+				runs, stamps = f.runs, f.stamps
 			}
 			if b.err = parseAnnotation(body, runs, stamps); b.err == nil {
 				if keep {

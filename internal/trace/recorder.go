@@ -6,7 +6,11 @@ import "repro/internal/guest"
 // timestamped with the machine's operation counter. Thread switches are not
 // recorded: the merge step re-derives them, as in the paper's trace model
 // where switchThread events are inserted between operations of different
-// threads.
+// threads. It records every event as given and has no error to report, so
+// one outside the analysed address space (a memory access at or above
+// 1<<shadow.MaxAddrBits, or an alloc or free whose range does not fit below
+// it) is refused by the trace's consumers instead: Replay and Annotate
+// return an *AddressError for it, and so does Decode once it is encoded.
 type Recorder struct {
 	env     guest.Env
 	perTh   map[guest.ThreadID]*ThreadTrace

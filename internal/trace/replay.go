@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/guest"
-	"repro/internal/shadow"
 )
 
 // replayEnv implements guest.Env on top of a recorded trace, with the
@@ -24,15 +23,15 @@ func (e *replayEnv) Now() uint64                          { return e.now }
 // tools through the resulting event stream exactly as a live machine would:
 // Attach, the merged events (including synthesized switchThread events),
 // then Finish. Profiles computed online and by replay are identical; the
-// tests assert this. A memory access outside the analysed address space
-// stops the replay with an *AddressError.
+// tests assert this. A memory access, alloc or free outside the analysed
+// address space stops the replay with an *AddressError.
 func Replay(tr *Trace, tieSeed int64, tools ...guest.Tool) error {
 	merged := Merge(tr, tieSeed)
 	return ReplayMerged(tr, merged, tools...)
 }
 
 // ReplayMerged drives tools from an already-merged event stream. A memory
-// access outside the analysed address space stops it with an
+// access, alloc or free outside the analysed address space stops it with an
 // *AddressError, before that event reaches the tools.
 func ReplayMerged(tr *Trace, merged []Event, tools ...guest.Tool) error {
 	env := &replayEnv{tr: tr}
@@ -63,10 +62,10 @@ func ReplayMerged(tr *Trace, merged []Event, tools ...guest.Tool) error {
 func Dispatch(e Event, tools []guest.Tool) error { return dispatch(e, tools) }
 
 // checkAddr returns an *AddressError, with index i, if e is a memory
-// access outside the analysed address space.
+// access, alloc or free outside the analysed address space.
 func (e *Event) checkAddr(i int) error {
-	if e.Kind.IsMemory() && e.Arg>>shadow.MaxAddrBits != 0 {
-		return &AddressError{Event: i, Kind: e.Kind, Addr: e.Arg}
+	if outside(e.Kind, e.Arg, e.Aux) {
+		return addressError(i, e.Kind, e.Arg)
 	}
 	return nil
 }

@@ -31,9 +31,10 @@ import (
 //
 // Errors are sticky: the first one stops all further recording and output
 // and is reported by Err and Close. Besides write errors, a memory access
-// at or above 1<<shadow.MaxAddrBits, which no decoder would accept, is an
-// *AddressError, and the access is dropped. A StreamRecorder must not be
-// reused across runs.
+// at or above 1<<shadow.MaxAddrBits, or an alloc or free whose range does
+// not fit below it, which no decoder would accept, is an *AddressError,
+// and the event is dropped. A StreamRecorder must not be reused across
+// runs.
 type StreamRecorder struct {
 	w   io.Writer
 	env guest.Env
@@ -322,15 +323,26 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 // address space.
 func (r *StreamRecorder) mem(t guest.ThreadID, k Kind, a guest.Addr) {
 	if uint64(a)>>shadow.MaxAddrBits != 0 {
-		r.addrErr(k, a)
+		r.addrErr(k, uint64(a))
 		return
 	}
 	r.add(t, k, uint64(a), 0)
 }
 
-// addrErr makes an out-of-range access the sticky error, unless one is
-// already set. Its Event is the access's index in the recorded stream.
-func (r *StreamRecorder) addrErr(k Kind, a guest.Addr) {
+// heap records an alloc or free of n cells from base, refusing one whose
+// range leaves the analysed address space.
+func (r *StreamRecorder) heap(t guest.ThreadID, k Kind, base guest.Addr, n int) {
+	if outside(k, uint64(base), uint64(n)) {
+		r.addrErr(k, uint64(base))
+		return
+	}
+	r.add(t, k, uint64(base), uint64(n))
+}
+
+// addrErr makes an out-of-range event of kind k and argument arg the
+// sticky error, unless one is already set. Its Event is the event's index
+// in the recorded stream.
+func (r *StreamRecorder) addrErr(k Kind, arg uint64) {
 	if r.finished || r.err != nil {
 		return
 	}
@@ -338,7 +350,7 @@ func (r *StreamRecorder) addrErr(k Kind, a guest.Addr) {
 	for _, st := range r.order {
 		n += len(st.pending)
 	}
-	r.err = &AddressError{Event: n, Kind: k, Addr: uint64(a)}
+	r.err = addressError(n, k, arg)
 }
 
 // Attach implements guest.Tool.
@@ -388,7 +400,7 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 			k = KindRead
 		}
 		if uint64(e.Addr())>>shadow.MaxAddrBits != 0 {
-			r.addrErr(k, e.Addr())
+			r.addrErr(k, uint64(e.Addr()))
 			return
 		}
 		ts := startTS + uint64(i)
@@ -440,12 +452,12 @@ func (r *StreamRecorder) Sync(t guest.ThreadID, kind guest.SyncKind, s guest.Syn
 
 // Alloc implements guest.Tool.
 func (r *StreamRecorder) Alloc(t guest.ThreadID, base guest.Addr, n int) {
-	r.add(t, KindAlloc, uint64(base), uint64(n))
+	r.heap(t, KindAlloc, base, n)
 }
 
 // Free implements guest.Tool.
 func (r *StreamRecorder) Free(t guest.ThreadID, base guest.Addr, n int) {
-	r.add(t, KindFree, uint64(base), uint64(n))
+	r.heap(t, KindFree, base, n)
 }
 
 // Finish implements guest.Tool: remaining segments and the footer are

@@ -149,9 +149,10 @@ func (e *clockEnv) NumSyncs() int                      { return 0 }
 func (e *clockEnv) Now() uint64                        { e.now++; return e.now }
 
 // TestStreamRecorderAddressOutOfRange: a memory access at or above
-// 1<<shadow.MaxAddrBits, through any entry point, becomes the recorder's
-// sticky *AddressError. The access is dropped and recording stops, with
-// annotations on or off, and nothing panics.
+// 1<<shadow.MaxAddrBits, through any entry point, or an alloc or free whose
+// range runs past it, becomes the recorder's sticky *AddressError. The
+// event is dropped and recording stops, with annotations on or off, and
+// nothing panics.
 func TestStreamRecorderAddressOutOfRange(t *testing.T) {
 	const far = guest.Addr(1) << shadow.MaxAddrBits
 	cases := []struct {
@@ -161,6 +162,8 @@ func TestStreamRecorderAddressOutOfRange(t *testing.T) {
 	}{
 		{"Read", trace.KindRead, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Read(1, far) }},
 		{"KernelWrite", trace.KindKernelWrite, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.KernelWrite(1, far+8) }},
+		{"Alloc", trace.KindAlloc, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Alloc(1, far-8, 9) }},
+		{"Free", trace.KindFree, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Free(1, 0x10, -1) }},
 		{"MemBatch", trace.KindWrite, func(sr *trace.StreamRecorder, env *clockEnv) {
 			// The first two accesses of the batch are in range and
 			// recorded; the third is refused.

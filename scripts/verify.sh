@@ -6,7 +6,7 @@
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector,
 #           then repeat the aprofd profile-polling and segment-recycling
-#           tests under it ten times
+#           tests and the parallel decode fill test under it ten times
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
 #           the recovery paths, the stream decoder, the aprofd wire
 #           protocol and the aprofd tenant checkpoint
@@ -117,6 +117,8 @@ if [ "$run_race" = 1 ]; then
 	go test -race ./...
 	echo "== race: /profile polled during two-guest ingest, segment recycling (x10)"
 	go test -race -count=10 -run 'TestProfilePollDuringIngest|TestSegmentStorageRecycling' ./internal/daemon
+	echo "== race: decode fill on one goroutine vs four (x10)"
+	go test -race -count=10 -run TestDecodeParallelMatchesSerial ./internal/trace
 fi
 
 if [ "$run_fuzz" = 1 ]; then
