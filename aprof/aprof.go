@@ -86,10 +86,6 @@ type (
 	Env = guest.Env
 	// MemEvent is one packed memory access of a batch (address + kind).
 	MemEvent = guest.MemEvent
-	// MemEventSink is the optional batched fast path of the tool interface:
-	// tools implementing it receive runs of memory accesses as whole
-	// batches instead of one Read/Write call per event.
-	MemEventSink = guest.MemEventSink
 	// Sem, Mutex, Cond, Barrier and Queue are guest synchronization
 	// primitives; Device models an external data source/sink.
 	Sem     = guest.Sem

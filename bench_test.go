@@ -584,10 +584,9 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkInlineOverhead times one inline-profiled workload run — the
-// profiler attached to a live machine — under the batched event ring and
-// under per-event dispatch (guest.Config.Unbatched). This is the series
-// behind BENCH_INLINE.json; `aprof-experiments -run inline` regenerates the
-// JSON with min-of-reps methodology.
+// profiler attached to a live machine, fed through the batched event ring.
+// This is the series behind BENCH_INLINE.json; `aprof-experiments -run
+// inline` regenerates the JSON with min-of-reps methodology.
 func BenchmarkInlineOverhead(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -600,19 +599,13 @@ func BenchmarkInlineOverhead(b *testing.B) {
 		{"fluidanimate", 16, 4},
 	}
 	for _, c := range cases {
-		for _, mode := range []string{"batched", "unbatched"} {
-			b.Run(c.name+"/"+mode, func(b *testing.B) {
-				params := workloads.Params{
-					Size:      c.size,
-					Threads:   c.threads,
-					Unbatched: mode == "unbatched",
-				}
-				for i := 0; i < b.N; i++ {
-					prof := core.New(core.Options{})
-					runWorkload(b, c.name, params, prof)
-				}
-			})
-		}
+		b.Run(c.name+"/batched", func(b *testing.B) {
+			params := workloads.Params{Size: c.size, Threads: c.threads}
+			for i := 0; i < b.N; i++ {
+				prof := core.New(core.Options{})
+				runWorkload(b, c.name, params, prof)
+			}
+		})
 	}
 }
 

@@ -140,15 +140,8 @@ func (s *stopTool) Call(aprof.ThreadID, aprof.RoutineID, uint64) {
 	}
 }
 
-// Read implements the Tool hook; it aborts the run once stop is set.
-func (s *stopTool) Read(aprof.ThreadID, aprof.Addr) {
-	if s.stop.Load() {
-		panic(stopSentinel)
-	}
-}
-
-// Write implements the Tool hook; it aborts the run once stop is set.
-func (s *stopTool) Write(aprof.ThreadID, aprof.Addr) {
+// MemBatch implements the Tool hook; it aborts the run once stop is set.
+func (s *stopTool) MemBatch(aprof.ThreadID, uint64, []aprof.MemEvent) {
 	if s.stop.Load() {
 		panic(stopSentinel)
 	}

@@ -11,32 +11,34 @@ import (
 	"repro/internal/workloads"
 )
 
-// These tests enforce the batched dispatch obligation: the profiler fed
-// through the machine's batched memory-event path must produce profiles
-// byte-identical to per-event dispatch, across real workloads (including
-// kernel-I/O-heavy ones like mysqld), context-sensitive mode, and randomized
-// multithreaded programs. Workload runs are deterministic, so two runs of the
-// same program differing only in Config.Unbatched see identical event
+// These tests enforce the batched dispatch obligation: how the machine cuts
+// the memory-event stream into batches must not show in the profile. A run
+// on the default 256-event ring must be byte-identical to one whose ring
+// flushes every two events (Config.BatchMax 2, the "unbatched" side the
+// test names refer to), across real workloads (including kernel-I/O-heavy
+// ones like mysqld), context-sensitive mode, and randomized multithreaded
+// programs.
+// Workload runs are deterministic, so the two runs see identical event
 // streams and any divergence is a batching bug.
 
 // runWorkloadExport runs one workload against a fresh profiler and returns
 // the profile's canonical JSON export.
-func runWorkloadExport(t *testing.T, name string, unbatched bool, opts Options) ([]byte, *Profiler) {
+func runWorkloadExport(t *testing.T, name string, batchMax int, opts Options) ([]byte, *Profiler) {
 	t.Helper()
 	p := New(opts)
-	if _, err := workloads.RunByName(name, workloads.Params{Unbatched: unbatched}, p); err != nil {
-		t.Fatalf("%s (unbatched=%v): %v", name, unbatched, err)
+	if _, err := workloads.RunByName(name, workloads.Params{BatchMax: batchMax}, p); err != nil {
+		t.Fatalf("%s (batchmax=%d): %v", name, batchMax, err)
 	}
 	out, err := p.Profile().Export()
 	if err != nil {
-		t.Fatalf("%s (unbatched=%v): export: %v", name, unbatched, err)
+		t.Fatalf("%s (batchmax=%d): export: %v", name, batchMax, err)
 	}
 	return out, p
 }
 
 // TestBatchedMatchesUnbatchedWorkloads: for every micro benchmark, the
 // mysqld model (kernel-I/O heavy) and the parsec models, batched dispatch
-// yields a byte-identical profile export to per-event dispatch.
+// yields a byte-identical profile export to two-event batches.
 func TestBatchedMatchesUnbatchedWorkloads(t *testing.T) {
 	var names []string
 	for _, s := range workloads.Suite("micro") {
@@ -45,10 +47,10 @@ func TestBatchedMatchesUnbatchedWorkloads(t *testing.T) {
 	names = append(names, "mysqld", "vips", "dedup", "fluidanimate")
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			want, _ := runWorkloadExport(t, name, true, Options{})
-			got, _ := runWorkloadExport(t, name, false, Options{})
+			want, _ := runWorkloadExport(t, name, 2, Options{})
+			got, _ := runWorkloadExport(t, name, 0, Options{})
 			if !bytes.Equal(want, got) {
-				t.Errorf("batched profile differs from unbatched for %s", name)
+				t.Errorf("batched profile differs from two-event batches for %s", name)
 			}
 		})
 	}
@@ -79,18 +81,18 @@ func dumpContexts(tree *ContextTree) string {
 
 // TestBatchedMatchesUnbatchedContextTree: context-sensitive profiles —
 // calling context trees with per-thread aggregates — are identical under
-// batched and per-event dispatch.
+// the default ring and two-event batches.
 func TestBatchedMatchesUnbatchedContextTree(t *testing.T) {
 	for _, name := range []string{"mysqld", "dedup"} {
 		t.Run(name, func(t *testing.T) {
-			wantExport, unb := runWorkloadExport(t, name, true, Options{ContextSensitive: true})
-			gotExport, bat := runWorkloadExport(t, name, false, Options{ContextSensitive: true})
+			wantExport, unb := runWorkloadExport(t, name, 2, Options{ContextSensitive: true})
+			gotExport, bat := runWorkloadExport(t, name, 0, Options{ContextSensitive: true})
 			if !bytes.Equal(wantExport, gotExport) {
-				t.Errorf("batched profile differs from unbatched for %s", name)
+				t.Errorf("batched profile differs from two-event batches for %s", name)
 			}
 			want, got := dumpContexts(unb.ContextTree()), dumpContexts(bat.ContextTree())
 			if want != got {
-				t.Errorf("batched context tree differs from unbatched for %s", name)
+				t.Errorf("batched context tree differs from two-event batches for %s", name)
 			}
 		})
 	}
@@ -98,7 +100,7 @@ func TestBatchedMatchesUnbatchedContextTree(t *testing.T) {
 
 // TestBatchedMatchesUnbatchedRandomPrograms: randomized multithreaded guest
 // programs with heavy kernel I/O and tiny timeslices produce identical
-// profiles under both dispatch modes, across option configurations
+// profiles under both batch sizes, across option configurations
 // (including aggressive renumbering, which must be able to run mid-batch).
 func TestBatchedMatchesUnbatchedRandomPrograms(t *testing.T) {
 	configs := []Options{
@@ -118,10 +120,10 @@ func TestBatchedMatchesUnbatchedRandomPrograms(t *testing.T) {
 		}
 		for ci, opts := range configs {
 			unb := New(opts)
-			rp.unbatched = true
+			rp.batchMax = 2
 			rp.run(t, unb)
 			bat := New(opts)
-			rp.unbatched = false
+			rp.batchMax = 0
 			rp.run(t, bat)
 			if diffs := bat.Profile().Diff(unb.Profile()); len(diffs) > 0 {
 				t.Fatalf("seed %d config %d: batched dispatch changed the profile:\n%s",

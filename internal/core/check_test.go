@@ -39,8 +39,7 @@ func seeded(level CheckLevel) (*Profiler, *threadView) {
 func TestCheckCatchesSeededViolations(t *testing.T) {
 	t.Run("clean control", func(t *testing.T) {
 		p, _ := seeded(CheckDeep)
-		p.Write(1, 4)
-		p.Read(1, 4)
+		p.MemBatch(1, 0, []guest.MemEvent{guest.WriteEvent(4), guest.ReadEvent(4)})
 		p.Return(1, 0, 3)
 		p.Finish()
 		violated(t, p)

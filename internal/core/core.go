@@ -109,10 +109,9 @@ const defaultRenumberThreshold = math.MaxUint32 - 8
 // on behalf of a thread (external input).
 const kernelWriter = math.MaxUint32
 
-// Profiler computes input-sensitive profiles. It implements guest.Tool and
-// guest.MemEventSink, so it can be attached to a live machine (which feeds it
-// whole batches of memory events) or driven event-by-event by a trace
-// replayer; both paths produce identical profiles.
+// Profiler computes input-sensitive profiles. It implements guest.Tool, so
+// it can be attached to a live machine or driven by a trace replayer; both
+// feed it batches of memory events and produce identical profiles.
 //
 // The hot path is specialized for per-event cost: the current thread's view
 // is cached across events (invalidated at thread switches and exits), the
@@ -389,65 +388,29 @@ func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	}
 }
 
-// Read implements guest.Tool. This is the algorithm of Fig. 11 extended with
-// the parallel rms computation and the induced-input provenance split.
-func (p *Profiler) Read(t guest.ThreadID, a guest.Addr) {
-	p.events++
-	p.readAt(p.view(t), a)
-}
-
-// readAt is the per-read hot path: the thread's shadow slot is resolved once
-// for both the load of the old timestamp and the store of the new one, and
-// only reads that change state reach the kernel.
-func (p *Profiler) readAt(tv *threadView, a guest.Addr) {
-	ch := tv.tsc.Chunk(a)
-	old := ch[a&(shadow.ChunkSize-1)]
-	if old == p.count {
-		// The thread already accessed the cell at the current counter
-		// value (a repeat access within the current timeslice): the read
-		// cannot be a first access (old != 0 whenever frames exist, since
-		// frame timestamps are positive), cannot fall under an ancestor
-		// (old >= top.TS because top.TS <= count), and cannot be induced
-		// (wts <= count = old). Nothing changes.
-		return
-	}
-	var g uint64 // packed (wts, writer); zero under RMSOnly
-	if !p.opts.RMSOnly {
-		g = p.gcur.Peek(a)
-	}
-	p.k.Read(tv.stack, old, uint32(g>>32), uint32(g))
-	ch[a&(shadow.ChunkSize-1)] = p.count
-}
-
-// Write implements guest.Tool: both the thread-local and the global write
-// timestamps move to the current counter value, so the thread's own later
-// reads never appear induced (ts_t[l] == wts[l]).
-func (p *Profiler) Write(t guest.ThreadID, a guest.Addr) {
-	p.events++
-	p.writeAt(p.view(t), a)
-}
-
-// writeAt is the per-write hot path.
-func (p *Profiler) writeAt(tv *threadView, a guest.Addr) {
-	tv.tsc.Chunk(a)[a&(shadow.ChunkSize-1)] = p.count
-	if !p.opts.RMSOnly {
-		p.gcur.Chunk(a)[a&(shadow.ChunkSize-1)] = uint64(p.count)<<32 | uint64(uint32(tv.id)+1)
-	}
-}
-
-// MemBatch implements guest.MemEventSink: it consumes a whole batch of
-// memory events in one call. Batches contain only memory accesses — every
-// event that could grow or shrink the shadow stack or change the running
-// thread is a flush point — so the thread view, its stack and the option
-// flags are batch invariants, hoisted out of the loop here. The global
-// counter is almost invariant too: only a kernel write moves it, and the loop
-// reloads the counter-derived locals at exactly that point. Kernel reads
-// share the plain-read logic (a kernel read is a read by the thread,
-// Fig. 12). This loop is the profiler's share of the batched-dispatch
-// speedup; its per-event work is the readAt/writeAt/KernelWrite logic with
-// every rediscovered invariant removed. Under RMSOnly the global shadow is
-// never touched: reads pass wts = 0 to the kernel, which leaves the rms
-// rules, and kernel writes are no-ops, as in KernelWrite.
+// MemBatch implements guest.Tool. It is the algorithm of Fig. 11,
+// extended with the parallel rms computation and the induced-input
+// provenance split, over a whole batch of memory events:
+//   - a read probes the thread's shadow slot once for both the load of the
+//     old timestamp and the store of the new one, and only reads that
+//     change state reach the kernel;
+//   - a write moves both the thread-local and the global write timestamps
+//     to the current counter value, so the thread's own later reads never
+//     appear induced (ts_t[l] == wts[l]);
+//   - a kernel read counts as a read by the thread, as if the system call
+//     were a normal subroutine (Fig. 12);
+//   - a kernel write gives the cell a fresh global write timestamp larger
+//     than every thread-local one, so a subsequent read of it, and only an
+//     actual read, registers as external input (Fig. 12).
+//
+// Batches contain only memory accesses (every event that could grow or
+// shrink the shadow stack or change the running thread is a flush point),
+// so the thread view, its stack and the option flags are batch invariants,
+// hoisted out of the loop. The global counter is almost invariant too:
+// only a kernel write moves it, and the loop reloads the counter-derived
+// locals at exactly that point. Under RMSOnly the global shadow is never
+// touched: reads pass wts = 0 to the kernel, which leaves the rms rules,
+// and kernel writes are no-ops.
 func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.MemEvent) {
 	// Poll before counting the batch: a snapshot taken here reports the
 	// pre-batch event tally, matching the profile state it exports.
@@ -476,7 +439,7 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 				// timestamps in place, which the kernel reads from the
 				// stack) and stamp the cell with the fresh timestamp
 				// and kernel provenance. The thread's own shadow is
-				// untouched, exactly as in KernelWrite.
+				// untouched.
 				if cnt >= p.threshold {
 					p.renumber()
 					cnt = p.count
@@ -496,7 +459,14 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 		ch := tsc.Chunk(a)
 		old := ch[a&(shadow.ChunkSize-1)]
 		if old == cnt {
-			continue // repeat access: no-op, see readAt
+			// The thread already accessed the cell at the current
+			// counter value (a repeat access within the current
+			// timeslice): the read cannot be a first access (old != 0
+			// whenever frames exist, since frame timestamps are
+			// positive), cannot fall under an ancestor (old >= top.TS
+			// because top.TS <= count), and cannot be induced (wts <=
+			// count = old). Nothing changes.
+			continue
 		}
 		var g uint64
 		if !rmsOnly {
@@ -505,26 +475,6 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 		p.k.Read(tv.stack, old, uint32(g>>32), uint32(g))
 		ch[a&(shadow.ChunkSize-1)] = cnt
 	}
-}
-
-// KernelRead implements guest.Tool: the kernel reading guest memory on the
-// thread's behalf (data sent to a device) counts as a read by the thread, as
-// if the system call were a normal subroutine (Fig. 12).
-func (p *Profiler) KernelRead(t guest.ThreadID, a guest.Addr) {
-	p.Read(t, a)
-}
-
-// KernelWrite implements guest.Tool: a buffer cell filled from an external
-// device gets a fresh global write timestamp larger than every thread-local
-// timestamp, so a subsequent read of the cell — and only an actual read —
-// registers as external input (Fig. 12).
-func (p *Profiler) KernelWrite(t guest.ThreadID, a guest.Addr) {
-	p.events++
-	if p.opts.RMSOnly {
-		return
-	}
-	ts := p.bump()
-	p.gcur.Chunk(a)[a&(shadow.ChunkSize-1)] = uint64(ts)<<32 | uint64(kernelWriter)
 }
 
 // Sync implements guest.Tool (no-op: synchronization carries no input).

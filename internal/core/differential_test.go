@@ -19,12 +19,12 @@ type randProgram struct {
 	opsPer    int
 	cells     int
 	timeslice int
-	unbatched bool
+	batchMax  int // guest.Config.BatchMax: 0 the full ring, 2 the smallest batches
 }
 
 func (rp randProgram) run(t *testing.T, tools ...guest.Tool) {
 	t.Helper()
-	m := guest.NewMachine(guest.Config{Timeslice: rp.timeslice, Tools: tools, Unbatched: rp.unbatched})
+	m := guest.NewMachine(guest.Config{Timeslice: rp.timeslice, Tools: tools, BatchMax: rp.batchMax})
 	pool := m.Static(rp.cells)
 	dev := m.NewDevice("dev", nil)
 	err := m.Run(func(th *guest.Thread) {
@@ -83,7 +83,7 @@ func (rp randProgram) run(t *testing.T, tools ...guest.Tool) {
 // produces exactly the same profiles — trms and rms histograms, costs, and
 // induced-input splits — as the naive set-based reference, across many
 // randomized multithreaded programs and option configurations, under both
-// the batched and the per-event dispatch paths. RMSOnly keeps no global
+// the default batch ring and two-event batches. RMSOnly keeps no global
 // shadow; its reference is the naive profiler with every induced input
 // disabled.
 func TestDifferentialVsNaive(t *testing.T) {
@@ -97,7 +97,7 @@ func TestDifferentialVsNaive(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 25; seed++ {
 		for ci, c := range configs {
-			for _, unbatched := range []bool{false, true} {
+			for _, batchMax := range []int{0, 2} {
 				fast := New(c.fast)
 				naive := NewNaive(c.naive)
 				rp := randProgram{
@@ -106,12 +106,12 @@ func TestDifferentialVsNaive(t *testing.T) {
 					opsPer:    300,
 					cells:     24,
 					timeslice: 1 + int(seed%9),
-					unbatched: unbatched,
+					batchMax:  batchMax,
 				}
 				rp.run(t, fast, naive)
 				if diffs := fast.Profile().Diff(naive.Profile()); len(diffs) > 0 {
-					t.Fatalf("seed %d config %d unbatched=%v: timestamping disagrees with naive reference:\n%s",
-						seed, ci, unbatched, joinLines(diffs, 12))
+					t.Fatalf("seed %d config %d batchmax=%d: timestamping disagrees with naive reference:\n%s",
+						seed, ci, batchMax, joinLines(diffs, 12))
 				}
 			}
 		}

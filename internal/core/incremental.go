@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/guest"
-	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -130,13 +129,11 @@ func (in *Incremental) FeedEvent(e trace.Event) error {
 // FeedRun dispatches a run of the merged stream: consecutive events of one
 // thread, all of them due before any other thread's next event. It feeds
 // exactly what FeedEvent on each event would, with the attach, finish and
-// thread-switch checks done once for the whole run instead of per event.
-// Each maximal stretch of memory accesses goes to the profiler as one
-// MemBatch, the batched loop a live run feeds; only the other events are
-// dispatched one by one. A memory access at or above 1<<shadow.MaxAddrBits,
-// or an alloc or free whose range does not fit below it, is an
-// *trace.AddressError (Event is its index in run), reported after every
-// event before it has been fed.
+// thread-switch checks done once for the whole run instead of per event,
+// and memory accesses in batches (trace.DispatchRun). A memory access at
+// or above 1<<shadow.MaxAddrBits, or an alloc or free whose range does not
+// fit below it, is an *trace.AddressError (Event is its index in run),
+// reported after every event before it has been fed.
 func (in *Incremental) FeedRun(run []trace.Event) error {
 	if in.finished {
 		return fmt.Errorf("core: FeedRun after Finish")
@@ -164,52 +161,7 @@ func (in *Incremental) FeedRun(run []trace.Event) error {
 		}
 	}
 	in.last, in.haveLast = th, true
-	for i := 0; i < len(run); {
-		if !run[i].Kind.IsMemory() {
-			if e := &run[i]; (e.Kind == trace.KindAlloc || e.Kind == trace.KindFree) && (e.Arg >= addrLimit || e.Aux > addrLimit-e.Arg) {
-				return &trace.AddressError{Event: i, Kind: e.Kind, Addr: max(e.Arg, addrLimit)}
-			}
-			in.env.now = run[i].TS
-			if err := trace.Dispatch(run[i], in.tools); err != nil {
-				return err
-			}
-			i++
-			continue
-		}
-		batch := in.batch[:0]
-		j := i
-		var err error
-		for ; j < len(run) && run[j].Kind.IsMemory(); j++ {
-			e := &run[j]
-			if e.Arg>>shadow.MaxAddrBits != 0 {
-				err = &trace.AddressError{Event: j, Kind: e.Kind, Addr: e.Arg}
-				break
-			}
-			batch = append(batch, guest.MemEvent(e.Arg)|memFlags[e.Kind-trace.KindRead])
-		}
-		if len(batch) > 0 {
-			in.env.now = run[j-1].TS
-			in.prof.MemBatch(th, run[i].TS, batch)
-		}
-		in.batch = batch
-		if err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
-// addrLimit is the first address outside the analysed address space.
-const addrLimit = uint64(1) << shadow.MaxAddrBits
-
-// memFlags packs a memory access kind, indexed from trace.KindRead, into
-// the flag bits of a guest.MemEvent.
-var memFlags = [...]guest.MemEvent{
-	trace.KindRead - trace.KindRead:        guest.ReadEvent(0),
-	trace.KindWrite - trace.KindRead:       guest.WriteEvent(0),
-	trace.KindKernelRead - trace.KindRead:  guest.KernelReadEvent(0),
-	trace.KindKernelWrite - trace.KindRead: guest.KernelWriteEvent(0),
+	return trace.DispatchRun(run, in.tools, &in.env.now, &in.batch)
 }
 
 // FeedTrace feeds one window trace: its name tables extend the accumulated

@@ -1,11 +1,11 @@
 // The rms/trms kernel: the shadow-stack frame, call push, the return fold
 // and the per-read rule of the paper's Fig. 11 (extended with the parallel
 // rms computation and the induced-input provenance split). It is the one
-// implementation of the rule. The inline profiler's batched and per-event
-// paths (and through them trace replay and Incremental) and the pipeline's
-// per-thread workers are drivers over it; they keep only what really
-// differs between them: the shadow tables and their cell width, the
-// counter and its renumbering, the repeat-read early exit, and where a
+// implementation of the rule. The inline profiler's MemBatch loop (and
+// through it trace replay and Incremental) and the pipeline's per-thread
+// workers are drivers over it; they keep only what really differs
+// between them: the shadow tables and their cell width, the counter and
+// its renumbering, the repeat-read early exit, and where a
 // read's (wts, writer) pair comes from — the live global shadow inline,
 // the plan's recorded stamps in the pipeline. That pair is passed as
 // values, so no read makes an indirect call.

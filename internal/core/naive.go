@@ -116,9 +116,24 @@ func (n *Naive) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	}
 }
 
-// Read implements guest.Tool: every pending activation of the reading thread
-// is updated by direct stack walking.
-func (n *Naive) Read(t guest.ThreadID, a guest.Addr) {
+// MemBatch implements guest.Tool, one event at a time. A kernel read is a
+// read by the thread.
+func (n *Naive) MemBatch(t guest.ThreadID, _ uint64, events []guest.MemEvent) {
+	for _, e := range events {
+		switch {
+		case e.IsKernel() && e.IsWrite():
+			n.kernelWrite(e.Addr())
+		case e.IsWrite():
+			n.write(t, e.Addr())
+		default:
+			n.read(t, e.Addr())
+		}
+	}
+}
+
+// read updates every pending activation of the reading thread by direct
+// stack walking.
+func (n *Naive) read(t guest.ThreadID, a guest.Addr) {
 	tv := n.view(t)
 
 	w := n.lastWriter[a]
@@ -154,9 +169,9 @@ func (n *Naive) Read(t guest.ThreadID, a guest.Addr) {
 	tv.accessed[a] = true
 }
 
-// Write implements guest.Tool: the cell joins every pending activation's set
-// for the writing thread and is invalidated for every other thread.
-func (n *Naive) Write(t guest.ThreadID, a guest.Addr) {
+// write adds the cell to every pending activation's set for the writing
+// thread and invalidates it for every other thread.
+func (n *Naive) write(t guest.ThreadID, a guest.Addr) {
 	tv := n.view(t)
 	for i := range tv.stack {
 		tv.stack[i].seen[a] = true
@@ -170,12 +185,9 @@ func (n *Naive) Write(t guest.ThreadID, a guest.Addr) {
 	n.lastWriter[a] = uint32(t) + 1
 }
 
-// KernelRead implements guest.Tool (treated as a read by the thread).
-func (n *Naive) KernelRead(t guest.ThreadID, a guest.Addr) { n.Read(t, a) }
-
-// KernelWrite implements guest.Tool: the kernel invalidates the cell for
-// every thread, including the requester.
-func (n *Naive) KernelWrite(t guest.ThreadID, a guest.Addr) {
+// kernelWrite invalidates the cell for every thread, including the
+// requester.
+func (n *Naive) kernelWrite(a guest.Addr) {
 	for _, tv := range n.threads {
 		delete(tv.accessed, a)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/aprof"
 	"repro/internal/core"
+	"repro/internal/guest"
 )
 
 // runDedup drives the dedup workload under an inline profiler built from
@@ -37,7 +38,7 @@ func TestLiveSnapshotRequest(t *testing.T) {
 	})
 	prof.ThreadStart(1, 0)
 	prof.Call(1, 0, 0)
-	prof.Write(1, 64)
+	prof.MemBatch(1, 0, []guest.MemEvent{guest.WriteEvent(64)})
 	prof.RequestSnapshot()
 	prof.SwitchThread(1, 1) // batch boundary: the request is honored here
 	if len(snaps) != 1 {

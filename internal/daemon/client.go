@@ -155,10 +155,11 @@ func (c *Client) Stream(tr *trace.Trace, tieSeed int64, flushEvery int) error {
 	env := &streamEnv{routines: tr.Routines, syncs: tr.Syncs}
 	c.rec.Attach(env)
 	merged := trace.Merge(tr, tieSeed)
+	tools := []guest.Tool{c.rec}
 	n := 0
 	for i := range merged {
 		env.now = merged[i].TS
-		if err := trace.Dispatch(merged[i], []guest.Tool{c.rec}); err != nil {
+		if err := trace.Dispatch(merged[i], tools); err != nil {
 			return err
 		}
 		if merged[i].Kind == trace.KindSwitch {

@@ -378,7 +378,7 @@ func TestSegmentSteppingBackKillsConnection(t *testing.T) {
 	}
 	write := func(c *Client, env *streamEnv, th guest.ThreadID, ts uint64) {
 		env.now = ts
-		c.Recorder().Write(th, 8)
+		c.Recorder().MemBatch(th, ts, []guest.MemEvent{guest.WriteEvent(8)})
 	}
 	// The holder keeps the frontier at 1, so the step back from 7 to 6
 	// lies above it and only the decoder can see it.

@@ -29,7 +29,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		"fig18":      {"thread-induced input"},
 		"fig19":      {"external input"},
 		"ablations":  {"Ablation 1", "timestamping", "renumber passes", "record+replay"},
-		"inline":     {"batched", "per-event", "mysqld", "dedup"},
+		"inline":     {"profiled", "slowdown", "mysqld", "dedup"},
 		"validation": {"structural", "correctness", "determinism", "performance", "pass"},
 	}
 	if len(IDs()) != len(wantMarkers) {

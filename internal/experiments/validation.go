@@ -384,8 +384,9 @@ func validatePerformance(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "dominates. The offline-annotated route runs the Annotate pass first and\n")
 	fmt.Fprintf(w, "then the same workers, so its time is the pass plus the annotated run.\n")
 	fmt.Fprintf(w, "Where workers exceed CPUs no parallel speedup is possible; the gain over\n")
-	fmt.Fprintf(w, "sequential replay is then algorithmic (no merged-event materialization,\n")
-	fmt.Fprintf(w, "no per-event tool dispatch, 32-bit shadow cells when timestamps fit).\n")
+	fmt.Fprintf(w, "sequential replay is then algorithmic (no merge of the threads' events\n")
+	fmt.Fprintf(w, "into one order, no global write shadow, 32-bit shadow cells when\n")
+	fmt.Fprintf(w, "timestamps fit).\n")
 
 	if cfg.BenchJSON != "" {
 		data, err := json.MarshalIndent(&bench, "", "  ")

@@ -52,7 +52,7 @@ func (th *Thread) ReadDevice(d *Device, base Addr, n int) {
 		a := base + Addr(i)
 		th.m.mem.store(a, d.gen(d.next))
 		d.next++
-		th.m.emitKernelWrite(th.id, a)
+		th.m.emitKernelWrite(a)
 	}
 }
 
@@ -66,6 +66,6 @@ func (th *Thread) WriteDevice(d *Device, base Addr, n int) {
 		v := th.m.mem.load(a)
 		d.written++
 		d.checksum = d.checksum*1099511628211 + v
-		th.m.emitKernelRead(th.id, a)
+		th.m.emitKernelRead(a)
 	}
 }

@@ -86,21 +86,12 @@ type Config struct {
 	// tie-breaking.
 	SchedSeed int64
 
-	// Unbatched disables the batched memory-event path: every Read/Write
-	// fans out to each tool as its own interface call, as the machine
-	// dispatched before batching existed. Tools observe identical event
-	// streams either way (the differential tests hold the two modes
-	// byte-identical); the flag exists so the unbatched dispatch cost
-	// remains measurable and so batching bugs can be bisected.
-	Unbatched bool
-
 	// BatchMax caps how many memory events accumulate in the batch ring
 	// before a flush. Zero selects the ring's full capacity (256); other
 	// values are clamped to [2, 256]. Tools observe identical event
 	// streams for every value — the cap changes only how the stream is
 	// chopped into MemBatch calls — which makes it a don't-care parameter
-	// the metamorphic invariant harness perturbs. Ignored in Unbatched
-	// mode.
+	// the metamorphic invariant harness perturbs.
 	BatchMax int
 
 	// Telemetry, when non-nil, receives the machine's self-metrics
@@ -142,19 +133,16 @@ type Machine struct {
 	aborted  error    // non-nil once the run failed (deadlock, guest panic)
 	finished bool
 
-	// Batched memory-event dispatch (see the emit helpers in tool.go).
-	// direct selects per-event fan-out (Config.Unbatched, or no tools);
-	// otherwise plain Read/Write events accumulate into the fixed-size
-	// batch ring and flush at the next non-memory event.
-	direct      bool
-	sinks       []MemEventSink // parallel to tools; nil for legacy tools
-	batchEdge   uint32         // flush trigger: BatchMax-2 (see the emit helpers)
+	// Batched memory-event dispatch (see the emit helpers in tool.go):
+	// memory events accumulate into the fixed-size batch ring and flush
+	// at the next non-memory event. noTools skips the ring when no tool
+	// would receive the batch.
+	noTools     bool
+	batchEdge   uint32 // flush trigger: BatchMax-2 (see the emit helpers)
 	batch       [memBatchCap]MemEvent
 	batchLen    uint32
 	batchThread ThreadID // thread that issued the pending batch
 	batchStart  uint64   // ops value of the batch's first event
-	replaying   bool     // inside the legacy replay shim
-	replayTS    uint64   // Now() override while replaying
 
 	// Self-telemetry tallies (see Config.Telemetry). Plain counters: the
 	// machine is serialized, and they are published to the registry only
@@ -178,7 +166,7 @@ func NewMachine(cfg Config) *Machine {
 		mem:      newMemory(),
 		routines: make(map[string]RoutineID),
 	}
-	m.direct = cfg.Unbatched || len(cfg.Tools) == 0
+	m.noTools = len(cfg.Tools) == 0
 	batchMax := cfg.BatchMax
 	if batchMax <= 0 || batchMax > memBatchCap {
 		batchMax = memBatchCap
@@ -187,10 +175,6 @@ func NewMachine(cfg Config) *Machine {
 		batchMax = 2
 	}
 	m.batchEdge = uint32(batchMax - 2)
-	m.sinks = make([]MemEventSink, len(cfg.Tools))
-	for i, tl := range cfg.Tools {
-		m.sinks[i], _ = tl.(MemEventSink)
-	}
 	m.heap = newHeap(m)
 	if cfg.SchedSeed != 0 {
 		m.sched.rng = rand.New(rand.NewSource(cfg.SchedSeed))
@@ -229,15 +213,7 @@ func (m *Machine) SyncName(id SyncID) string {
 func (m *Machine) Ops() uint64 { return m.ops }
 
 // Now implements Env: the current event timestamp is the operation counter.
-// While the batching shim replays buffered memory events to a legacy tool,
-// Now reports the replayed event's own timestamp instead, so tools that
-// record timestamps are oblivious to batching.
-func (m *Machine) Now() uint64 {
-	if m.replaying {
-		return m.replayTS
-	}
-	return m.ops
-}
+func (m *Machine) Now() uint64 { return m.ops }
 
 // NumSyncs returns the number of synchronization objects created so far.
 func (m *Machine) NumSyncs() int { return len(m.syncNames) }

@@ -26,10 +26,18 @@ func (r *recorder) Call(t ThreadID, rt RoutineID, bb uint64) {
 func (r *recorder) Return(t ThreadID, rt RoutineID, bb uint64) {
 	r.add("ret t%d %s", t, r.env.RoutineName(rt))
 }
-func (r *recorder) Read(t ThreadID, a Addr)        { r.add("read t%d %d", t, a) }
-func (r *recorder) Write(t ThreadID, a Addr)       { r.add("write t%d %d", t, a) }
-func (r *recorder) KernelRead(t ThreadID, a Addr)  { r.add("kread t%d %d", t, a) }
-func (r *recorder) KernelWrite(t ThreadID, a Addr) { r.add("kwrite t%d %d", t, a) }
+func (r *recorder) MemBatch(t ThreadID, _ uint64, events []MemEvent) {
+	for _, e := range events {
+		kind := "read"
+		if e.IsWrite() {
+			kind = "write"
+		}
+		if e.IsKernel() {
+			kind = "k" + kind
+		}
+		r.add("%s t%d %d", kind, t, e.Addr())
+	}
+}
 func (r *recorder) SwitchThread(from, to ThreadID) { r.add("switch t%d->t%d", from, to) }
 func (r *recorder) ThreadStart(t, p ThreadID)      { r.add("start t%d parent t%d", t, p) }
 func (r *recorder) ThreadExit(t ThreadID)          { r.add("exit t%d", t) }
@@ -501,11 +509,11 @@ func (p *panickyTool) SwitchThread(from, to ThreadID) {
 	}
 }
 
-func (p *panickyTool) Read(t ThreadID, a Addr) {
+func (p *panickyTool) MemBatch(ThreadID, uint64, []MemEvent) {
 	if !p.onSwitch {
 		p.countdown--
 		if p.countdown <= 0 {
-			panic("tool exploded in Read")
+			panic("tool exploded in MemBatch")
 		}
 	}
 }

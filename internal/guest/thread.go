@@ -165,7 +165,7 @@ func (th *Thread) Fn(name string, body func()) {
 func (th *Thread) Load(a Addr) uint64 {
 	th.step()
 	v := th.m.mem.load(a)
-	th.m.emitRead(th.id, a)
+	th.m.emitRead(a)
 	return v
 }
 
@@ -173,7 +173,7 @@ func (th *Thread) Load(a Addr) uint64 {
 func (th *Thread) Store(a Addr, v uint64) {
 	th.step()
 	th.m.mem.store(a, v)
-	th.m.emitWrite(th.id, a)
+	th.m.emitWrite(a)
 }
 
 // Spawn starts a new guest thread running body and returns its handle.

@@ -34,16 +34,20 @@ type Tool interface {
 	// Return reports that thread t completed its topmost activation of r.
 	Return(t ThreadID, r RoutineID, bb uint64)
 
-	// Read and Write report ordinary memory accesses by thread t.
-	Read(t ThreadID, a Addr)
-	Write(t ThreadID, a Addr)
-
-	// KernelRead reports that the kernel read memory cell a on behalf of
-	// thread t (the thread sent the cell's data to an external device).
-	// KernelWrite reports that the kernel wrote cell a on behalf of thread
-	// t (the thread loaded external data into memory).
-	KernelRead(t ThreadID, a Addr)
-	KernelWrite(t ThreadID, a Addr)
+	// MemBatch reports a batch of memory accesses by thread t: its loads
+	// and stores and the kernel's reads and writes of its buffers (I/O on
+	// its behalf), in execution order. The batch contract: every event
+	// belongs to thread t, the i-th event happened at timestamp
+	// startTS+i, and no other event falls between two events of one
+	// batch: the machine flushes its pending batch before every other
+	// hook, so a tool observes exactly the sequential event order. How
+	// the stream is cut into batches is arbitrary, down to one event per
+	// call. The slice is only valid during the call: a tool must neither
+	// retain it nor hand it to another goroutine. Breaking this is
+	// undefined behaviour, not merely stale data: a batch may live in its
+	// caller's stack frame (trace.Dispatch's does), which the runtime
+	// reuses or moves once the call returns.
+	MemBatch(t ThreadID, startTS uint64, events []MemEvent)
 
 	// SwitchThread reports a scheduler handoff between two guest threads.
 	SwitchThread(from, to ThreadID)
@@ -77,7 +81,7 @@ type MemEvent uint64
 
 // memEventWrite marks a MemEvent as a store (a thread write, or the kernel
 // filling a cell); loads leave the bit clear. memEventKernel marks the
-// access as kernel-mediated I/O (KernelRead/KernelWrite hooks).
+// access as kernel-mediated I/O.
 const (
 	memEventWrite  MemEvent = 1 << 63
 	memEventKernel MemEvent = 1 << 62
@@ -105,24 +109,6 @@ func (e MemEvent) IsWrite() bool { return e&memEventWrite != 0 }
 // IsKernel reports whether the access is kernel-mediated I/O.
 func (e MemEvent) IsKernel() bool { return e&memEventKernel != 0 }
 
-// MemEventSink is the optional batched fast path of the guest→tool boundary.
-// A Tool that also implements MemEventSink receives runs of plain Read/Write
-// events as whole batches through MemBatch instead of one interface call per
-// event. Batches preserve the event stream exactly: all events belong to
-// thread t, appear in execution order, and the i-th event happened at
-// timestamp startTS+i; the machine flushes the pending batch before every
-// non-memory event (call/return, thread switch, sync, alloc, thread
-// lifecycle), so a sink interleaving MemBatch with the ordinary Tool hooks
-// observes exactly the sequential event order. Kernel-mediated accesses are
-// memory events too — they ride in batches, tagged with IsKernel, instead of
-// forcing a flush. Tools without the
-// interface are fed through a replay shim that unrolls each batch into
-// ordinary Read/Write calls (with Env.Now reporting each event's own
-// timestamp), so legacy tools observe an identical stream.
-type MemEventSink interface {
-	MemBatch(t ThreadID, startTS uint64, events []MemEvent)
-}
-
 // BaseTool is a Tool with no-op hooks, intended for embedding so tools only
 // implement the events they care about.
 type BaseTool struct{}
@@ -136,17 +122,8 @@ func (BaseTool) Call(ThreadID, RoutineID, uint64) {}
 // Return implements Tool.
 func (BaseTool) Return(ThreadID, RoutineID, uint64) {}
 
-// Read implements Tool.
-func (BaseTool) Read(ThreadID, Addr) {}
-
-// Write implements Tool.
-func (BaseTool) Write(ThreadID, Addr) {}
-
-// KernelRead implements Tool.
-func (BaseTool) KernelRead(ThreadID, Addr) {}
-
-// KernelWrite implements Tool.
-func (BaseTool) KernelWrite(ThreadID, Addr) {}
+// MemBatch implements Tool.
+func (BaseTool) MemBatch(ThreadID, uint64, []MemEvent) {}
 
 // SwitchThread implements Tool.
 func (BaseTool) SwitchThread(ThreadID, ThreadID) {}
@@ -196,7 +173,9 @@ const memBatchCap = 256
 // pending; memBatchCap-2 by default) routes both rare cases (first event
 // of a batch, batch full) to bufferMemEdge. The caller has already
 // advanced m.ops, so a batch's events have consecutive timestamps starting
-// at batchStart.
+// at batchStart. With no tool attached (a native run) they only count the
+// event.
+//
 // bufferMemEdge handles the ring's boundary cases out of line. Memory events
 // are only emitted by the executing thread, so the batch's issuing thread is
 // always m.running.
@@ -211,8 +190,7 @@ func (m *Machine) bufferMemEdge() {
 	m.flushMem()
 }
 
-// flushMem dispatches the pending memory-event batch: batch-capable tools
-// consume it whole, legacy tools get it replayed event by event.
+// flushMem hands the pending memory-event batch to every tool.
 func (m *Machine) flushMem() {
 	if m.batchLen == 0 {
 		return
@@ -221,38 +199,9 @@ func (m *Machine) flushMem() {
 	m.batchLen = 0
 	m.stats.memEvents += uint64(len(evs)) // hoisted per-event tally: one add per flush
 	m.stats.flushes++
-	for i, tl := range m.tools {
-		if s := m.sinks[i]; s != nil {
-			s.MemBatch(m.batchThread, m.batchStart, evs)
-		} else {
-			m.replayBatch(tl, evs)
-		}
+	for _, tl := range m.tools {
+		tl.MemBatch(m.batchThread, m.batchStart, evs)
 	}
-}
-
-// replayBatch is the legacy-tool shim: it unrolls a batch into ordinary
-// Read/Write/KernelRead/KernelWrite hook calls. While it runs, Env.Now
-// reports each event's own timestamp, so timestamp-recording tools (the
-// trace recorder) produce streams identical to unbatched dispatch.
-func (m *Machine) replayBatch(tl Tool, evs []MemEvent) {
-	t := m.batchThread
-	m.replaying = true
-	for i, e := range evs {
-		m.replayTS = m.batchStart + uint64(i)
-		switch {
-		case e.IsKernel():
-			if e.IsWrite() {
-				tl.KernelWrite(t, e.Addr())
-			} else {
-				tl.KernelRead(t, e.Addr())
-			}
-		case e.IsWrite():
-			tl.Write(t, e.Addr())
-		default:
-			tl.Read(t, e.Addr())
-		}
-	}
-	m.replaying = false
 }
 
 func (m *Machine) emitCall(t ThreadID, r RoutineID, bb uint64) {
@@ -273,13 +222,10 @@ func (m *Machine) emitReturn(t ThreadID, r RoutineID, bb uint64) {
 	}
 }
 
-func (m *Machine) emitRead(t ThreadID, a Addr) {
+func (m *Machine) emitRead(a Addr) {
 	m.ops++
-	if m.direct {
+	if m.noTools {
 		m.stats.memEvents++
-		for _, tl := range m.tools {
-			tl.Read(t, a)
-		}
 		return
 	}
 	n := m.batchLen
@@ -290,13 +236,10 @@ func (m *Machine) emitRead(t ThreadID, a Addr) {
 	}
 }
 
-func (m *Machine) emitWrite(t ThreadID, a Addr) {
+func (m *Machine) emitWrite(a Addr) {
 	m.ops++
-	if m.direct {
+	if m.noTools {
 		m.stats.memEvents++
-		for _, tl := range m.tools {
-			tl.Write(t, a)
-		}
 		return
 	}
 	n := m.batchLen
@@ -307,14 +250,11 @@ func (m *Machine) emitWrite(t ThreadID, a Addr) {
 	}
 }
 
-func (m *Machine) emitKernelRead(t ThreadID, a Addr) {
+func (m *Machine) emitKernelRead(a Addr) {
 	m.ops++
 	m.stats.kernelEvents++
-	if m.direct {
+	if m.noTools {
 		m.stats.memEvents++
-		for _, tl := range m.tools {
-			tl.KernelRead(t, a)
-		}
 		return
 	}
 	n := m.batchLen
@@ -325,14 +265,11 @@ func (m *Machine) emitKernelRead(t ThreadID, a Addr) {
 	}
 }
 
-func (m *Machine) emitKernelWrite(t ThreadID, a Addr) {
+func (m *Machine) emitKernelWrite(a Addr) {
 	m.ops++
 	m.stats.kernelEvents++
-	if m.direct {
+	if m.noTools {
 		m.stats.memEvents++
-		for _, tl := range m.tools {
-			tl.KernelWrite(t, a)
-		}
 		return
 	}
 	n := m.batchLen

@@ -50,8 +50,8 @@ import (
 type Config struct {
 	// Workload names a registered workload (workloads.Get).
 	Workload string
-	// Params scales the baseline run. Timeslice, Unbatched and BatchMax
-	// must be zero: they are the perturbation axes. Telemetry is managed
+	// Params scales the baseline run. Timeslice and BatchMax must be
+	// zero: they are the perturbation axes. Telemetry is managed
 	// by the runner (conservation is checked per run).
 	Params workloads.Params
 	// Level is the CheckLevel applied to the checked runs (default
@@ -134,8 +134,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.RenumberThreshold == 0 {
 		cfg.RenumberThreshold = 64
 	}
-	if cfg.Params.Timeslice != 0 || cfg.Params.Unbatched || cfg.Params.BatchMax != 0 || cfg.Params.Telemetry != nil {
-		return nil, fmt.Errorf("invariant: Params.Timeslice/Unbatched/BatchMax/Telemetry are perturbation axes; leave them zero")
+	if cfg.Params.Timeslice != 0 || cfg.Params.BatchMax != 0 || cfg.Params.Telemetry != nil {
+		return nil, fmt.Errorf("invariant: Params.Timeslice/BatchMax/Telemetry are perturbation axes; leave them zero")
 	}
 	spec, err := workloads.Get(cfg.Workload)
 	if err != nil {
@@ -263,11 +263,8 @@ func Run(cfg Config) (*Result, error) {
 		res.Variants = append(res.Variants, segmentVariant(spec, cfg.Params, tr, base, n))
 	}
 
-	// Guest-dispatch axes: re-run the workload with perturbed batching;
+	// Guest-dispatch axis: re-run the workload with perturbed batching;
 	// the inline profile must be byte-identical.
-	strict("unbatched", func() ([]byte, error) {
-		return rerunExport(spec, cfg.Params, res.Report, func(p *workloads.Params) { p.Unbatched = true })
-	})
 	batch := []int{2}
 	if !cfg.Quick {
 		batch = []int{2, 16}

@@ -143,21 +143,6 @@ func (cg *Cachegrind) routineStats(t guest.ThreadID) *CacheStats {
 	return s
 }
 
-func (cg *Cachegrind) access(t guest.ThreadID, a guest.Addr, write bool) {
-	s := cg.routineStats(t)
-	if write {
-		s.Writes++
-	} else {
-		s.Reads++
-	}
-	if cg.d1.access(a) {
-		s.D1Misses++
-		if cg.ll.access(a) {
-			s.LLMisses++
-		}
-	}
-}
-
 // Attach implements guest.Tool.
 func (cg *Cachegrind) Attach(env guest.Env) { cg.env = env }
 
@@ -173,17 +158,25 @@ func (cg *Cachegrind) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	}
 }
 
-// Read implements guest.Tool.
-func (cg *Cachegrind) Read(t guest.ThreadID, a guest.Addr) { cg.access(t, a, false) }
-
-// Write implements guest.Tool.
-func (cg *Cachegrind) Write(t guest.ThreadID, a guest.Addr) { cg.access(t, a, true) }
-
-// KernelRead implements guest.Tool (DMA-like: touches the hierarchy).
-func (cg *Cachegrind) KernelRead(t guest.ThreadID, a guest.Addr) { cg.access(t, a, false) }
-
-// KernelWrite implements guest.Tool.
-func (cg *Cachegrind) KernelWrite(t guest.ThreadID, a guest.Addr) { cg.access(t, a, true) }
+// MemBatch implements guest.Tool. Kernel accesses are DMA-like: they
+// touch the hierarchy too. A batch has no call or return inside it, so
+// all of it is charged to one routine.
+func (cg *Cachegrind) MemBatch(t guest.ThreadID, _ uint64, events []guest.MemEvent) {
+	s := cg.routineStats(t)
+	for _, e := range events {
+		if e.IsWrite() {
+			s.Writes++
+		} else {
+			s.Reads++
+		}
+		if cg.d1.access(e.Addr()) {
+			s.D1Misses++
+			if cg.ll.access(e.Addr()) {
+				s.LLMisses++
+			}
+		}
+	}
+}
 
 // Totals returns the whole-execution counters.
 func (cg *Cachegrind) Totals() CacheStats {

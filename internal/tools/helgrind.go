@@ -175,8 +175,20 @@ func (h *Helgrind) Sync(t guest.ThreadID, kind guest.SyncKind, s guest.SyncID) {
 	}
 }
 
-// Read implements guest.Tool.
-func (h *Helgrind) Read(t guest.ThreadID, a guest.Addr) {
+// MemBatch implements guest.Tool. The kernel accesses memory with the
+// requesting thread's identity: system calls are synchronous.
+func (h *Helgrind) MemBatch(t guest.ThreadID, _ uint64, events []guest.MemEvent) {
+	for _, e := range events {
+		if e.IsWrite() {
+			h.write(t, e.Addr())
+		} else {
+			h.read(t, e.Addr())
+		}
+	}
+}
+
+// read checks a load of cell a by thread t.
+func (h *Helgrind) read(t guest.ThreadID, a guest.Addr) {
 	vc := h.clock(t)
 	c := h.cell(a)
 	if c.write.isSet() && c.write.tid != t && !c.write.happensBefore(vc) {
@@ -197,8 +209,8 @@ func (h *Helgrind) Read(t guest.ThreadID, a guest.Addr) {
 	}
 }
 
-// Write implements guest.Tool.
-func (h *Helgrind) Write(t guest.ThreadID, a guest.Addr) {
+// write checks a store to cell a by thread t.
+func (h *Helgrind) write(t guest.ThreadID, a guest.Addr) {
 	vc := h.clock(t)
 	c := h.cell(a)
 	if c.write.isSet() && c.write.tid != t && !c.write.happensBefore(vc) {
@@ -218,10 +230,3 @@ func (h *Helgrind) Write(t guest.ThreadID, a guest.Addr) {
 	c.read = epoch{}
 	c.reads = nil
 }
-
-// KernelRead implements guest.Tool (the kernel accesses memory with the
-// requesting thread's identity: system calls are synchronous).
-func (h *Helgrind) KernelRead(t guest.ThreadID, a guest.Addr) { h.Read(t, a) }
-
-// KernelWrite implements guest.Tool.
-func (h *Helgrind) KernelWrite(t guest.ThreadID, a guest.Addr) { h.Write(t, a) }

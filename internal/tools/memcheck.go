@@ -70,8 +70,9 @@ func (mc *Memcheck) report(format string, args ...any) {
 	}
 }
 
-// Read implements guest.Tool.
-func (mc *Memcheck) Read(t guest.ThreadID, a guest.Addr) {
+// read checks a load of cell a by thread t (or by the kernel on its
+// behalf, which reads the buffer like the thread would).
+func (mc *Memcheck) read(t guest.ThreadID, a guest.Addr) {
 	switch mc.state.Peek(a) {
 	case cellUndefined:
 		mc.uninitReads++
@@ -82,8 +83,9 @@ func (mc *Memcheck) Read(t guest.ThreadID, a guest.Addr) {
 	}
 }
 
-// Write implements guest.Tool.
-func (mc *Memcheck) Write(t guest.ThreadID, a guest.Addr) {
+// write defines cell a, stored by thread t or filled with device data by
+// the kernel on its behalf.
+func (mc *Memcheck) write(t guest.ThreadID, a guest.Addr) {
 	s := mc.state.Slot(a)
 	switch *s {
 	case cellUndefined:
@@ -94,24 +96,16 @@ func (mc *Memcheck) Write(t guest.ThreadID, a guest.Addr) {
 	}
 }
 
-// MemBatch implements guest.MemEventSink: the per-event state-machine logic
-// runs over the whole batch without per-event dispatch.
+// MemBatch implements guest.Tool.
 func (mc *Memcheck) MemBatch(t guest.ThreadID, _ uint64, events []guest.MemEvent) {
 	for _, e := range events {
 		if e.IsWrite() {
-			mc.Write(t, e.Addr())
+			mc.write(t, e.Addr())
 		} else {
-			mc.Read(t, e.Addr())
+			mc.read(t, e.Addr())
 		}
 	}
 }
-
-// KernelRead implements guest.Tool: the kernel reads the buffer like the
-// thread would.
-func (mc *Memcheck) KernelRead(t guest.ThreadID, a guest.Addr) { mc.Read(t, a) }
-
-// KernelWrite implements guest.Tool: device data defines the cell.
-func (mc *Memcheck) KernelWrite(t guest.ThreadID, a guest.Addr) { mc.Write(t, a) }
 
 // Alloc implements guest.Tool.
 func (mc *Memcheck) Alloc(t guest.ThreadID, base guest.Addr, n int) {

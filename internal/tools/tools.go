@@ -23,15 +23,8 @@ func NewNulgrind() *Nulgrind { return &Nulgrind{} }
 // exists so the dispatch loop cannot be optimized away).
 func (n *Nulgrind) Events() uint64 { return n.events }
 
-// Read implements guest.Tool.
-func (n *Nulgrind) Read(guest.ThreadID, guest.Addr) { n.events++ }
-
-// Write implements guest.Tool.
-func (n *Nulgrind) Write(guest.ThreadID, guest.Addr) { n.events++ }
-
-// MemBatch implements guest.MemEventSink: batched dispatch costs one call
-// per batch instead of one per event. Kernel-mediated accesses are skipped,
-// matching the per-event path where KernelRead/KernelWrite are no-ops.
+// MemBatch implements guest.Tool: it counts the thread's own accesses and
+// skips kernel-mediated ones.
 func (n *Nulgrind) MemBatch(_ guest.ThreadID, _ uint64, events []guest.MemEvent) {
 	c := uint64(0)
 	for _, e := range events {

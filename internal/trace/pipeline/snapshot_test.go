@@ -159,9 +159,12 @@ func TestLiveSnapshotFile(t *testing.T) {
 
 // TestSnapshotTickCapturesThreadsInFlight: an Interval tick asks the
 // workers for fresh states, so a periodic document reports the progress of
-// a thread still being analyzed, not only the threads that finished. One
-// worker blocks in Progress after its first segment for several intervals;
-// when it resumes, it captures mid-thread at its next safepoint.
+// a thread still being analyzed, not only the threads that finished. The
+// test runs the plan's threads one after another, as one worker does,
+// against a manager with only an Interval. The worker blocks after its
+// first segment until a tick has moved the snapshot generation past the
+// one it last saw, bounded by a generous timeout rather than a guess at
+// wall time; when it resumes, it captures mid-thread at its next safepoint.
 func TestSnapshotTickCapturesThreadsInFlight(t *testing.T) {
 	tr := recordedTrace(t, "mysqld", workloads.Params{Size: 16, Threads: 4})
 	plan, err := BuildPlan(tr, 1, core.Options{})
@@ -181,30 +184,39 @@ func TestSnapshotTickCapturesThreadsInFlight(t *testing.T) {
 		t.Fatalf("the first thread has %d segments; this test wants at least 3", len(plan.threads[0].segments))
 	}
 
-	const interval = 2 * time.Millisecond
 	var mu sync.Mutex
 	var docs [][]byte
-	var blocked atomic.Bool
-	_, err = Analyze(tr, Options{
-		TieSeed: 1,
-		Workers: 1,
-		Snapshot: &SnapshotOptions{
-			Interval: interval,
-			Sink: func(doc []byte) {
-				mu.Lock()
-				docs = append(docs, doc)
-				mu.Unlock()
-			},
+	mgr := newSnapManager(plan, SnapshotOptions{
+		Interval: 2 * time.Millisecond,
+		Sink: func(doc []byte) {
+			mu.Lock()
+			docs = append(docs, doc)
+			mu.Unlock()
 		},
-		Progress: func(done, total uint64) {
-			if blocked.CompareAndSwap(false, true) {
-				time.Sleep(10 * interval)
+	}, nil)
+	var snap *workerSnap
+	blocked := false
+	onSegment := func(int) {
+		if blocked {
+			return
+		}
+		blocked = true
+		// The worker polled the generation at the end of this segment,
+		// just before this call.
+		for deadline := time.Now().Add(30 * time.Second); mgr.gen.Load() == snap.gen; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("no tick moved the snapshot generation within 30s")
+				return
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
 	}
+	for i, tp := range plan.threads {
+		snap = &workerSnap{mgr: mgr, threadIdx: i}
+		if _, err := analyzeThread(context.Background(), tr, tp, plan.opts, plan.wide, onSegment, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr.close(false)
 	mu.Lock()
 	defer mu.Unlock()
 	inFlight := false

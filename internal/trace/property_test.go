@@ -247,10 +247,10 @@ func TestQuickPipelineWorkersISPL(t *testing.T) {
 }
 
 // TestQuickBatchedDispatchISPL: for randomized ISPL programs, running the
-// machine with batched memory-event dispatch produces a recorded trace and a
-// profile export byte-identical to per-event dispatch. The recorder is a
-// batch-capable tool and the naive comparison profiler is not, so one run
-// exercises both the MemBatch fast path and the legacy replay shim.
+// machine on its default 256-event ring produces a recorded trace and a
+// profile export byte-identical to a ring that flushes every two events
+// (Config.BatchMax 2): the recorder stamps each batched event from the
+// batch's start timestamp, which must not depend on where batches are cut.
 func TestQuickBatchedDispatchISPL(t *testing.T) {
 	f := func(rawSize, rawWorkers, rawDepth, rawSlice uint8, useLock, useIO bool) bool {
 		size := 8 + int(rawSize)%56
@@ -259,13 +259,13 @@ func TestQuickBatchedDispatchISPL(t *testing.T) {
 		src := genISPL(size, nworkers, depth, useLock, useIO)
 		timeslice := 3 + int(rawSlice)%9
 
-		run := func(unbatched bool) ([]byte, []byte) {
+		run := func(batchMax int) ([]byte, []byte) {
 			prof := core.New(core.Options{})
 			rec := trace.NewRecorder()
 			cfg := guest.Config{
 				Timeslice: timeslice,
 				Tools:     []guest.Tool{prof, rec},
-				Unbatched: unbatched,
+				BatchMax:  batchMax,
 			}
 			if _, _, err := ispl.RunSource(src, cfg); err != nil {
 				t.Logf("generated program failed: %v\n%s", err, src)
@@ -282,8 +282,8 @@ func TestQuickBatchedDispatchISPL(t *testing.T) {
 			return export, buf.Bytes()
 		}
 
-		wantProfile, wantTrace := run(true)
-		gotProfile, gotTrace := run(false)
+		wantProfile, wantTrace := run(2)
+		gotProfile, gotTrace := run(0)
 		if wantProfile == nil || gotProfile == nil {
 			return false
 		}

@@ -27,13 +27,19 @@ func NewRecorder() *Recorder {
 // Trace returns the recorded trace; valid after the run finishes.
 func (r *Recorder) Trace() *Trace { return r.trace }
 
-func (r *Recorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
+// thread returns t's trace, creating it on t's first event.
+func (r *Recorder) thread(t guest.ThreadID) *ThreadTrace {
 	tt := r.perTh[t]
 	if tt == nil {
 		tt = &ThreadTrace{ID: t}
 		r.perTh[t] = tt
 		r.order = append(r.order, t)
 	}
+	return tt
+}
+
+func (r *Recorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
+	tt := r.thread(t)
 	tt.Events = append(tt.Events, Event{
 		TS:     r.env.Now(),
 		Thread: t,
@@ -56,52 +62,18 @@ func (r *Recorder) Return(t guest.ThreadID, rt guest.RoutineID, bb uint64) {
 	r.add(t, KindReturn, uint64(rt), bb)
 }
 
-// Read implements guest.Tool.
-func (r *Recorder) Read(t guest.ThreadID, a guest.Addr) { r.add(t, KindRead, uint64(a), 0) }
-
-// Write implements guest.Tool.
-func (r *Recorder) Write(t guest.ThreadID, a guest.Addr) { r.add(t, KindWrite, uint64(a), 0) }
-
-// MemBatch implements guest.MemEventSink: a whole batch of memory accesses
-// is appended in one call, each event timestamped startTS+i per the batch
-// contract, so batched recording produces byte-identical traces to per-event
-// recording.
+// MemBatch implements guest.Tool: each event is appended with its
+// timestamp, startTS+i per the batch contract.
 func (r *Recorder) MemBatch(t guest.ThreadID, startTS uint64, events []guest.MemEvent) {
-	tt := r.perTh[t]
-	if tt == nil {
-		tt = &ThreadTrace{ID: t}
-		r.perTh[t] = tt
-		r.order = append(r.order, t)
-	}
+	tt := r.thread(t)
 	for i, e := range events {
-		var k Kind
-		switch {
-		case e.IsKernel() && e.IsWrite():
-			k = KindKernelWrite
-		case e.IsKernel():
-			k = KindKernelRead
-		case e.IsWrite():
-			k = KindWrite
-		default:
-			k = KindRead
-		}
 		tt.Events = append(tt.Events, Event{
 			TS:     startTS + uint64(i),
 			Thread: t,
-			Kind:   k,
+			Kind:   memKind(e),
 			Arg:    uint64(e.Addr()),
 		})
 	}
-}
-
-// KernelRead implements guest.Tool.
-func (r *Recorder) KernelRead(t guest.ThreadID, a guest.Addr) {
-	r.add(t, KindKernelRead, uint64(a), 0)
-}
-
-// KernelWrite implements guest.Tool.
-func (r *Recorder) KernelWrite(t guest.ThreadID, a guest.Addr) {
-	r.add(t, KindKernelWrite, uint64(a), 0)
 }
 
 // SwitchThread implements guest.Tool: switches are intentionally dropped

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/guest"
-	"repro/internal/shadow"
 	"repro/internal/telemetry"
 )
 
@@ -319,16 +318,6 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 	}
 }
 
-// mem records a memory access of kind k, refusing one outside the analysed
-// address space.
-func (r *StreamRecorder) mem(t guest.ThreadID, k Kind, a guest.Addr) {
-	if uint64(a)>>shadow.MaxAddrBits != 0 {
-		r.addrErr(k, uint64(a))
-		return
-	}
-	r.add(t, k, uint64(a), 0)
-}
-
 // heap records an alloc or free of n cells from base, refusing one whose
 // range leaves the analysed address space.
 func (r *StreamRecorder) heap(t guest.ThreadID, k Kind, base guest.Addr, n int) {
@@ -372,42 +361,24 @@ func (r *StreamRecorder) Return(t guest.ThreadID, rt guest.RoutineID, bb uint64)
 	r.add(t, KindReturn, uint64(rt), bb)
 }
 
-// Read implements guest.Tool.
-func (r *StreamRecorder) Read(t guest.ThreadID, a guest.Addr) { r.mem(t, KindRead, a) }
-
-// Write implements guest.Tool.
-func (r *StreamRecorder) Write(t guest.ThreadID, a guest.Addr) { r.mem(t, KindWrite, a) }
-
-// MemBatch implements guest.MemEventSink, mirroring Recorder.MemBatch:
-// batched recording produces byte-identical traces to per-event recording,
-// and the annotator observes each batched event exactly as if it had
-// arrived through the per-event callbacks.
+// MemBatch implements guest.Tool: each event is recorded with its
+// timestamp, startTS+i per the batch contract, and the annotator observes
+// it as it would any other event.
 func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []guest.MemEvent) {
 	if r.finished || r.err != nil {
 		return
 	}
 	st := r.thread(t)
 	for i, e := range events {
-		var k Kind
-		switch {
-		case e.IsKernel() && e.IsWrite():
-			k = KindKernelWrite
-		case e.IsKernel():
-			k = KindKernelRead
-		case e.IsWrite():
-			k = KindWrite
-		default:
-			k = KindRead
-		}
-		if uint64(e.Addr())>>shadow.MaxAddrBits != 0 {
-			r.addrErr(k, uint64(e.Addr()))
+		if uint64(e.Addr()) >= addrLimit {
+			r.addrErr(memKind(e), uint64(e.Addr()))
 			return
 		}
 		ts := startTS + uint64(i)
 		st.pending = append(st.pending, Event{
 			TS:     ts,
 			Thread: t,
-			Kind:   k,
+			Kind:   memKind(e),
 			Arg:    uint64(e.Addr()),
 		})
 		if r.ann != nil {
@@ -417,16 +388,6 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 			r.flushThread(st)
 		}
 	}
-}
-
-// KernelRead implements guest.Tool.
-func (r *StreamRecorder) KernelRead(t guest.ThreadID, a guest.Addr) {
-	r.mem(t, KindKernelRead, a)
-}
-
-// KernelWrite implements guest.Tool.
-func (r *StreamRecorder) KernelWrite(t guest.ThreadID, a guest.Addr) {
-	r.mem(t, KindKernelWrite, a)
 }
 
 // SwitchThread implements guest.Tool: switches are dropped, as in Recorder

@@ -148,8 +148,13 @@ func (e *clockEnv) NumRoutines() int                   { return 1 }
 func (e *clockEnv) NumSyncs() int                      { return 0 }
 func (e *clockEnv) Now() uint64                        { e.now++; return e.now }
 
+// mem records one memory access of thread 1 at the clock's next tick.
+func mem(sr *trace.StreamRecorder, env *clockEnv, e guest.MemEvent) {
+	sr.MemBatch(1, env.Now(), []guest.MemEvent{e})
+}
+
 // TestStreamRecorderAddressOutOfRange: a memory access at or above
-// 1<<shadow.MaxAddrBits, through any entry point, or an alloc or free whose
+// 1<<shadow.MaxAddrBits in a batch, or an alloc or free whose
 // range runs past it, becomes the recorder's sticky *AddressError. The
 // event is dropped and recording stops, with annotations on or off, and
 // nothing panics.
@@ -160,8 +165,6 @@ func TestStreamRecorderAddressOutOfRange(t *testing.T) {
 		kind trace.Kind
 		bad  func(sr *trace.StreamRecorder, env *clockEnv)
 	}{
-		{"Read", trace.KindRead, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Read(1, far) }},
-		{"KernelWrite", trace.KindKernelWrite, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.KernelWrite(1, far+8) }},
 		{"Alloc", trace.KindAlloc, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Alloc(1, far-8, 9) }},
 		{"Free", trace.KindFree, func(sr *trace.StreamRecorder, _ *clockEnv) { sr.Free(1, 0x10, -1) }},
 		{"MemBatch", trace.KindWrite, func(sr *trace.StreamRecorder, env *clockEnv) {
@@ -180,11 +183,11 @@ func TestStreamRecorderAddressOutOfRange(t *testing.T) {
 			sr.Attach(env)
 			sr.ThreadStart(1, 0)
 			sr.Call(1, 0, 1)
-			sr.Write(1, 0x10)
-			sr.Read(1, 0x10)
+			mem(sr, env, guest.WriteEvent(0x10))
+			mem(sr, env, guest.ReadEvent(0x10))
 			prelude := buf.Len()
 			tc.bad(sr, env)
-			sr.Read(1, 0x20)
+			mem(sr, env, guest.ReadEvent(0x20))
 			sr.Return(1, 0, 2)
 			sr.Finish()
 
@@ -204,6 +207,52 @@ func TestStreamRecorderAddressOutOfRange(t *testing.T) {
 			}
 			if buf.Len() != prelude {
 				t.Errorf("%s (annotate=%v): %d bytes written after the error", tc.name, annotate, buf.Len()-prelude)
+			}
+		}
+	}
+}
+
+// TestDispatchAddressOutOfRange: Dispatch refuses a memory access at or
+// above 1<<shadow.MaxAddrBits with an *AddressError before any tool sees
+// it, including one whose address has bit 62 or 63 set, the bits a
+// guest.MemEvent keeps its access kind in. The recorder is left as it
+// was and records the next access.
+func TestDispatchAddressOutOfRange(t *testing.T) {
+	kinds := []trace.Kind{trace.KindRead, trace.KindWrite, trace.KindKernelRead, trace.KindKernelWrite}
+	for _, arg := range []uint64{1 << shadow.MaxAddrBits, 1<<63 | 8, 1<<62 | 8} {
+		for _, k := range kinds {
+			var buf bytes.Buffer
+			env := &clockEnv{}
+			sr := trace.NewStreamRecorder(&buf)
+			sr.Attach(env)
+			sr.ThreadStart(1, 0)
+			tools := []guest.Tool{sr}
+			err := trace.Dispatch(trace.Event{TS: env.now + 1, Thread: 1, Kind: k, Arg: arg}, tools)
+			var ae *trace.AddressError
+			if !errors.As(err, &ae) || ae.Kind != k || ae.Addr != arg {
+				t.Fatalf("Dispatch of a %s at %#x = %v, want an *AddressError for it", k, arg, err)
+			}
+			env.now++
+			if err := trace.Dispatch(trace.Event{TS: env.now + 1, Thread: 1, Kind: trace.KindRead, Arg: 0x20}, tools); err != nil {
+				t.Fatal(err)
+			}
+			env.now++
+			sr.ThreadExit(1)
+			if err := sr.Close(); err != nil {
+				t.Fatalf("%s at %#x: Close() = %v", k, arg, err)
+			}
+			tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mems []trace.Event
+			for _, e := range tr.Threads[0].Events {
+				if e.Kind.IsMemory() {
+					mems = append(mems, e)
+				}
+			}
+			if len(mems) != 1 || mems[0].Kind != trace.KindRead || mems[0].Arg != 0x20 {
+				t.Errorf("%s at %#x: recorded memory events %v, want only the read of 0x20", k, arg, mems)
 			}
 		}
 	}

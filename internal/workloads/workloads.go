@@ -32,10 +32,6 @@ type Params struct {
 	Seed int64
 	// Timeslice overrides the scheduler quantum (zero: machine default).
 	Timeslice int
-	// Unbatched disables the machine's batched memory-event dispatch
-	// (guest.Config.Unbatched); used by the differential tests and the
-	// inline-overhead benchmarks.
-	Unbatched bool
 	// BatchMax caps the machine's memory-event batch size
 	// (guest.Config.BatchMax); zero keeps the default. The metamorphic
 	// harness perturbs it to prove batch boundaries never leak into
@@ -117,7 +113,7 @@ func Run(s Spec, p Params, tools ...guest.Tool) (*guest.Machine, error) {
 	p = p.withDefaults(s)
 	m := guest.NewMachine(guest.Config{
 		Timeslice: p.Timeslice, Tools: tools,
-		Unbatched: p.Unbatched, BatchMax: p.BatchMax,
+		BatchMax:  p.BatchMax,
 		Telemetry: p.Telemetry,
 	})
 	body := s.Build(m, p)
