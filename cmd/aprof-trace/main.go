@@ -399,13 +399,23 @@ func dump(args []string) error {
 	if err != nil {
 		return err
 	}
-	merged := trace.Merge(tr, 0)
-	if *limit > 0 && len(merged) > *limit {
-		merged = merged[:*limit]
+	// Print the merged order as Merge builds it, synthesized thread
+	// switches included, without materializing it.
+	printed := 0
+	emit := func(e trace.Event) {
+		if *limit <= 0 || printed < *limit {
+			fmt.Println(e)
+			printed++
+		}
 	}
-	for _, e := range merged {
-		fmt.Println(e)
-	}
+	var last *trace.Event
+	trace.Walk(tr, 0, func(_, _ int, e *trace.Event) {
+		if last != nil && last.Thread != e.Thread {
+			emit(trace.Event{TS: e.TS, Thread: last.Thread, Kind: trace.KindSwitch, Arg: uint64(uint32(e.Thread))})
+		}
+		emit(*e)
+		last = e
+	})
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 
-	"repro/internal/guest"
 	"repro/internal/trace"
 )
 
@@ -46,10 +45,16 @@ func Dial(network, addr, tenant, process string) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+// newClient returns a client that ships its frames over conn, on which
+// the hello has been sent.
+func newClient(conn net.Conn) *Client {
 	c := &Client{conn: conn}
 	c.rec = trace.NewStreamRecorder(&c.buf)
 	c.rec.SetAnnotations(false)
-	return c, nil
+	return c
 }
 
 // Recorder returns the client's stream recorder, to be attached as a tool
@@ -114,63 +119,38 @@ func (c *Client) Abort() error {
 	return c.conn.Close()
 }
 
-// streamEnv is the guest.Env of a trace replay into the recorder: the
-// trace's name tables and the current event's timestamp as the clock.
-type streamEnv struct {
-	routines []string
-	syncs    []string
-	now      uint64
-}
-
-// RoutineName implements guest.Env.
-func (e *streamEnv) RoutineName(r guest.RoutineID) string {
-	if int(r) < len(e.routines) {
-		return e.routines[r]
-	}
-	return fmt.Sprintf("routine#%d", int(r))
-}
-
-// SyncName implements guest.Env.
-func (e *streamEnv) SyncName(s guest.SyncID) string {
-	if int(s) < len(e.syncs) {
-		return e.syncs[s]
-	}
-	return fmt.Sprintf("sync#%d", int(s))
-}
-
-// NumRoutines implements guest.Env.
-func (e *streamEnv) NumRoutines() int { return len(e.routines) }
-
-// NumSyncs implements guest.Env.
-func (e *streamEnv) NumSyncs() int { return len(e.syncs) }
-
-// Now implements guest.Env.
-func (e *streamEnv) Now() uint64 { return e.now }
-
 // Stream replays an already-recorded trace into the daemon: the trace's
-// merged event order is dispatched through the recorder with a frame flush
-// every flushEvery events (0 means one frame at Close). It does not Close —
-// callers end with Close for a clean stream or Abort to simulate a crash.
+// merged event order is fed run by run through the recorder, with a frame
+// flush after every flushEvery recorded events (0 means one frame at
+// Close); synthesized thread switches are not recorded and do not count.
+// It does not Close — callers end with Close for a clean stream or Abort
+// to simulate a crash.
 func (c *Client) Stream(tr *trace.Trace, tieSeed int64, flushEvery int) error {
-	env := &streamEnv{routines: tr.Routines, syncs: tr.Syncs}
-	c.rec.Attach(env)
-	merged := trace.Merge(tr, tieSeed)
-	tools := []guest.Tool{c.rec}
-	n := 0
-	for i := range merged {
-		env.now = merged[i].TS
-		if err := trace.Dispatch(merged[i], tools); err != nil {
-			return err
-		}
-		if merged[i].Kind == trace.KindSwitch {
-			continue // synthesized; not a recorded event
-		}
-		n++
-		if flushEvery > 0 && n%flushEvery == 0 {
-			if err := c.Flush(); err != nil {
-				return err
+	f := trace.NewFeeder(c.rec)
+	if err := f.ExtendTables(tr.Routines, tr.Syncs); err != nil {
+		return err
+	}
+	f.Attach()
+	var err error
+	n := 0 // recorded events since the last flush
+	trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
+		for run := tr.Threads[ti].Events[lo:hi]; len(run) > 0 && err == nil; {
+			k := len(run)
+			if flushEvery > 0 {
+				k = min(k, flushEvery-n)
+			}
+			if err = f.FeedRun(run[:k]); err != nil {
+				return
+			}
+			run = run[k:]
+			if n += k; n == flushEvery {
+				n = 0
+				err = c.Flush()
 			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	return c.Flush()
 }

@@ -28,8 +28,8 @@ func (e *dispatchEnv) Now() uint64                          { return e.now }
 // TestDispatchMatchesReplay checks every tool in this module that takes
 // memory events against guest.Tool's batch contract: fed one event at a
 // time through trace.Dispatch, whose one-event batch lives in its stack
-// frame, a tool must end in the state replay leaves it in, where batches
-// are runs of a heap buffer. A tool that keeps a batch and reads it after
+// frame, a tool must end in the state trace.Replay leaves it in, where
+// the Feeder delivers runs as batches of one reused heap buffer. A tool that keeps a batch and reads it after
 // the call reads the slot the next Dispatch overwrote, and its result
 // differs. Run under the race detector, a tool that hands a batch to
 // another goroutine is reported too.
@@ -92,7 +92,7 @@ func TestDispatchMatchesReplay(t *testing.T) {
 		merged := trace.Merge(tr, 0)
 		for _, tc := range all {
 			replayed := tc.new()
-			if err := trace.ReplayMerged(tr, merged, replayed); err != nil {
+			if err := trace.Replay(tr, 0, replayed); err != nil {
 				t.Fatal(err)
 			}
 			want := tc.result(replayed)

@@ -316,12 +316,12 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 // below it. The guest machine never issues one, and every consumer of
 // events (the annotator, the profiler, aprofd, tools that shadow the heap)
 // indexes shadow memory by address, so the event parser rejects it, and so
-// do Replay, Annotate and core.Incremental.FeedRun for events that never
-// passed the parser.
+// do Replay, Annotate and the Feeder for events that never passed the
+// parser.
 type AddressError struct {
 	// Event is the event's index in the input that held it: its segment
-	// for the parser, the merged stream for ReplayMerged, its thread for
-	// Annotate, its run for FeedRun.
+	// for the parser, its thread for Replay, FeedTrace and Annotate, its
+	// run for FeedRun.
 	Event int
 	// Kind is the event's kind: a memory access, alloc or free.
 	Kind Kind

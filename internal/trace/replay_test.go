@@ -2,12 +2,15 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/guest"
+	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -76,6 +79,49 @@ func TestReplayCutsBatchesAtTimestampGaps(t *testing.T) {
 	for _, th := range in.Threads {
 		if !reflect.DeepEqual(got[th.ID], th.Events) {
 			t.Errorf("thread %d: replayed into a recorder\n got %v\nwant %v", th.ID, got[th.ID], th.Events)
+		}
+	}
+}
+
+// TestReplayEmptyTrace: Replay of a trace without events still attaches
+// and finishes the tools, so a Recorder hands back a trace, with the
+// replayed name tables.
+func TestReplayEmptyTrace(t *testing.T) {
+	rec := trace.NewRecorder()
+	if err := trace.Replay(&trace.Trace{Routines: []string{"main"}}, 0, rec); err != nil {
+		t.Fatal(err)
+	}
+	got := rec.Trace()
+	if got == nil {
+		t.Fatal("Replay of an empty trace left the Recorder without a trace")
+	}
+	if !reflect.DeepEqual(got.Routines, []string{"main"}) || len(got.Threads) != 0 {
+		t.Errorf("Replay of an empty trace recorded %d routines %v and %d threads, want [main] and none", len(got.Routines), got.Routines, len(got.Threads))
+	}
+}
+
+// TestReplayAddressErrorIndexesThread: Replay reports an out-of-range
+// access by its index within its thread, as Annotate does, even where
+// another thread's run splits that thread's events: here the bad access
+// is event 2 of thread 1 but event 1 of the run that holds it.
+func TestReplayAddressErrorIndexesThread(t *testing.T) {
+	const limit = uint64(1) << shadow.MaxAddrBits
+	tr := &trace.Trace{Threads: []trace.ThreadTrace{
+		{ID: 1, Events: []trace.Event{
+			{TS: 1, Thread: 1, Kind: trace.KindWrite, Arg: 8},
+			{TS: 3, Thread: 1, Kind: trace.KindWrite, Arg: 8},
+			{TS: 4, Thread: 1, Kind: trace.KindRead, Arg: limit},
+		}},
+		{ID: 2, Events: []trace.Event{{TS: 2, Thread: 2, Kind: trace.KindRead, Arg: 8}}},
+	}}
+	_, annErr := trace.Annotate(context.Background(), tr, 0)
+	for name, err := range map[string]error{
+		"Replay":   trace.Replay(tr, 0, trace.NewRecorder()),
+		"Annotate": annErr,
+	} {
+		var ae *trace.AddressError
+		if !errors.As(err, &ae) || ae.Event != 2 {
+			t.Errorf("%s: got %v, want an *AddressError for event 2", name, err)
 		}
 	}
 }
