@@ -14,6 +14,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/aprof"
 	"repro/internal/core"
@@ -579,6 +580,52 @@ func BenchmarkDecode(b *testing.B) {
 			n := float64(events) * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
+		})
+	}
+}
+
+// BenchmarkRecord times the record layer of the offline route: one mysqld
+// execution (size 96, 8 threads, seed 1) run natively, under nulgrind, and
+// into a trace.StreamRecorder with and without stamp annotations. Every
+// sub-benchmark reports ns/event over the fastest of three native runs
+// timed up front, so `native` reads about 0 and `annotated` minus
+// `unannotated` is the annotator's share.
+func BenchmarkRecord(b *testing.B) {
+	params := workloads.Params{Size: 96, Threads: 8, Seed: 1}
+	var events int
+	rec := trace.NewStreamRecorder(io.Discard)
+	rec.SetProgress(func(n, _ int, _ int64) { events = n })
+	runWorkload(b, "mysqld", params, rec)
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
+	}
+	native := time.Duration(1 << 62)
+	for range 3 {
+		start := time.Now()
+		runWorkload(b, "mysqld", params)
+		native = min(native, time.Since(start))
+	}
+	var buf bytes.Buffer
+	for _, name := range []string{"native", "nulgrind", "annotated", "unannotated"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				switch name {
+				case "native":
+					runWorkload(b, "mysqld", params)
+				case "nulgrind":
+					runWorkload(b, "mysqld", params, tools.NewNulgrind())
+				default:
+					buf.Reset()
+					rec := trace.NewStreamRecorder(&buf)
+					rec.SetAnnotations(name == "annotated")
+					runWorkload(b, "mysqld", params, rec)
+					if err := rec.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perOp := b.Elapsed() / time.Duration(b.N)
+			b.ReportMetric(float64(perOp-native)/float64(events), "ns/event")
 		})
 	}
 }

@@ -127,8 +127,8 @@ func Annotate(ctx context.Context, tr *Trace, tieSeed int64) (*Trace, error) {
 			return
 		}
 		tt := &tr.Threads[ti]
-		a.enter(&anns[ti], tt.ID)
-		a.observe(tt.Events[lo:hi])
+		a.enter(&anns[ti].Runs, tt.ID)
+		anns[ti].Stamps = a.observe(tt.Events[lo:hi], anns[ti].Stamps)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("trace: annotate canceled: %w", err)
@@ -143,56 +143,85 @@ func Annotate(ctx context.Context, tr *Trace, tieSeed int64) (*Trace, error) {
 // (synthesized between runs of different threads, or explicit KindSwitch
 // events) and kernel writes; the tally of kernel-write bumps; and the
 // global write shadow, which writes stamp with (count, provenance) and
-// reads observe. It is fed one thread's run at a time.
+// reads observe. It is fed one thread's run at a time, as events (observe)
+// or as a recorder's batch of memory accesses (observeMem). Both apply a
+// write through write and let a read observe its cell through the cursor,
+// whose lookups inline into their loops.
 type annotator struct {
-	global *shadow.Table[Stamp]
-	count  uint64            // global counter
-	kernel uint64            // kernel-write bumps included in count
-	cur    *ThreadAnnotation // annotation of the open run's thread
-	writer uint32            // provenance code of the open run's thread
-	open   StampRun          // the open run so far
+	global shadow.Cursor[Stamp] // the global write shadow
+	count  uint64               // global counter
+	kernel uint64               // kernel-write bumps included in count
+	runs   *[]StampRun          // runs of the open run's thread
+	writer uint32               // provenance code of the open run's thread
+	open   StampRun             // the open run so far
 }
 
 func newAnnotator() *annotator {
-	return &annotator{global: shadow.NewTable[Stamp]()}
+	return &annotator{global: shadow.NewTable[Stamp]().Cursor()}
 }
 
-// enter makes thread id, annotated into ta, the owner of the open run. A
-// change of thread closes the open run and bumps the counter, as the
-// switch the merge synthesizes there does.
-func (a *annotator) enter(ta *ThreadAnnotation, id guest.ThreadID) {
-	if a.cur == ta {
+// enter makes thread id, whose runs collect in runs, the owner of the open
+// run. A change of thread closes the open run and bumps the counter, as
+// the switch the merge synthesizes there does.
+func (a *annotator) enter(runs *[]StampRun, id guest.ThreadID) {
+	if a.runs == runs {
 		return
 	}
-	if a.cur != nil {
+	if a.runs != nil {
 		a.count++
 		a.closeRun()
 	}
-	a.cur, a.writer = ta, uint32(id)+1
+	a.runs, a.writer = runs, uint32(id)+1
 }
 
-// observe advances the annotator past events of the open run's thread.
-func (a *annotator) observe(events []Event) {
-	count, kernel, global := a.count, a.kernel, a.global
-	stamps := a.cur.Stamps
+// write applies a write to cell, its cell of the global write shadow. A
+// kernel write bumps the counter and stamps the cell as the kernel's; a
+// thread's write stamps it as the open run's thread's.
+func (a *annotator) write(cell *Stamp, kernel bool) {
+	if kernel {
+		a.count++
+		a.kernel++
+		*cell = Stamp{WTS: a.count, Writer: KernelWriter}
+		return
+	}
+	*cell = Stamp{WTS: a.count, Writer: a.writer}
+}
+
+// observe advances the annotator past events of the open run's thread and
+// appends the stamps of their reads to stamps.
+func (a *annotator) observe(events []Event, stamps []Stamp) []Stamp {
 	for i := range events {
 		e := &events[i]
+		addr := guest.Addr(e.Arg)
 		switch e.Kind {
 		case KindCall, KindSwitch:
-			count++
-		case KindKernelWrite:
-			count++
-			kernel++
-			global.Set(guest.Addr(e.Arg), Stamp{WTS: count, Writer: KernelWriter})
-		case KindWrite:
-			global.Set(guest.Addr(e.Arg), Stamp{WTS: count, Writer: a.writer})
+			a.count++
+		case KindWrite, KindKernelWrite:
+			a.write(&a.global.Chunk(addr)[addr&(shadow.ChunkSize-1)], e.Kind == KindKernelWrite)
 		case KindRead, KindKernelRead:
-			stamps = append(stamps, global.Peek(guest.Addr(e.Arg)))
+			stamps = append(stamps, a.global.Peek(addr))
 		}
 	}
-	a.count, a.kernel = count, kernel
-	a.cur.Stamps = stamps
 	a.open.Events += len(events)
+	return stamps
+}
+
+// observeMem advances the annotator past a batch of memory accesses of the
+// open run's thread and appends the wire encoding of their reads' stamps
+// to stamps. It returns the extended stamps and the number of reads.
+func (a *annotator) observeMem(events []guest.MemEvent, stamps []byte) ([]byte, int) {
+	reads := 0
+	for _, e := range events {
+		addr := e.Addr()
+		if e.IsWrite() {
+			a.write(&a.global.Chunk(addr)[addr&(shadow.ChunkSize-1)], e.IsKernel())
+		} else {
+			stamps = appendStamp(stamps, a.global.Peek(addr))
+			reads++
+		}
+	}
+	a.open.Events += len(events)
+	return stamps, reads
 }
 
 // closeRun appends the open run, unless it is empty, to its thread's runs,
@@ -200,7 +229,7 @@ func (a *annotator) observe(events []Event) {
 // the counter right after an event is the counter on entry to the next.
 func (a *annotator) closeRun() {
 	if a.open.Events > 0 {
-		a.cur.Runs = append(a.cur.Runs, a.open)
+		*a.runs = append(*a.runs, a.open)
 	}
 	a.open = StampRun{StartCount: a.count, KernelBumps: a.kernel}
 }
@@ -242,6 +271,16 @@ const maxRunEvents = 1 << 40
 // across a thread's A blocks in file order, so a streaming recorder can
 // emit them incrementally alongside the event segments they describe.
 func appendAnnotationPayload(dst []byte, id guest.ThreadID, runs []StampRun, stamps []Stamp) []byte {
+	dst = appendAnnotationHead(dst, id, runs, len(stamps))
+	for _, s := range stamps {
+		dst = appendStamp(dst, s)
+	}
+	return dst
+}
+
+// appendAnnotationHead encodes an 'A' block payload up to its stamps: the
+// thread id, the runs and the count of the stamps that follow.
+func appendAnnotationHead(dst []byte, id guest.ThreadID, runs []StampRun, stamps int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
 	dst = binary.AppendUvarint(dst, uint64(len(runs)))
 	for _, r := range runs {
@@ -249,12 +288,13 @@ func appendAnnotationPayload(dst []byte, id guest.ThreadID, runs []StampRun, sta
 		dst = binary.AppendUvarint(dst, r.StartCount)
 		dst = binary.AppendUvarint(dst, r.KernelBumps)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(stamps)))
-	for _, s := range stamps {
-		dst = binary.AppendUvarint(dst, s.WTS)
-		dst = binary.AppendUvarint(dst, writerToWire(s.Writer))
-	}
-	return dst
+	return binary.AppendUvarint(dst, uint64(stamps))
+}
+
+// appendStamp encodes one stamp of an 'A' block.
+func appendStamp(dst []byte, s Stamp) []byte {
+	dst = binary.AppendUvarint(dst, s.WTS)
+	return binary.AppendUvarint(dst, writerToWire(s.Writer))
 }
 
 // annotationHeader parses an 'A' block payload's thread id, run count and

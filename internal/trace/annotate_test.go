@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,4 +210,78 @@ func TestAnnotateRejects(t *testing.T) {
 			t.Errorf("%s: Annotate returned a trace alongside its error", name)
 		}
 	}
+}
+
+// TestRecordedAnnotationsMatchAnnotate pins the recorder's live annotator,
+// which runs over each callback's events as they arrive, against the
+// offline pass: for every thread of a streamed recording, the decoded
+// stamps equal those Annotate computes for the stripped twin, and so do
+// the runs once the splits the recorder's flushes leave are merged back.
+func TestRecordedAnnotationsMatchAnnotate(t *testing.T) {
+	for _, wl := range []string{"mysqld", "producer-consumer", "dedup", "external-read"} {
+		for _, seg := range []int{DefaultSegmentEvents, 7} {
+			var buf bytes.Buffer
+			rec := NewStreamRecorder(&buf)
+			rec.SetSegmentEvents(seg)
+			if _, err := workloads.RunByName(wl, workloads.Params{Size: 16, Threads: 4, Seed: 3}, rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			recorded, err := Decode(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !recorded.Annotated {
+				t.Fatalf("%s/seg=%d: streamed trace not annotated", wl, seg)
+			}
+			stripped := *recorded
+			stripped.Threads = slices.Clone(recorded.Threads)
+			stripped.StripAnnotations()
+			offline, err := Annotate(context.Background(), &stripped, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range recorded.Threads {
+				tt, want := &recorded.Threads[i], offline.Threads[i].Ann
+				if !slices.Equal(tt.Ann.Stamps, want.Stamps) {
+					t.Errorf("%s/seg=%d: thread %d: recorded stamps differ from Annotate's", wl, seg, tt.ID)
+				}
+				if got := mergeFlushSplits(tt.Events, tt.Ann.Runs); !slices.Equal(got, want.Runs) {
+					t.Errorf("%s/seg=%d: thread %d: recorded runs %v merge to %v, Annotate has %v", wl, seg, tt.ID, tt.Ann.Runs, got, want.Runs)
+				}
+			}
+		}
+	}
+}
+
+// mergeFlushSplits merges each run of a thread with its predecessor when
+// it starts at exactly the counter and kernel-bump tally the predecessor
+// ended at, which is how a recorder flush splits a run. Runs the merged
+// order separates never meet that way: the switches to another thread and
+// back bump the counter between them.
+func mergeFlushSplits(events []Event, runs []StampRun) []StampRun {
+	var out []StampRun
+	var count, kernel uint64 // the counter and tally after the last run
+	off := 0
+	for _, r := range runs {
+		if n := len(out); n > 0 && r.StartCount == count && r.KernelBumps == kernel {
+			out[n-1].Events += r.Events
+		} else {
+			out = append(out, r)
+			count, kernel = r.StartCount, r.KernelBumps
+		}
+		for _, e := range events[off : off+r.Events] {
+			switch e.Kind {
+			case KindCall:
+				count++
+			case KindKernelWrite:
+				count++
+				kernel++
+			}
+		}
+		off += r.Events
+	}
+	return out
 }

@@ -99,18 +99,33 @@ func appendTablePayload(dst []byte, names []string) []byte {
 // block payload. Timestamp deltas restart from 0, so the segment decodes
 // independently of its predecessors.
 func appendSegmentPayload(dst []byte, id guest.ThreadID, events []Event) []byte {
-	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
-	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	dst = appendSegmentHead(dst, id, len(events))
 	prev := uint64(0)
 	for i := range events {
 		e := &events[i]
-		dst = binary.AppendUvarint(dst, e.TS-prev)
+		dst = appendEvent(dst, e.TS-prev, e.Kind, e.Arg, e.Aux)
 		prev = e.TS
-		dst = append(dst, byte(e.Kind))
-		dst = binary.AppendUvarint(dst, e.Arg)
-		dst = binary.AppendUvarint(dst, e.Aux)
 	}
 	return dst
+}
+
+// appendSegmentHead encodes an E block payload's header: the thread id and
+// the count of the events that follow.
+func appendSegmentHead(dst []byte, id guest.ThreadID, events int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(uint32(id)))
+	return binary.AppendUvarint(dst, uint64(events))
+}
+
+// appendEvent encodes one event of a segment: its timestamp's delta from
+// the segment's previous event (from 0 for the first), its kind, argument
+// and aux. The common shape, a one-byte delta and aux around a two-byte
+// argument, is written with one append.
+func appendEvent(dst []byte, delta uint64, k Kind, arg, aux uint64) []byte {
+	if delta|aux < 1<<7 && arg-1<<7 < 1<<14-1<<7 {
+		return append(dst, byte(delta), byte(k), byte(arg)|0x80, byte(arg>>7), byte(aux))
+	}
+	dst = append(binary.AppendUvarint(dst, delta), byte(k))
+	return binary.AppendUvarint(binary.AppendUvarint(dst, arg), aux)
 }
 
 // appendFooterPayload encodes the F block payload.

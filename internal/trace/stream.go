@@ -18,15 +18,17 @@ import (
 // most the segment bound per thread) are lost. Contrast Recorder + Encode,
 // which buffer the whole execution in memory and write all-or-nothing.
 //
-// By default the recorder also emits stamp annotations ('A' blocks): it
-// runs the annotator of annotate.go — global counter, kernel-bump tally and
-// global write shadow — as events arrive, so the recorded trace is born
+// Each callback is handled once: its events are encoded straight into
+// their thread's open segment, and by default the annotator of annotate.go
+// — global counter, kernel-bump tally and global write shadow — runs over
+// them on the spot, encoding each read's stamp into the thread's pending
+// stamp-annotation ('A') block. The recorded trace is thus born
 // analysis-ready and the pipeline needs no offline Annotate pass. This is
 // sound because tool callbacks arrive in strictly increasing timestamp
 // order, which is exactly the merged order; the recorder verifies that
-// invariant and silently stops annotating if it ever fails, leaving
-// annotation coverage incomplete so decoders drop the annotations.
-// SetAnnotations(false) disables the annotator wholesale.
+// invariant once per callback and silently stops annotating if it ever
+// fails, leaving annotation coverage incomplete so decoders drop the
+// annotations. SetAnnotations(false) disables the annotator wholesale.
 //
 // Errors are sticky: the first one stops all further recording and output
 // and is reported by Err and Close. Besides write errors, a memory access
@@ -52,13 +54,10 @@ type StreamRecorder struct {
 
 	// ann is the live annotator, nil when annotations are disabled or the
 	// monotone-timestamp guard (annSeen/annLastTS), which protects the
-	// merged-order assumption, has tripped. annRun is the thread of the
-	// current merged-order run, the only one with buffered events the
-	// annotator has not yet seen.
+	// merged-order assumption, has tripped.
 	ann       *annotator
 	annSeen   bool
 	annLastTS uint64
-	annRun    *streamThread
 
 	// Telemetry counter handles (nil, and thus free, unless SetTelemetry
 	// ran) and the per-flush progress callback (SetProgress).
@@ -75,14 +74,16 @@ type StreamRecorder struct {
 	finished bool
 }
 
-// streamThread buffers one thread's not-yet-flushed events and the
-// annotation runs and stamps that cover exactly those events; the
-// annotator has seen pending[:annFrom].
+// streamThread holds one thread's open segment, already encoded, and the
+// annotation runs and encoded stamps that cover exactly its events.
 type streamThread struct {
-	id      guest.ThreadID
-	pending []Event
-	annFrom int
-	ann     ThreadAnnotation
+	id     guest.ThreadID
+	body   []byte // the segment's encoded events
+	events int    // the number of events in body
+	lastTS uint64 // the timestamp of body's last event, 0 if it is empty
+	runs   []StampRun
+	stamps []byte // the encoded stamps of the segment's reads
+	reads  int    // the number of stamps
 }
 
 // NewStreamRecorder returns a streaming recorder writing to w. The format
@@ -187,66 +188,35 @@ func (r *StreamRecorder) flushTables() {
 	}
 }
 
-// observe notes an event of thread st at timestamp ts. Tool callbacks
-// arrive in strictly increasing timestamp order — the merged order — which
-// the guard verifies; on violation the annotator shuts off for the rest of
-// the run, leaving coverage incomplete so decoders discard what was
-// emitted. A change of thread ends the current run, which the annotator
-// then consumes whole, as Annotate feeds it.
-func (r *StreamRecorder) observe(st *streamThread, ts uint64) {
-	if r.annSeen && ts <= r.annLastTS {
-		r.ann = nil
-		return
-	}
-	r.annSeen, r.annLastTS = true, ts
-	if r.annRun != st {
-		if r.annRun != nil {
-			r.annotate(r.annRun)
-		}
-		r.annRun = st
-	}
-}
-
-// annotate feeds the annotator the events st buffered since it last did.
-func (r *StreamRecorder) annotate(st *streamThread) {
-	r.ann.enter(&st.ann, st.id)
-	r.ann.observe(st.pending[st.annFrom:])
-	st.annFrom = len(st.pending)
-}
-
-// flushThread writes the thread's buffered events as one segment, followed
-// by the annotation block covering exactly those events.
+// flushThread writes the thread's open segment, followed by the
+// annotation block covering exactly its events.
 func (r *StreamRecorder) flushThread(st *streamThread) {
-	if len(st.pending) == 0 || r.err != nil {
+	if st.events == 0 || r.err != nil {
 		return
-	}
-	if r.ann != nil && r.annRun == st {
-		r.annotate(st)
 	}
 	r.flushTables()
-	r.payload = appendSegmentPayload(r.payload[:0], st.id, st.pending)
+	r.payload = append(appendSegmentHead(r.payload[:0], st.id, st.events), st.body...)
 	r.writeBlock(blockEvents, r.payload)
 	if r.err == nil {
-		r.events += len(st.pending)
+		r.events += st.events
 		r.segments++
 		r.tmSegments.Inc()
-		r.tmEvents.Add(uint64(len(st.pending)))
+		r.tmEvents.Add(uint64(st.events))
 		if r.onFlush != nil {
 			r.onFlush(r.events, r.segments, r.written)
 		}
 	}
-	st.pending, st.annFrom = st.pending[:0], 0
+	st.body, st.events, st.lastTS = st.body[:0], 0, 0
 	if r.ann != nil {
-		if r.ann.cur == &st.ann {
+		if r.ann.runs == &st.runs {
 			// Split the open run at the flush boundary: the flushed part is
 			// emitted now, the continuation is reopened exactly.
 			r.ann.closeRun()
 		}
-		if len(st.ann.Runs) > 0 || len(st.ann.Stamps) > 0 {
-			r.payload = appendAnnotationPayload(r.payload[:0], st.id, st.ann.Runs, st.ann.Stamps)
+		if len(st.runs) > 0 || st.reads > 0 {
+			r.payload = append(appendAnnotationHead(r.payload[:0], st.id, st.runs, st.reads), st.stamps...)
 			r.writeBlock(blockAnnotations, r.payload)
-			st.ann.Runs = st.ann.Runs[:0]
-			st.ann.Stamps = st.ann.Stamps[:0]
+			st.runs, st.stamps, st.reads = st.runs[:0], st.stamps[:0], 0
 		}
 	}
 }
@@ -289,12 +259,26 @@ func (r *StreamRecorder) thread(t guest.ThreadID) *streamThread {
 	}
 	st := r.perTh[t]
 	if st == nil {
-		st = &streamThread{id: t, pending: make([]Event, 0, r.segCap)}
+		st = &streamThread{id: t}
 		r.perTh[t] = st
 		r.order = append(r.order, st)
 	}
 	r.last = st
 	return st
+}
+
+// ordered checks the timestamp guard for n > 0 events from timestamp ts
+// on: they must all follow every event recorded before. On a violation the
+// annotator shuts off for the rest of the run, leaving coverage incomplete
+// so decoders discard what was emitted. It reports whether annotation
+// goes on.
+func (r *StreamRecorder) ordered(ts uint64, n int) bool {
+	if r.annSeen && ts <= r.annLastTS {
+		r.ann = nil
+		return false
+	}
+	r.annSeen, r.annLastTS = true, ts+uint64(n-1)
+	return true
 }
 
 func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
@@ -303,17 +287,14 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 	}
 	st := r.thread(t)
 	ts := r.env.Now()
-	st.pending = append(st.pending, Event{
-		TS:     ts,
-		Thread: t,
-		Kind:   k,
-		Arg:    arg,
-		Aux:    aux,
-	})
-	if r.ann != nil {
-		r.observe(st, ts)
+	st.body = appendEvent(st.body, ts-st.lastTS, k, arg, aux)
+	st.lastTS = ts
+	st.events++
+	if r.ann != nil && r.ordered(ts, 1) {
+		r.ann.enter(&st.runs, t)
+		r.ann.observe([]Event{{Kind: k, Arg: arg}}, nil)
 	}
-	if len(st.pending) >= r.segCap {
+	if st.events >= r.segCap {
 		r.flushThread(st)
 	}
 }
@@ -337,7 +318,7 @@ func (r *StreamRecorder) addrErr(k Kind, arg uint64) {
 	}
 	n := r.events
 	for _, st := range r.order {
-		n += len(st.pending)
+		n += st.events
 	}
 	r.err = addressError(n, k, arg)
 }
@@ -361,33 +342,54 @@ func (r *StreamRecorder) Return(t guest.ThreadID, rt guest.RoutineID, bb uint64)
 	r.add(t, KindReturn, uint64(rt), bb)
 }
 
-// MemBatch implements guest.Tool: each event is recorded with its
-// timestamp, startTS+i per the batch contract, and the annotator observes
-// it as it would any other event.
+// MemBatch implements guest.Tool: the batch's events, at timestamps
+// startTS+i per the batch contract, are encoded and annotated in pieces
+// that end where the thread's segment fills.
 func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []guest.MemEvent) {
-	if r.finished || r.err != nil {
+	if r.finished || r.err != nil || len(events) == 0 {
 		return
 	}
 	st := r.thread(t)
-	for i, e := range events {
-		if uint64(e.Addr()) >= addrLimit {
-			r.addrErr(memKind(e), uint64(e.Addr()))
+	if r.ann != nil {
+		r.ordered(startTS, len(events))
+	}
+	for len(events) > 0 && r.err == nil {
+		n := min(len(events), r.segCap-st.events)
+		if !r.encodeMem(st, startTS, events[:n]) {
 			return
 		}
-		ts := startTS + uint64(i)
-		st.pending = append(st.pending, Event{
-			TS:     ts,
-			Thread: t,
-			Kind:   memKind(e),
-			Arg:    uint64(e.Addr()),
-		})
 		if r.ann != nil {
-			r.observe(st, ts)
+			r.ann.enter(&st.runs, t)
+			var reads int
+			st.stamps, reads = r.ann.observeMem(events[:n], st.stamps)
+			st.reads += reads
 		}
-		if len(st.pending) >= r.segCap {
+		if st.events >= r.segCap {
 			r.flushThread(st)
 		}
+		events, startTS = events[n:], startTS+uint64(n)
 	}
+}
+
+// encodeMem appends memory accesses at timestamps from ts on to st's open
+// segment. An access outside the analysed address space becomes the sticky
+// error, and encodeMem reports whether there was none.
+func (r *StreamRecorder) encodeMem(st *streamThread, ts uint64, events []guest.MemEvent) bool {
+	body, last := st.body, st.lastTS
+	for i, e := range events {
+		addr := uint64(e.Addr())
+		if addr >= addrLimit {
+			st.events += i
+			r.addrErr(memKind(e), addr)
+			return false
+		}
+		body = appendEvent(body, ts-last, memKind(e), addr, 0)
+		last = ts
+		ts++
+	}
+	st.body, st.lastTS = body, last
+	st.events += len(events)
+	return true
 }
 
 // SwitchThread implements guest.Tool: switches are dropped, as in Recorder

@@ -2,14 +2,20 @@ package trace_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/guest"
 	"repro/internal/shadow"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // TestStreamRecorderMatchesRecorder runs the in-memory Recorder and the
@@ -120,6 +126,41 @@ func TestStreamRecorderFailingWriter(t *testing.T) {
 	}
 	if !errors.Is(sr.Close(), faultinject.ErrInjected) {
 		t.Fatal("Close() lost the sticky write error")
+	}
+}
+
+// TestStreamRecorderWriteErrorMidBatch: a write error while flushing the
+// first full segment of a long memory batch stops the rest of the batch;
+// the recorder neither spins on the segments it can no longer flush nor
+// loses the error.
+func TestStreamRecorderWriteErrorMidBatch(t *testing.T) {
+	for _, annotate := range []bool{true, false} {
+		var buf bytes.Buffer
+		// The prelude and the routine table are written; the first
+		// segment is not.
+		sr := trace.NewStreamRecorder(faultinject.FailingWriter(&buf, faultinject.After(2)))
+		sr.SetAnnotations(annotate)
+		sr.SetSegmentEvents(4)
+		env := &clockEnv{}
+		sr.Attach(env)
+		sr.ThreadStart(1, 0)
+		batch := make([]guest.MemEvent, 20)
+		for i := range batch {
+			batch[i] = guest.ReadEvent(guest.Addr(0x10 + i))
+		}
+		done := make(chan struct{})
+		go func() {
+			sr.MemBatch(1, env.now+1, batch)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("annotate=%v: MemBatch did not return after a write error", annotate)
+		}
+		if !errors.Is(sr.Close(), faultinject.ErrInjected) {
+			t.Fatalf("annotate=%v: Close() = %v, want ErrInjected", annotate, sr.Err())
+		}
 	}
 }
 
@@ -253,6 +294,130 @@ func TestDispatchAddressOutOfRange(t *testing.T) {
 			}
 			if len(mems) != 1 || mems[0].Kind != trace.KindRead || mems[0].Arg != 0x20 {
 				t.Errorf("%s at %#x: recorded memory events %v, want only the read of 0x20", k, arg, mems)
+			}
+		}
+	}
+}
+
+// TestStreamRecorderGoldenBytes pins the StreamRecorder's output: the
+// SHA-256 of the recording of three workloads (size 16, 8 threads, seed 1),
+// annotated and not, at the default segment bound and at 7. The hashes
+// come from the recorder that buffered decoded events and encoded them at
+// flush time, so they also pin the one-pass recorder to its bytes.
+func TestStreamRecorderGoldenBytes(t *testing.T) {
+	golden := map[string]string{
+		"mysqld/seg=default/annotated":              "4c8454bfc383732b995918a18300367521e345e99926dc42ad935abdcc41a7db",
+		"mysqld/seg=default/unannotated":            "17455d95b91221dbbe25147ce94d8ef0a45b3ad52ad596a13929f697a14eef6b",
+		"mysqld/seg=7/annotated":                    "98ef4ccea20132b95960382381305a01643bea933494b5b07a29a411d8464511",
+		"mysqld/seg=7/unannotated":                  "486dacc8d7fc24c584bd31c15256ecffc1e4b97197c9455995e620bb19543e17",
+		"producer-consumer/seg=default/annotated":   "52eb61ebb5f414b6a04102f8c292158f4f16a232bdb30ee399d02d882f63ec2c",
+		"producer-consumer/seg=default/unannotated": "3a5e86d0b121532d5d468cbb75d911b26f3475b76f57afd42ac81b6372285f4a",
+		"producer-consumer/seg=7/annotated":         "35d51964e2d80b9de22c715e94ae449d9372f81a8223c697c1dffaff8b053661",
+		"producer-consumer/seg=7/unannotated":       "6e8b91ccac2c068bb35b4a4805d20981a6f2a6098b4e099a127256136bd83296",
+		"dedup/seg=default/annotated":               "a4f58f59a5bc5a3748596c4b37a12a49944d96b514044fccdf6229293cc67a12",
+		"dedup/seg=default/unannotated":             "c1b6bc0ec73d3df73c7db0f7c8bfecb2881375d4e0bbe18578451ecf926f26d2",
+		"dedup/seg=7/annotated":                     "08564835811fccc6236cbe06058421ee8c460158e46d808d8d001d33f19dad26",
+		"dedup/seg=7/unannotated":                   "7e324c8b23a356c8e9830d18c9833ec43809784a9dae8f04f35d086bc63847c7",
+	}
+	for _, wl := range []string{"mysqld", "producer-consumer", "dedup"} {
+		for _, seg := range []int{0, 7} {
+			for _, annotate := range []bool{true, false} {
+				name := fmt.Sprintf("%s/seg=%d/", wl, seg)
+				if seg == 0 {
+					name = wl + "/seg=default/"
+				}
+				if annotate {
+					name += "annotated"
+				} else {
+					name += "unannotated"
+				}
+				var buf bytes.Buffer
+				sr := trace.NewStreamRecorder(&buf)
+				sr.SetAnnotations(annotate)
+				if seg > 0 {
+					sr.SetSegmentEvents(seg)
+				}
+				if _, err := workloads.RunByName(wl, workloads.Params{Size: 16, Threads: 8, Seed: 1}, sr); err != nil {
+					t.Fatal(err)
+				}
+				if err := sr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != golden[name] {
+					t.Errorf("%s: recording hashes to %s, want %s", name, got, golden[name])
+				}
+			}
+		}
+	}
+}
+
+// TestStreamRecorderGuardStopsAnnotations drives the recorder by hand: a
+// memory batch whose first timestamp is at or inside the previous batch's
+// timestamp span breaks the merged-order assumption the annotator relies
+// on, so the file must come out unannotated, yet decode strictly with
+// every event intact. Empty batches, at any timestamp, neither trip the
+// guard nor move it, and record nothing, not even their thread.
+func TestStreamRecorderGuardStopsAnnotations(t *testing.T) {
+	cases := []struct {
+		name string
+		// second is the start timestamp of thread 2's batch, which follows
+		// thread 1's batch at timestamps 3, 4 and 5.
+		second    uint64
+		annotated bool
+	}{
+		{"at the start of the previous span", 3, false},
+		{"inside the previous span", 4, false},
+		{"at the end of the previous span", 5, false},
+		{"after the previous span", 6, true},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		env := &clockEnv{}
+		sr := trace.NewStreamRecorder(&buf)
+		sr.SetSegmentEvents(4)
+		sr.Attach(env)
+		sr.ThreadStart(1, 0) // timestamp 1
+		sr.ThreadStart(2, 0) // timestamp 2
+		want := map[int32][]trace.Event{
+			1: {{TS: 1, Thread: 1, Kind: trace.KindThreadStart}},
+			2: {{TS: 2, Thread: 2, Kind: trace.KindThreadStart}},
+		}
+		batch := func(th guest.ThreadID, ts uint64, addrs ...guest.Addr) {
+			evs := make([]guest.MemEvent, len(addrs))
+			for i, a := range addrs {
+				evs[i] = guest.WriteEvent(a)
+				want[int32(th)] = append(want[int32(th)], trace.Event{TS: ts + uint64(i), Thread: th, Kind: trace.KindWrite, Arg: uint64(a)})
+			}
+			sr.MemBatch(th, ts, evs)
+			env.now = max(env.now, ts+uint64(len(addrs))-1)
+		}
+		sr.MemBatch(1, 1, nil) // an empty batch does not trip the guard
+		batch(1, 3, 0x10, 0x18, 0x20)
+		sr.MemBatch(3, 1<<40, nil) // nor moves it, nor records a thread
+		batch(2, tc.second, 0x28, 0x30)
+		sr.ThreadExit(1)
+		want[1] = append(want[1], trace.Event{TS: env.now, Thread: 1, Kind: trace.KindThreadExit})
+		sr.ThreadExit(2)
+		want[2] = append(want[2], trace.Event{TS: env.now, Thread: 2, Kind: trace.KindThreadExit})
+		if err := sr.Close(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+
+		tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: strict decode: %v", tc.name, err)
+		}
+		if tr.Annotated != tc.annotated {
+			t.Errorf("%s: decoded Annotated = %v, want %v", tc.name, tr.Annotated, tc.annotated)
+		}
+		got := threadEvents(tr)
+		if len(got) != len(want) {
+			t.Fatalf("%s: decoded %d threads, want %d", tc.name, len(got), len(want))
+		}
+		for id, evs := range want {
+			if !slices.Equal(got[id], evs) {
+				t.Errorf("%s: thread %d decoded %v, want %v", tc.name, id, got[id], evs)
 			}
 		}
 	}
