@@ -463,9 +463,10 @@ func annotatedTrace(b *testing.B, name string, params workloads.Params) *trace.T
 // against the parallel pipeline at increasing worker counts, on both an
 // unannotated trace (annotated offline first) and its stamp-annotated
 // twin (no Annotate pass). events/s is the throughput over the trace's event
-// count; speedups are the ratios against the sequential row. The recorded
-// curve lives in BENCH_PIPELINE.json and docs/VALIDATION.md (regenerated
-// by cmd/aprof-experiments -run validation).
+// count; speedups are the ratios against the sequential row. The offline
+// route's checked-in end-to-end and per-layer numbers come from
+// bench/run.sh (BENCH_E2E.json, BENCH_LEDGER.json); this benchmark is the
+// in-process worker sweep.
 func BenchmarkPipelineAnalyze(b *testing.B) {
 	params := workloads.Params{Size: 2 * benchSize("mysqld"), Threads: 8}
 	tr := recordedTrace(b, "mysqld", params)
@@ -631,9 +632,10 @@ func BenchmarkRecord(b *testing.B) {
 }
 
 // BenchmarkInlineOverhead times one inline-profiled workload run — the
-// profiler attached to a live machine, fed through the batched event ring.
-// This is the series behind BENCH_INLINE.json; `aprof-experiments -run
-// inline` regenerates the JSON with min-of-reps methodology.
+// profiler attached to a live machine, fed through the batched event ring,
+// on workloads besides the benchmark's mysqld. The inline route's
+// checked-in numbers are bench/run.sh's live-mysqld rows (BENCH_E2E.json,
+// BENCH_LEDGER.json).
 func BenchmarkInlineOverhead(b *testing.B) {
 	cases := []struct {
 		name    string

@@ -22,12 +22,11 @@ import (
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		run       = flag.String("run", "", "comma-separated experiment ids, or \"all\"")
-		quick     = flag.Bool("quick", false, "shrink workload sizes for a fast smoke run")
-		out       = flag.String("out", "", "write the report to this file instead of stdout")
-		raw       = flag.Bool("raw", false, "omit the per-experiment banners and timing footers (for generated docs)")
-		benchJSON = flag.String("benchjson", "", "also write raw performance numbers as JSON to this path (validation experiment)")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		run   = flag.String("run", "", "comma-separated experiment ids, or \"all\"")
+		quick = flag.Bool("quick", false, "shrink workload sizes for a fast smoke run")
+		out   = flag.String("out", "", "write the report to this file instead of stdout")
+		raw   = flag.Bool("raw", false, "omit the per-experiment banners and timing footers (for generated docs)")
 	)
 	prof := profflag.Register(flag.CommandLine)
 	flag.Parse()
@@ -73,7 +72,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aprof-experiments:", err)
 		os.Exit(1)
 	}
-	cfg := experiments.Config{Out: w, Quick: *quick, BenchJSON: *benchJSON}
+	cfg := experiments.Config{Out: w, Quick: *quick}
 	for _, e := range selected {
 		if !*raw {
 			fmt.Fprintf(w, "================================================================\n")

@@ -249,9 +249,10 @@ func record(args []string) error {
 		}
 	} else {
 		// Default path: record through the annotating stream recorder into
-		// memory, then write atomically so the target never holds a
-		// half-written trace. The result carries the same stamp
-		// annotations as a streamed recording.
+		// memory, strictly decode the bytes as a check, then write those
+		// same bytes atomically so the target never holds a half-written
+		// trace. The result carries the same stamp annotations as a
+		// streamed recording.
 		var buf bytes.Buffer
 		rec := aprof.NewStreamRecorder(&buf)
 		rec.SetAnnotations(*annotate)
@@ -266,7 +267,7 @@ func record(args []string) error {
 		if err != nil {
 			return fmt.Errorf("record: re-reading recording: %w", err)
 		}
-		if _, err := aprof.WriteTraceFile(*out, tr); err != nil {
+		if _, err := trace.AtomicWriteFile(*out, buf.Bytes()); err != nil {
 			return err
 		}
 		events = tr.NumEvents()

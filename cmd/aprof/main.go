@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -161,9 +162,12 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 		o.obsSrv.SetProfileFeed(feed)
 	}
 
-	var rec *aprof.TraceRecorder
+	// -record streams annotated segments into memory; the bytes are
+	// strictly decoded as a check and then written to the file as recorded.
+	var recBuf bytes.Buffer
+	var rec *aprof.StreamTraceRecorder
 	if o.record != "" {
-		rec = aprof.NewRecorder()
+		rec = aprof.NewStreamRecorder(&recBuf)
 		tls = append(tls, rec)
 	}
 
@@ -175,10 +179,17 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 		workload, m.NumThreads(), m.BBTotal(), m.Ops())
 
 	if rec != nil {
-		if _, err := aprof.WriteTraceFile(o.record, rec.Trace()); err != nil {
+		if err := rec.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events written to %s\n\n", rec.Trace().NumEvents(), o.record)
+		tr, err := aprof.DecodeTrace(bytes.NewReader(recBuf.Bytes()))
+		if err != nil {
+			return fmt.Errorf("re-reading recording: %w", err)
+		}
+		if _, err := trace.AtomicWriteFile(o.record, recBuf.Bytes()); err != nil {
+			return err
+		}
+		fmt.Printf("trace: %d events written to %s\n\n", tr.NumEvents(), o.record)
 	}
 
 	if prof == nil {

@@ -33,12 +33,20 @@ var (
 	ErrChecksum = errors.New("CRC32-C mismatch")
 )
 
-// Append frames payload as one block of the given kind appended to dst.
-func Append(dst []byte, kind byte, payload []byte) []byte {
+// Append frames the concatenation of the payload parts as one block of the
+// given kind appended to dst. Passing a payload in parts (a header and a
+// body, say) frames it without first joining them into one buffer.
+func Append(dst []byte, kind byte, payload ...[]byte) []byte {
 	start := len(dst)
+	n := 0
+	for _, p := range payload {
+		n += len(p)
+	}
 	dst = append(dst, kind)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for _, p := range payload {
+		dst = append(dst, p...)
+	}
 	sum := crc32.Checksum(dst[start:], castagnoli)
 	return binary.LittleEndian.AppendUint32(dst, sum)
 }

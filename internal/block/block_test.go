@@ -23,6 +23,9 @@ func TestFraming(t *testing.T) {
 	if err != nil || len(frames) != 2 || frames[1].End != len(data) {
 		t.Fatalf("Split = %+v, %v", frames, err)
 	}
+	if parts := Append(nil, 'A', []byte("he"), nil, []byte("llo")); !bytes.Equal(parts, data[3:3+len(parts)]) {
+		t.Fatalf("Append in parts = %x, want the block of the joined payload", parts)
+	}
 	if _, err := f.Next(data, len(data)); err != io.EOF {
 		t.Fatalf("Next at the end = %v, want io.EOF", err)
 	}

@@ -13,17 +13,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/shadow"
-	"repro/internal/telemetry"
 	"repro/internal/tools"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -33,42 +28,11 @@ type Config struct {
 	Out io.Writer
 	// Quick shrinks workload sizes for fast runs (tests, smoke checks).
 	Quick bool
-	// Repeat is the number of timing repetitions for overhead experiments
-	// (0 selects 3, or 1 under Quick).
-	Repeat int
-	// BenchJSON, when non-empty, is a path where experiments that measure
-	// performance ("validation", "inline") additionally write their raw
-	// numbers as JSON. A telemetry snapshot of one instrumented run is
-	// written next to it (BENCH_X.json -> BENCH_X_TELEMETRY.json).
-	BenchJSON string
 }
 
-// writeBenchTelemetry publishes the process-wide shadow and trace tallies
-// into reg and writes its snapshot next to Config.BenchJSON
-// (BENCH_INLINE.json -> BENCH_INLINE_TELEMETRY.json). No-op when BenchJSON
-// is unset or reg is nil.
-func writeBenchTelemetry(cfg Config, reg *telemetry.Registry) error {
-	if cfg.BenchJSON == "" || reg == nil {
-		return nil
-	}
-	shadow.PublishTelemetry(reg)
-	trace.PublishTelemetry(reg)
-	path := strings.TrimSuffix(cfg.BenchJSON, ".json") + "_TELEMETRY.json"
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
+// repeats is the number of timing repetitions the overhead experiments keep
+// the fastest of.
 func (c Config) repeats() int {
-	if c.Repeat > 0 {
-		return c.Repeat
-	}
 	if c.Quick {
 		return 1
 	}
@@ -99,7 +63,7 @@ func All() []Experiment {
 func order(id string) int {
 	for i, want := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 		"fig8", "fig9", "table1", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-		"ablations", "inline", "validation"} {
+		"ablations", "validation"} {
 		if id == want {
 			return i
 		}

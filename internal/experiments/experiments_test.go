@@ -29,8 +29,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		"fig18":      {"thread-induced input"},
 		"fig19":      {"external input"},
 		"ablations":  {"Ablation 1", "timestamping", "renumber passes", "record+replay"},
-		"inline":     {"profiled", "slowdown", "mysqld", "dedup"},
-		"validation": {"structural", "correctness", "determinism", "performance", "pass"},
+		"validation": {"structural", "correctness", "determinism", "pass"},
 	}
 	if len(IDs()) != len(wantMarkers) {
 		t.Fatalf("registered experiments %v, want %d", IDs(), len(wantMarkers))

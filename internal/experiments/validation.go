@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/trace/pipeline"
 	"repro/internal/workloads"
@@ -19,7 +14,7 @@ import (
 
 func init() {
 	registerExperiment("validation",
-		"Trace & replay validation report: structural, correctness, determinism, performance",
+		"Trace & replay validation report: structural, correctness, determinism",
 		runValidation)
 }
 
@@ -35,10 +30,10 @@ type validationCase struct {
 
 // runValidation emits the leveled validation report behind docs/VALIDATION.md
 // as markdown: each level escalates from wire-format integrity to profile
-// correctness, scheduling-independence and finally analysis performance.
-// Regenerate the document with
+// correctness and finally scheduling-independence. Regenerate the document
+// with
 //
-//	go run ./cmd/aprof-experiments -run validation -raw -out docs/VALIDATION.md -benchjson BENCH_PIPELINE.json
+//	go run ./cmd/aprof-experiments -run validation -raw -out docs/VALIDATION.md
 func runValidation(cfg Config) error {
 	w := cfg.Out
 	scale := 1
@@ -69,9 +64,9 @@ func runValidation(cfg Config) error {
 	fmt.Fprintf(w, "Levels: **L1 structural** (wire format round-trips), **L2 correctness**\n")
 	fmt.Fprintf(w, "(inline = sequential replay = parallel pipeline, byte-identical exports),\n")
 	fmt.Fprintf(w, "**L3 determinism** (worker count, repetition and tie seed never change the\n")
-	fmt.Fprintf(w, "result), **L4 performance** (offline analysis throughput and the worker\n")
-	fmt.Fprintf(w, "scaling curve). Regenerate with\n")
-	fmt.Fprintf(w, "`go run ./cmd/aprof-experiments -run validation -raw -out docs/VALIDATION.md -benchjson BENCH_PIPELINE.json`.\n\n")
+	fmt.Fprintf(w, "result). Performance is measured by the end-to-end benchmark\n")
+	fmt.Fprintf(w, "(`bash bench/run.sh`; see docs/PERFORMANCE.md). Regenerate with\n")
+	fmt.Fprintf(w, "`go run ./cmd/aprof-experiments -run validation -raw -out docs/VALIDATION.md`.\n\n")
 
 	if err := validateStructural(w, cases); err != nil {
 		return err
@@ -79,10 +74,7 @@ func runValidation(cfg Config) error {
 	if err := validateCorrectness(w, cases); err != nil {
 		return err
 	}
-	if err := validateDeterminism(w, cases); err != nil {
-		return err
-	}
-	return validatePerformance(w, cfg)
+	return validateDeterminism(w, cases)
 }
 
 // validateStructural checks the binary codec (encode/decode round trip) and
@@ -226,194 +218,6 @@ func validateDeterminism(w io.Writer, cases []*validationCase) error {
 	fmt.Fprintln(w)
 	return nil
 }
-
-// pipelineBench is the machine-readable record of the performance level,
-// written to the path in Config.BenchJSON (BENCH_PIPELINE.json at the repo
-// root).
-type pipelineBench struct {
-	Benchmark  string              `json:"benchmark"`
-	Workload   string              `json:"workload"`
-	Size       int                 `json:"size"`
-	Threads    int                 `json:"threads"`
-	Events     int                 `json:"events"`
-	NumCPU     int                 `json:"num_cpu"`
-	Reps       int                 `json:"reps"`
-	Annotated  bool                `json:"annotated"`
-	Sequential float64             `json:"sequential_ms"`
-	PlanMS     float64             `json:"annotated_plan_ms"`
-	PreScan    float64             `json:"prescan_ms"` // offline Annotate + plan
-	Scaling    []pipelineBenchStep `json:"scaling"`
-	Offline    []pipelineBenchStep `json:"fallback_scaling"` // offline-annotated route
-	Note       string              `json:"note"`
-}
-
-// pipelineBenchStep is one point on a scaling curve: the pipeline run at
-// Workers workers with GOMAXPROCS set to the same value.
-type pipelineBenchStep struct {
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	Workers    int     `json:"workers"`
-	Millis     float64 `json:"ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// validatePerformance times offline analysis of a recorded mysqld execution
-// large enough (10M+ events at full scale) for per-event work to dominate:
-// the sequential replayer against the pipeline with recorded annotations
-// and with offline ones, swept over GOMAXPROCS 1/2/4/8 with the worker
-// count matched, min-of-N to suppress scheduling noise. The trace is
-// recorded through the streaming recorder, so it carries stamp annotations;
-// the offline-annotated rows strip them first, so every analysis runs the
-// offline Annotate pass before its workers.
-func validatePerformance(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "## L4 — performance\n\n")
-
-	params := workloads.Params{Size: 160, Threads: 8}
-	reps := 5
-	if cfg.Quick {
-		params.Size = 8
-		reps = 3
-	}
-	var buf bytes.Buffer
-	srec := trace.NewStreamRecorder(&buf)
-	if _, err := workloads.RunByName("mysqld", params, srec); err != nil {
-		return err
-	}
-	if err := srec.Close(); err != nil {
-		return err
-	}
-	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return err
-	}
-	buf = bytes.Buffer{} // release the encoded copy before timing
-	events := tr.NumEvents()
-	stripped := *tr
-	stripped.Threads = append([]trace.ThreadTrace(nil), tr.Threads...)
-	stripped.StripAnnotations()
-
-	var firstErr error
-	minOf := func(f func() error) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			// Every rep starts from a collected heap, so a phase is not
-			// timed against the garbage of the one before it.
-			runtime.GC()
-			start := time.Now()
-			if err := f(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	seq := minOf(func() error {
-		_, err := core.FromTrace(tr, 0, core.Options{})
-		return err
-	})
-	plan := minOf(func() error {
-		p, err := pipeline.BuildPlan(tr, 0, core.Options{})
-		if err == nil && !p.Annotated() {
-			err = fmt.Errorf("annotated trace did not take the fast plan path")
-		}
-		return err
-	})
-	prescan := minOf(func() error {
-		_, err := pipeline.BuildPlan(&stripped, 0, core.Options{})
-		return err
-	})
-
-	bench := pipelineBench{
-		Benchmark:  "pipeline-analyze",
-		Workload:   "mysqld",
-		Size:       params.Size,
-		Threads:    params.Threads,
-		Events:     events,
-		NumCPU:     runtime.NumCPU(),
-		Reps:       reps,
-		Annotated:  tr.Annotated,
-		Sequential: ms(seq),
-		PlanMS:     ms(plan),
-		PreScan:    ms(prescan),
-		Note: "min-of-reps wall time; each scaling point runs the pipeline with " +
-			"GOMAXPROCS set to its worker count; speedup is sequential replay " +
-			"time over pipeline time for the same trace and options; points " +
-			"with gomaxprocs > num_cpu time-slice one core and cannot scale",
-	}
-
-	fmt.Fprintf(w, "Offline analysis of a stream-recorded (stamp-annotated) mysqld execution\n")
-	fmt.Fprintf(w, "(%d events, size %d, %d guest threads), min of %d runs, on a host\n",
-		events, params.Size, params.Threads, reps)
-	fmt.Fprintf(w, "with %d CPU(s). Every pipeline row sets GOMAXPROCS to its worker count;\n", bench.NumCPU)
-	fmt.Fprintf(w, "rows with more workers than CPUs time-slice the same cores and measure\n")
-	fmt.Fprintf(w, "scheduling overhead, not scaling — only rows with workers <= %d CPU(s)\n", bench.NumCPU)
-	fmt.Fprintf(w, "can show parallel speedup on this host.\n\n")
-	fmt.Fprintf(w, "| analyzer | GOMAXPROCS | time (ms) | events/s | speedup vs sequential |\n")
-	fmt.Fprintf(w, "|---|---:|---:|---:|---:|\n")
-	fmt.Fprintf(w, "| sequential replay (`core.FromTrace`) | %d | %.2f | %.1fM | 1.00x |\n",
-		runtime.GOMAXPROCS(0), ms(seq), float64(events)/seq.Seconds()/1e6)
-
-	prevProcs := runtime.GOMAXPROCS(0)
-	sweep := func(t *trace.Trace, label string) []pipelineBenchStep {
-		var steps []pipelineBenchStep
-		for _, procs := range []int{1, 2, 4, 8} {
-			runtime.GOMAXPROCS(procs)
-			d := minOf(func() error {
-				_, err := pipeline.Analyze(t, pipeline.Options{Workers: procs})
-				return err
-			})
-			speedup := float64(seq) / float64(d)
-			steps = append(steps, pipelineBenchStep{
-				GOMAXPROCS: procs, Workers: procs, Millis: ms(d), Speedup: speedup,
-			})
-			fmt.Fprintf(w, "| %s, %d worker(s) | %d | %.2f | %.1fM | %.2fx |\n",
-				label, procs, procs, ms(d), float64(events)/d.Seconds()/1e6, speedup)
-		}
-		return steps
-	}
-	bench.Scaling = sweep(tr, "pipeline (recorded annotations)")
-	bench.Offline = sweep(&stripped, "pipeline (offline-annotated)")
-	runtime.GOMAXPROCS(prevProcs)
-	if firstErr != nil {
-		return firstErr
-	}
-
-	fmt.Fprintf(w, "\nPlan assembly from the recorded annotations takes %.3f ms — O(#segments),\n", ms(plan))
-	fmt.Fprintf(w, "independent of event count — against %.2f ms for the offline Annotate\n", ms(prescan))
-	fmt.Fprintf(w, "pass plus plan assembly over the same events. With recorded annotations\n")
-	fmt.Fprintf(w, "there is no sequential phase to amortize: per-thread workers start\n")
-	fmt.Fprintf(w, "immediately and scale with cores until the largest single thread\n")
-	fmt.Fprintf(w, "dominates. The offline-annotated route runs the Annotate pass first and\n")
-	fmt.Fprintf(w, "then the same workers, so its time is the pass plus the annotated run.\n")
-	fmt.Fprintf(w, "Where workers exceed CPUs no parallel speedup is possible; the gain over\n")
-	fmt.Fprintf(w, "sequential replay is then algorithmic (no merge of the threads' events\n")
-	fmt.Fprintf(w, "into one order, no global write shadow, 32-bit shadow cells when\n")
-	fmt.Fprintf(w, "timestamps fit).\n")
-
-	if cfg.BenchJSON != "" {
-		data, err := json.MarshalIndent(&bench, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.BenchJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		// One extra instrumented analysis, outside the timing loops,
-		// captures the pipeline metric snapshot accompanying the numbers.
-		reg := telemetry.NewRegistry()
-		if _, err := pipeline.Analyze(tr, pipeline.Options{Workers: 4, Telemetry: reg}); err != nil {
-			return err
-		}
-		if err := writeBenchTelemetry(cfg, reg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 func pass(ok bool) string {
 	if ok {

@@ -68,7 +68,7 @@ type StreamRecorder struct {
 	onFlush    func(events, segments int, bytes int64)
 
 	scratch []byte // reused block-framing buffer
-	payload []byte // reused payload buffer
+	payload []byte // reused buffer for table and footer payloads and segment headers
 
 	err      error
 	finished bool
@@ -154,8 +154,8 @@ func (r *StreamRecorder) write(b []byte) {
 }
 
 // writeBlock frames and writes one block.
-func (r *StreamRecorder) writeBlock(kind byte, payload []byte) {
-	r.scratch = block.Append(r.scratch[:0], kind, payload)
+func (r *StreamRecorder) writeBlock(kind byte, payload ...[]byte) {
+	r.scratch = block.Append(r.scratch[:0], kind, payload...)
 	r.write(r.scratch)
 	if r.err == nil {
 		r.blocks++
@@ -195,8 +195,8 @@ func (r *StreamRecorder) flushThread(st *streamThread) {
 		return
 	}
 	r.flushTables()
-	r.payload = append(appendSegmentHead(r.payload[:0], st.id, st.events), st.body...)
-	r.writeBlock(blockEvents, r.payload)
+	r.payload = appendSegmentHead(r.payload[:0], st.id, st.events)
+	r.writeBlock(blockEvents, r.payload, st.body)
 	if r.err == nil {
 		r.events += st.events
 		r.segments++
@@ -214,8 +214,8 @@ func (r *StreamRecorder) flushThread(st *streamThread) {
 			r.ann.closeRun()
 		}
 		if len(st.runs) > 0 || st.reads > 0 {
-			r.payload = append(appendAnnotationHead(r.payload[:0], st.id, st.runs, st.reads), st.stamps...)
-			r.writeBlock(blockAnnotations, r.payload)
+			r.payload = appendAnnotationHead(r.payload[:0], st.id, st.runs, st.reads)
+			r.writeBlock(blockAnnotations, r.payload, st.stamps)
 			st.runs, st.stamps, st.reads = st.runs[:0], st.stamps[:0], 0
 		}
 	}

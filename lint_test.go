@@ -11,6 +11,8 @@
 package repro_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/format"
 	"go/parser"
@@ -82,9 +84,20 @@ func TestRequiredDocs(t *testing.T) {
 // mdLink matches inline markdown links and captures the target.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// benchCite matches an inline code span or a link target; benchFile
+// matches a BENCH file named inside one.
+var (
+	benchCite = regexp.MustCompile("`[^`\n]*`|\\]\\([^)\\s]*\\)")
+	benchFile = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+)
+
 // TestDocLinksResolve sweeps every markdown file at the repo root and
 // under docs/ for relative links to files and verifies each target
-// exists, so cross-references cannot silently rot as the tree moves.
+// exists, so cross-references cannot silently rot as the tree moves. A
+// BENCH file that README.md, EXPERIMENTS.md or docs/*.md names in code or
+// in a link must also exist at the root and record under env the num_cpu
+// it was measured with; the other root documents, ROADMAP.md and CHANGES.md
+// among them, are history and may name deleted ones.
 func TestDocLinksResolve(t *testing.T) {
 	var files []string
 	for _, pat := range []string{"*.md", "docs/*.md"} {
@@ -118,7 +131,39 @@ func TestDocLinksResolve(t *testing.T) {
 				t.Errorf("%s: dead link %q (%s does not exist)", file, m[1], resolved)
 			}
 		}
+		if file != "README.md" && file != "EXPERIMENTS.md" && filepath.Dir(file) != "docs" {
+			continue
+		}
+		for _, cite := range benchCite.FindAllString(string(src), -1) {
+			for _, name := range benchFile.FindAllString(cite, -1) {
+				if err := checkBenchFile(name); err != nil {
+					t.Errorf("%s cites %s: %v", file, name, err)
+				}
+			}
+		}
 	}
+}
+
+// checkBenchFile reports why the BENCH file at the repo root cannot back a
+// performance claim: it is missing, is not the benchmark's JSON, or records
+// no num_cpu under env.
+func checkBenchFile(name string) error {
+	data, err := os.ReadFile(name)
+	if err != nil {
+		return err
+	}
+	var v struct {
+		Env struct {
+			NumCPU int `json:"num_cpu"`
+		} `json:"env"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	if v.Env.NumCPU <= 0 {
+		return fmt.Errorf("no env.num_cpu")
+	}
+	return nil
 }
 
 func lintSources(t *testing.T, dir string) []string {
