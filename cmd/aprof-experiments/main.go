@@ -26,7 +26,6 @@ func main() {
 		run   = flag.String("run", "", "comma-separated experiment ids, or \"all\"")
 		quick = flag.Bool("quick", false, "shrink workload sizes for a fast smoke run")
 		out   = flag.String("out", "", "write the report to this file instead of stdout")
-		raw   = flag.Bool("raw", false, "omit the per-experiment banners and timing footers (for generated docs)")
 	)
 	prof := profflag.Register(flag.CommandLine)
 	flag.Parse()
@@ -74,19 +73,15 @@ func main() {
 	}
 	cfg := experiments.Config{Out: w, Quick: *quick}
 	for _, e := range selected {
-		if !*raw {
-			fmt.Fprintf(w, "================================================================\n")
-			fmt.Fprintf(w, "%s — %s\n", e.ID, e.Title)
-			fmt.Fprintf(w, "================================================================\n")
-		}
+		fmt.Fprintf(w, "================================================================\n")
+		fmt.Fprintf(w, "%s — %s\n", e.ID, e.Title)
+		fmt.Fprintf(w, "================================================================\n")
 		start := time.Now()
 		if err := e.Run(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "aprof-experiments:", e.ID, "failed:", err)
 			os.Exit(1)
 		}
-		if !*raw {
-			fmt.Fprintf(w, "\n[%s completed in %.2fs]\n\n", e.ID, time.Since(start).Seconds())
-		}
+		fmt.Fprintf(w, "\n[%s completed in %.2fs]\n\n", e.ID, time.Since(start).Seconds())
 	}
 	if err := prof.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "aprof-experiments:", err)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	aprof-trace record -workload mysqld -o run.trace [-threads 8 -size 12 -stream]
+//	aprof-trace record -workload mysqld -o run.trace [-threads 8 -size 12 -annotate=false]
 //	aprof-trace info run.trace
 //	aprof-trace dump run.trace [-limit 50]
 //	aprof-trace verify run.trace [-json]
@@ -20,16 +20,17 @@
 // when the trace carries none; per-thread shadow analysis on -workers
 // goroutines; deterministic merge).
 //
-// record writes the trace atomically (temp file + rename); with -stream it
-// instead streams checksummed segments straight to the target file as the
-// run progresses, so even a killed recording leaves salvageable data.
+// record streams checksummed segments into a temporary file beside the
+// target as the run progresses and renames it over the target when the run
+// ends, so a finished or interrupted recording is a whole trace and even a
+// killed one leaves salvageable data in the temporary file.
 // verify walks a trace's checksums and exits non-zero if any block is
 // damaged; analyze -recover salvages what it can from a damaged trace
 // before profiling it.
 //
 // Every subcommand that does real work shares the -telemetry[=file.json],
 // -exectrace, -cpuprofile and -memprofile flags (see internal/profflag and
-// docs/OBSERVABILITY.md). analyze and streamed record draw a live progress
+// docs/OBSERVABILITY.md). analyze and record draw a live progress
 // line on stderr when it is a terminal (-progress=false disables it).
 // analyze -workload records the workload in-process and analyzes the
 // resulting trace in one run, cross-checking the pipeline profile against
@@ -38,9 +39,11 @@
 // check runs the metamorphic invariant suite (docs/CORRECTNESS.md): each
 // workload is profiled under deep invariant checking and re-derived under
 // perturbed don't-care parameters, which must not change the profile.
+// docs/VALIDATION.md holds the output of
+// `check -quick -level deep -renumber 48 -v`, and CI fails when the two differ.
 //
 // analyze -snapshot writes a live profile JSON mid-run, on a timer
-// (-snapshot-interval) or on SIGUSR1. analyze and streamed record trap
+// (-snapshot-interval) or on SIGUSR1. analyze and record trap
 // SIGINT/SIGTERM: the run stops promptly, in-flight state is flushed
 // (final snapshot / trace footer), and the process exits non-zero. A
 // killed analysis is simply re-run: the trace file is still there, and
@@ -52,6 +55,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -154,9 +158,8 @@ func record(args []string) error {
 	threads := fs.Int("threads", 0, "worker threads")
 	size := fs.Int("size", 0, "problem size")
 	seed := fs.Int64("seed", 0, "workload seed")
-	stream := fs.Bool("stream", false, "stream checksummed segments to the file during the run (crash-safe)")
 	annotate := fs.Bool("annotate", true, "record per-segment stamp annotations so analysis needs no offline annotation pass")
-	showProgress := fs.Bool("progress", stderrIsTTY(), "draw a live progress line on stderr (streamed recording only)")
+	showProgress := fs.Bool("progress", stderrIsTTY(), "draw a live progress line on stderr")
 	prof := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -169,115 +172,93 @@ func record(args []string) error {
 	}
 	reg := prof.Registry()
 	params := aprof.WorkloadParams{Threads: *threads, Size: *size, Seed: *seed, Telemetry: reg}
-	events := 0
-	if *stream {
-		// Crash-safe path: segments hit the file as they complete, so a
-		// killed run still leaves recoverable data at the target path.
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		rec := aprof.NewStreamRecorder(f)
-		rec.SetAnnotations(*annotate)
-		rec.SetTelemetry(reg)
-		// The stderr line and the obs server's /progress stream share one
-		// estimator; with -http but no terminal the estimator still runs so
-		// the SSE stream has numbers.
-		srv := prof.ObsServer()
-		var pl *telemetry.Progress
-		var est *telemetry.RateEstimator
-		if *showProgress {
-			pl = telemetry.NewProgress(os.Stderr, "record", 0)
-			est = pl.Estimator()
-		} else if srv != nil {
-			est = telemetry.NewRateEstimator(0)
-		}
-		if est != nil {
-			est.SetPhase("record")
-			srv.SetEstimator(est)
-			rec.SetProgress(func(events, segments int, bytes int64) {
-				if pl != nil {
-					pl.SetNote(fmt.Sprintf("%d segments, %d bytes", segments, bytes))
-					pl.Update(uint64(events))
-				} else {
-					est.Update(uint64(events))
-				}
-			})
-		}
-		// SIGINT/SIGTERM stop the run at the next guest event; the recorder
-		// then flushes its in-flight segment and footer, so the partial
-		// trace on disk is well-formed up to the interruption point.
-		stopper := &stopTool{}
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			for range sigc {
-				stopper.stop.Store(true)
+	// The stderr line and the obs server's /progress stream share one
+	// estimator; with -http but no terminal the estimator still runs so the
+	// SSE stream has numbers.
+	srv := prof.ObsServer()
+	var pl *telemetry.Progress
+	var est *telemetry.RateEstimator
+	var progress func(events, segments int, bytes int64)
+	if *showProgress {
+		pl = telemetry.NewProgress(os.Stderr, "record", 0)
+		est = pl.Estimator()
+	} else if srv != nil {
+		est = telemetry.NewRateEstimator(0)
+	}
+	if est != nil {
+		est.SetPhase("record")
+		srv.SetEstimator(est)
+		progress = func(events, segments int, bytes int64) {
+			if pl != nil {
+				pl.SetNote(fmt.Sprintf("%d segments, %d bytes", segments, bytes))
+				pl.Update(uint64(events))
+			} else {
+				est.Update(uint64(events))
 			}
-		}()
-		_, runErr := aprof.RunWorkload(*workload, params, rec, stopper)
-		signal.Stop(sigc)
-		interrupted := runErr != nil && strings.Contains(runErr.Error(), stopSentinel)
-		if runErr != nil && !interrupted {
-			f.Close()
-			return runErr
-		}
-		if err := rec.Close(); err != nil {
-			f.Close()
-			return fmt.Errorf("record: writing %s: %w", *out, err)
-		}
-		pl.Done()
-		est.Finish()
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if interrupted {
-			publishLayers(reg)
-			if err := prof.Stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "record:", err)
-			}
-			fmt.Fprintf(os.Stderr, "record: interrupted; partial trace flushed to %s (it decodes cleanly up to the interruption)\n", *out)
-			return fmt.Errorf("record: %s", stopSentinel)
-		}
-		tr, err := aprof.ReadTraceFile(*out)
-		if err != nil {
-			return fmt.Errorf("record: re-reading %s: %w", *out, err)
-		}
-		events = tr.NumEvents()
-		if tr.Annotated {
-			fmt.Printf("trace is analysis-ready (stamp annotations recorded)\n")
-		}
-	} else {
-		// Default path: record through the annotating stream recorder into
-		// memory, strictly decode the bytes as a check, then write those
-		// same bytes atomically so the target never holds a half-written
-		// trace. The result carries the same stamp annotations as a
-		// streamed recording.
-		var buf bytes.Buffer
-		rec := aprof.NewStreamRecorder(&buf)
-		rec.SetAnnotations(*annotate)
-		rec.SetTelemetry(reg)
-		if _, err := aprof.RunWorkload(*workload, params, rec); err != nil {
-			return err
-		}
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		tr, err := aprof.DecodeTrace(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return fmt.Errorf("record: re-reading recording: %w", err)
-		}
-		if _, err := trace.AtomicWriteFile(*out, buf.Bytes()); err != nil {
-			return err
-		}
-		events = tr.NumEvents()
-		if tr.Annotated {
-			fmt.Printf("trace is analysis-ready (stamp annotations recorded)\n")
 		}
 	}
-	fmt.Printf("recorded %d events from %s to %s\n", events, *workload, *out)
+	// SIGINT/SIGTERM stop the run at the next guest event; the recorder
+	// then flushes its in-flight segment and footer, so the partial trace
+	// is well-formed up to the interruption point.
+	stopper := &stopTool{}
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		for range sigc {
+			stopper.stop.Store(true)
+		}
+	}()
+	interrupted, err := recordTrace(*out, *workload, params, *annotate, progress, stopper)
+	signal.Stop(sigc)
+	pl.Done()
+	est.Finish()
+	if err != nil {
+		return err
+	}
+	if interrupted {
+		publishLayers(reg)
+		if err := prof.Stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "record:", err)
+		}
+		fmt.Fprintf(os.Stderr, "record: interrupted; partial trace flushed to %s (it decodes cleanly up to the interruption)\n", *out)
+		return fmt.Errorf("record: %s", stopSentinel)
+	}
+	tr, err := aprof.ReadTraceFile(*out)
+	if err != nil {
+		return fmt.Errorf("record: re-reading %s: %w", *out, err)
+	}
+	if tr.Annotated {
+		fmt.Printf("trace is analysis-ready (stamp annotations recorded)\n")
+	}
+	fmt.Printf("recorded %d events from %s to %s\n", tr.NumEvents(), *workload, *out)
 	publishLayers(reg)
 	return prof.Stop()
+}
+
+// recordTrace runs the workload under a stream recorder whose segments go
+// straight into the temporary file of trace.AtomicWrite, then renames that
+// file over path. It does so both when the run ends and when stopper stops
+// it: the recorder flushes its in-flight segment and footer either way, so
+// the trace at path decodes strictly. A killed run leaves the temporary
+// file beside path for analyze -recover. progress, when non-nil, receives
+// the recorder's event/segment/byte tallies as segments are flushed.
+func recordTrace(path, workload string, params aprof.WorkloadParams, annotate bool,
+	progress func(events, segments int, bytes int64), stopper *stopTool) (interrupted bool, err error) {
+	err = trace.AtomicWrite(path, func(w io.Writer) error {
+		rec := aprof.NewStreamRecorder(w)
+		rec.SetAnnotations(annotate)
+		rec.SetTelemetry(params.Telemetry)
+		if progress != nil {
+			rec.SetProgress(progress)
+		}
+		_, runErr := aprof.RunWorkload(workload, params, rec, stopper)
+		interrupted = runErr != nil && strings.Contains(runErr.Error(), stopSentinel)
+		if runErr != nil && !interrupted {
+			return runErr
+		}
+		return rec.Close()
+	})
+	return interrupted, err
 }
 
 // verify walks the trace's blocks, reports per-block diagnostics, and exits

@@ -13,10 +13,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -162,32 +162,32 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 		o.obsSrv.SetProfileFeed(feed)
 	}
 
-	// -record streams annotated segments into memory; the bytes are
-	// strictly decoded as a check and then written to the file as recorded.
-	var recBuf bytes.Buffer
-	var rec *aprof.StreamTraceRecorder
-	if o.record != "" {
-		rec = aprof.NewStreamRecorder(&recBuf)
-		tls = append(tls, rec)
+	var m *aprof.Machine
+	var err error
+	if o.record == "" {
+		m, err = aprof.RunWorkload(workload, params, tls...)
+	} else {
+		// -record streams annotated segments into the temporary file of an
+		// atomic write, renamed over the target once the run ends.
+		err = trace.AtomicWrite(o.record, func(w io.Writer) error {
+			rec := aprof.NewStreamRecorder(w)
+			var runErr error
+			if m, runErr = aprof.RunWorkload(workload, params, append(tls, rec)...); runErr != nil {
+				return runErr
+			}
+			return rec.Close()
+		})
 	}
-
-	m, err := aprof.RunWorkload(workload, params, tls...)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workload %s: %d threads, %d basic blocks, %d guest operations\n\n",
 		workload, m.NumThreads(), m.BBTotal(), m.Ops())
 
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			return err
-		}
-		tr, err := aprof.DecodeTrace(bytes.NewReader(recBuf.Bytes()))
+	if o.record != "" {
+		tr, err := aprof.ReadTraceFile(o.record)
 		if err != nil {
 			return fmt.Errorf("re-reading recording: %w", err)
-		}
-		if _, err := trace.AtomicWriteFile(o.record, recBuf.Bytes()); err != nil {
-			return err
 		}
 		fmt.Printf("trace: %d events written to %s\n\n", tr.NumEvents(), o.record)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,12 +12,16 @@ import (
 
 // TestRecordWritesAnnotatedTrace checks that -record writes a trace that
 // decodes strictly, carries the recorder's stamp annotations, and so plans
-// without the offline annotation pass.
+// without the offline annotation pass, and that it leaves no temporary file.
 func TestRecordWritesAnnotatedTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.trace")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.trace")
 	params := aprof.WorkloadParams{Threads: 3, Size: 8}
 	if err := run("mysqld", "aprof", params, runOpts{record: path}); err != nil {
 		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries (%v), want only run.trace", len(entries), err)
 	}
 	tr, err := aprof.ReadTraceFile(path)
 	if err != nil {

@@ -62,8 +62,7 @@ func All() []Experiment {
 
 func order(id string) int {
 	for i, want := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "table1", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-		"ablations", "validation"} {
+		"fig8", "fig9", "table1", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19"} {
 		if id == want {
 			return i
 		}

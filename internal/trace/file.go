@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // syncFile and syncDir are the durability syscalls behind the atomic write
@@ -14,36 +19,41 @@ var (
 	syncDir  = func(d *os.File) error { return d.Sync() }
 )
 
-// AtomicWriteFile writes data to path durably and atomically: the bytes go
-// to a temporary file in the same directory, the file is fsynced and
+// AtomicWriteFile writes data to path durably and atomically; see
+// AtomicWrite. It returns the number of bytes written.
+func AtomicWriteFile(path string, data []byte) (int64, error) {
+	err := AtomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(data)), nil
+}
+
+// AtomicWrite runs write against a new temporary file beside path and
+// commits what it wrote durably and atomically: the file is fsynced and
 // closed, renamed over path, and the parent directory is fsynced so the
 // rename itself — not just the data — survives power loss. Readers see
 // either the old contents or the complete new contents, never a mix, and a
-// nil return means the new contents are on stable storage. It returns the
-// number of bytes written.
-func AtomicWriteFile(path string, data []byte) (int64, error) {
-	return atomicWrite(path, func(f *os.File) (int64, error) {
-		n, err := f.Write(data)
-		return int64(n), err
-	})
-}
-
-// atomicWrite implements the temp-file + fsync + rename + dir-fsync
-// commit protocol around an arbitrary producer writing the temp file.
-func atomicWrite(path string, write func(*os.File) (int64, error)) (int64, error) {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
+// nil return means the new contents are on stable storage. When write
+// fails, the temporary file is removed and path is left as it was; a
+// process killed inside write leaves the temporary file (path + ".tmp" and
+// a random suffix) behind. The file gets mode 0666 less the umask, as with
+// os.Create.
+func AtomicWrite(path string, write func(io.Writer) error) error {
+	f, err := createTemp(path)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	tmp := f.Name()
-	cleanup := func(err error) (int64, error) {
+	cleanup := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
-		return 0, err
+		return err
 	}
-	n, err := write(f)
-	if err != nil {
+	if err := write(f); err != nil {
 		return cleanup(fmt.Errorf("trace: writing %s: %w", path, err))
 	}
 	if err := syncFile(f); err != nil {
@@ -54,15 +64,26 @@ func atomicWrite(path string, write func(*os.File) (int64, error)) (int64, error
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	// Commit the rename: without fsyncing the parent directory the new
 	// directory entry may still be lost to a crash, leaving the old file
 	// in place after a "successful" write.
-	if err := fsyncParent(path); err != nil {
-		return 0, err
+	return fsyncParent(path)
+}
+
+// createTemp creates a new file named path + ".tmp" and a random suffix.
+// Unlike os.CreateTemp, which fixes the mode at 0600, it asks for 0666 and
+// lets the umask apply.
+func createTemp(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := path + ".tmp" + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, fs.ErrExist) && try < 10000 {
+			continue
+		}
+		return f, err
 	}
-	return n, nil
 }
 
 // fsyncParent fsyncs the directory containing path, making a just-renamed
@@ -86,7 +107,15 @@ func fsyncParent(path string) error {
 // never leaves a half-trace at the target and a completed one survives
 // power loss. It returns the number of bytes written.
 func WriteFile(path string, tr *Trace) (int64, error) {
-	return atomicWrite(path, func(f *os.File) (int64, error) { return tr.Encode(f) })
+	var n int64
+	err := AtomicWrite(path, func(w io.Writer) (err error) {
+		n, err = tr.Encode(w)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // ReadFile strictly decodes the trace stored at path.

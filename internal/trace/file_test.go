@@ -118,6 +118,40 @@ func TestAtomicWriteFileReplaces(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteFileMode: AtomicWriteFile and WriteFile give the target
+// the mode os.Create gives a new file in the same directory (0666 less the
+// umask), not the 0600 of os.CreateTemp.
+func TestAtomicWriteFileMode(t *testing.T) {
+	dir := t.TempDir()
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Mode()
+	}
+	created := filepath.Join(dir, "created")
+	f, err := os.Create(created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	raw, tr := filepath.Join(dir, "raw.ckpt"), filepath.Join(dir, "out.trace")
+	if _, err := AtomicWriteFile(raw, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteFile(tr, smallTrace(t)); err != nil {
+		t.Fatal(err)
+	}
+	want := mode(created)
+	for _, path := range []string{raw, tr} {
+		if got := mode(path); got != want {
+			t.Errorf("%s has mode %v, want %v as from os.Create", filepath.Base(path), got, want)
+		}
+	}
+}
+
 // TestWriteFileRoundTrip keeps the encode-through-temp-file path honest
 // after the durability refactor.
 func TestWriteFileRoundTrip(t *testing.T) {

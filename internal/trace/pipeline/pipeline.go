@@ -414,35 +414,28 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	runStart := time.Now()
 	results := make([]*core.Profile, len(p.threads))
 	errs := make([]error, len(p.threads))
-	if workers == 1 {
-		for i, tp := range p.threads {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				break
-			}
+	// The context is checked once a slot is free, so a cancellation skips
+	// every thread not yet started; with one slot the pool runs the
+	// threads one after another.
+	var wg sync.WaitGroup
+	queueHist := reg.Histogram("pipeline/queue_wait_ns")
+	sem := make(chan struct{}, workers)
+	for i, tp := range p.threads {
+		enqueued := time.Now()
+		sem <- struct{}{}
+		queueHist.Observe(uint64(time.Since(enqueued)))
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			break
+		}
+		wg.Add(1)
+		go func(i int, tp *threadPlan) {
+			defer wg.Done()
 			results[i], errs[i] = analyze(ctx, i, tp)
-		}
-	} else {
-		var wg sync.WaitGroup
-		queueHist := reg.Histogram("pipeline/queue_wait_ns")
-		sem := make(chan struct{}, workers)
-		for i, tp := range p.threads {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				break
-			}
-			wg.Add(1)
-			enqueued := time.Now()
-			sem <- struct{}{}
-			queueHist.Observe(uint64(time.Since(enqueued)))
-			go func(i int, tp *threadPlan) {
-				defer wg.Done()
-				results[i], errs[i] = analyze(ctx, i, tp)
-				<-sem
-			}(i, tp)
-		}
-		wg.Wait()
+			<-sem
+		}(i, tp)
 	}
+	wg.Wait()
 	if reg != nil {
 		reg.Counter("pipeline/threads_analyzed").Add(uint64(len(p.threads)))
 		if wall := time.Since(runStart); wall > 0 && workers > 0 {

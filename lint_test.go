@@ -22,6 +22,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // lintDirs are the directories whose exported symbols must be documented.
@@ -85,10 +87,14 @@ func TestRequiredDocs(t *testing.T) {
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
 // benchCite matches an inline code span or a link target; benchFile
-// matches a BENCH file named inside one.
+// matches a BENCH file named inside one. experimentRun captures the id list
+// of an `aprof-experiments ... -run <ids>` command and experimentBare the id
+// of an `aprof-experiments <id>` command that ends there.
 var (
-	benchCite = regexp.MustCompile("`[^`\n]*`|\\]\\([^)\\s]*\\)")
-	benchFile = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+	benchCite      = regexp.MustCompile("`[^`\n]*`|\\]\\([^)\\s]*\\)")
+	benchFile      = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+	experimentRun  = regexp.MustCompile("aprof-experiments\\b[^`\n]*?[ \t]-run[ \t=]+([A-Za-z0-9_.,]+)")
+	experimentBare = regexp.MustCompile("(?m)aprof-experiments[ \t]+([A-Za-z0-9_.]+)[ \t]*(?:$|[`#|;)])")
 )
 
 // TestDocLinksResolve sweeps every markdown file at the repo root and
@@ -96,8 +102,9 @@ var (
 // exists, so cross-references cannot silently rot as the tree moves. A
 // BENCH file that README.md, EXPERIMENTS.md or docs/*.md names in code or
 // in a link must also exist at the root and record under env the num_cpu
-// it was measured with; the other root documents, ROADMAP.md and CHANGES.md
-// among them, are history and may name deleted ones.
+// it was measured with, and an aprof-experiments command there must name
+// experiments that exist (or "all"); the other root documents, ROADMAP.md
+// and CHANGES.md among them, are history and may name deleted ones.
 func TestDocLinksResolve(t *testing.T) {
 	var files []string
 	for _, pat := range []string{"*.md", "docs/*.md"} {
@@ -138,6 +145,15 @@ func TestDocLinksResolve(t *testing.T) {
 			for _, name := range benchFile.FindAllString(cite, -1) {
 				if err := checkBenchFile(name); err != nil {
 					t.Errorf("%s cites %s: %v", file, name, err)
+				}
+			}
+		}
+		for _, re := range []*regexp.Regexp{experimentRun, experimentBare} {
+			for _, m := range re.FindAllStringSubmatch(string(src), -1) {
+				for _, id := range strings.Split(m[1], ",") {
+					if _, err := experiments.Get(id); err != nil && id != "all" {
+						t.Errorf("%s: %q cites experiment %q, which does not exist", file, m[0], id)
+					}
 				}
 			}
 		}
