@@ -171,7 +171,12 @@ func RunMetamorph(cfg MetamorphConfig) (*MetamorphResult, error) { return invari
 
 // Trace types.
 type (
-	// TraceRecorder records executions for offline analysis (a Tool).
+	// TraceRecorder records executions in memory for offline analysis (a
+	// Tool): a StreamTraceRecorder whose output is strictly decoded when
+	// the run finishes. Like it, it refuses a memory access at or above
+	// 2^39, the top of the shadowed address space, and an alloc or free
+	// running past it: Err and Close report the error, and Trace returns
+	// nil.
 	TraceRecorder = trace.Recorder
 	// StreamTraceRecorder records straight to an io.Writer in checksummed
 	// segments, so a killed run leaves a partially recoverable file (a Tool).

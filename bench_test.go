@@ -437,21 +437,17 @@ func recordedTrace(b *testing.B, name string, params workloads.Params) *trace.Tr
 	return rec.Trace()
 }
 
-// annotatedTrace captures one workload execution through the streaming
-// recorder, so the trace carries stamp annotations and the pipeline needs
-// no offline Annotate pass.
+// annotatedTrace captures one workload execution with stamp annotations,
+// so the pipeline needs no offline Annotate pass.
 func annotatedTrace(b *testing.B, name string, params workloads.Params) *trace.Trace {
 	b.Helper()
-	var buf bytes.Buffer
-	rec := trace.NewStreamRecorder(&buf)
+	rec := trace.NewRecorder()
+	rec.SetAnnotations(true)
 	runWorkload(b, name, params, rec)
 	if err := rec.Close(); err != nil {
 		b.Fatal(err)
 	}
-	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := rec.Trace()
 	if !tr.Annotated {
 		b.Fatal("streamed trace not annotated")
 	}

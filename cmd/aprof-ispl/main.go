@@ -21,7 +21,6 @@ import (
 	"repro/internal/ispl"
 	"repro/internal/profflag"
 	"repro/internal/report"
-	"repro/internal/shadow"
 )
 
 func main() {
@@ -51,7 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aprof-ispl:", err)
 		os.Exit(1)
 	}
-	shadow.PublishTelemetry(reg)
 	if err := prof.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "aprof-ispl:", err)
 		os.Exit(1)

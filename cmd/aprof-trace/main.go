@@ -51,7 +51,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -67,7 +66,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profflag"
 	"repro/internal/report"
-	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -77,14 +75,6 @@ import (
 func stderrIsTTY() bool {
 	st, err := os.Stderr.Stat()
 	return err == nil && st.Mode()&os.ModeCharDevice != 0
-}
-
-// publishLayers copies the process-wide shadow-memory and trace-I/O
-// tallies into reg so a -telemetry snapshot covers every layer, not just
-// the ones with per-run registries. Safe with a nil registry.
-func publishLayers(reg *telemetry.Registry) {
-	shadow.PublishTelemetry(reg)
-	trace.PublishTelemetry(reg)
 }
 
 func main() {
@@ -208,7 +198,7 @@ func record(args []string) error {
 			stopper.stop.Store(true)
 		}
 	}()
-	interrupted, err := recordTrace(*out, *workload, params, *annotate, progress, stopper)
+	rec, interrupted, err := recordTrace(*out, *workload, params, *annotate, progress, stopper)
 	signal.Stop(sigc)
 	pl.Done()
 	est.Finish()
@@ -216,22 +206,16 @@ func record(args []string) error {
 		return err
 	}
 	if interrupted {
-		publishLayers(reg)
 		if err := prof.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, "record:", err)
 		}
 		fmt.Fprintf(os.Stderr, "record: interrupted; partial trace flushed to %s (it decodes cleanly up to the interruption)\n", *out)
 		return fmt.Errorf("record: %s", stopSentinel)
 	}
-	tr, err := aprof.ReadTraceFile(*out)
-	if err != nil {
-		return fmt.Errorf("record: re-reading %s: %w", *out, err)
-	}
-	if tr.Annotated {
+	if rec.Annotated() {
 		fmt.Printf("trace is analysis-ready (stamp annotations recorded)\n")
 	}
-	fmt.Printf("recorded %d events from %s to %s\n", tr.NumEvents(), *workload, *out)
-	publishLayers(reg)
+	fmt.Printf("recorded %d events from %s to %s\n", rec.Events(), *workload, *out)
 	return prof.Stop()
 }
 
@@ -241,11 +225,12 @@ func record(args []string) error {
 // it: the recorder flushes its in-flight segment and footer either way, so
 // the trace at path decodes strictly. A killed run leaves the temporary
 // file beside path for analyze -recover. progress, when non-nil, receives
-// the recorder's event/segment/byte tallies as segments are flushed.
+// the recorder's event/segment/byte tallies as segments are flushed. The
+// returned recorder's tallies describe the file written.
 func recordTrace(path, workload string, params aprof.WorkloadParams, annotate bool,
-	progress func(events, segments int, bytes int64), stopper *stopTool) (interrupted bool, err error) {
+	progress func(events, segments int, bytes int64), stopper *stopTool) (rec *aprof.StreamTraceRecorder, interrupted bool, err error) {
 	err = trace.AtomicWrite(path, func(w io.Writer) error {
-		rec := aprof.NewStreamRecorder(w)
+		rec = aprof.NewStreamRecorder(w)
 		rec.SetAnnotations(annotate)
 		rec.SetTelemetry(params.Telemetry)
 		if progress != nil {
@@ -258,7 +243,7 @@ func recordTrace(path, workload string, params aprof.WorkloadParams, annotate bo
 		}
 		return rec.Close()
 	})
-	return interrupted, err
+	return rec, interrupted, err
 }
 
 // verify walks the trace's blocks, reports per-block diagnostics, and exits
@@ -446,7 +431,7 @@ func replay(args []string) error {
 	if err := prof.Start(); err != nil {
 		return err
 	}
-	p, err := aprof.ProfileTrace(tr, *tieSeed, aprof.Options{})
+	p, err := aprof.ProfileTrace(tr, *tieSeed, aprof.Options{Telemetry: prof.Registry()})
 	if err != nil {
 		return err
 	}
@@ -597,7 +582,6 @@ func analyze(args []string) error {
 	if err != nil {
 		// An aborted analysis still surfaces its partial telemetry, and —
 		// with -snapshot — leaves its partial profile behind.
-		publishLayers(reg)
 		if stopErr := prof.Stop(); stopErr != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", stopErr)
 		}
@@ -620,19 +604,18 @@ func analyze(args []string) error {
 			len(p.Diff(inline)))
 	}
 	printProfile(p, *top)
-	publishLayers(reg)
 	return prof.Stop()
 }
 
-// recordInProcess runs the workload with a streaming recorder and an inline
-// profiler attached, then strictly decodes the recorded bytes: the returned
-// trace has passed the same checksum walk a file round-trip would, and the
-// inline profile lets analyze cross-check the pipeline result. progress,
-// when non-nil, receives the recorder's event/segment/byte tallies as the
-// run advances.
+// recordInProcess runs the workload with an annotating in-memory recorder
+// and an inline profiler attached: the returned trace has been strictly
+// decoded from the recorded bytes, passing the same checksum walk a file
+// round-trip would, and the inline profile lets analyze cross-check the
+// pipeline result. progress, when non-nil, receives the recorder's
+// event/segment/byte tallies as the run advances.
 func recordInProcess(name string, params aprof.WorkloadParams, reg *aprof.TelemetryRegistry, progress func(events, segments int, bytes int64)) (*aprof.Trace, *aprof.Profile, error) {
-	var buf bytes.Buffer
-	rec := aprof.NewStreamRecorder(&buf)
+	rec := aprof.NewRecorder()
+	rec.SetAnnotations(true)
 	rec.SetTelemetry(reg)
 	if progress != nil {
 		rec.SetProgress(progress)
@@ -642,13 +625,9 @@ func recordInProcess(name string, params aprof.WorkloadParams, reg *aprof.Teleme
 		return nil, nil, err
 	}
 	if err := rec.Close(); err != nil {
-		return nil, nil, fmt.Errorf("analyze: encoding %s: %w", name, err)
+		return nil, nil, fmt.Errorf("analyze: recording %s: %w", name, err)
 	}
-	tr, err := aprof.DecodeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, nil, fmt.Errorf("analyze: decoding %s: %w", name, err)
-	}
-	return tr, inline.Profile(), nil
+	return rec.Trace(), inline.Profile(), nil
 }
 
 // printProfile renders a profile as a per-routine summary table, heaviest

@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profflag"
 	"repro/internal/report"
-	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -77,8 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aprof:", err)
 		os.Exit(1)
 	}
-	shadow.PublishTelemetry(reg)
-	trace.PublishTelemetry(reg)
 	if err := prof.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "aprof:", err)
 		os.Exit(1)
@@ -163,6 +160,7 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 	}
 
 	var m *aprof.Machine
+	var rec *aprof.StreamTraceRecorder
 	var err error
 	if o.record == "" {
 		m, err = aprof.RunWorkload(workload, params, tls...)
@@ -170,7 +168,7 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 		// -record streams annotated segments into the temporary file of an
 		// atomic write, renamed over the target once the run ends.
 		err = trace.AtomicWrite(o.record, func(w io.Writer) error {
-			rec := aprof.NewStreamRecorder(w)
+			rec = aprof.NewStreamRecorder(w)
 			var runErr error
 			if m, runErr = aprof.RunWorkload(workload, params, append(tls, rec)...); runErr != nil {
 				return runErr
@@ -184,12 +182,8 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 	fmt.Printf("workload %s: %d threads, %d basic blocks, %d guest operations\n\n",
 		workload, m.NumThreads(), m.BBTotal(), m.Ops())
 
-	if o.record != "" {
-		tr, err := aprof.ReadTraceFile(o.record)
-		if err != nil {
-			return fmt.Errorf("re-reading recording: %w", err)
-		}
-		fmt.Printf("trace: %d events written to %s\n\n", tr.NumEvents(), o.record)
+	if rec != nil {
+		fmt.Printf("trace: %d events written to %s\n\n", rec.Events(), o.record)
 	}
 
 	if prof == nil {

@@ -144,19 +144,19 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Workload: cfg.Workload, Report: &Report{}}
 
-	// Baseline: one run with the checked inline profiler and the streaming
+	// Baseline: one run with the checked inline profiler and the annotating
 	// recorder side by side. The recorded trace feeds every re-analysis
 	// variant; the exported inline profile is the reference output.
-	var buf bytes.Buffer
-	rec := trace.NewStreamRecorder(&buf)
+	rec := trace.NewRecorder()
+	rec.SetAnnotations(true)
 	base, err := runInline(spec, cfg.Params, core.Options{CheckLevel: cfg.Level}, res.Report, rec)
 	if err != nil {
 		return nil, fmt.Errorf("invariant: baseline run: %w", err)
 	}
-	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, fmt.Errorf("invariant: decoding baseline trace: %w", err)
+	if err := rec.Close(); err != nil {
+		return nil, fmt.Errorf("invariant: recording baseline trace: %w", err)
 	}
+	tr := rec.Trace()
 	res.Threads = len(tr.Threads)
 	for i := range tr.Threads {
 		res.Events += len(tr.Threads[i].Events)
@@ -385,18 +385,18 @@ func rerunExport(spec workloads.Spec, params workloads.Params, rep *Report, muta
 // baseline.
 func segmentVariant(spec workloads.Spec, params workloads.Params, baseTr *trace.Trace, base []byte, n int) Variant {
 	v := Variant{Name: fmt.Sprintf("segment=%d", n), Strict: true}
-	var buf bytes.Buffer
-	rec := trace.NewStreamRecorder(&buf)
+	rec := trace.NewRecorder()
+	rec.SetAnnotations(true)
 	rec.SetSegmentEvents(n)
 	if _, err := workloads.Run(spec, params, rec); err != nil {
 		v.Detail = err.Error()
 		return v
 	}
-	tr, err := trace.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		v.Detail = "decode: " + err.Error()
+	if err := rec.Close(); err != nil {
+		v.Detail = "record: " + err.Error()
 		return v
 	}
+	tr := rec.Trace()
 	if !tracesEqual(baseTr, tr) {
 		v.Detail = "re-recorded trace differs from baseline trace"
 		return v

@@ -11,7 +11,9 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/obs"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Flags holds the profiling and telemetry destinations parsed from a
@@ -66,12 +68,15 @@ func (p *Flags) Start() error {
 	return nil
 }
 
-// Stop shuts down the observability server, finishes the CPU profile,
-// flushes the telemetry snapshot and the execution trace, and, if
+// Stop copies the process-wide shadow-memory and trace-I/O tallies into
+// the registry, shuts down the observability server, finishes the CPU
+// profile, flushes the telemetry snapshot and the execution trace, and, if
 // -memprofile was given, writes a heap profile after a final garbage
 // collection. It is safe to call even if Start failed or none of the
 // outputs were requested.
 func (p *Flags) Stop() error {
+	shadow.PublishTelemetry(p.Registry())
+	trace.PublishTelemetry(p.Registry())
 	if err := p.stopObs(); err != nil {
 		return err
 	}

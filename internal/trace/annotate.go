@@ -83,8 +83,8 @@ func (tr *Trace) StripAnnotations() {
 //
 // Annotations are kept per ThreadTrace, so Annotate rejects traces they
 // cannot describe: two ThreadTraces with the same ID, or an event whose
-// Thread differs from its ThreadTrace's ID. Recorders, the decoders and
-// Combine never produce either. A memory access, alloc or free outside the
+// Thread differs from its ThreadTrace's ID. Recorders and the decoders
+// never produce either. A memory access, alloc or free outside the
 // analysed address space is an *AddressError.
 func Annotate(ctx context.Context, tr *Trace, tieSeed int64) (*Trace, error) {
 	out := *tr

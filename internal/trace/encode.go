@@ -28,12 +28,11 @@ const formatVersion = 2
 func FormatVersion() byte { return formatVersion }
 
 // VersionError reports a trace wire-format version the current code cannot
-// process: Decode returns it for traces written by an unknown format
-// revision, and Combine returns it when asked to join traces of differing
-// versions. Unwrap with errors.As.
+// process: the decoders return it for traces written by an unknown format
+// revision. Unwrap with errors.As.
 type VersionError struct {
-	// Want is the version this build supports (Decode) or the version of
-	// the first trace (Combine); Got is the offending version.
+	// Want is the version this build supports; Got is the offending
+	// version.
 	Want, Got byte
 }
 

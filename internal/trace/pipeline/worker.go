@@ -233,7 +233,7 @@ func (w *worker[C]) step(e *trace.Event) bool {
 
 	case trace.KindSwitch:
 		// An explicitly recorded switch event (never produced by the
-		// Recorder, but legal in hand-built traces) bumps the counter
+		// recorders, but legal in hand-built traces) bumps the counter
 		// like a synthesized one.
 		w.count++
 

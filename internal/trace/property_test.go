@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -298,67 +297,6 @@ func TestQuickBatchedDispatchISPL(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickCombineSplitRoundTrip: splitting an arbitrary trace's threads
-// into shards and combining them back preserves the merged event stream,
-// while any shard with a mismatched header version is rejected with the
-// typed error.
-func TestQuickCombineSplitRoundTrip(t *testing.T) {
-	f := func(raw []struct {
-		Tid   uint8
-		Delta uint8
-	}, cut uint8, badVersion byte) bool {
-		tr := &trace.Trace{Routines: []string{"r"}}
-		perTh := make(map[guest.ThreadID]*trace.ThreadTrace)
-		var order []guest.ThreadID
-		clock := make(map[guest.ThreadID]uint64)
-		for i, r := range raw {
-			tid := guest.ThreadID(r.Tid%4) + 1
-			tt := perTh[tid]
-			if tt == nil {
-				tt = &trace.ThreadTrace{ID: tid}
-				perTh[tid] = tt
-				order = append(order, tid)
-			}
-			clock[tid] += uint64(r.Delta)
-			tt.Events = append(tt.Events, trace.Event{TS: clock[tid], Thread: tid, Kind: trace.KindRead, Arg: uint64(i)})
-		}
-		for _, tid := range order {
-			tr.Threads = append(tr.Threads, *perTh[tid])
-		}
-
-		k := int(cut) % (len(tr.Threads) + 1)
-		a := &trace.Trace{Routines: tr.Routines, Threads: tr.Threads[:k]}
-		b := &trace.Trace{Routines: tr.Routines, Threads: tr.Threads[k:]}
-		combined, err := trace.Combine(a, b)
-		if err != nil {
-			return false
-		}
-		got := trace.Merge(combined, 42)
-		want := trace.Merge(tr, 42)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-
-		if badVersion > trace.FormatVersion() && len(b.Threads) > 0 {
-			b.Version = badVersion
-			_, err := trace.Combine(a, b)
-			var ve *trace.VersionError
-			if !errors.As(err, &ve) || ve.Got != badVersion {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -174,7 +174,7 @@ func (r *RecoveryReport) String() string {
 // whose checksum verifies is salvaged, and the report records what was
 // dropped and why (checksum mismatch vs. truncation vs. framing damage,
 // with file offsets). The returned trace contains all intact segments in
-// file order and feeds through Combine, Replay and the analysis pipeline
+// file order and feeds through Replay and the analysis pipeline
 // unchanged. Recover never panics on arbitrary input.
 //
 // An error is returned only when the input cannot be identified as a trace

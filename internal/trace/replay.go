@@ -69,8 +69,10 @@ func (f *Feeder) ExtendTables(routines, syncs []string) error {
 // an error if the two disagree on their common prefix.
 func extendTable(what string, have, got []string) ([]string, error) {
 	n := min(len(have), len(got))
-	if err := sameTable(what, have[:n], got[:n]); err != nil {
-		return have, fmt.Errorf("trace: extending tables: %w", err)
+	for i := range n {
+		if have[i] != got[i] {
+			return have, fmt.Errorf("trace: extending tables: %s tables differ at id %d: %q vs %q", what, i, have[i], got[i])
+		}
 	}
 	return append(have, got[n:]...), nil
 }

@@ -15,8 +15,8 @@ import (
 // it references — is framed, checksummed and written out immediately. A
 // recording run killed at any point therefore leaves a file from which
 // Recover salvages every completed segment; only the unflushed tails (at
-// most the segment bound per thread) are lost. Contrast Recorder + Encode,
-// which buffer the whole execution in memory and write all-or-nothing.
+// most the segment bound per thread) are lost. Recorder is this recorder
+// writing into memory and decoding the result when the run finishes.
 //
 // Each callback is handled once: its events are encoded straight into
 // their thread's open segment, and by default the annotator of annotate.go
@@ -130,6 +130,15 @@ func (r *StreamRecorder) Err() error { return r.err }
 
 // Written returns the number of bytes successfully written so far.
 func (r *StreamRecorder) Written() int64 { return r.written }
+
+// Events returns the number of events written out in segments so far:
+// after Close, every event the decoded stream holds.
+func (r *StreamRecorder) Events() int { return r.events }
+
+// Annotated reports, after Close, whether the stream carries stamp
+// annotations of complete coverage, which the decoder keeps: annotations
+// were on, their timestamp guard held, and there is at least one event.
+func (r *StreamRecorder) Annotated() bool { return r.ann != nil && r.events > 0 }
 
 // Close flushes any buffered segments and the footer if the run's Finish
 // hook has not already done so, and returns the first write error of the
@@ -392,8 +401,8 @@ func (r *StreamRecorder) encodeMem(st *streamThread, ts uint64, events []guest.M
 	return true
 }
 
-// SwitchThread implements guest.Tool: switches are dropped, as in Recorder
-// (the merge step re-synthesizes them).
+// SwitchThread implements guest.Tool: switches are dropped (the merge step
+// re-synthesizes them).
 func (r *StreamRecorder) SwitchThread(from, to guest.ThreadID) {}
 
 // ThreadStart implements guest.Tool.

@@ -18,13 +18,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestStreamRecorderMatchesRecorder runs the in-memory Recorder and the
+// TestStreamRecorderMatchesRecorder runs the reference recorder and the
 // StreamRecorder side by side over the same execution: the streamed file
 // must decode strictly (footer and all) to the same per-thread events, even
 // with a tiny segment bound forcing many flushes.
 func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	rec := trace.NewRecorder()
+	rec := newRefRecorder()
 	sr := trace.NewStreamRecorder(&buf)
 	sr.SetSegmentEvents(8)
 	exampleRun(t, 5, rec, sr)
@@ -39,7 +39,7 @@ func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("strict decode of streamed trace: %v", err)
 	}
-	want := rec.Trace()
+	want := rec.trace
 	if streamed.NumEvents() != want.NumEvents() {
 		t.Fatalf("streamed %d events, recorder saw %d", streamed.NumEvents(), want.NumEvents())
 	}
@@ -67,14 +67,14 @@ func TestStreamRecorderMatchesRecorder(t *testing.T) {
 func TestStreamRecorderCrashSalvage(t *testing.T) {
 	// Reference run to size the full encoding.
 	var full bytes.Buffer
-	rec := trace.NewRecorder()
+	rec := newRefRecorder()
 	srFull := trace.NewStreamRecorder(&full)
 	srFull.SetSegmentEvents(8)
 	exampleRun(t, 5, rec, srFull)
 	if err := srFull.Close(); err != nil {
 		t.Fatal(err)
 	}
-	refEvents := threadEvents(rec.Trace())
+	refEvents := threadEvents(rec.trace)
 
 	for _, frac := range []int{4, 2, 3} {
 		limit := int64(full.Len() * (frac - 1) / frac)

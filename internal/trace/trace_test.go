@@ -302,69 +302,6 @@ func TestReplayTieSeedIrrelevantForRealTraces(t *testing.T) {
 	}
 }
 
-// TestCombineShards rebuilds a full trace from per-thread shards and checks
-// the combined trace merges and replays exactly like the original.
-func TestCombineShards(t *testing.T) {
-	rec := trace.NewRecorder()
-	exampleRun(t, 4, rec)
-	whole := rec.Trace()
-
-	var shards []*trace.Trace
-	for i := range whole.Threads {
-		shards = append(shards, &trace.Trace{
-			Routines: whole.Routines,
-			Syncs:    whole.Syncs,
-			Threads:  []trace.ThreadTrace{whole.Threads[i]},
-		})
-	}
-	combined, err := trace.Combine(shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combined.NumEvents() != whole.NumEvents() {
-		t.Fatalf("combined has %d events, want %d", combined.NumEvents(), whole.NumEvents())
-	}
-	a := core.New(core.Options{})
-	b := core.New(core.Options{})
-	if err := trace.Replay(whole, 3, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Replay(combined, 3, b); err != nil {
-		t.Fatal(err)
-	}
-	if diffs := a.Profile().Diff(b.Profile()); len(diffs) > 0 {
-		t.Errorf("combined shards replay differently:\n%v", diffs)
-	}
-}
-
-// TestCombineRejectsVersionMismatch: joining traces of different wire-format
-// versions must fail with the typed *trace.VersionError instead of silently
-// producing a garbage interleaving.
-func TestCombineRejectsVersionMismatch(t *testing.T) {
-	a := &trace.Trace{Routines: []string{"r"}, Threads: []trace.ThreadTrace{{ID: 1}}}
-	b := &trace.Trace{Version: 99, Routines: []string{"r"}, Threads: []trace.ThreadTrace{{ID: 2}}}
-	_, err := trace.Combine(a, b)
-	var ve *trace.VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("Combine error = %v, want *trace.VersionError", err)
-	}
-	if ve.Want != trace.FormatVersion() || ve.Got != 99 {
-		t.Errorf("VersionError = %+v, want Want=%d Got=99", ve, trace.FormatVersion())
-	}
-}
-
-// TestCombineRejectsIncompatibleShards covers the remaining structural
-// guards: diverging name tables and duplicate thread ids.
-func TestCombineRejectsIncompatibleShards(t *testing.T) {
-	base := &trace.Trace{Routines: []string{"r"}, Threads: []trace.ThreadTrace{{ID: 1}}}
-	if _, err := trace.Combine(base, &trace.Trace{Routines: []string{"other"}, Threads: []trace.ThreadTrace{{ID: 2}}}); err == nil {
-		t.Error("Combine accepted diverging routine tables")
-	}
-	if _, err := trace.Combine(base, &trace.Trace{Routines: []string{"r"}, Threads: []trace.ThreadTrace{{ID: 1}}}); err == nil {
-		t.Error("Combine accepted duplicate thread ids")
-	}
-}
-
 // TestDecodeVersionError: decoding a future-format trace yields the typed
 // version error, and decoded traces carry their wire version.
 func TestDecodeVersionError(t *testing.T) {

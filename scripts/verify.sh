@@ -9,7 +9,7 @@
 #           tests and the parallel decode fill test under it ten times
 #   -fuzz   additionally run 30-second fuzz smokes of the trace decoder,
 #           the recovery paths, the stream decoder, the aprofd wire
-#           protocol and the aprofd tenant checkpoint
+#           protocol, the aprofd tenant checkpoint and the ISPL compiler
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -132,6 +132,8 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzProtocol -fuzztime=30s ./internal/daemon
 	echo "== fuzz smoke: FuzzTenantCheckpoint (30s)"
 	go test -fuzz=FuzzTenantCheckpoint -fuzztime=30s ./internal/daemon
+	echo "== fuzz smoke: FuzzCompile (30s)"
+	go test -fuzz=FuzzCompile -fuzztime=30s ./internal/ispl
 fi
 
 echo "verify: all checks passed"
