@@ -282,16 +282,17 @@ func BenchmarkAblationRenumber(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationShadow compares the paper's three-level shadow memory
-// with a flat map under a profiler-like access pattern.
+// BenchmarkAblationShadow compares the chunked shadow memory (a chunk
+// directory behind a cursor) with a flat map under a profiler-like access
+// pattern.
 func BenchmarkAblationShadow(b *testing.B) {
 	const cells = 1 << 16
-	b.Run("three-level", func(b *testing.B) {
-		t := shadow.NewTable[uint32]()
+	b.Run("chunk-directory", func(b *testing.B) {
+		c := shadow.NewTable[uint32]().Cursor()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a := guest.Addr(uint64(i*2654435761) % cells)
-			s := t.Slot(a)
+			s := c.Slot(a)
 			if *s < uint32(i) {
 				*s = uint32(i)
 			}

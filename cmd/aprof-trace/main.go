@@ -11,7 +11,6 @@
 //	aprof-trace analyze run.trace [-workers 4 -tieseed 7 -recover -json -max-events N -timeout 30s -export prof.json]
 //	aprof-trace analyze run.trace -snapshot live.json [-snapshot-interval 10s]
 //	aprof-trace analyze -workload mysqld [-threads 8 -size 12]
-//	aprof-trace stats run.trace
 //	aprof-trace check [-workload mysqld | -suite micro] [-level deep -renumber 64 -quick -v]
 //
 // replay and analyze compute the same profile; replay drives the inline
@@ -95,8 +94,6 @@ func main() {
 		err = replay(os.Args[2:])
 	case "analyze":
 		err = analyze(os.Args[2:])
-	case "stats":
-		err = stats(os.Args[2:])
 	case "check":
 		err = check(os.Args[2:])
 	default:
@@ -109,7 +106,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: aprof-trace record|info|dump|verify|replay|analyze|stats|check ...")
+	fmt.Fprintln(os.Stderr, "usage: aprof-trace record|info|dump|verify|replay|analyze|check ...")
 	os.Exit(2)
 }
 
@@ -337,19 +334,24 @@ func info(args []string) error {
 	if tr.Annotated {
 		ann = ", stamp-annotated"
 	}
-	fmt.Printf("trace %s: %d threads, %d events, %d routines, %d sync objects%s\n",
-		args[0], len(tr.Threads), tr.NumEvents(), len(tr.Routines), len(tr.Syncs), ann)
-	var rows [][]string
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		first, last := uint64(0), uint64(0)
-		if len(tt.Events) > 0 {
-			first, last = tt.Events[0].TS, tt.Events[len(tt.Events)-1].TS
+	st := trace.ComputeStats(tr)
+	fmt.Printf("trace %s: %d threads, %d events, %d routines, %d sync objects, timestamp span %d%s\n\n",
+		args[0], st.Threads, st.Events, len(tr.Routines), len(tr.Syncs), st.Span, ann)
+	var kindRows [][]string
+	for k := trace.Kind(0); int(k) < 16; k++ {
+		if n := st.ByKind[k]; n > 0 {
+			kindRows = append(kindRows, []string{k.String(), fmt.Sprint(n)})
 		}
-		rows = append(rows, []string{fmt.Sprint(tt.ID), fmt.Sprint(len(tt.Events)),
-			fmt.Sprint(first), fmt.Sprint(last)})
 	}
-	report.Table(os.Stdout, []string{"thread", "events", "first ts", "last ts"}, rows)
+	report.Table(os.Stdout, []string{"event kind", "count"}, kindRows)
+	fmt.Println()
+	var rows [][]string
+	for _, ts := range st.PerThread {
+		rows = append(rows, []string{fmt.Sprint(ts.ID), fmt.Sprint(ts.Events),
+			fmt.Sprint(ts.FirstTS), fmt.Sprint(ts.LastTS), fmt.Sprint(ts.Reads),
+			fmt.Sprint(ts.Writes), fmt.Sprint(ts.KernelIO), fmt.Sprint(ts.Calls)})
+	}
+	report.Table(os.Stdout, []string{"thread", "events", "first ts", "last ts", "reads", "writes", "kernel I/O", "calls"}, rows)
 	return nil
 }
 
@@ -383,33 +385,6 @@ func dump(args []string) error {
 		emit(*e)
 		last = e
 	})
-	return nil
-}
-
-func stats(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("stats: trace file required")
-	}
-	tr, err := load(args[0])
-	if err != nil {
-		return err
-	}
-	st := trace.ComputeStats(tr)
-	fmt.Printf("%d events, %d threads, timestamp span %d\n\n", st.Events, st.Threads, st.Span)
-	var kindRows [][]string
-	for k := trace.Kind(0); int(k) < 16; k++ {
-		if n := st.ByKind[k]; n > 0 {
-			kindRows = append(kindRows, []string{k.String(), fmt.Sprint(n)})
-		}
-	}
-	report.Table(os.Stdout, []string{"event kind", "count"}, kindRows)
-	fmt.Println()
-	var thRows [][]string
-	for _, ts := range st.PerThread {
-		thRows = append(thRows, []string{fmt.Sprint(ts.ID), fmt.Sprint(ts.Events),
-			fmt.Sprint(ts.Reads), fmt.Sprint(ts.Writes), fmt.Sprint(ts.KernelIO), fmt.Sprint(ts.Calls)})
-	}
-	report.Table(os.Stdout, []string{"thread", "events", "reads", "writes", "kernel I/O", "calls"}, thRows)
 	return nil
 }
 

@@ -225,12 +225,13 @@ func cmpTS(v, w uint32) int8 {
 // preserve. Called (under CheckDeep) before the remapping begins.
 func (p *Profiler) snapshotRelations() *renumberSnap {
 	snap := &renumberSnap{}
+	gc := p.global.Cursor()
 	for _, tv := range p.threads {
 		ts := threadRelSnap{tv: tv}
 		ts.cells = make([]cellRel, 0, tv.ts.NonZero())
 		stack := tv.stack
 		tv.ts.Range(func(a guest.Addr, v uint32) {
-			w := uint32(p.global.Peek(a) >> 32)
+			w := uint32(gc.Peek(a) >> 32)
 			ts.cells = append(ts.cells, cellRel{
 				addr: a,
 				rel:  cmpTS(v, w),
@@ -255,8 +256,10 @@ func (p *Profiler) snapshotRelations() *renumberSnap {
 // preserves the algorithm's behavior even though the stored value hits the
 // zero sentinel.
 func (p *Profiler) verifyRenumber(snap *renumberSnap, newCount uint32) {
+	gc := p.global.Cursor()
 	for _, ts := range snap.threads {
 		tv := ts.tv
+		tc := tv.ts.Cursor()
 		for i := 1; i < len(tv.stack); i++ {
 			if tv.stack[i-1].TS >= tv.stack[i].TS {
 				p.violatef("renumber/order", tv.id, p.routineName(tv.stack[i].Rtn),
@@ -265,8 +268,8 @@ func (p *Profiler) verifyRenumber(snap *renumberSnap, newCount uint32) {
 			}
 		}
 		for _, c := range ts.cells {
-			nv := tv.ts.Peek(c.addr)
-			nw := uint32(p.global.Peek(c.addr) >> 32)
+			nv := tc.Peek(c.addr)
+			nw := uint32(gc.Peek(c.addr) >> 32)
 			if nv >= newCount {
 				p.violatef("renumber/bound", tv.id, "",
 					"cell %#x remapped timestamp %d >= new counter %d", uint64(c.addr), nv, newCount)
@@ -294,7 +297,7 @@ func (p *Profiler) verifyRenumber(snap *renumberSnap, newCount uint32) {
 		}
 	}
 	for _, g := range snap.global {
-		ng := p.global.Peek(g.addr)
+		ng := gc.Peek(g.addr)
 		nwts := uint32(ng >> 32)
 		if uint32(ng) != g.writer {
 			p.violatef("renumber/writer", 0, "",

@@ -92,21 +92,24 @@ func TestCheckCatchesSeededViolations(t *testing.T) {
 
 	t.Run("shadow/ts-bound", func(t *testing.T) {
 		p, tv := seeded(CheckDeep)
-		tv.ts.Set(8, p.count+50)
+		tc := tv.ts.Cursor()
+		*tc.Slot(8) = p.count + 50
 		p.checkFinish()
 		violated(t, p, "shadow/ts-bound")
 	})
 
 	t.Run("shadow/wts-bound", func(t *testing.T) {
 		p, _ := seeded(CheckDeep)
-		p.global.Set(8, uint64(p.count+50)<<32|2)
+		gc := p.global.Cursor()
+		*gc.Slot(8) = uint64(p.count+50)<<32 | 2
 		p.checkFinish()
 		violated(t, p, "shadow/wts-bound")
 	})
 
 	t.Run("shadow/writer-missing", func(t *testing.T) {
 		p, _ := seeded(CheckDeep)
-		p.global.Set(8, uint64(p.count)<<32) // timestamp without provenance
+		gc := p.global.Cursor()
+		*gc.Slot(8) = uint64(p.count) << 32 // timestamp without provenance
 		p.checkFinish()
 		violated(t, p, "shadow/writer-missing")
 	})

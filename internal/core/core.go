@@ -130,7 +130,8 @@ type Profiler struct {
 	// bits) and writer provenance (low 32 bits: 0 none, thread id + 1, or
 	// kernelWriter) of the latest write by any thread or by the kernel.
 	// gcur is its persistent cursor: the hot paths resolve global shadow
-	// cells through it, so runs of nearby addresses skip the table walk.
+	// cells through it, so runs of nearby addresses skip the chunk
+	// directory.
 	global *shadow.Table[uint64]
 	gcur   shadow.Cursor[uint64]
 
@@ -421,7 +422,7 @@ func (p *Profiler) MemBatch(t guest.ThreadID, startTS uint64, events []guest.Mem
 	// Persistent shadow cursors: guest access patterns are overwhelmingly
 	// sequential and batches are short, so keeping the cursors across
 	// batches lets nearly every event hit a cached chunk and skip the
-	// shadow-table walk.
+	// shadow table's chunk directory.
 	tsc := &tv.tsc
 	gc := &p.gcur
 	rmsOnly := p.opts.RMSOnly

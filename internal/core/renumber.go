@@ -78,6 +78,7 @@ func (p *Profiler) renumber() {
 
 	// Remap per-thread shadow memories first: they need each cell's *old*
 	// global write timestamp.
+	gc := p.global.Cursor()
 	for _, tv := range p.threads {
 		tv.ts.RangeChunks(func(base guest.Addr, vals *[shadow.ChunkSize]uint32) {
 			for off := range vals {
@@ -86,7 +87,7 @@ func (p *Profiler) renumber() {
 					continue
 				}
 				b := uint32(3 * (interval(v) + 1))
-				w := uint32(p.global.Peek(base+guest.Addr(off)) >> 32)
+				w := uint32(gc.Peek(base+guest.Addr(off)) >> 32)
 				switch {
 				case v == w:
 					// The thread wrote the cell last.

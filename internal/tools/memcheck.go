@@ -16,6 +16,7 @@ type Memcheck struct {
 	guest.BaseTool
 
 	state *shadow.Table[uint8]
+	cur   shadow.Cursor[uint8] // persistent cursor over state
 
 	// Error counters.
 	uninitReads    uint64
@@ -39,11 +40,13 @@ const (
 
 // NewMemcheck returns a Memcheck tool.
 func NewMemcheck() *Memcheck {
-	return &Memcheck{
+	mc := &Memcheck{
 		state:          shadow.NewTable[uint8](),
 		live:           make(map[guest.Addr]int),
 		maxErrorDetail: 16,
 	}
+	mc.cur = mc.state.Cursor()
+	return mc
 }
 
 // UninitReads returns the number of reads of undefined heap cells.
@@ -73,7 +76,7 @@ func (mc *Memcheck) report(format string, args ...any) {
 // read checks a load of cell a by thread t (or by the kernel on its
 // behalf, which reads the buffer like the thread would).
 func (mc *Memcheck) read(t guest.ThreadID, a guest.Addr) {
-	switch mc.state.Peek(a) {
+	switch mc.cur.Peek(a) {
 	case cellUndefined:
 		mc.uninitReads++
 		mc.report("thread %d: read of undefined cell %#x", t, a)
@@ -86,7 +89,7 @@ func (mc *Memcheck) read(t guest.ThreadID, a guest.Addr) {
 // write defines cell a, stored by thread t or filled with device data by
 // the kernel on its behalf.
 func (mc *Memcheck) write(t guest.ThreadID, a guest.Addr) {
-	s := mc.state.Slot(a)
+	s := mc.cur.Slot(a)
 	switch *s {
 	case cellUndefined:
 		*s = cellDefined
@@ -111,7 +114,7 @@ func (mc *Memcheck) MemBatch(t guest.ThreadID, _ uint64, events []guest.MemEvent
 func (mc *Memcheck) Alloc(t guest.ThreadID, base guest.Addr, n int) {
 	mc.live[base] = n
 	for i := 0; i < n; i++ {
-		mc.state.Set(base+guest.Addr(i), cellUndefined)
+		*mc.cur.Slot(base + guest.Addr(i)) = cellUndefined
 	}
 }
 
@@ -124,7 +127,7 @@ func (mc *Memcheck) Free(t guest.ThreadID, base guest.Addr, n int) {
 	}
 	delete(mc.live, base)
 	for i := 0; i < n; i++ {
-		mc.state.Set(base+guest.Addr(i), cellFreed)
+		*mc.cur.Slot(base + guest.Addr(i)) = cellFreed
 	}
 }
 

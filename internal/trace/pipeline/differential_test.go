@@ -178,3 +178,46 @@ func TestEmptyTrace(t *testing.T) {
 		t.Fatalf("empty trace produced a non-empty profile: %+v", p)
 	}
 }
+
+// TestThreadReuseAfterExit: a thread id that exits and then runs again
+// starts from fresh shadow state, in the pipeline as in the sequential
+// replayer. Thread 2 writes cell 8; thread 1 reads it, exits, and reads it
+// again under the same id. Each read is a thread-induced first access,
+// because the second incarnation has not accessed the cell since that
+// write; a worker that kept reading the first incarnation's cells would
+// count the second read as plain input.
+func TestThreadReuseAfterExit(t *testing.T) {
+	tr := &trace.Trace{Routines: []string{"f"}, Threads: []trace.ThreadTrace{
+		{ID: 1, Events: []trace.Event{
+			{TS: 4, Thread: 1, Kind: trace.KindCall},
+			{TS: 5, Thread: 1, Kind: trace.KindRead, Arg: 8},
+			{TS: 6, Thread: 1, Kind: trace.KindReturn},
+			{TS: 7, Thread: 1, Kind: trace.KindThreadExit},
+			{TS: 8, Thread: 1, Kind: trace.KindCall},
+			{TS: 9, Thread: 1, Kind: trace.KindRead, Arg: 8},
+			{TS: 10, Thread: 1, Kind: trace.KindReturn},
+		}},
+		{ID: 2, Events: []trace.Event{
+			{TS: 1, Thread: 2, Kind: trace.KindCall},
+			{TS: 2, Thread: 2, Kind: trace.KindWrite, Arg: 8},
+			{TS: 3, Thread: 2, Kind: trace.KindReturn},
+		}},
+	}}
+	seq, err := core.FromTrace(tr, 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.InducedThread != 2 {
+		t.Fatalf("sequential replay counts %d thread-induced reads, want 2", seq.InducedThread)
+	}
+	want := export(t, seq)
+	for _, workers := range []int{1, 4} {
+		par, err := pipeline.Analyze(tr, pipeline.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := export(t, par); !bytes.Equal(got, want) {
+			t.Errorf("pipeline with %d workers diverges from sequential replay:\n got %s\nwant %s", workers, got, want)
+		}
+	}
+}

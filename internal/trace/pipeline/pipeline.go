@@ -129,7 +129,6 @@ type threadPlan struct {
 type Plan struct {
 	tr        *trace.Trace
 	opts      core.Options
-	wide      bool          // see BuildPlan: counter may exceed 32 bits
 	annotated bool          // assembled from annotations recorded in the file
 	threads   []*threadPlan // in order of first appearance in the merged order
 
@@ -210,13 +209,8 @@ func validateOptions(opts core.Options) error {
 // errors (a trace whose annotations cannot be expressed per ThreadTrace)
 // are returned.
 //
-// The counter can increment at most twice per event (an event's own bump
-// plus one synthesized thread switch), so its final value is bounded before
-// analysis. When the bound fits 32 bits — every realistic trace — the
-// analyzers use 32-bit shadow cells, halving shadow footprint; otherwise
-// they run at full 64-bit width. Either way no renumbering ever happens,
-// and the two modes store identical timestamp values, not merely
-// order-equivalent ones.
+// The analyzers keep the counter and their shadow cells at 64 bits, so no
+// renumbering ever happens.
 func BuildPlan(tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
 	return BuildPlanContext(context.Background(), tr, tieSeed, opts)
 }
@@ -230,7 +224,7 @@ func BuildPlan(tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error)
 // internally inconsistent, which the decoder rules out for traces it marks
 // Annotated but a hand-mutated trace could still exhibit.
 func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
-	p := &Plan{tr: tr, opts: opts, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
+	p := &Plan{tr: tr, opts: opts}
 	type firstOf struct {
 		tp    *threadPlan
 		start uint64
@@ -404,7 +398,7 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 			if mgr != nil {
 				snap = &workerSnap{mgr: mgr, threadIdx: i}
 			}
-			prof, err = analyzeThread(ctx, p.tr, tp, p.opts, p.wide, onSegment, snap)
+			prof, err = analyzeThread(ctx, p.tr, tp, p.opts, onSegment, snap)
 			busyNS.Add(int64(time.Since(start)))
 			span.End()
 		})

@@ -212,7 +212,7 @@ func TestSnapshotTickCapturesThreadsInFlight(t *testing.T) {
 	}
 	for i, tp := range plan.threads {
 		snap = &workerSnap{mgr: mgr, threadIdx: i}
-		if _, err := analyzeThread(context.Background(), tr, tp, plan.opts, plan.wide, onSegment, snap); err != nil {
+		if _, err := analyzeThread(context.Background(), tr, tp, plan.opts, onSegment, snap); err != nil {
 			t.Fatal(err)
 		}
 	}

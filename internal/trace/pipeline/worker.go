@@ -12,12 +12,17 @@ import (
 	"repro/internal/trace"
 )
 
-// cell is the width of a per-thread shadow timestamp: uint32 when the
-// event count proves the counter fits (narrow mode), uint64 otherwise. Both
-// instantiations store the exact same counter values.
-type cell interface {
-	~uint32 | ~uint64
+// workerSnap is one worker's snapshot context: the shared manager, this
+// worker's thread index and the last snapshot generation it saw.
+type workerSnap struct {
+	mgr       *snapManager
+	threadIdx int
+	gen       uint64
 }
+
+// workerPanicHook, when non-nil, is invoked at the start of every
+// per-thread analysis; the robustness tests use it to inject worker panics.
+var workerPanicHook func(guest.ThreadID)
 
 // analyzeThread runs the per-thread half of the paper's Fig. 11 algorithm
 // over one guest thread's segments: the thread's latest-access shadow memory
@@ -31,7 +36,8 @@ type cell interface {
 // profiler runs, instantiated with never-renumbered 64-bit counter values
 // in place of the inline profiler's renumbered 32-bit timestamps; profiles
 // depend only on timestamp order relations, which renumbering preserves, so
-// the results are identical.
+// the results are identical. The thread's shadow cells hold the same 64-bit
+// counter values.
 //
 // A panic anywhere in the analysis — e.g. inconsistent plan state from a
 // corrupted trace — is converted into an error carrying the thread and the
@@ -45,26 +51,7 @@ type cell interface {
 // snap, when non-nil, enables live snapshots: the worker crosses a
 // safepoint every safepointStride events, where it captures its state when
 // the manager asked for one, and it captures once more if ctx fires.
-func analyzeThread(ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, wide bool, onSegment func(int), snap *workerSnap) (*core.Profile, error) {
-	if wide {
-		return runWorker[uint64](ctx, tr, tp, opts, onSegment, snap)
-	}
-	return runWorker[uint32](ctx, tr, tp, opts, onSegment, snap)
-}
-
-// workerSnap is one worker's snapshot context: the shared manager, this
-// worker's thread index and the last snapshot generation it saw.
-type workerSnap struct {
-	mgr       *snapManager
-	threadIdx int
-	gen       uint64
-}
-
-// workerPanicHook, when non-nil, is invoked at the start of every
-// per-thread analysis; the robustness tests use it to inject worker panics.
-var workerPanicHook func(guest.ThreadID)
-
-func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), snap *workerSnap) (prof *core.Profile, err error) {
+func analyzeThread(ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), snap *workerSnap) (prof *core.Profile, err error) {
 	segIdx := -1
 	defer func() {
 		if r := recover(); r != nil {
@@ -80,15 +67,16 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 	if workerPanicHook != nil {
 		workerPanicHook(tp.id)
 	}
-	w := &worker[C]{
+	w := &worker{
 		tr:    tr,
 		id:    tp.id,
 		opts:  opts,
 		reads: tp.reads,
-		ts:    shadow.NewTable[C](),
+		ts:    shadow.NewTable[uint64](),
 		k:     core.NewKernel[uint64](opts),
 		acts:  make(map[guest.RoutineID]*core.Activations),
 	}
+	w.tsc = w.ts.Cursor()
 	for i, seg := range tp.segments {
 		segIdx = i
 		events := tr.Threads[seg.src].Events[seg.lo:seg.hi]
@@ -134,7 +122,7 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 
 // capture is the worker's snapshot pause: it clones the state a snapshot
 // document reads and hands it to the manager.
-func (w *worker[C]) capture(snap *workerSnap) {
+func (w *worker) capture(snap *workerSnap) {
 	start := time.Now()
 	st := w.state(snap)
 	snap.mgr.observePause(time.Since(start))
@@ -142,7 +130,7 @@ func (w *worker[C]) capture(snap *workerSnap) {
 }
 
 // state clones the worker's contribution to a snapshot document.
-func (w *worker[C]) state(snap *workerSnap) *threadState {
+func (w *worker) state(snap *workerSnap) *threadState {
 	st := &threadState{
 		threadIdx:       snap.threadIdx,
 		events:          w.events,
@@ -157,7 +145,7 @@ func (w *worker[C]) state(snap *workerSnap) *threadState {
 }
 
 // worker is the state of one per-thread analyzer.
-type worker[C cell] struct {
+type worker struct {
 	tr   *trace.Trace
 	id   guest.ThreadID
 	opts core.Options
@@ -166,7 +154,8 @@ type worker[C cell] struct {
 	reads    []trace.Stamp // the thread's read stamps, in event order
 	nextRead int           // cursor into reads
 
-	ts    *shadow.Table[C] // the thread's latest-access shadow memory
+	ts    *shadow.Table[uint64] // the thread's latest-access shadow memory
+	tsc   shadow.Cursor[uint64] // persistent cursor over ts
 	stack core.Stack[uint64]
 	k     core.Kernel[uint64] // the read rule and the thread's induced tallies
 
@@ -179,7 +168,7 @@ type worker[C cell] struct {
 // memory access outside the analysed address space, before the access
 // touches shadow memory: a decoded trace never holds one, but planning
 // from the annotations of a hand-built trace skips trace.Annotate's check.
-func (w *worker[C]) step(e *trace.Event) bool {
+func (w *worker) step(e *trace.Event) bool {
 	switch e.Kind {
 	case trace.KindCall:
 		w.count++
@@ -209,19 +198,21 @@ func (w *worker[C]) step(e *trace.Event) bool {
 			st = w.reads[w.nextRead]
 			w.nextRead++
 		}
-		slot := w.ts.Slot(guest.Addr(e.Arg)) // one chunk probe for the load and the store
-		if old := uint64(*slot); old != w.count {
+		a := guest.Addr(e.Arg)
+		slot := &w.tsc.Chunk(a)[a&(shadow.ChunkSize-1)] // one chunk probe for the load and the store
+		if old := *slot; old != w.count {
 			// A repeat read at the current counter value changes nothing
 			// (see core.Kernel.Read).
 			w.k.Read(w.stack, old, st.WTS, st.Writer)
-			*slot = C(w.count)
+			*slot = w.count
 		}
 
 	case trace.KindWrite:
 		if !inRange(e.Arg) {
 			return false
 		}
-		w.ts.Set(guest.Addr(e.Arg), C(w.count))
+		a := guest.Addr(e.Arg)
+		w.tsc.Chunk(a)[a&(shadow.ChunkSize-1)] = w.count
 
 	case trace.KindKernelWrite:
 		if !inRange(e.Arg) {
@@ -238,10 +229,13 @@ func (w *worker[C]) step(e *trace.Event) bool {
 		w.count++
 
 	case trace.KindThreadExit:
-		// The inline profiler drops the thread's view on exit; further
-		// events under the same id (again only in hand-built traces)
-		// start from fresh shadow state.
-		w.ts = shadow.NewTable[C]()
+		// The thread's shadow memory is released, as the inline profiler
+		// releases an exiting thread's view; further events under the same
+		// id (again only in hand-built traces) start from fresh shadow
+		// state, through a fresh cursor: the old one may still point at a
+		// recycled chunk.
+		w.ts.Release()
+		w.tsc = w.ts.Cursor()
 		w.stack = w.stack[:0]
 	}
 	// ThreadStart, Sync, Alloc, Free carry no profiling state.
@@ -268,7 +262,7 @@ func checkActivation(f *core.Frame[uint64]) {
 // ascending id order (deterministic, and collision-safe: two ids mapping to
 // the same name merge exactly as the inline profiler would have merged
 // them).
-func (w *worker[C]) profile() *core.Profile {
+func (w *worker) profile() *core.Profile {
 	out := core.NewProfile()
 	out.InducedThread = w.k.InducedThread
 	out.InducedExternal = w.k.InducedExternal
