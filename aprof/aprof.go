@@ -317,31 +317,16 @@ func ProfileTrace(tr *Trace, tieSeed int64, opts Options) (*Profile, error) {
 	return core.FromTrace(tr, tieSeed, opts)
 }
 
-// AnalyzeTrace computes the same profile with the parallel analysis
+// AnalyzeTraceOptions computes the same profile with the parallel analysis
 // pipeline: the trace's stamp annotations (computed by one sequential pass
 // when the trace was recorded without them) shard it at thread-switch
-// boundaries, per-thread analyzers run on up to workers goroutines (0
+// boundaries, per-thread analyzers run on up to opts.Workers goroutines (0
 // selects GOMAXPROCS), and the partial profiles are merged
 // deterministically. The result is byte-identical (Profile.Export) to
-// ProfileTrace's for every worker count.
-func AnalyzeTrace(tr *Trace, tieSeed int64, workers int, opts Options) (*Profile, error) {
-	return pipeline.Analyze(tr, pipeline.Options{TieSeed: tieSeed, Workers: workers, Profile: opts})
-}
-
-// AnalyzeTraceContext is AnalyzeTrace with cancellation and an optional
-// guard: the analysis observes ctx and stops promptly when it is canceled,
-// and when maxEvents is positive, traces with more events are rejected
-// before any analysis allocation happens.
-func AnalyzeTraceContext(ctx context.Context, tr *Trace, tieSeed int64, workers, maxEvents int, opts Options) (*Profile, error) {
-	return pipeline.AnalyzeContext(ctx, tr, pipeline.Options{
-		TieSeed: tieSeed, Workers: workers, MaxEvents: maxEvents, Profile: opts,
-	})
-}
-
-// AnalyzeTraceOptions is the fully-optioned form of AnalyzeTrace: the
-// AnalyzeOptions struct additionally carries a telemetry registry (the
-// pipeline publishes pipeline/* metrics into it) and a progress callback
-// invoked with (processed, total) event counts as segments complete.
+// ProfileTrace's for every worker count. The analysis stops promptly when
+// ctx is canceled; opts also carries the max-events guard, a telemetry
+// registry (the pipeline publishes pipeline/* metrics into it), a progress
+// callback and live snapshots.
 func AnalyzeTraceOptions(ctx context.Context, tr *Trace, opts AnalyzeOptions) (*Profile, error) {
 	return pipeline.AnalyzeContext(ctx, tr, opts)
 }

@@ -5,13 +5,15 @@
 //
 //	aprof-trace record -workload mysqld -o run.trace [-threads 8 -size 12 -annotate=false]
 //	aprof-trace info run.trace
-//	aprof-trace dump run.trace [-limit 50]
-//	aprof-trace verify run.trace [-json]
-//	aprof-trace replay run.trace [-tieseed 7]
-//	aprof-trace analyze run.trace [-workers 4 -tieseed 7 -recover -json -max-events N -timeout 30s -export prof.json]
-//	aprof-trace analyze run.trace -snapshot live.json [-snapshot-interval 10s]
+//	aprof-trace dump [-limit 50] run.trace
+//	aprof-trace verify [-json] run.trace
+//	aprof-trace replay [-tieseed 7] run.trace
+//	aprof-trace analyze [-workers 4 -tieseed 7 -recover -json -max-events N -timeout 30s -export prof.json] run.trace
+//	aprof-trace analyze -snapshot live.json [-snapshot-interval 10s] run.trace
 //	aprof-trace analyze -workload mysqld [-threads 8 -size 12]
 //	aprof-trace check [-workload mysqld | -suite micro] [-level deep -renumber 64 -quick -v]
+//
+// Flags go before the trace file: an argument after it is an error.
 //
 // replay and analyze compute the same profile; replay drives the inline
 // profiler through the merged event stream sequentially, while analyze uses
@@ -56,7 +58,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -250,13 +251,10 @@ func recordTrace(path, workload string, params aprof.WorkloadParams, annotate bo
 func verify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "print the verify report as JSON on stdout")
-	if err := fs.Parse(args); err != nil {
+	path, err := traceArg(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() < 1 {
-		return fmt.Errorf("verify: trace file required")
-	}
-	path := fs.Arg(0)
 	vr, err := aprof.VerifyTraceFile(path)
 	if err != nil {
 		return err
@@ -323,10 +321,11 @@ func load(path string) (*aprof.Trace, error) {
 }
 
 func info(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("info: trace file required")
+	path, err := traceArg(flag.NewFlagSet("info", flag.ExitOnError), args)
+	if err != nil {
+		return err
 	}
-	tr, err := load(args[0])
+	tr, err := load(path)
 	if err != nil {
 		return err
 	}
@@ -336,7 +335,7 @@ func info(args []string) error {
 	}
 	st := trace.ComputeStats(tr)
 	fmt.Printf("trace %s: %d threads, %d events, %d routines, %d sync objects, timestamp span %d%s\n\n",
-		args[0], st.Threads, st.Events, len(tr.Routines), len(tr.Syncs), st.Span, ann)
+		path, st.Threads, st.Events, len(tr.Routines), len(tr.Syncs), st.Span, ann)
 	var kindRows [][]string
 	for k := trace.Kind(0); int(k) < 16; k++ {
 		if n := st.ByKind[k]; n > 0 {
@@ -358,13 +357,11 @@ func info(args []string) error {
 func dump(args []string) error {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	limit := fs.Int("limit", 50, "events to print (0: all)")
-	if err := fs.Parse(args); err != nil {
+	path, err := traceArg(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() < 1 {
-		return fmt.Errorf("dump: trace file required")
-	}
-	tr, err := load(fs.Arg(0))
+	tr, err := load(path)
 	if err != nil {
 		return err
 	}
@@ -393,13 +390,11 @@ func replay(args []string) error {
 	tieSeed := fs.Int64("tieseed", 0, "tie-breaking seed for the merge")
 	top := fs.Int("top", 15, "routines to show")
 	prof := profflag.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	path, err := traceArg(fs, args)
+	if err != nil {
 		return err
 	}
-	if fs.NArg() < 1 {
-		return fmt.Errorf("replay: trace file required")
-	}
-	tr, err := load(fs.Arg(0))
+	tr, err := load(path)
 	if err != nil {
 		return err
 	}
@@ -410,8 +405,26 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	printProfile(p, *top)
+	report.WriteSummary(os.Stdout, p, *top)
 	return prof.Stop()
+}
+
+// traceArg parses a subcommand's flags and returns the one trace file
+// that must follow them. Parsing stops at the first positional argument,
+// so anything after the file is reported, naming it, rather than ignored.
+func traceArg(fs *flag.FlagSet, args []string) (string, error) {
+	if err := fs.Parse(args); err != nil {
+		return "", err
+	}
+	switch fs.NArg() {
+	case 0:
+		return "", fmt.Errorf("%s: trace file required", fs.Name())
+	case 1:
+		return fs.Arg(0), nil
+	default:
+		return "", fmt.Errorf("%s: unexpected argument %q after the trace file %s (flags go before it)",
+			fs.Name(), fs.Arg(1), fs.Arg(0))
+	}
 }
 
 // analyze computes the trace's profile with the parallel pipeline; the
@@ -440,7 +453,11 @@ func analyze(args []string) error {
 	size := fs.Int("size", 0, "problem size (with -workload)")
 	seed := fs.Int64("seed", 0, "workload seed (with -workload)")
 	prof := profflag.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	path, err := traceArg(fs, args)
+	switch {
+	case *workload != "" && fs.NArg() > 0:
+		return fmt.Errorf("analyze: -workload and a trace file are mutually exclusive (got %q)", fs.Arg(0))
+	case *workload == "" && err != nil:
 		return err
 	}
 	if err := prof.Start(); err != nil {
@@ -456,12 +473,8 @@ func analyze(args []string) error {
 	srv := prof.ObsServer()
 	var tr *aprof.Trace
 	var inline *aprof.Profile
-	var err error
 	switch {
 	case *workload != "":
-		if fs.NArg() > 0 {
-			return fmt.Errorf("analyze: -workload and a trace file are mutually exclusive")
-		}
 		params := aprof.WorkloadParams{Threads: *threads, Size: *size, Seed: *seed, Telemetry: reg}
 		// With -http, the in-process recording phase reports its own
 		// progress; the analyze estimator replaces it afterwards, which the
@@ -477,11 +490,9 @@ func analyze(args []string) error {
 		if err != nil {
 			return err
 		}
-	case fs.NArg() < 1:
-		return fmt.Errorf("analyze: trace file required")
 	case *rescue:
 		var rep *aprof.TraceRecoveryReport
-		tr, rep, err = aprof.RecoverTraceFile(fs.Arg(0))
+		tr, rep, err = aprof.RecoverTraceFile(path)
 		if err != nil {
 			return err
 		}
@@ -494,7 +505,7 @@ func analyze(args []string) error {
 			fmt.Fprintln(os.Stderr, rep)
 		}
 	default:
-		tr, err = load(fs.Arg(0))
+		tr, err = load(path)
 		if err != nil {
 			return err
 		}
@@ -578,7 +589,7 @@ func analyze(args []string) error {
 		return fmt.Errorf("analyze: pipeline profile differs from the inline profiler's (%d differences)",
 			len(p.Diff(inline)))
 	}
-	printProfile(p, *top)
+	report.WriteSummary(os.Stdout, p, *top)
 	return prof.Stop()
 }
 
@@ -603,29 +614,6 @@ func recordInProcess(name string, params aprof.WorkloadParams, reg *aprof.Teleme
 		return nil, nil, fmt.Errorf("analyze: recording %s: %w", name, err)
 	}
 	return rec.Trace(), inline.Profile(), nil
-}
-
-// printProfile renders a profile as a per-routine summary table, heaviest
-// routines (by cumulative cost) first.
-func printProfile(p *aprof.Profile, top int) {
-	type row struct {
-		name string
-		a    *aprof.Activations
-	}
-	var rows []row
-	for _, name := range p.RoutineNames() {
-		rows = append(rows, row{name, p.Routines[name].Merged()})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].a.SumCost > rows[j].a.SumCost })
-	if top > 0 && len(rows) > top {
-		rows = rows[:top]
-	}
-	var table [][]string
-	for _, r := range rows {
-		table = append(table, []string{r.name, fmt.Sprint(r.a.Calls),
-			fmt.Sprint(r.a.SumCost), fmt.Sprint(r.a.SumTRMS), fmt.Sprint(r.a.SumRMS)})
-	}
-	report.Table(os.Stdout, []string{"routine", "calls", "cost(BB)", "trms", "rms"}, table)
 }
 
 // check runs the metamorphic invariant suite: each selected workload is

@@ -1,13 +1,12 @@
 // Command aprof runs a built-in workload under the input-sensitive profiler
 // (or one of the comparison tools) and reports per-routine profiles, cost
-// plots and asymptotic fits.
+// plots and asymptotic fits (-plot).
 //
 // Usage:
 //
 //	aprof -list
 //	aprof -workload mysqld [-threads 8] [-size 12] [-top 10]
 //	aprof -workload vips -plot im_generate
-//	aprof -workload mysqld -fit buf_flush_buffered_writes
 //	aprof -workload dedup -induced
 //	aprof -workload 350.md -tool helgrind
 package main
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"repro/aprof"
 	"repro/internal/obs"
@@ -37,8 +35,7 @@ func main() {
 		seed      = flag.Int64("seed", 0, "workload data seed")
 		timeslice = flag.Int("timeslice", 0, "scheduler quantum in guest operations (0: default)")
 		top       = flag.Int("top", 15, "routines to show in the summary table")
-		plot      = flag.String("plot", "", "show worst-case cost plots for this routine")
-		fitR      = flag.String("fit", "", "fit complexity models for this routine")
+		plot      = flag.String("plot", "", "show worst-case cost plots and fitted models for this routine")
 		induced   = flag.Bool("induced", false, "show the per-routine induced-input table")
 		perThread = flag.String("per-thread", "", "show this routine's thread-sensitive profiles")
 		contexts  = flag.Bool("contexts", false, "profile by calling context and show the top contexts")
@@ -68,7 +65,7 @@ func main() {
 	reg := prof.Registry()
 	params := aprof.WorkloadParams{Threads: *threads, Size: *size, Seed: *seed,
 		Timeslice: *timeslice, Telemetry: reg}
-	opts := runOpts{top: *top, plot: *plot, fit: *fitR, induced: *induced,
+	opts := runOpts{top: *top, plot: *plot, induced: *induced,
 		perThread: *perThread, csvOut: *csvOut,
 		contexts: *contexts, jsonOut: *jsonOut, htmlOut: *htmlOut, record: *record, full: *full,
 		reg: reg, obsSrv: prof.ObsServer()}
@@ -96,7 +93,6 @@ func listWorkloads() {
 type runOpts struct {
 	top       int
 	plot      string
-	fit       string
 	induced   bool
 	perThread string
 	csvOut    string
@@ -132,7 +128,8 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 			OnSnapshot: onSnap})
 		tls = append(tls, prof)
 	case "aprof-rms":
-		prof = aprof.NewProfiler(aprof.Options{RMSOnly: true, Telemetry: o.reg, OnSnapshot: onSnap})
+		prof = aprof.NewProfiler(aprof.Options{RMSOnly: true, ContextSensitive: o.contexts, Telemetry: o.reg,
+			OnSnapshot: onSnap})
 		tls = append(tls, prof)
 	case "nulgrind":
 		tls = append(tls, aprof.NewNulgrind())
@@ -225,25 +222,24 @@ func run(workload, tool string, params aprof.WorkloadParams, o runOpts) error {
 
 	switch {
 	case o.full:
-		return report.WriteFullReport(os.Stdout, p, report.FullReportOptions{Top: top})
+		return report.WriteFullReport(os.Stdout, p, top)
 	case o.contexts:
-		return contextTable(prof.ContextTree(), top)
+		report.WriteContexts(os.Stdout, prof.ContextTree(), top)
 	case o.plot != "":
 		if o.csvOut != "" {
 			if err := writePlotCSV(p, o.plot, o.csvOut); err != nil {
 				return err
 			}
 		}
-		return plotRoutine(p, o.plot)
-	case o.fit != "":
-		return fitRoutine(p, o.fit)
+		return report.WriteRoutine(os.Stdout, p, o.plot)
 	case o.induced:
-		return inducedTable(p)
+		inducedTable(p)
 	case o.perThread != "":
 		return perThreadTable(p, o.perThread)
 	default:
-		return summary(p, top)
+		report.WriteSummary(os.Stdout, p, top)
 	}
+	return nil
 }
 
 // perThreadTable shows a routine's thread-sensitive profiles — the paper
@@ -264,77 +260,6 @@ func perThreadTable(p *aprof.Profile, name string) error {
 	fmt.Printf("%s across %d threads:\n", name, len(rows))
 	report.Table(os.Stdout,
 		[]string{"thread", "calls", "cost(BB)", "trms", "rms", "|trms|", "thread-induced", "external"}, rows)
-	return nil
-}
-
-// contextTable prints the hottest calling contexts.
-func contextTable(tree *aprof.ContextTree, top int) error {
-	if tree == nil {
-		return fmt.Errorf("no context tree (internal error)")
-	}
-	type row struct {
-		node *aprof.ContextNode
-		a    *aprof.Activations
-	}
-	var rows []row
-	tree.Walk(func(n *aprof.ContextNode) {
-		rows = append(rows, row{n, n.Merged()})
-	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].a.SumCost > rows[j].a.SumCost })
-	if top > 0 && len(rows) > top {
-		rows = rows[:top]
-	}
-	var table [][]string
-	for _, r := range rows {
-		table = append(table, []string{r.node.Path(), fmt.Sprint(r.a.Calls),
-			fmt.Sprint(r.a.SumCost), fmt.Sprint(r.a.SumTRMS), fmt.Sprint(len(r.a.ByTRMS))})
-	}
-	fmt.Printf("%d distinct calling contexts\n\n", tree.NumContexts())
-	report.Table(os.Stdout, []string{"calling context", "calls", "cost(BB)", "trms", "|trms|"}, table)
-	return nil
-}
-
-func summary(p *aprof.Profile, top int) error {
-	type row struct {
-		name    string
-		a       *aprof.Activations
-		rich    float64
-		dTRMS   int
-		dRMS    int
-		induced float64
-	}
-	var rows []row
-	for _, name := range p.RoutineNames() {
-		rp := p.Routines[name]
-		a := rp.Merged()
-		rows = append(rows, row{
-			name:    name,
-			a:       a,
-			rich:    aprof.Richness(rp),
-			dTRMS:   rp.DistinctTRMS(),
-			dRMS:    rp.DistinctRMS(),
-			induced: 100 * aprof.InputVolume(a),
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].a.SumCost > rows[j].a.SumCost })
-	if top > 0 && len(rows) > top {
-		rows = rows[:top]
-	}
-	var table [][]string
-	for _, r := range rows {
-		table = append(table, []string{
-			r.name,
-			fmt.Sprint(r.a.Calls),
-			fmt.Sprint(r.a.SumCost),
-			fmt.Sprint(r.a.SumTRMS),
-			fmt.Sprint(r.dTRMS),
-			fmt.Sprint(r.dRMS),
-			fmt.Sprintf("%.1f%%", r.induced),
-		})
-	}
-	report.Table(os.Stdout, []string{"routine", "calls", "cost(BB)", "trms", "|trms|", "|rms|", "input volume"}, table)
-	tp, ep := aprof.InducedSplit(p)
-	fmt.Printf("\ninduced first-accesses: %.1f%% thread-induced, %.1f%% external\n", tp, ep)
 	return nil
 }
 
@@ -370,52 +295,7 @@ func writePlotCSV(p *aprof.Profile, name, path string) error {
 	return nil
 }
 
-func plotRoutine(p *aprof.Profile, name string) error {
-	rp, err := routineOrErr(p, name)
-	if err != nil {
-		return err
-	}
-	merged := rp.Merged()
-	for _, metric := range []struct {
-		label string
-		hist  map[uint64]*aprof.Point
-	}{{"rms", merged.ByRMS}, {"trms", merged.ByTRMS}} {
-		pts := aprof.WorstCasePlot(metric.hist)
-		report.Scatter(os.Stdout,
-			fmt.Sprintf("%s — worst-case cost vs %s (%d points)", name, metric.label, len(pts)),
-			pts, 72, 16)
-		fmt.Println()
-	}
-	return nil
-}
-
-func fitRoutine(p *aprof.Profile, name string) error {
-	rp, err := routineOrErr(p, name)
-	if err != nil {
-		return err
-	}
-	merged := rp.Merged()
-	for _, metric := range []struct {
-		label string
-		hist  map[uint64]*aprof.Point
-	}{{"rms", merged.ByRMS}, {"trms", merged.ByTRMS}} {
-		pts := aprof.WorstCasePlot(metric.hist)
-		fmt.Printf("%s vs %s (%d points):\n", name, metric.label, len(pts))
-		if best, err := aprof.BestFit(pts); err == nil {
-			fmt.Printf("  best model:    %s\n", best)
-		} else {
-			fmt.Printf("  best model:    %v\n", err)
-		}
-		if pl, err := aprof.FitPowerLaw(pts); err == nil {
-			fmt.Printf("  power law:     %s\n", pl)
-		} else {
-			fmt.Printf("  power law:     %v\n", err)
-		}
-	}
-	return nil
-}
-
-func inducedTable(p *aprof.Profile) error {
+func inducedTable(p *aprof.Profile) {
 	var table [][]string
 	for _, name := range p.RoutineNames() {
 		a := p.Routines[name].Merged()
@@ -430,7 +310,6 @@ func inducedTable(p *aprof.Profile) error {
 			fmt.Sprintf("%.1f%%", 100*float64(ind)/float64(a.SumTRMS))})
 	}
 	report.Table(os.Stdout, []string{"routine", "trms", "thread-induced", "external", "induced share"}, table)
-	return nil
 }
 
 func reportMemcheck(mc *aprof.Memcheck) {

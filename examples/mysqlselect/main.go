@@ -28,25 +28,10 @@ func main() {
 	}
 	p := prof.Profile()
 
-	sel := p.Routine("mysql_select")
-	if sel == nil {
-		log.Fatal("mysql_select not profiled")
+	if err := report.WriteRoutine(os.Stdout, p, "mysql_select"); err != nil {
+		log.Fatal(err)
 	}
-	merged := sel.Merged()
-
-	for _, metric := range []struct {
-		name string
-		hist map[uint64]*aprof.Point
-	}{{"rms", merged.ByRMS}, {"trms", merged.ByTRMS}} {
-		pts := aprof.WorstCasePlot(metric.hist)
-		report.Scatter(os.Stdout,
-			fmt.Sprintf("mysql_select — worst-case cost vs %s (%d distinct input sizes)", metric.name, len(pts)),
-			pts, 70, 14)
-		if pl, err := aprof.FitPowerLaw(pts); err == nil {
-			fmt.Printf("power-law fit: cost ~ %s\n", pl)
-		}
-		fmt.Println()
-	}
+	fmt.Println()
 
 	tp, ep := aprof.InducedSplit(p)
 	fmt.Printf("whole-server induced input: %.1f%% thread-induced, %.1f%% external\n", tp, ep)

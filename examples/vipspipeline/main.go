@@ -33,20 +33,10 @@ func main() {
 	p := prof.Profile()
 
 	// Figure 5: im_generate under both metrics.
-	img := p.Routine("im_generate").Merged()
-	for _, metric := range []struct {
-		name string
-		hist map[uint64]*aprof.Point
-	}{{"rms", img.ByRMS}, {"trms", img.ByTRMS}} {
-		pts := aprof.WorstCasePlot(metric.hist)
-		report.Scatter(os.Stdout,
-			fmt.Sprintf("im_generate — worst-case cost vs %s (%d points)", metric.name, len(pts)),
-			pts, 70, 12)
-		if pl, err := aprof.FitPowerLaw(pts); err == nil {
-			fmt.Printf("power-law fit: cost ~ %s\n", pl)
-		}
-		fmt.Println()
+	if err := report.WriteRoutine(os.Stdout, p, "im_generate"); err != nil {
+		log.Fatal(err)
 	}
+	fmt.Println()
 
 	// Figure 7: wbuffer_write_thread profile richness and input sources.
 	wb := p.Routine("wbuffer_write_thread")

@@ -56,13 +56,6 @@ type Options struct {
 	// per-routine profile. Costs a CCT-node map lookup per call.
 	ContextSensitive bool
 
-	// OnActivation, when non-nil, streams every completed activation's
-	// tuple (routine, thread, trms, rms, cumulative cost) as it is
-	// recorded — the paper's raw profile stream, before histogram
-	// aggregation. Useful for logging tuples to disk or computing custom
-	// statistics online.
-	OnActivation func(routine string, thread guest.ThreadID, trms, rms, cost uint64)
-
 	// RMSOnly reproduces the original PLDI 2012 profiler (aprof-rms): no
 	// global write-timestamp shadow is maintained at all, so no induced
 	// first-accesses are ever recognized and trms degenerates to rms.
@@ -363,8 +356,7 @@ func (p *Profiler) Call(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 // Return implements guest.Tool: the completed activation's trms, rms and
 // cumulative cost are recorded, and its partial metrics fold into the
 // parent's frame (Stack.Pop), preserving Invariant 2. Recording is a dense
-// slice index per routine id; no routine name is resolved here (except for
-// the OnActivation stream, which carries names by contract).
+// slice index per routine id; no routine name is resolved here.
 func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	p.events++
 	tv := p.view(t)
@@ -383,9 +375,6 @@ func (p *Profiler) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 			c.record(t, &f, cost)
 			tv.ctx = c.parent
 		}
-	}
-	if p.opts.OnActivation != nil {
-		p.opts.OnActivation(p.env.RoutineName(f.Rtn), t, clampMetric(f.TRMS), clampMetric(f.RMS), cost)
 	}
 }
 

@@ -601,51 +601,6 @@ func TestPartialConfigLastWriterApproximation(t *testing.T) {
 	}
 }
 
-// TestOnActivationStream checks the raw tuple stream: every recorded
-// activation surfaces exactly once with histogram-consistent values.
-func TestOnActivationStream(t *testing.T) {
-	type tuple struct {
-		routine         string
-		trms, rms, cost uint64
-	}
-	var stream []tuple
-	p := New(Options{OnActivation: func(r string, _ guest.ThreadID, trms, rms, cost uint64) {
-		stream = append(stream, tuple{r, trms, rms, cost})
-	}})
-	m := guest.NewMachine(guest.Config{Tools: []guest.Tool{p}})
-	data := m.Static(32)
-	err := m.Run(func(th *guest.Thread) {
-		for n := 1; n <= 4; n++ {
-			th.Fn("scan", func() {
-				for i := 0; i < n*8; i++ {
-					th.Load(data + guest.Addr(i))
-				}
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream) != 4 {
-		t.Fatalf("streamed %d tuples, want 4", len(stream))
-	}
-	var total uint64
-	for i, tp := range stream {
-		if tp.routine != "scan" {
-			t.Errorf("tuple %d routine %q", i, tp.routine)
-		}
-		// Activation i re-reads earlier cells plus 8 fresh ones: the trms
-		// is (i+1)*8 per-activation (first accesses for the activation).
-		if want := uint64((i + 1) * 8); tp.trms != want || tp.rms != want {
-			t.Errorf("tuple %d: trms=%d rms=%d, want %d", i, tp.trms, tp.rms, want)
-		}
-		total += tp.trms
-	}
-	if got := p.Profile().Routine("scan").Merged().SumTRMS; got != total {
-		t.Errorf("histogram total %d != streamed total %d", got, total)
-	}
-}
-
 // TestProfileMergeAcrossRuns: merging the profiles of two identical runs
 // doubles every additive aggregate and preserves histogram support.
 func TestProfileMergeAcrossRuns(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fit"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -81,32 +80,6 @@ func runFig3(cfg Config) error {
 	return nil
 }
 
-// metricPlots prints a routine's worst-case plots under both metrics with
-// power-law fits, the presentation of Figures 4, 5 and 6.
-func metricPlots(cfg Config, p *core.Profile, routine string) error {
-	rp := p.Routine(routine)
-	if rp == nil {
-		return fmt.Errorf("routine %s not profiled", routine)
-	}
-	merged := rp.Merged()
-	for _, metric := range []struct {
-		name string
-		hist map[uint64]*core.Point
-	}{{"rms", merged.ByRMS}, {"trms", merged.ByTRMS}} {
-		pts := report.WorstCase(metric.hist)
-		fmt.Fprintf(cfg.Out, "\n%s — worst-case cost vs %s (%d distinct input sizes)\n",
-			routine, metric.name, len(pts))
-		report.Scatter(cfg.Out, "", pts, 64, 12)
-		if pl, err := fit.FitPowerLaw(pts); err == nil {
-			fmt.Fprintf(cfg.Out, "  power-law fit: cost ~ %s\n", pl)
-		}
-		if best, err := fit.Best(pts); err == nil {
-			fmt.Fprintf(cfg.Out, "  best model:    %s\n", best)
-		}
-	}
-	return nil
-}
-
 func runFig4(cfg Config) error {
 	p, err := profileWorkload("mysqld", cfg, core.Options{}, workloads.Params{})
 	if err != nil {
@@ -115,7 +88,7 @@ func runFig4(cfg Config) error {
 	fmt.Fprintln(cfg.Out, "mysql_select scans tables of geometrically increasing size through a 4-frame buffer pool.")
 	fmt.Fprintln(cfg.Out, "Paper: against rms the running time appears to grow superlinearly (the pool bounds rms);")
 	fmt.Fprintln(cfg.Out, "against trms the growth is linear, the routine's true behaviour.")
-	return metricPlots(cfg, p, "mysql_select")
+	return report.WriteRoutine(cfg.Out, p, "mysql_select")
 }
 
 func runFig5(cfg Config) error {
@@ -125,7 +98,7 @@ func runFig5(cfg Config) error {
 	}
 	fmt.Fprintln(cfg.Out, "im_generate processes regions of varying height through a recycled 3-line cache.")
 	fmt.Fprintln(cfg.Out, "Paper: rms saturates at the cache footprint; trms tracks the region size, restoring linearity.")
-	return metricPlots(cfg, p, "im_generate")
+	return report.WriteRoutine(cfg.Out, p, "im_generate")
 }
 
 func runFig6(cfg Config) error {
@@ -136,7 +109,7 @@ func runFig6(cfg Config) error {
 	}
 	fmt.Fprintln(cfg.Out, "buf_flush_buffered_writes drains k buffered changes and insertion-sorts them (O(k^2)).")
 	fmt.Fprintln(cfg.Out, "Paper: the trms plot reveals the superlinear bottleneck; the rms plot hides it.")
-	return metricPlots(cfg, p, "buf_flush_buffered_writes")
+	return report.WriteRoutine(cfg.Out, p, "buf_flush_buffered_writes")
 }
 
 func runFig7(cfg Config) error {

@@ -5,7 +5,6 @@ import (
 	"html/template"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -22,17 +21,11 @@ type HTMLOptions struct {
 	Title string
 	// Top bounds the number of routines rendered (0: all).
 	Top int
-	// MinPoints is the minimum distinct input sizes before a routine gets
-	// a plot (default 3).
-	MinPoints int
 }
 
 func (o HTMLOptions) withDefaults() HTMLOptions {
 	if o.Title == "" {
 		o.Title = "Input-sensitive profile"
-	}
-	if o.MinPoints == 0 {
-		o.MinPoints = 3
 	}
 	return o
 }
@@ -94,32 +87,16 @@ svg { background: #fafafa; border: 1px solid #ddd; }
 func WriteHTMLReport(w io.Writer, p *core.Profile, opts HTMLOptions) error {
 	opts = opts.withDefaults()
 
-	names := p.RoutineNames()
-	type entry struct {
-		name string
-		a    *core.Activations
-		rp   *core.RoutineProfile
-	}
-	entries := make([]entry, 0, len(names))
-	for _, n := range names {
-		rp := p.Routines[n]
-		entries = append(entries, entry{n, rp.Merged(), rp})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].a.SumCost > entries[j].a.SumCost })
-	if opts.Top > 0 && len(entries) > opts.Top {
-		entries = entries[:opts.Top]
-	}
-
 	tp, ep := InducedSplit(p)
 	data := htmlReport{
 		Title:           opts.Title,
-		Routines:        len(names),
+		Routines:        len(p.RoutineNames()),
 		InducedThread:   p.InducedThread,
 		InducedExternal: p.InducedExternal,
 		ThreadPct:       fmt.Sprintf("%.1f%%", tp),
 		ExternalPct:     fmt.Sprintf("%.1f%%", ep),
 	}
-	for _, e := range entries {
+	for _, e := range byCost(p, opts.Top) {
 		data.Rows = append(data.Rows, htmlRow{
 			Name:         e.name,
 			Calls:        e.a.Calls,
@@ -130,7 +107,7 @@ func WriteHTMLReport(w io.Writer, p *core.Profile, opts HTMLOptions) error {
 			Volume:       fmt.Sprintf("%.1f%%", 100*InputVolume(e.a)),
 		})
 		pts := WorstCase(e.a.ByTRMS)
-		if len(pts) < opts.MinPoints {
+		if len(pts) < minPoints {
 			continue
 		}
 		sec := htmlSection{Name: e.name, Points: len(pts), SVG: template.HTML(scatterSVG(pts, 560, 240))}

@@ -3,6 +3,8 @@ package report
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,10 +16,19 @@ import (
 // buildProfile runs a tiny two-thread workload with both induced kinds.
 func buildProfile(t *testing.T) *core.Profile {
 	t.Helper()
-	p := core.New(core.Options{})
+	return buildProfiler(t).Profile()
+}
+
+// buildProfiler runs buildProfile's workload under a context-sensitive
+// profiler. After the threads join, the main thread scans 4, 8, 12 and 16
+// cells that nothing writes, giving one routine four input sizes.
+func buildProfiler(t *testing.T) *core.Profiler {
+	t.Helper()
+	p := core.New(core.Options{ContextSensitive: true})
 	m := guest.NewMachine(guest.Config{Timeslice: 1, Tools: []guest.Tool{p}})
 	cell := m.Static(1)
 	buf := m.Static(2)
+	arr := m.Static(16)
 	dev := m.NewDevice("disk", nil)
 	empty := m.NewSem("empty", 1)
 	full := m.NewSem("full", 0)
@@ -48,11 +59,18 @@ func buildProfile(t *testing.T) *core.Profile {
 		})
 		th.Join(prod)
 		th.Join(cons)
+		for n := 4; n <= 16; n += 4 {
+			th.Fn("scan", func() {
+				for i := 0; i < n; i++ {
+					th.Load(arr + guest.Addr(i))
+				}
+			})
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p.Profile()
+	return p
 }
 
 func TestWorstCaseAndWorkloadExtraction(t *testing.T) {
@@ -219,30 +237,78 @@ func TestCSVWriters(t *testing.T) {
 func TestWriteFullReport(t *testing.T) {
 	p := buildProfile(t)
 	var buf bytes.Buffer
-	if err := WriteFullReport(&buf, p, FullReportOptions{MinPoints: 1}); err != nil {
+	if err := WriteFullReport(&buf, p, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, frag := range []string{"INPUT-SENSITIVE PROFILE", "induced first-accesses",
-		"routine", "consumer", "input volume"} {
+		"routine", "consumer", "input volume", "--- scan ---", "scan — worst-case cost vs trms"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("report lacks %q", frag)
 		}
 	}
-	// With a high MinPoints no per-routine section is rendered.
+	// Routines with fewer than minPoints input sizes get no section.
+	if strings.Contains(out, "--- consumer") || strings.Contains(out, "consumer — worst-case") {
+		t.Errorf("one-point routine rendered a section:\n%s", out)
+	}
+	// top bounds the summary and the sections alike.
 	buf.Reset()
-	if err := WriteFullReport(&buf, p, FullReportOptions{MinPoints: 100}); err != nil {
+	if err := WriteFullReport(&buf, p, 1); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "worst-case cost vs trms") {
-		t.Error("per-routine plots rendered despite MinPoints filter")
+	if out := buf.String(); !strings.Contains(out, "--- scan") || strings.Contains(out, "consumer") || strings.Contains(out, "reader") {
+		t.Errorf("top 1 rendered more than the heaviest routine:\n%s", out)
+	}
+}
+
+// TestViewsGolden pins the routine view, the summary table and the
+// context table on the fixed profile byte for byte. Regenerate with
+// APROF_UPDATE_GOLDEN=1 go test -run TestViewsGolden ./internal/report
+func TestViewsGolden(t *testing.T) {
+	prof := buildProfiler(t)
+	p := prof.Profile()
+	var buf bytes.Buffer
+	buf.WriteString("== WriteSummary(top 0)\n")
+	WriteSummary(&buf, p, 0)
+	buf.WriteString("== WriteSummary(top 2)\n")
+	WriteSummary(&buf, p, 2)
+	buf.WriteString("== WriteRoutine(scan)\n")
+	if err := WriteRoutine(&buf, p, "scan"); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("== WriteRoutine(consumer)\n")
+	if err := WriteRoutine(&buf, p, "consumer"); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("== WriteContexts(top 0)\n")
+	WriteContexts(&buf, prof.ContextTree(), 0)
+	buf.WriteString("== WriteContexts(top 2)\n")
+	WriteContexts(&buf, prof.ContextTree(), 2)
+
+	golden := filepath.Join("testdata", "views.golden")
+	if os.Getenv("APROF_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("views drifted from the golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+
+	err = WriteRoutine(&buf, p, "nope")
+	if want := `routine "nope" not profiled; profiled routines: [consumer producer reader scan]`; err == nil || err.Error() != want {
+		t.Errorf("unknown routine: err = %v, want %q", err, want)
 	}
 }
 
 func TestWriteHTMLReport(t *testing.T) {
 	p := buildProfile(t)
 	var buf bytes.Buffer
-	if err := WriteHTMLReport(&buf, p, HTMLOptions{MinPoints: 1, Title: "test run"}); err != nil {
+	if err := WriteHTMLReport(&buf, p, HTMLOptions{Title: "test run"}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -154,16 +154,13 @@ func TestPlanReuse(t *testing.T) {
 	}
 }
 
-// TestRejectsUnsupportedOptions: the modes that need totally ordered shared
-// state are refused up front with pointers to the sequential replayer.
+// TestRejectsUnsupportedOptions: ContextSensitive, which needs a shared
+// calling-context tree, is refused up front with a pointer to the
+// sequential replayer.
 func TestRejectsUnsupportedOptions(t *testing.T) {
 	tr := &trace.Trace{Routines: []string{"r"}}
 	if _, err := pipeline.BuildPlan(tr, 0, core.Options{ContextSensitive: true}); err == nil {
 		t.Error("ContextSensitive was not rejected")
-	}
-	cb := func(string, guest.ThreadID, uint64, uint64, uint64) {}
-	if _, err := pipeline.BuildPlan(tr, 0, core.Options{OnActivation: cb}); err == nil {
-		t.Error("OnActivation was not rejected")
 	}
 }
 

@@ -70,10 +70,9 @@ type Options struct {
 	// corrupted inputs exhausting memory. Zero means unlimited.
 	MaxEvents int
 
-	// Profile configures the analyzers. ContextSensitive and OnActivation
-	// are not supported by the parallel pipeline (the first needs a shared
-	// calling-context tree, the second a totally ordered activation
-	// stream); Analyze rejects them. RenumberThreshold is ignored: the
+	// Profile configures the analyzers. ContextSensitive is not supported
+	// by the parallel pipeline (it needs a shared calling-context tree);
+	// Analyze rejects it. RenumberThreshold is ignored: the
 	// pipeline's 64-bit counters never overflow.
 	Profile core.Options
 
@@ -132,12 +131,11 @@ type Plan struct {
 	annotated bool          // assembled from annotations recorded in the file
 	threads   []*threadPlan // in order of first appearance in the merged order
 
-	// Telemetry, Progress and Snapshot mirror the same-named Options
-	// fields for callers driving BuildPlan/Run directly; AnalyzeContext
-	// copies them from its Options. Set them between BuildPlan and Run.
-	Telemetry *telemetry.Registry
-	Progress  func(processed, total uint64)
-	Snapshot  *SnapshotOptions
+	// reg, progress and snapshot are AnalyzeContext's Options.Telemetry,
+	// Progress and Snapshot; a plan from BuildPlan runs without them.
+	reg      *telemetry.Registry
+	progress func(processed, total uint64)
+	snapshot *SnapshotOptions
 }
 
 // Annotated reports whether the plan was assembled from stamp annotations
@@ -176,29 +174,12 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*core.P
 	}
 	ctx, endTask := telemetry.StartTask(ctx, "aprof.analyze")
 	defer endTask()
-	if err := validateOptions(opts.Profile); err != nil {
-		return nil, err
-	}
 	plan, err := buildPlan(ctx, tr, opts.TieSeed, opts.Profile, opts.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	plan.Telemetry = opts.Telemetry
-	plan.Progress = opts.Progress
-	plan.Snapshot = opts.Snapshot
+	plan.reg, plan.progress, plan.snapshot = opts.Telemetry, opts.Progress, opts.Snapshot
 	return plan.RunContext(ctx, opts.Workers)
-}
-
-// validateOptions rejects the profiling modes the parallel pipeline cannot
-// support (they need totally ordered shared state; use core.FromTrace).
-func validateOptions(opts core.Options) error {
-	if opts.ContextSensitive {
-		return fmt.Errorf("pipeline: ContextSensitive profiling requires the sequential replayer (core.FromTrace)")
-	}
-	if opts.OnActivation != nil {
-		return fmt.Errorf("pipeline: OnActivation streaming requires the sequential replayer (core.FromTrace)")
-	}
-	return nil
 }
 
 // BuildPlan assembles the analysis plan from the trace's stamp annotations
@@ -212,7 +193,7 @@ func validateOptions(opts core.Options) error {
 // The analyzers keep the counter and their shadow cells at 64 bits, so no
 // renumbering ever happens.
 func BuildPlan(tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
-	return BuildPlanContext(context.Background(), tr, tieSeed, opts)
+	return buildPlan(context.Background(), tr, tieSeed, opts, nil)
 }
 
 // planFromAnnotations assembles a plan from the trace's recorded stamp
@@ -283,20 +264,15 @@ func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
 	return p, true
 }
 
-// BuildPlanContext is BuildPlan with cancellation: the offline Annotate
-// pass polls ctx once per merged scheduler run, so a canceled pass stops
-// within one run and returns ctx.Err(). Planning from recorded annotations
-// does no event work and ignores ctx.
-func BuildPlanContext(ctx context.Context, tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
-	return buildPlan(ctx, tr, tieSeed, opts, nil)
-}
-
-// buildPlan is BuildPlanContext timed into reg: pipeline/plan covers
+// buildPlan is BuildPlan with cancellation, timed into reg: the offline
+// Annotate pass polls ctx once per merged scheduler run, so a canceled
+// pass stops within one run and returns ctx.Err(); planning from recorded
+// annotations does no event work and ignores ctx. pipeline/plan covers
 // planning from recorded annotations, pipeline/prescan the offline
 // Annotate pass and planning from its output.
 func buildPlan(ctx context.Context, tr *trace.Trace, tieSeed int64, opts core.Options, reg *telemetry.Registry) (*Plan, error) {
-	if err := validateOptions(opts); err != nil {
-		return nil, err
+	if opts.ContextSensitive {
+		return nil, fmt.Errorf("pipeline: ContextSensitive profiling requires the sequential replayer (core.FromTrace)")
 	}
 	if tr.Annotated {
 		span := reg.StartSpan(ctx, "pipeline/plan")
@@ -352,13 +328,13 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	reg := p.Telemetry
+	reg := p.reg
 	reg.Gauge("pipeline/workers").Set(int64(workers))
 
 	// Live snapshots: the manager owns all JSON and file work.
 	var mgr *snapManager
-	if p.Snapshot != nil && p.Snapshot.enabled() {
-		mgr = newSnapManager(p, *p.Snapshot, reg)
+	if p.snapshot != nil && p.snapshot.enabled() {
+		mgr = newSnapManager(p, *p.snapshot, reg)
 	}
 
 	// Progress plumbing: workers accumulate processed events into one
@@ -370,8 +346,8 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	var onSegment func(events int)
 	evCounter := reg.Counter("pipeline/events_processed")
 	segCounter := reg.Counter("pipeline/segments_processed")
-	if p.Progress != nil || reg != nil {
-		progress := p.Progress
+	if p.progress != nil || reg != nil {
+		progress := p.progress
 		onSegment = func(events int) {
 			done := processed.Add(uint64(events))
 			evCounter.Add(uint64(events))

@@ -66,6 +66,15 @@ for key in guest/mem_events core/events_consumed shadow/chunks_allocated \
 done
 echo "telemetry snapshot OK: $snap"
 
+echo "== view smoke: aprof -plot/-report/-contexts, aprof-ispl -plot"
+# The profile views (internal/report/view.go) have golden tests; these
+# command paths into them do not, so each must at least run to exit 0.
+go run ./cmd/aprof -workload mysqld -plot mysql_select >/dev/null
+go run ./cmd/aprof -workload mysqld -report >/dev/null
+go run ./cmd/aprof -workload mysqld -contexts >/dev/null
+go run ./cmd/aprof-ispl -plot sortN examples/ispl/quicksort.ispl >/dev/null
+echo "view smoke OK"
+
 echo "== scaling smoke: pipeline speedup at GOMAXPROCS=2"
 # Parallelism canary: 2 workers on 2 CPUs must beat 1 worker by > 1.2x
 # on an annotated mid-size trace (self-skips on single-CPU hosts, where
