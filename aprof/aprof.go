@@ -339,7 +339,7 @@ func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() 
 func NewSnapshotTrigger() *SnapshotTrigger { return pipeline.NewSnapshotTrigger() }
 
 // EncodeTrace and DecodeTrace serialize traces in the binary trace format
-// (the segmented, checksummed v2 format; see docs/TRACE_FORMAT.md).
+// (the segmented, checksummed v3 format; see docs/TRACE_FORMAT.md).
 // EncodeTrace returns the number of bytes written.
 func EncodeTrace(tr *Trace, w io.Writer) (int64, error) { return tr.Encode(w) }
 

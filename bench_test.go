@@ -543,9 +543,10 @@ func BenchmarkPipelinePhases(b *testing.B) {
 
 // BenchmarkDecode times trace.Decode of a streamed mysqld recording, with
 // and without record-time stamp annotations: the decode layer of the
-// offline route (record, decode, analyze). It reports ns/event and the
-// bytes Decode allocates per event, so a change to the decoder has a
-// before/after next to BenchmarkPipelinePhases.
+// offline route (record, decode, analyze). It reports ns/event, the bytes
+// Decode allocates per event and the trace's wire bytes per event, so a
+// change to the decoder or the format has a before/after next to
+// BenchmarkPipelinePhases.
 func BenchmarkDecode(b *testing.B) {
 	params := workloads.Params{Size: 2 * benchSize("mysqld"), Threads: 8}
 	for _, annotate := range []bool{true, false} {
@@ -578,6 +579,7 @@ func BenchmarkDecode(b *testing.B) {
 			n := float64(events) * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/event")
+			b.ReportMetric(float64(len(raw))/float64(events), "wire_B/event")
 		})
 	}
 }
@@ -587,7 +589,8 @@ func BenchmarkDecode(b *testing.B) {
 // into a trace.StreamRecorder with and without stamp annotations. Every
 // sub-benchmark reports ns/event over the fastest of three native runs
 // timed up front, so `native` reads about 0 and `annotated` minus
-// `unannotated` is the annotator's share.
+// `unannotated` is the annotator's share. The recorders also report the
+// trace's wire bytes per event.
 func BenchmarkRecord(b *testing.B) {
 	params := workloads.Params{Size: 96, Threads: 8, Seed: 1}
 	var events int
@@ -624,6 +627,9 @@ func BenchmarkRecord(b *testing.B) {
 			}
 			perOp := b.Elapsed() / time.Duration(b.N)
 			b.ReportMetric(float64(perOp-native)/float64(events), "ns/event")
+			if name == "annotated" || name == "unannotated" {
+				b.ReportMetric(float64(buf.Len())/float64(events), "wire_B/event")
+			}
 		})
 	}
 }

@@ -20,11 +20,14 @@ func recordSmall(t *testing.T) string {
 
 // TestTraceArgument: every subcommand that reads a trace file takes its
 // flags before the file, and an argument after it (a flag included) is an
-// error naming that argument rather than being silently ignored.
+// error naming that argument rather than being silently ignored. record
+// and check take flags only, so any positional argument is such an error.
 func TestTraceArgument(t *testing.T) {
 	path := recordSmall(t)
+	out := filepath.Join(t.TempDir(), "out.trace")
 	subcommands := map[string]func([]string) error{
 		"info": info, "dump": dump, "verify": verify, "replay": replay, "analyze": analyze,
+		"record": record, "check": check,
 	}
 	for _, tc := range []struct {
 		sub     string
@@ -47,6 +50,11 @@ func TestTraceArgument(t *testing.T) {
 		{"analyze", []string{"-progress=false"}, "analyze: trace file required"},
 		{"analyze", []string{"-progress=false", path, "-workers", "2"}, `unexpected argument "-workers"`},
 		{"analyze", []string{"-progress=false", "-workload", "mysqld", path}, "mutually exclusive (got \"" + path + "\")"},
+		{"record", []string{"-progress=false", "-workload", "fig1a", "-o", out}, ""},
+		{"record", []string{"-progress=false", "-workload", "fig1a", out}, `unexpected argument "` + out + `"`},
+		{"record", []string{"-workload", "fig1a", "stray", "-o", out}, `unexpected argument "stray"`},
+		{"check", []string{"-workload", "fig1a", "-quick", "-level", "cheap"}, ""},
+		{"check", []string{"-workload", "fig1a", "stray", "-v"}, `unexpected argument "stray"`},
 	} {
 		var err error
 		out := stdout(t, func() error {

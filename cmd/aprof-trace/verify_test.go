@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -61,32 +62,53 @@ func TestVerifyRejectsSelfInconsistentTraces(t *testing.T) {
 	}
 }
 
-// TestV1Rejected: the unframed v1 format is no longer read. Decode, Recover
-// and Verify return *trace.VersionError{Want: 2, Got: 1} on a v1 prelude,
-// and `aprof-trace verify` fails on it (main exits 1), in both output
-// modes.
+// TestV1Rejected: the unframed v1 format and the v2 format, whose memory
+// records carry one access each, are no longer read. Decode, Recover and
+// Verify return *trace.VersionError{Want: 3, Got: 1} on a v1 prelude and
+// {Want: 3, Got: 2} on a v2 one, and `aprof-trace verify` fails on both
+// (main exits 1), in both output modes.
 func TestV1Rejected(t *testing.T) {
 	// A one-thread v1 trace: routine "main", one call and its return.
-	data := []byte("ISPTRACE\x01\x01\x04main\x00\x01\x00\x02\x01\x00\x00\x00\x01\x01\x00\x05")
-	check := func(what string, err error) {
-		t.Helper()
-		var ve *trace.VersionError
-		if !errors.As(err, &ve) || *ve != (trace.VersionError{Want: 2, Got: 1}) {
-			t.Errorf("%s returned %v, want *VersionError{Want: 2, Got: 1}", what, err)
-		}
+	v1 := []byte("ISPTRACE\x01\x01\x04main\x00\x01\x00\x02\x01\x00\x00\x00\x01\x01\x00\x05")
+	// A v2 trace: the same events framed as today, under the v2 prelude.
+	tr := &trace.Trace{
+		Routines: []string{"main"},
+		Threads: []trace.ThreadTrace{{ID: 0, Events: []trace.Event{
+			{TS: 1, Kind: trace.KindCall},
+			{TS: 2, Kind: trace.KindReturn},
+		}}},
 	}
-	_, err := trace.Decode(bytes.NewReader(data))
-	check("Decode", err)
-	_, _, err = trace.Recover(bytes.NewReader(data))
-	check("Recover", err)
-	_, err = trace.Verify(bytes.NewReader(data))
-	check("Verify", err)
-
-	path := filepath.Join(t.TempDir(), "v1.trace")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	var buf bytes.Buffer
+	if _, err := tr.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{path}, {"-json", path}} {
-		check("verify "+args[0], verify(args))
+	v2 := buf.Bytes()
+	v2[8] = 2
+	dir := t.TempDir()
+	for got, data := range map[byte][]byte{1: v1, 2: v2} {
+		want := trace.VersionError{Want: 3, Got: got}
+		check := func(what string, err error) {
+			t.Helper()
+			var ve *trace.VersionError
+			if !errors.As(err, &ve) || *ve != want {
+				t.Errorf("v%d: %s returned %v, want *VersionError%+v", got, what, err, want)
+			}
+		}
+		_, err := trace.Decode(bytes.NewReader(data))
+		check("Decode", err)
+		_, _, err = trace.Recover(bytes.NewReader(data))
+		check("Recover", err)
+		_, err = trace.Verify(bytes.NewReader(data))
+		check("Verify", err)
+		_, err = trace.NewStreamDecoder().Feed(data)
+		check("StreamDecoder.Feed", err)
+
+		path := filepath.Join(dir, fmt.Sprintf("v%d.trace", got))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{path}, {"-json", path}} {
+			check("verify "+args[0], verify(args))
+		}
 	}
 }

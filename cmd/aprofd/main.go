@@ -1,4 +1,4 @@
-// Command aprofd is the continuous-profiling daemon: it accepts v2
+// Command aprofd is the continuous-profiling daemon: it accepts
 // trace-segment streams from concurrently running guest processes, shards
 // incremental analysis per tenant, and maintains a rolling merged profile
 // per tenant that is byte-identical to a one-shot batch analysis of the

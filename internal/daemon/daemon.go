@@ -1,5 +1,5 @@
 // Package daemon is aprofd's engine: a long-running server that accepts
-// concurrent v2 trace-segment streams from many guest processes, shards
+// concurrent trace-segment streams from many guest processes, shards
 // incremental analysis per tenant, and maintains a rolling merged profile
 // per tenant that is byte-identical to a batch analysis of the same events.
 //

@@ -1,5 +1,5 @@
 // The aprofd wire protocol: a hello identifying the guest, then
-// length-framed chunks of the standard v2 trace stream.
+// length-framed chunks of the standard trace stream.
 //
 // Framing carries meaning beyond transport: guests cut frames only at
 // StreamRecorder.Flush boundaries, where the recorder guarantees the

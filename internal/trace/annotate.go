@@ -208,21 +208,35 @@ func (a *annotator) observe(events []Event, stamps []Stamp) []Stamp {
 
 // observeMem advances the annotator past a batch of memory accesses of the
 // open run's thread and appends the wire encoding of their reads' stamps
-// to stamps. It returns the extended stamps and the number of reads.
-func (a *annotator) observeMem(events []guest.MemEvent, stamps []byte) ([]byte, int) {
-	reads := 0
+// to sb.
+func (a *annotator) observeMem(events []guest.MemEvent, sb *stampBuf) {
+	enc, prev, n := sb.enc, sb.prev, sb.n
 	for _, e := range events {
 		addr := e.Addr()
 		if e.IsWrite() {
 			a.write(&a.global.Chunk(addr)[addr&(shadow.ChunkSize-1)], e.IsKernel())
 		} else {
-			stamps = appendStamp(stamps, a.global.Peek(addr))
-			reads++
+			st := a.global.Peek(addr)
+			enc = appendStamp(enc, st, prev)
+			prev = st.WTS
+			n++
 		}
 	}
+	sb.enc, sb.prev, sb.n = enc, prev, n
 	a.open.Events += len(events)
-	return stamps, reads
 }
+
+// stampBuf is an 'A' block's stamps as the recorder encodes them: their
+// wire encoding, their count, and the last one's WTS, from which the next
+// stamp's delta counts.
+type stampBuf struct {
+	enc  []byte
+	n    int
+	prev uint64
+}
+
+// reset empties the buffer for the next block.
+func (sb *stampBuf) reset() { sb.enc, sb.n, sb.prev = sb.enc[:0], 0, 0 }
 
 // closeRun appends the open run, unless it is empty, to its thread's runs,
 // and reopens it at the current counter. Splitting a run this way is exact:
@@ -272,8 +286,10 @@ const maxRunEvents = 1 << 40
 // emit them incrementally alongside the event segments they describe.
 func appendAnnotationPayload(dst []byte, id guest.ThreadID, runs []StampRun, stamps []Stamp) []byte {
 	dst = appendAnnotationHead(dst, id, runs, len(stamps))
+	prev := uint64(0)
 	for _, s := range stamps {
-		dst = appendStamp(dst, s)
+		dst = appendStamp(dst, s, prev)
+		prev = s.WTS
 	}
 	return dst
 }
@@ -291,10 +307,19 @@ func appendAnnotationHead(dst []byte, id guest.ThreadID, runs []StampRun, stamps
 	return binary.AppendUvarint(dst, uint64(stamps))
 }
 
-// appendStamp encodes one stamp of an 'A' block.
-func appendStamp(dst []byte, s Stamp) []byte {
-	dst = binary.AppendUvarint(dst, s.WTS)
-	return binary.AppendUvarint(dst, writerToWire(s.Writer))
+// appendStamp encodes one stamp of an 'A' block: the zigzag varint of
+// WTS - prev - 1, where prev is the block's previous stamp's WTS (0 for
+// its first), then the writer. Reads of a buffer the kernel filled see
+// consecutive WTS, and reads of one a thread wrote in one run see equal
+// ones, so the delta takes one byte where the WTS would take three or
+// four. The arithmetic wraps, so every WTS has an encoding.
+func appendStamp(dst []byte, s Stamp, prev uint64) []byte {
+	d := int64(s.WTS - prev - 1)
+	z, w := uint64(d<<1)^uint64(d>>63), writerToWire(s.Writer)
+	if z|w < 1<<7 {
+		return append(dst, byte(z), byte(w))
+	}
+	return binary.AppendUvarint(binary.AppendUvarint(dst, z), w)
 }
 
 // annotationHeader parses an 'A' block payload's thread id, run count and
@@ -328,6 +353,7 @@ func annotationHeader(payload []byte) (id guest.ThreadID, nr, ns, hdr int, err e
 
 // parseAnnotation decodes an 'A' block's runs and stamps, the payload after
 // its header, into runs and stamps, which hold exactly the header's counts.
+// Stamps come back with absolute WTS (see appendStamp).
 func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
 	p := block.NewParser(body)
 	for i := range runs {
@@ -341,10 +367,11 @@ func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
 		runs[i] = StampRun{Events: int(ev), StartCount: start, KernelBumps: kb}
 	}
 	p.Uvarint() // the stamp count, read by annotationHeader
+	prev := uint64(0)
 	for i := range stamps {
-		wts, ok := p.Short()
+		z, ok := p.Short()
 		if !ok {
-			wts = p.Uvarint()
+			z = p.Uvarint()
 		}
 		ww, ok := p.Short()
 		if !ok {
@@ -357,7 +384,9 @@ func parseAnnotation(body []byte, runs []StampRun, stamps []Stamp) error {
 		if err != nil {
 			return fmt.Errorf("stamp %d: %w", i, err)
 		}
+		wts := prev + 1 + uint64(int64(z>>1)^-int64(z&1))
 		stamps[i] = Stamp{WTS: wts, Writer: writer}
+		prev = wts
 	}
 	return p.End("trailing bytes after annotation stamps")
 }

@@ -12,17 +12,20 @@ import (
 //
 //	magic "ISPTRACE" | version byte | version-specific body
 //
-// Version 2 is the crash-safe segmented format implemented in format2.go:
+// Version 3 is the crash-safe segmented format implemented in format2.go:
 // checksummed name-table blocks, per-thread event segments and a footer.
-// Timestamps are delta-encoded per segment, which keeps typical events at
-// 4-6 bytes. Version 1, an unframed stream without checksums, is no longer
-// read. See docs/TRACE_FORMAT.md.
+// Timestamps are delta-encoded per segment, and one memory record carries
+// a run of up to maxRun same-kind accesses to adjacent cells at
+// consecutive timestamps, so a run of adjacent accesses costs one record
+// of 4-6 bytes instead of one per access. Version 1, an unframed stream without checksums,
+// and version 2, whose memory records carry one access each, are no
+// longer read. See docs/TRACE_FORMAT.md.
 
 var magic = [8]byte{'I', 'S', 'P', 'T', 'R', 'A', 'C', 'E'}
 
 // formatVersion is the wire-format version Encode writes and the only one
 // Decode, Recover and Verify read.
-const formatVersion = 2
+const formatVersion = 3
 
 // FormatVersion returns the current binary trace-format version byte.
 func FormatVersion() byte { return formatVersion }
@@ -52,7 +55,7 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeV2(data)
+	return decodeTrace(data)
 }
 
 // preludeLen is the size of the shared prelude: 8 magic bytes + 1 version.

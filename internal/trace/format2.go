@@ -17,7 +17,7 @@ import (
 	"repro/internal/shadow"
 )
 
-// Wire-format v2: after the shared 9-byte prelude (magic + version byte)
+// Wire-format v3: after the shared 9-byte prelude (magic + version byte)
 // the stream is a sequence of self-describing, individually checksummed
 // blocks in the framing of internal/block:
 //
@@ -29,8 +29,10 @@ import (
 //	'R'  routine-name table delta: uvarint count, count × string
 //	'Y'  sync-name table delta:    same layout
 //	'E'  event segment:            uvarint thread id, uvarint event count,
-//	                               then per event uvarint TS delta | kind
-//	                               byte | uvarint arg | uvarint aux
+//	                               then per record uvarint TS delta | kind
+//	                               byte | uvarint arg | uvarint aux; a
+//	                               memory record's aux is its run length
+//	                               minus one (see appendSegmentPayload)
 //	'A'  stamp annotations:        uvarint thread id, run batch, stamp
 //	                               batch (see annotate.go) — optional
 //	                               analysis metadata the recorder computes
@@ -44,13 +46,11 @@ import (
 // segment is flushed before that segment. Timestamp deltas restart from an
 // implicit previous value of 0 at each segment start, making every segment
 // independently decodable: recovery can salvage any subset of intact
-// segments. 'A' blocks likewise accumulate per thread in file order; they
-// are additive within version 2, so decoders that predate them reject the
-// unknown kind only in strict mode and older traces without them simply
-// decode as unannotated. See docs/TRACE_FORMAT.md for the full
-// specification.
+// segments. 'A' blocks likewise accumulate per thread in file order; a
+// trace without them decodes as unannotated. See docs/TRACE_FORMAT.md for
+// the full specification.
 
-// Block kind bytes of the v2 framing.
+// Block kind bytes of the framing.
 const (
 	blockRoutines    = 'R'
 	blockSyncs       = 'Y'
@@ -59,11 +59,16 @@ const (
 	blockFooter      = 'F'
 )
 
-// DefaultSegmentEvents is the event-count bound of one v2 trace segment:
+// DefaultSegmentEvents is the event-count bound of one trace segment:
 // Encode and the StreamRecorder cut each thread's stream into segments of at
 // most this many events, so a crash loses at most this many trailing events
 // per thread and recovery granularity stays fine-grained.
 const DefaultSegmentEvents = 4096
+
+// maxRun caps the accesses one memory record carries: a run of up to this
+// many same-kind accesses to adjacent ascending cells at consecutive
+// timestamps is one record whose aux is the run length minus one.
+const maxRun = 16
 
 // maxBlockPayload bounds a single block's declared payload length; anything
 // larger is treated as framing corruption rather than trusted.
@@ -78,8 +83,7 @@ const maxNameLen = 1 << 16
 // maxThreads bounds the per-trace thread count.
 const maxThreads = 1 << 20
 
-// traceFormat is the v2 block framing: the five kinds and the payload
-// bound.
+// traceFormat is the block framing: the five kinds and the payload bound.
 var traceFormat = block.Format{
 	Kinds:      string([]byte{blockRoutines, blockSyncs, blockEvents, blockAnnotations, blockFooter}),
 	MaxPayload: maxBlockPayload,
@@ -97,14 +101,29 @@ func appendTablePayload(dst []byte, names []string) []byte {
 
 // appendSegmentPayload encodes one segment of thread id's events as an E
 // block payload. Timestamp deltas restart from 0, so the segment decodes
-// independently of its predecessors.
+// independently of its predecessors. Each maximal run of up to maxRun
+// memory accesses of one kind, at adjacent ascending cells and consecutive
+// timestamps, is one record whose aux is the run length minus one, and the
+// next record's delta counts from the run's last timestamp.
 func appendSegmentPayload(dst []byte, id guest.ThreadID, events []Event) []byte {
 	dst = appendSegmentHead(dst, id, len(events))
 	prev := uint64(0)
-	for i := range events {
+	for i := 0; i < len(events); {
 		e := &events[i]
-		dst = appendEvent(dst, e.TS-prev, e.Kind, e.Arg, e.Aux)
-		prev = e.TS
+		n, aux := 1, e.Aux
+		if e.Kind.IsMemory() {
+			for n < maxRun && i+n < len(events) {
+				f := &events[i+n]
+				if f.Kind != e.Kind || f.Arg != e.Arg+uint64(n) || f.TS != e.TS+uint64(n) {
+					break
+				}
+				n++
+			}
+			aux = uint64(n - 1)
+		}
+		dst = appendEvent(dst, e.TS-prev, e.Kind, e.Arg, aux)
+		prev = e.TS + uint64(n-1)
+		i += n
 	}
 	return dst
 }
@@ -146,15 +165,16 @@ func writeAll(w io.Writer, b []byte) error {
 	return err
 }
 
-// Encode writes the trace in the current (v2) segmented binary format —
+// Encode writes the trace in the current (v3) segmented binary format —
 // checksummed name-table blocks, per-thread event segments of at most
 // DefaultSegmentEvents events, and a final footer — and returns the number
 // of bytes written. Any write or flush error is reported; on error the
 // returned count is the number of bytes successfully handed to w. A thread
-// whose timestamps go backwards, or a call or return whose routine id is
-// not below len(tr.Routines), cannot be encoded, since Decode would reject
-// the file: Encode returns an error naming the thread and the event and
-// writes nothing.
+// whose timestamps go backwards, a call or return whose routine id is not
+// below len(tr.Routines), or a memory access whose Aux is not 0 cannot be
+// encoded, since Decode would reject the file or return another trace:
+// Encode returns an error naming the thread and the event and writes
+// nothing.
 func (tr *Trace) Encode(w io.Writer) (int64, error) {
 	if err := tr.checkEncodable(); err != nil {
 		return 0, err
@@ -163,8 +183,10 @@ func (tr *Trace) Encode(w io.Writer) (int64, error) {
 }
 
 // checkEncodable verifies that every thread's timestamps are
-// non-decreasing, across all of tr.Threads' entries for the thread, and
-// that every call and return names a routine in the table.
+// non-decreasing, across all of tr.Threads' entries for the thread, that
+// every call and return names a routine in the table, and that every
+// memory access has Aux 0, since the wire uses a memory record's aux for
+// its run length.
 func (tr *Trace) checkEncodable() error {
 	last := make(map[guest.ThreadID]uint64, len(tr.Threads))
 	for i := range tr.Threads {
@@ -178,6 +200,9 @@ func (tr *Trace) checkEncodable() error {
 			prev = e.TS
 			if pastRoutines(e.Kind, e.Arg, len(tr.Routines)) {
 				return fmt.Errorf("trace: thread %d event %d: %w", tt.ID, j, routineError(e.Kind, e.Arg, len(tr.Routines)))
+			}
+			if e.Kind.IsMemory() && e.Aux != 0 {
+				return fmt.Errorf("trace: thread %d event %d: %s with aux %d, which a memory access does not carry", tt.ID, j, e.Kind, e.Aux)
 			}
 		}
 		last[tt.ID] = prev
@@ -310,8 +335,8 @@ func parseTablePayload(payload []byte) ([]string, error) {
 
 // segmentHeader parses an E block payload's header: the thread id and the
 // event count, and the header's length, where the events begin. The count
-// is bounded by the payload size (every event is at least four bytes), so
-// callers may allocate it.
+// is bounded by the payload size (every record is at least four bytes and
+// carries at most maxRun events), so callers may allocate it.
 func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 	p := block.NewParser(payload)
 	idWire := p.Uvarint()
@@ -319,7 +344,7 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 	if p.Err() != nil {
 		return threadIDFromWire(idWire), 0, 0, p.Err()
 	}
-	if count > uint64(len(payload))/4+1 {
+	if count > (uint64(len(payload))/4+1)*maxRun {
 		return threadIDFromWire(idWire), 0, 0, fmt.Errorf("implausible event count %d in %d-byte segment", count, len(payload))
 	}
 	return threadIDFromWire(idWire), int(count), p.Off(), nil
@@ -335,8 +360,8 @@ func segmentHeader(payload []byte) (id guest.ThreadID, n, hdr int, err error) {
 // parser.
 type AddressError struct {
 	// Event is the event's index in the input that held it: its segment
-	// for the parser, its thread for Replay, FeedTrace and Annotate, its
-	// run for FeedRun.
+	// for the parser, counting every access of a run, its thread for
+	// Replay, FeedTrace and Annotate, its run for FeedRun.
 	Event int
 	// Kind is the event's kind: a memory access, alloc or free.
 	Kind Kind
@@ -389,16 +414,19 @@ func segmentOrder(id guest.ThreadID, events []Event, last uint64) error {
 
 // parseEvents decodes a segment's events, the payload after its header,
 // into dst, which holds exactly the header's count: timestamps restart from
-// 0 at each segment and come back absolute. A delta that overflows the
-// timestamp is an error, so a parsed segment's timestamps never decrease.
-// A memory access, alloc or free outside the analysed address space is an
-// *AddressError, and a call or return must name one of the first routines
-// entries of the routine table. It returns how many of the events are
-// reads, the stamps a complete annotation carries for them.
+// 0 at each segment and come back absolute, and each memory record's run
+// comes back as one Event per access, with Aux 0. A delta that overflows
+// the timestamp is an error, so a parsed segment's timestamps never
+// decrease; so is a run longer than maxRun or than the events the segment
+// has left. A memory access, alloc or free outside the analysed address
+// space is an *AddressError (a run may end exactly at the limit), and a
+// call or return must name one of the first routines entries of the
+// routine table. It returns how many of the events are reads, the stamps a
+// complete annotation carries for them.
 func parseEvents(body []byte, id guest.ThreadID, dst []Event, routines int) (reads int, err error) {
 	p := block.NewParser(body)
 	ts := uint64(0)
-	for i := range dst {
+	for i := 0; i < len(dst); {
 		delta, ok := p.Short()
 		if !ok {
 			delta = p.Uvarint()
@@ -418,20 +446,48 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event, routines int) (rea
 		if k >= numKinds {
 			return 0, fmt.Errorf("event %d: invalid event kind %d", i, k)
 		}
-		if outside(k, arg, aux) {
-			return 0, addressError(i, k, arg)
+		if !k.IsMemory() {
+			if outside(k, arg, aux) {
+				return 0, addressError(i, k, arg)
+			}
+			if pastRoutines(k, arg, routines) {
+				return 0, fmt.Errorf("event %d: %w", i, routineError(k, arg, routines))
+			}
+			if ts+delta < ts {
+				return 0, fmt.Errorf("event %d: timestamp delta %d overflows from %d", i, delta, ts)
+			}
+			ts += delta
+			dst[i] = Event{TS: ts, Thread: id, Kind: k, Arg: arg, Aux: aux}
+			i++
+			continue
 		}
-		if pastRoutines(k, arg, routines) {
-			return 0, fmt.Errorf("event %d: %w", i, routineError(k, arg, routines))
+		if aux >= maxRun {
+			return 0, fmt.Errorf("event %d: %s run of aux %d exceeds the %d-access cap", i, k, aux, maxRun)
 		}
-		if ts+delta < ts {
-			return 0, fmt.Errorf("event %d: timestamp delta %d overflows from %d", i, delta, ts)
+		n := int(aux) + 1
+		if n > len(dst)-i {
+			return 0, fmt.Errorf("event %d: %s run of %d accesses overruns the segment's %d remaining events", i, k, n, len(dst)-i)
+		}
+		if arg >= addrLimit || uint64(n) > addrLimit-arg {
+			first := i // the first access at or past the limit
+			if arg < addrLimit {
+				first += int(addrLimit - arg)
+			}
+			return 0, addressError(first, k, arg)
+		}
+		if ts+delta < ts || ts+delta+uint64(n-1) < ts+delta {
+			return 0, fmt.Errorf("event %d: timestamp delta %d with a run of %d overflows from %d", i, delta, n, ts)
 		}
 		ts += delta
-		dst[i] = Event{TS: ts, Thread: id, Kind: k, Arg: arg, Aux: aux}
-		if k == KindRead || k == KindKernelRead {
-			reads++
+		run := dst[i : i+n]
+		for j := range run {
+			run[j] = Event{TS: ts + uint64(j), Thread: id, Kind: k, Arg: arg + uint64(j)}
 		}
+		ts += uint64(n - 1)
+		if k == KindRead || k == KindKernelRead {
+			reads += n
+		}
+		i += n
 	}
 	return reads, p.End("trailing bytes after segment events")
 }
@@ -477,7 +533,7 @@ func readInput(r io.Reader) ([]byte, error) {
 	}
 }
 
-// scanMode selects how a v2 walk treats a bad block.
+// scanMode selects how a walk of the blocks treats a bad block.
 type scanMode int
 
 const (
@@ -503,7 +559,7 @@ type scanBlock struct {
 	// varint).
 	id    guest.ThreadID
 	hasID bool
-	// slot indexes v2scan.threads (intact E and A blocks) and hdr is the
+	// slot indexes traceScan.threads (intact E and A blocks) and hdr is the
 	// payload's header length.
 	slot, hdr int
 	// n counts the block's names (R, Y), events (E) or runs (A); ns counts
@@ -528,13 +584,13 @@ type threadSlot struct {
 	stamps      []Stamp
 	reads       int
 	// listed reports a filled segment, so the thread appears in the trace
-	// (at its position in v2scan.order); annotated reports a filled A
+	// (at its position in traceScan.order); annotated reports a filled A
 	// block.
 	listed, annotated bool
 }
 
-// v2scan decodes one in-memory v2 input in two passes (see scanV2).
-type v2scan struct {
+// traceScan decodes one in-memory input in two passes (see scanTrace).
+type traceScan struct {
 	data            []byte
 	mode            scanMode
 	blocks          []scanBlock // every block walked, in file order
@@ -552,7 +608,7 @@ type v2scan struct {
 	truncated bool
 }
 
-// scanV2 decodes data, a whole v2 input including its prelude, in mode.
+// scanTrace decodes data, a whole input including its prelude, in mode.
 // The size pass walks the blocks up to the footer: it frames each one,
 // verifies its checksum, parses the name tables and, from segment and
 // annotation headers alone, tallies every thread's event, run and stamp
@@ -564,8 +620,8 @@ type v2scan struct {
 // stays proportional to len(data); a payload that fails to parse in the
 // fill pass leaves only unused capacity. A strict scan stops at the first
 // bad block and skips the fill pass if there is one.
-func scanV2(data []byte, mode scanMode) *v2scan {
-	s := &v2scan{data: data, mode: mode, slots: make(map[guest.ThreadID]int), footer: -1}
+func scanTrace(data []byte, mode scanMode) *traceScan {
+	s := &traceScan{data: data, mode: mode, slots: make(map[guest.ThreadID]int), footer: -1}
 	s.sizePass()
 	if mode != scanStrict || (s.footer >= 0 && s.firstBad() < 0) {
 		s.fillPass()
@@ -575,7 +631,7 @@ func scanV2(data []byte, mode scanMode) *v2scan {
 }
 
 // firstBad returns the index of the first bad block, or -1.
-func (s *v2scan) firstBad() int {
+func (s *traceScan) firstBad() int {
 	for i := range s.blocks {
 		if s.blocks[i].err != nil {
 			return i
@@ -584,8 +640,8 @@ func (s *v2scan) firstBad() int {
 	return -1
 }
 
-// sizePass walks the blocks up to the footer; see scanV2.
-func (s *v2scan) sizePass() {
+// sizePass walks the blocks up to the footer; see scanTrace.
+func (s *traceScan) sizePass() {
 	for off := preludeLen; ; {
 		f, err := traceFormat.Next(s.data, off)
 		if err == io.EOF {
@@ -621,7 +677,7 @@ func (s *v2scan) sizePass() {
 }
 
 // size checks one framed block and tallies its header.
-func (s *v2scan) size(b *scanBlock) {
+func (s *traceScan) size(b *scanBlock) {
 	if !b.CRCOK {
 		ioStats.crcFailures.Add(1)
 		b.err = block.ErrChecksum
@@ -679,7 +735,7 @@ func (s *v2scan) size(b *scanBlock) {
 
 // slot returns the index of thread id's slot, creating it on first use
 // within the maxThreads cap.
-func (s *v2scan) slot(id guest.ThreadID) (int, error) {
+func (s *traceScan) slot(id guest.ThreadID) (int, error) {
 	k, ok := s.slots[id]
 	if !ok {
 		if len(s.threads) >= maxThreads {
@@ -693,7 +749,7 @@ func (s *v2scan) slot(id guest.ThreadID) (int, error) {
 }
 
 // chain appends block i, an intact E or A block, to its thread's chain.
-func (s *v2scan) chain(i int) {
+func (s *traceScan) chain(i int) {
 	b := &s.blocks[i]
 	b.next = -1
 	t := &s.threads[b.slot]
@@ -705,7 +761,7 @@ func (s *v2scan) chain(i int) {
 	t.last = i
 }
 
-// fillPass parses every intact segment and annotation payload; see scanV2.
+// fillPass parses every intact segment and annotation payload; see scanTrace.
 // Threads are independent once the size pass is done, so up to GOMAXPROCS
 // goroutines each claim whole threads, largest first, and fill them; with
 // one thread or one processor the fill runs inline. What crosses threads
@@ -714,7 +770,7 @@ func (s *v2scan) chain(i int) {
 // strict scan stops filling that thread there; every other thread is
 // filled up to its own first bad block, so firstBad finds the first bad
 // block in file order whichever goroutine fails first.
-func (s *v2scan) fillPass() {
+func (s *traceScan) fillPass() {
 	if workers := min(runtime.GOMAXPROCS(0), len(s.threads)); workers <= 1 {
 		var f filler
 		for k := range s.threads {
@@ -772,7 +828,7 @@ type filler struct {
 
 // fill allocates thread k's slices and parses its chained blocks in file
 // order.
-func (f *filler) fill(s *v2scan, k int) {
+func (f *filler) fill(s *traceScan, k int) {
 	t := &s.threads[k]
 	keep := s.mode != scanVerify
 	if keep {
@@ -846,7 +902,7 @@ func makeExact[T any](n int) []T {
 // Recover drops and Verify reports them alike. The counts are compared
 // only when every block before the footer is intact; after a loss they
 // disagree by construction, and the loss is already reported.
-func (s *v2scan) checkEnd() {
+func (s *traceScan) checkEnd() {
 	if s.footer < 0 {
 		return
 	}
@@ -874,7 +930,7 @@ func (s *v2scan) checkEnd() {
 // trace assembles the filled threads into a Trace, in order of their first
 // segment, attaching the stamp annotations if — and only if — their
 // coverage is provably complete (annotationsComplete).
-func (s *v2scan) trace() *Trace {
+func (s *traceScan) trace() *Trace {
 	tr := &Trace{Version: formatVersion, Routines: s.routines, Syncs: s.syncs}
 	tr.Threads = make([]ThreadTrace, len(s.order))
 	for i, k := range s.order {
@@ -898,7 +954,7 @@ func (s *v2scan) trace() *Trace {
 // no segment. Anything inconsistent (e.g. a recording whose annotator shut
 // off mid-run, or a hand-damaged file that still checksums) degrades the
 // trace to unannotated, never to wrong analysis inputs.
-func (s *v2scan) annotationsComplete() bool {
+func (s *traceScan) annotationsComplete() bool {
 	found := false
 	for i := range s.threads {
 		if t := &s.threads[i]; t.annotated {
@@ -935,7 +991,7 @@ func (s *v2scan) annotationsComplete() bool {
 // strictErr renders the first bad block of a strict scan as Decode's
 // error, naming the block's offset; nil when every block is intact and
 // the footer was reached.
-func (s *v2scan) strictErr() error {
+func (s *traceScan) strictErr() error {
 	i := s.firstBad()
 	if i < 0 {
 		if s.footer < 0 {
@@ -961,11 +1017,11 @@ func (s *v2scan) strictErr() error {
 	return fmt.Errorf("trace: %s at offset %d: %w", what, b.Off, b.err)
 }
 
-// decodeV2 strictly decodes data, a whole v2 input: any checksum mismatch,
+// decodeTrace strictly decodes data, a whole input: any checksum mismatch,
 // framing fault, truncation, missing footer, footer/count disagreement or
 // trailing data is an error. Use Recover for best-effort salvage instead.
-func decodeV2(data []byte) (*Trace, error) {
-	s := scanV2(data, scanStrict)
+func decodeTrace(data []byte) (*Trace, error) {
+	s := scanTrace(data, scanStrict)
 	if err := s.strictErr(); err != nil {
 		return nil, err
 	}

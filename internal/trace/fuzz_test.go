@@ -55,9 +55,10 @@ const v1Trace = "ISPTRACE\x01\x01\x04main\x00\x01\x00\x02\x01\x00\x00\x00\x01\x0
 // a clean encoding, a v1 encoding (rejected), truncations, bit flips, bare
 // magic, empty input, the two self-inconsistent traces Decode rejects although
 // every block checksums (bytes after the footer, and a footer whose counts
-// disagree with the stream), and two more it rejects although every block
+// disagree with the stream), two more it rejects although every block
 // checksums: a memory access outside the analysed address space, and a
-// thread whose timestamps go backwards.
+// thread whose timestamps go backwards, and the run-shaped inputs of
+// runCases.
 func fuzzInputs(tb testing.TB) [][]byte {
 	encode := func(tr *trace.Trace) []byte {
 		var buf bytes.Buffer
@@ -84,6 +85,9 @@ func fuzzInputs(tb testing.TB) [][]byte {
 		encode(backwards),
 	}
 	for _, c := range selfInconsistentTraces(tb) {
+		inputs = append(inputs, c.data)
+	}
+	for _, c := range runCases(tb) {
 		inputs = append(inputs, c.data)
 	}
 	return inputs
@@ -250,7 +254,7 @@ func streamFeed(data, cuts []byte) (trace.StreamDelta, error) {
 
 // FuzzStreamDecoder: the incremental decoder must never panic, must not
 // depend on how its input is chunked — a whole feed and a split feed yield
-// the same deltas and both fail or neither does — and on a v2 trace Decode
+// the same deltas and both fail or neither does — and on a trace Decode
 // accepts it must stream exactly the decoded name tables and, per thread,
 // the decoded events, which feed through core.Incremental.FeedRun to the
 // profile batch replay computes (feedStreamed), as pipeline.Analyze of the

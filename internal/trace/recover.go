@@ -187,7 +187,7 @@ func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := scanV2(data, scanSalvage)
+	s := scanTrace(data, scanSalvage)
 	rep := &RecoveryReport{Version: formatVersion, BlocksSeen: len(s.blocks), Truncated: s.truncated, ExpectedEvents: -1}
 	if s.footer >= 0 {
 		rep.FooterValid = true
@@ -316,7 +316,7 @@ func Verify(r io.Reader) (*VerifyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := scanV2(data, scanVerify)
+	s := scanTrace(data, scanVerify)
 	vr := &VerifyReport{Version: formatVersion, Blocks: make([]BlockInfo, len(s.blocks)), Threads: len(s.order),
 		FooterValid: s.footer >= 0, Truncated: s.truncated}
 	for i := range s.blocks {

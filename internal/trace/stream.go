@@ -10,7 +10,7 @@ import (
 )
 
 // StreamRecorder is a guest.Tool that records the execution straight to an
-// io.Writer in the segmented v2 format: whenever a thread's buffered events
+// io.Writer in the segmented format: whenever a thread's buffered events
 // reach the segment bound, the segment — preceded by the name-table entries
 // it references — is framed, checksummed and written out immediately. A
 // recording run killed at any point therefore leaves a file from which
@@ -74,16 +74,30 @@ type StreamRecorder struct {
 	finished bool
 }
 
-// streamThread holds one thread's open segment, already encoded, and the
-// annotation runs and encoded stamps that cover exactly its events.
+// streamThread holds one thread's open segment, already encoded but for
+// its open memory run, and the annotation runs and encoded stamps that
+// cover exactly its events.
 type streamThread struct {
 	id     guest.ThreadID
-	body   []byte // the segment's encoded events
-	events int    // the number of events in body
+	body   []byte // the segment's encoded records
+	events int    // the number of events in the segment, open run included
 	lastTS uint64 // the timestamp of body's last event, 0 if it is empty
+	// The open run: runLen accesses (none when 0) that body does not hold
+	// yet, the first of which is run, at timestamp runTS.
+	run    guest.MemEvent
+	runLen int
+	runTS  uint64
 	runs   []StampRun
-	stamps []byte // the encoded stamps of the segment's reads
-	reads  int    // the number of stamps
+	stamps stampBuf // the encoded stamps of the segment's reads
+}
+
+// closeRun appends the open run, if there is one, to body as one record.
+func (st *streamThread) closeRun() {
+	if st.runLen > 0 {
+		st.body = appendEvent(st.body, st.runTS-st.lastTS, memKind(st.run), uint64(st.run.Addr()), uint64(st.runLen-1))
+		st.lastTS = st.runTS + uint64(st.runLen-1)
+		st.runLen = 0
+	}
 }
 
 // NewStreamRecorder returns a streaming recorder writing to w. The format
@@ -104,8 +118,8 @@ func NewStreamRecorder(w io.Writer) *StreamRecorder {
 }
 
 // SetAnnotations enables or disables stamp-annotation emission (default
-// enabled). Disabled, the recorder produces a legacy v2 stream, which
-// analysis annotates offline first; the resulting profiles are
+// enabled). Disabled, the recorder produces a stream without 'A' blocks,
+// which analysis annotates offline first; the resulting profiles are
 // byte-identical either way. Call it before recording starts.
 func (r *StreamRecorder) SetAnnotations(on bool) {
 	if !on {
@@ -203,6 +217,7 @@ func (r *StreamRecorder) flushThread(st *streamThread) {
 	if st.events == 0 || r.err != nil {
 		return
 	}
+	st.closeRun()
 	r.flushTables()
 	r.payload = appendSegmentHead(r.payload[:0], st.id, st.events)
 	r.writeBlock(blockEvents, r.payload, st.body)
@@ -222,10 +237,11 @@ func (r *StreamRecorder) flushThread(st *streamThread) {
 			// emitted now, the continuation is reopened exactly.
 			r.ann.closeRun()
 		}
-		if len(st.runs) > 0 || st.reads > 0 {
-			r.payload = appendAnnotationHead(r.payload[:0], st.id, st.runs, st.reads)
-			r.writeBlock(blockAnnotations, r.payload, st.stamps)
-			st.runs, st.stamps, st.reads = st.runs[:0], st.stamps[:0], 0
+		if len(st.runs) > 0 || st.stamps.n > 0 {
+			r.payload = appendAnnotationHead(r.payload[:0], st.id, st.runs, st.stamps.n)
+			r.writeBlock(blockAnnotations, r.payload, st.stamps.enc)
+			st.runs = st.runs[:0]
+			st.stamps.reset()
 		}
 	}
 }
@@ -296,6 +312,7 @@ func (r *StreamRecorder) add(t guest.ThreadID, k Kind, arg, aux uint64) {
 	}
 	st := r.thread(t)
 	ts := r.env.Now()
+	st.closeRun()
 	st.body = appendEvent(st.body, ts-st.lastTS, k, arg, aux)
 	st.lastTS = ts
 	st.events++
@@ -369,9 +386,7 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 		}
 		if r.ann != nil {
 			r.ann.enter(&st.runs, t)
-			var reads int
-			st.stamps, reads = r.ann.observeMem(events[:n], st.stamps)
-			st.reads += reads
+			r.ann.observeMem(events[:n], &st.stamps)
 		}
 		if st.events >= r.segCap {
 			r.flushThread(st)
@@ -381,22 +396,33 @@ func (r *StreamRecorder) MemBatch(t guest.ThreadID, startTS uint64, events []gue
 }
 
 // encodeMem appends memory accesses at timestamps from ts on to st's open
-// segment. An access outside the analysed address space becomes the sticky
-// error, and encodeMem reports whether there was none.
+// segment. An access that extends st's open run (same kind, the next cell,
+// the next timestamp, fewer than maxRun so far) joins it; any other closes
+// the run into one record and opens the next, so runs are maximal however
+// the accesses are batched. An access outside the analysed address space
+// becomes the sticky error, and encodeMem reports whether there was none.
 func (r *StreamRecorder) encodeMem(st *streamThread, ts uint64, events []guest.MemEvent) bool {
 	body, last := st.body, st.lastTS
+	run, n, start := st.run, st.runLen, st.runTS
 	for i, e := range events {
-		addr := uint64(e.Addr())
-		if addr >= addrLimit {
+		if addr := uint64(e.Addr()); addr >= addrLimit {
 			st.events += i
 			r.addrErr(memKind(e), addr)
 			return false
 		}
-		body = appendEvent(body, ts-last, memKind(e), addr, 0)
-		last = ts
+		if uint(n-1) < maxRun-1 && e == run+guest.MemEvent(n) && ts == start+uint64(n) {
+			n++
+		} else {
+			if n > 0 {
+				body = appendEvent(body, start-last, memKind(run), uint64(run.Addr()), uint64(n-1))
+				last = start + uint64(n-1)
+			}
+			run, n, start = e, 1, ts
+		}
 		ts++
 	}
 	st.body, st.lastTS = body, last
+	st.run, st.runLen, st.runTS = run, n, start
 	st.events += len(events)
 	return true
 }

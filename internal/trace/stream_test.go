@@ -302,22 +302,22 @@ func TestDispatchAddressOutOfRange(t *testing.T) {
 // TestStreamRecorderGoldenBytes pins the StreamRecorder's output: the
 // SHA-256 of the recording of three workloads (size 16, 8 threads, seed 1),
 // annotated and not, at the default segment bound and at 7. The hashes
-// come from the recorder that buffered decoded events and encoded them at
-// flush time, so they also pin the one-pass recorder to its bytes.
+// are of format v3, with its memory runs and stamp deltas; a change to the
+// format or to where the recorder cuts runs changes them.
 func TestStreamRecorderGoldenBytes(t *testing.T) {
 	golden := map[string]string{
-		"mysqld/seg=default/annotated":              "4c8454bfc383732b995918a18300367521e345e99926dc42ad935abdcc41a7db",
-		"mysqld/seg=default/unannotated":            "17455d95b91221dbbe25147ce94d8ef0a45b3ad52ad596a13929f697a14eef6b",
-		"mysqld/seg=7/annotated":                    "98ef4ccea20132b95960382381305a01643bea933494b5b07a29a411d8464511",
-		"mysqld/seg=7/unannotated":                  "486dacc8d7fc24c584bd31c15256ecffc1e4b97197c9455995e620bb19543e17",
-		"producer-consumer/seg=default/annotated":   "52eb61ebb5f414b6a04102f8c292158f4f16a232bdb30ee399d02d882f63ec2c",
-		"producer-consumer/seg=default/unannotated": "3a5e86d0b121532d5d468cbb75d911b26f3475b76f57afd42ac81b6372285f4a",
-		"producer-consumer/seg=7/annotated":         "35d51964e2d80b9de22c715e94ae449d9372f81a8223c697c1dffaff8b053661",
-		"producer-consumer/seg=7/unannotated":       "6e8b91ccac2c068bb35b4a4805d20981a6f2a6098b4e099a127256136bd83296",
-		"dedup/seg=default/annotated":               "a4f58f59a5bc5a3748596c4b37a12a49944d96b514044fccdf6229293cc67a12",
-		"dedup/seg=default/unannotated":             "c1b6bc0ec73d3df73c7db0f7c8bfecb2881375d4e0bbe18578451ecf926f26d2",
-		"dedup/seg=7/annotated":                     "08564835811fccc6236cbe06058421ee8c460158e46d808d8d001d33f19dad26",
-		"dedup/seg=7/unannotated":                   "7e324c8b23a356c8e9830d18c9833ec43809784a9dae8f04f35d086bc63847c7",
+		"mysqld/seg=default/annotated":              "4c06091207345b534b7daaad8b848ff5a18145daf9a9aa04977aeaf50df15d00",
+		"mysqld/seg=default/unannotated":            "e17364444f3364a9a1b46eee8a1e0e44ae3f6848a65f7d871f178bddc504919c",
+		"mysqld/seg=7/annotated":                    "33463e1f2c1dca7c4b542d924562e04f03e0c735f856e5ac518561a7aefd06b2",
+		"mysqld/seg=7/unannotated":                  "951bc08891ce8b53394c7a75ddf3c326b91edb15f449b0bb192fb7dfde4e2331",
+		"producer-consumer/seg=default/annotated":   "c901eea5a61437d9529300b1cb01cbe272cb9e652aa7a0048cf5d08e05a85c03",
+		"producer-consumer/seg=default/unannotated": "da8df302fffdeb768a2b4d83e6b7f1a3d3c1ebc5e673babc65f28cc180354150",
+		"producer-consumer/seg=7/annotated":         "d4a6c295928e914a3c9c043360d0ce22facbd97d1cd59b40a205bae3b2f658bd",
+		"producer-consumer/seg=7/unannotated":       "a69d33df5c41aee6bc3b7a4c4df7b6a4a28a597e6d63d5ff2282009268557a5f",
+		"dedup/seg=default/annotated":               "13c1d1f75e7a1e95ae80767fb8cfec80f0656bfa0b8c137cb1d96174300c181f",
+		"dedup/seg=default/unannotated":             "6140b4128db0aa043449a11dea07a3a42702dc71941f7558e46771c3886c3b2b",
+		"dedup/seg=7/annotated":                     "62294ae7821dc4a36bf8a0daa18733bc29b4b7eb620969df32da7dc244b7e608",
+		"dedup/seg=7/unannotated":                   "08d57642087bad622e01c3a9d9b7d26447673ffb1ed6c82326202f905fcbcc39",
 	}
 	for _, wl := range []string{"mysqld", "producer-consumer", "dedup"} {
 		for _, seg := range []int{0, 7} {

@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/block"
 	"repro/internal/guest"
 )
 
-// StreamSegment is one decoded event segment of an incremental v2 stream:
+// StreamSegment is one decoded event segment of an incremental stream:
 // a run of one thread's events in recording order.
 type StreamSegment struct {
 	// Thread is the recording thread's id.
@@ -86,7 +87,7 @@ type StreamDelta struct {
 	Footer bool
 }
 
-// StreamDecoder incrementally decodes a v2 trace stream from arbitrarily
+// StreamDecoder incrementally decodes a trace stream from arbitrarily
 // chunked byte deliveries, the receiving end of a StreamRecorder writing
 // over a network connection. Feed consumes whatever whole blocks the
 // buffered bytes contain and returns them decoded; a partial block simply
@@ -98,8 +99,8 @@ type StreamDelta struct {
 // its previous segment ended is such an error, and so is a call or return
 // naming a routine id past the names received so far: a recorder always
 // sends a name before the segment that uses it. Stamp-annotation blocks are
-// validated and skipped — a consumer merging several streams re-derives
-// interleaving state itself.
+// validated, into scratch the decoder reuses, and skipped — a consumer
+// merging several streams re-derives interleaving state itself.
 type StreamDecoder struct {
 	buf      bytes.Buffer
 	preluded bool
@@ -107,9 +108,11 @@ type StreamDecoder struct {
 	err      error
 	lastTS   map[guest.ThreadID]uint64 // each thread's last decoded timestamp
 	routines int                       // routine names received so far
+	runs     []StampRun                // scratch an 'A' block is parsed into
+	stamps   []Stamp
 }
 
-// NewStreamDecoder returns a decoder expecting the v2 prelude.
+// NewStreamDecoder returns a decoder expecting the format's prelude.
 func NewStreamDecoder() *StreamDecoder {
 	return &StreamDecoder{lastTS: make(map[guest.ThreadID]uint64)}
 }
@@ -223,7 +226,9 @@ func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
 	case blockAnnotations:
 		_, nr, ns, hdr, err := annotationHeader(f.Payload)
 		if err == nil {
-			err = parseAnnotation(f.Payload[hdr:], make([]StampRun, nr), make([]Stamp, ns))
+			d.runs = slices.Grow(d.runs[:0], nr)[:nr]
+			d.stamps = slices.Grow(d.stamps[:0], ns)[:ns]
+			err = parseAnnotation(f.Payload[hdr:], d.runs, d.stamps)
 		}
 		if err != nil {
 			return 0, fmt.Errorf("trace: annotation block: %w", err)

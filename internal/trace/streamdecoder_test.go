@@ -239,7 +239,7 @@ func TestStreamDecoderPartialBlockWaits(t *testing.T) {
 // name before the first segment using it; the batch decoders, which see
 // the whole file, bound it by the whole table.
 func TestStreamDecoderRoutinesSoFar(t *testing.T) {
-	prelude := append([]byte("ISPTRACE"), 2)
+	prelude := append([]byte("ISPTRACE"), trace.FormatVersion())
 	segment := []byte{1, 2, 1, byte(trace.KindCall), 0, 0, 1, byte(trace.KindReturn), 0, 1}
 	data := block.Append(prelude, 'R', []byte{0})
 	data = block.Append(data, 'E', segment)

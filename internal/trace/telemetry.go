@@ -8,7 +8,7 @@ import (
 )
 
 // ioStats tallies the package's encode/decode traffic process-wide. The
-// decode side (scanV2) is shared by Decode, Verify and Recover, and may run
+// decode side (scanTrace) is shared by Decode, Verify and Recover, and may run
 // from concurrent pipeline builds, so the tallies are atomic; they fire
 // once per block (a segment holds up to DefaultSegmentEvents events) or
 // once per call (decodeNS), so the cost is negligible whether or not
