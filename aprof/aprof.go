@@ -150,20 +150,6 @@ const (
 // ParseCheckLevel parses "off", "cheap" or "deep".
 func ParseCheckLevel(s string) (CheckLevel, error) { return core.ParseCheckLevel(s) }
 
-// CheckTraceInvariants validates a trace's structural invariants
-// (timestamp monotonicity, call/return balance).
-func CheckTraceInvariants(tr *Trace) *InvariantReport { return invariant.CheckTrace(tr) }
-
-// CheckProfileInvariants validates a profile's paper-level well-formedness
-// (trms/rms relations, histogram consistency).
-func CheckProfileInvariants(p *Profile) *InvariantReport { return invariant.CheckProfile(p) }
-
-// CheckEventConservation cross-checks guest-emitted against
-// profiler-consumed event tallies in a run's telemetry registry.
-func CheckEventConservation(reg *TelemetryRegistry) *InvariantReport {
-	return invariant.CheckConservation(reg)
-}
-
 // RunMetamorph executes the metamorphic differential suite for one
 // workload: the profile is re-derived under perturbed don't-care
 // parameters and all derivations must agree.
@@ -185,11 +171,11 @@ type (
 	Trace = trace.Trace
 	// TraceEvent is one trace operation.
 	TraceEvent = trace.Event
-	// TraceRecoveryReport describes what RecoverTrace salvaged from a
+	// TraceRecoveryReport describes what RecoverTraceFile salvaged from a
 	// damaged trace and what it dropped, block by block.
 	TraceRecoveryReport = trace.RecoveryReport
-	// TraceVerifyReport is the per-block result of a VerifyTrace checksum
-	// walk.
+	// TraceVerifyReport is the per-block result of a VerifyTraceFile
+	// checksum walk.
 	TraceVerifyReport = trace.VerifyReport
 	// AnalyzeOptions configures the parallel trace-analysis pipeline
 	// (workers, tie seed, event limit, telemetry, progress callback).
@@ -331,33 +317,20 @@ func AnalyzeTraceOptions(ctx context.Context, tr *Trace, opts AnalyzeOptions) (*
 	return pipeline.AnalyzeContext(ctx, tr, opts)
 }
 
-// NewTelemetryRegistry returns an empty metrics registry.
+// NewTelemetryRegistry returns an empty metrics registry. A zero
+// TelemetryRegistry has no maps to hold metrics, so this is how a caller
+// builds the registry AnalyzeOptions.Telemetry takes.
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
 // NewSnapshotTrigger returns a trigger for on-demand live profile
 // snapshots (SnapshotOptions.Trigger).
 func NewSnapshotTrigger() *SnapshotTrigger { return pipeline.NewSnapshotTrigger() }
 
-// EncodeTrace and DecodeTrace serialize traces in the binary trace format
-// (the segmented, checksummed v3 format; see docs/TRACE_FORMAT.md).
-// EncodeTrace returns the number of bytes written.
-func EncodeTrace(tr *Trace, w io.Writer) (int64, error) { return tr.Encode(w) }
-
-// DecodeTrace reads a binary trace, strictly: every checksum must verify and
-// the footer must be present. Use RecoverTrace for damaged files.
+// DecodeTrace reads a binary trace (the segmented, checksummed v3 format
+// a StreamTraceRecorder writes; see docs/TRACE_FORMAT.md), strictly: every
+// checksum must verify and the footer must be present. Use
+// RecoverTraceFile for damaged files.
 func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
-
-// RecoverTrace salvages the intact segments of a damaged trace and reports
-// exactly what was dropped and why; see trace.Recover.
-func RecoverTrace(r io.Reader) (*Trace, *TraceRecoveryReport, error) { return trace.Recover(r) }
-
-// VerifyTrace walks a trace's blocks checking every checksum and returns
-// per-block diagnostics; see trace.Verify.
-func VerifyTrace(r io.Reader) (*TraceVerifyReport, error) { return trace.Verify(r) }
-
-// WriteTraceFile encodes the trace to path atomically (temp file + rename)
-// and returns the number of bytes written.
-func WriteTraceFile(path string, tr *Trace) (int64, error) { return trace.WriteFile(path, tr) }
 
 // ReadTraceFile strictly decodes the trace stored at path.
 func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
@@ -380,12 +353,6 @@ func NewStreamRecorder(w io.Writer) *StreamTraceRecorder { return trace.NewStrea
 // input-size histogram (Activations.ByTRMS or ByRMS).
 func WorstCasePlot(hist map[uint64]*Point) []PlotPoint { return report.WorstCase(hist) }
 
-// AverageCasePlot extracts the average running time plot.
-func AverageCasePlot(hist map[uint64]*Point) []PlotPoint { return report.AverageCase(hist) }
-
-// WorkloadPlot extracts the workload plot (activation counts per size).
-func WorkloadPlot(hist map[uint64]*Point) []PlotPoint { return report.Workload(hist) }
-
 // BestFit selects the complexity model that best explains a cost plot.
 func BestFit(pts []PlotPoint) (Fit, error) { return fit.Best(pts) }
 
@@ -406,9 +373,6 @@ func InputVolume(a *Activations) float64 { return report.InputVolume(a) }
 // InducedSplit returns the execution-global percentages of thread-induced
 // and external induced first-accesses.
 func InducedSplit(p *Profile) (threadPct, externalPct float64) { return report.InducedSplit(p) }
-
-// SortedPoints orders an input-size histogram by size.
-func SortedPoints(hist map[uint64]*Point) []*Point { return core.SortedPoints(hist) }
 
 // ISPL types: the Input-Sensitive Profiling Language, a small concurrent
 // language compiled to bytecode and executed on the guest machine, so whole

@@ -111,14 +111,13 @@ func TestProfileWorkloadAndMetrics(t *testing.T) {
 }
 
 func TestTraceRoundTripViaFacade(t *testing.T) {
-	rec := aprof.NewRecorder()
+	var buf bytes.Buffer
+	rec := aprof.NewStreamRecorder(&buf)
 	online := aprof.NewProfiler(aprof.Options{})
 	if _, err := aprof.RunWorkload("dedup", aprof.WorkloadParams{Size: 12, Threads: 4}, rec, online); err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if _, err := aprof.EncodeTrace(rec.Trace(), &buf); err != nil {
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := aprof.DecodeTrace(&buf)

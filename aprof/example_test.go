@@ -1,7 +1,9 @@
 package aprof_test
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/aprof"
 )
@@ -111,4 +113,42 @@ func ExampleInducedSplit() {
 	fmt.Printf("induced input: %.0f%% thread, %.0f%% external\n", threadPct, externalPct)
 	// Output:
 	// induced input: 0% thread, 100% external
+}
+
+// ExampleAnalyzeTraceOptions analyses a recorded execution with the
+// parallel pipeline, collecting its telemetry and progress as
+// docs/OBSERVABILITY.md shows.
+func ExampleAnalyzeTraceOptions() {
+	rec := aprof.NewRecorder()
+	if _, err := aprof.RunWorkload("producer-consumer", aprof.WorkloadParams{Size: 32}, rec); err != nil {
+		fmt.Println(err)
+		return
+	}
+	tr := rec.Trace()
+
+	reg := aprof.NewTelemetryRegistry()
+	var done atomic.Uint64
+	p, err := aprof.AnalyzeTraceOptions(context.Background(), tr, aprof.AnalyzeOptions{
+		Workers:   4,
+		Telemetry: reg,
+		Progress: func(processed, total uint64) {
+			// Workers report concurrently: keep the largest count.
+			for old := done.Load(); processed > old; old = done.Load() {
+				if done.CompareAndSwap(old, processed) {
+					break
+				}
+			}
+		},
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	consumer := p.Routine("consumer").Merged()
+	fmt.Printf("consumer: rms=%d trms=%d\n", consumer.SumRMS, consumer.SumTRMS)
+	fmt.Printf("%d of %d events analysed, %d reported as progress\n",
+		reg.Snapshot().Counters["pipeline/events_processed"], tr.NumEvents(), done.Load())
+	// Output:
+	// consumer: rms=1 trms=32
+	// 335 of 335 events analysed, 335 reported as progress
 }

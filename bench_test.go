@@ -384,19 +384,6 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 }
 
-// BenchmarkCachegrind measures the cache-simulation tool (an extension
-// beyond the paper's Table 1 columns).
-func BenchmarkCachegrind(b *testing.B) {
-	params := workloads.Params{Threads: 4, Size: benchSize("351.bwaves")}
-	for i := 0; i < b.N; i++ {
-		cg := tools.NewCachegrind()
-		runWorkload(b, "351.bwaves", params, cg)
-		if i == b.N-1 {
-			b.ReportMetric(cg.MissRate(), "d1_miss_rate")
-		}
-	}
-}
-
 // BenchmarkISPLWorkloads measures the ISPL VM executing whole programs under
 // the profiler.
 func BenchmarkISPLWorkloads(b *testing.B) {

@@ -28,7 +28,11 @@ func main() {
 		out   = flag.String("out", "", "write the report to this file instead of stdout")
 	)
 	prof := profflag.Register(flag.CommandLine)
-	flag.Parse()
+	if err := profflag.FlagsOnly(flag.CommandLine, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "aprof-experiments:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -149,7 +149,7 @@ func record(args []string) error {
 	annotate := fs.Bool("annotate", true, "record per-segment stamp annotations so analysis needs no offline annotation pass")
 	showProgress := fs.Bool("progress", stderrIsTTY(), "draw a live progress line on stderr")
 	prof := profflag.Register(fs)
-	if err := flagsOnly(fs, args); err != nil {
+	if err := profflag.FlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *workload == "" {
@@ -427,20 +427,6 @@ func traceArg(fs *flag.FlagSet, args []string) (string, error) {
 	}
 }
 
-// flagsOnly parses the flags of a subcommand that takes no positional
-// argument. Parsing stops at the first positional argument, so one left
-// over is reported, naming it, rather than ignored with every flag after
-// it.
-func flagsOnly(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("%s: unexpected argument %q (it takes flags only)", fs.Name(), fs.Arg(0))
-	}
-	return nil
-}
-
 // analyze computes the trace's profile with the parallel pipeline; the
 // output is identical to replay's. With -recover, a damaged trace is first
 // salvaged and the recovery summary printed before profiling what survived
@@ -648,7 +634,7 @@ func check(args []string) error {
 	quick := fs.Bool("quick", false, "trim each perturbation axis to a single value")
 	verbose := fs.Bool("v", false, "print every variant, not only failures")
 	prof := profflag.Register(fs)
-	if err := flagsOnly(fs, args); err != nil {
+	if err := profflag.FlagsOnly(fs, args); err != nil {
 		return err
 	}
 	lv, err := aprof.ParseCheckLevel(*level)

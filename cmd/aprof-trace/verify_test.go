@@ -13,11 +13,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TestVerifyRejectsSelfInconsistentTraces: `aprof-trace verify` must exit
-// nonzero on a trace whose blocks all checksum but which Decode rejects:
-// bytes after the footer, or a footer whose counts disagree with the
-// stream.
-func TestVerifyRejectsSelfInconsistentTraces(t *testing.T) {
+// callReturn records a one-thread trace, routine "main" called and
+// returned, through a StreamRecorder.
+func callReturn(t *testing.T) []byte {
+	t.Helper()
 	tr := &trace.Trace{
 		Routines: []string{"main"},
 		Threads: []trace.ThreadTrace{{ID: 0, Events: []trace.Event{
@@ -26,10 +25,22 @@ func TestVerifyRejectsSelfInconsistentTraces(t *testing.T) {
 		}}},
 	}
 	var buf bytes.Buffer
-	if _, err := tr.Encode(&buf); err != nil {
+	sr := trace.NewStreamRecorder(&buf)
+	if err := trace.Replay(tr, 0, sr); err != nil {
 		t.Fatal(err)
 	}
-	clean := buf.Bytes()
+	if err := sr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestVerifyRejectsSelfInconsistentTraces: `aprof-trace verify` must exit
+// nonzero on a trace whose blocks all checksum but which Decode rejects:
+// bytes after the footer, or a footer whose counts disagree with the
+// stream.
+func TestVerifyRejectsSelfInconsistentTraces(t *testing.T) {
+	clean := callReturn(t)
 	vr, err := trace.Verify(bytes.NewReader(clean))
 	if err != nil || !vr.OK() {
 		t.Fatalf("clean trace does not verify: %v", err)
@@ -71,18 +82,7 @@ func TestV1Rejected(t *testing.T) {
 	// A one-thread v1 trace: routine "main", one call and its return.
 	v1 := []byte("ISPTRACE\x01\x01\x04main\x00\x01\x00\x02\x01\x00\x00\x00\x01\x01\x00\x05")
 	// A v2 trace: the same events framed as today, under the v2 prelude.
-	tr := &trace.Trace{
-		Routines: []string{"main"},
-		Threads: []trace.ThreadTrace{{ID: 0, Events: []trace.Event{
-			{TS: 1, Kind: trace.KindCall},
-			{TS: 2, Kind: trace.KindReturn},
-		}}},
-	}
-	var buf bytes.Buffer
-	if _, err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.Bytes()
+	v2 := callReturn(t)
 	v2[8] = 2
 	dir := t.TempDir()
 	for got, data := range map[byte][]byte{1: v1, 2: v2} {

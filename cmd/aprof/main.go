@@ -46,7 +46,7 @@ func main() {
 		record    = flag.String("record", "", "record the execution trace to this file")
 	)
 	prof := profflag.Register(flag.CommandLine)
-	if err := flagsOnly(flag.CommandLine, os.Args[1:]); err != nil {
+	if err := profflag.FlagsOnly(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "aprof:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -81,19 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aprof:", err)
 		os.Exit(1)
 	}
-}
-
-// flagsOnly parses the command line, which holds flags only. Parsing
-// stops at the first positional argument, so one left over is reported,
-// naming it, rather than ignored with every flag after it.
-func flagsOnly(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (aprof takes flags only)", fs.Arg(0))
-	}
-	return nil
 }
 
 func listWorkloads() {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,29 +55,5 @@ func TestRecordWritesAnnotatedTrace(t *testing.T) {
 	}
 	if !plan.Annotated() {
 		t.Error("plan of the recorded trace took the pre-scan route")
-	}
-}
-
-// TestFlagsOnly: aprof takes flags only, so an argument left after them is
-// an error naming it, rather than being ignored with every flag after it.
-func TestFlagsOnly(t *testing.T) {
-	for _, tc := range []struct {
-		args    []string
-		wantErr string // "" when parsing must succeed
-	}{
-		{[]string{"-workload", "mysqld", "-threads", "4"}, ""},
-		{[]string{"-workload", "mysqld", "stray", "-threads", "4"}, `unexpected argument "stray"`},
-		{[]string{"mysqld"}, `unexpected argument "mysqld"`},
-	} {
-		fs := flag.NewFlagSet("aprof", flag.ContinueOnError)
-		fs.String("workload", "", "")
-		threads := fs.Int("threads", 0, "")
-		err := flagsOnly(fs, tc.args)
-		switch {
-		case tc.wantErr == "" && (err != nil || *threads != 4):
-			t.Errorf("%q: err = %v, -threads = %d", tc.args, err, *threads)
-		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-			t.Errorf("%q: err = %v, want it to contain %s", tc.args, err, tc.wantErr)
-		}
 	}
 }

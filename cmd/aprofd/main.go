@@ -61,11 +61,8 @@ func run(args []string) error {
 	listen := fs.String("listen", "tcp:127.0.0.1:9121", "guest stream endpoint (tcp:host:port or unix:/path)")
 	ckptDir := fs.String("checkpoint-dir", "", "checkpoint each tenant's rolling profile under this `dir`")
 	prof := profflag.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := profflag.FlagsOnly(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	network, addr, err := parseListen(*listen)
 	if err != nil {

@@ -279,17 +279,6 @@ func (p *Profile) RoutineNames() []string {
 	return names
 }
 
-// SortedPoints returns the points of m (a ByTRMS or ByRMS histogram) in
-// ascending input-size order.
-func SortedPoints(m map[uint64]*Point) []*Point {
-	pts := make([]*Point, 0, len(m))
-	for _, pt := range m {
-		pts = append(pts, pt)
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].N < pts[j].N })
-	return pts
-}
-
 // Merge folds another profile into p: per-routine, per-thread aggregates and
 // histograms are combined, as are the global induced counters. Use it to
 // aggregate profiles from repeated runs of the same program (thread ids must

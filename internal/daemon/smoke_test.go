@@ -47,14 +47,18 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// One recorded mysqld execution, split into two per-connection shards.
 	rec := trace.NewRecorder()
-	if _, err := workloads.RunByName("mysqld", workloads.Params{Threads: 6, Size: 96}, rec); err != nil {
+	tracePath := filepath.Join(dir, "run.trace")
+	err := trace.AtomicWrite(tracePath, func(w io.Writer) error {
+		sr := trace.NewStreamRecorder(w)
+		if _, err := workloads.RunByName("mysqld", workloads.Params{Threads: 6, Size: 96}, rec, sr); err != nil {
+			return err
+		}
+		return sr.Close()
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr := rec.Trace()
-	tracePath := filepath.Join(dir, "run.trace")
-	if _, err := trace.WriteFile(tracePath, tr); err != nil {
-		t.Fatal(err)
-	}
 	shards := make([]*trace.Trace, 2)
 	for i := range shards {
 		shards[i] = &trace.Trace{Routines: tr.Routines, Syncs: tr.Syncs}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -314,27 +315,19 @@ func rawDial(t *testing.T, d *Daemon, tenant, process string) net.Conn {
 func TestOutOfRangeAddressKillsConnection(t *testing.T) {
 	tr := recordedRun(t)
 	want := batchExport(t, tr)
-	bad := &trace.Trace{Routines: tr.Routines, Syncs: tr.Syncs}
-	for i := range tr.Threads {
-		events := slices.Clone(tr.Threads[i].Events)
-		for j := range events {
-			if events[j].Kind == trace.KindRead {
-				events[j].Arg |= 1 << 45
-			}
-		}
-		bad.Threads = append(bad.Threads, trace.ThreadTrace{ID: tr.Threads[i].ID, Events: events})
-	}
-	var raw bytes.Buffer
-	if _, err := bad.Encode(&raw); err != nil {
-		t.Fatal(err)
-	}
+	// The prelude and one segment of thread 1 holding one record: a read
+	// of cell 2^45 at timestamp 1.
+	seg := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1)
+	seg = append(binary.AppendUvarint(seg, 1), byte(trace.KindRead))
+	seg = append(binary.AppendUvarint(seg, 1<<45), 0)
+	raw := block.Append(append([]byte("ISPTRACE"), trace.FormatVersion()), 'E', seg)
 
 	var log lockedBuffer
 	d := started(t, Options{Log: &log})
 	evil := rawDial(t, d, "evil", "guest-0")
 	// The daemon drops the connection at the bad frame, so the write may
 	// fail; only the daemon's side matters here.
-	_ = writeFrame(evil, raw.Bytes())
+	_ = writeFrame(evil, raw)
 	// The daemon fails the connection, then logs why.
 	waitFor(t, "the daemon to log the address error", func() bool {
 		return strings.Contains(log.String(), "analysed address space")

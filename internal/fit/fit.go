@@ -11,23 +11,12 @@ package fit
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Point is one cost-plot point: a routine's cost at input size N.
 type Point struct {
 	N    float64
 	Cost float64
-}
-
-// FromMap converts an input-size histogram (N -> cost) to sorted points.
-func FromMap(m map[uint64]uint64) []Point {
-	pts := make([]Point, 0, len(m))
-	for n, c := range m {
-		pts = append(pts, Point{N: float64(n), Cost: float64(c)})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].N < pts[j].N })
-	return pts
 }
 
 // Model is one complexity-class basis function y = A + B*g(n).

@@ -109,13 +109,6 @@ func TestNegativeSlopeClamped(t *testing.T) {
 	}
 }
 
-func TestFromMapSorted(t *testing.T) {
-	pts := FromMap(map[uint64]uint64{5: 50, 1: 10, 3: 30})
-	if len(pts) != 3 || pts[0].N != 1 || pts[1].N != 3 || pts[2].N != 5 {
-		t.Errorf("FromMap = %v, want sorted by N", pts)
-	}
-}
-
 // TestQuickLinearRecovery property: for random positive slopes and
 // intercepts, the linear model recovers them to good precision.
 func TestQuickLinearRecovery(t *testing.T) {

@@ -1,12 +1,14 @@
 // Package profflag provides the standard -cpuprofile/-memprofile flags for
 // the repository's command-line tools, so any run of the recorder, the
-// replayer, or the experiment driver can be inspected with go tool pprof.
+// replayer, or the experiment driver can be inspected with go tool pprof,
+// and FlagsOnly, the argument rule of every command that takes flags only.
 package profflag
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
@@ -15,6 +17,19 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
+
+// FlagsOnly parses args into fs for a command that takes flags only.
+// Parsing stops at the first positional argument, so one left over is an
+// error naming it, rather than ignored with every flag after it.
+func FlagsOnly(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (%s takes flags only)", fs.Arg(0), filepath.Base(fs.Name()))
+	}
+	return nil
+}
 
 // Flags holds the profiling and telemetry destinations parsed from a
 // flag set.

@@ -215,3 +215,38 @@ func TestUnwritableExecTracePath(t *testing.T) {
 		t.Errorf("error %q does not name the flag", err)
 	}
 }
+
+// TestFlagsOnly: a command that takes flags only reports an argument left
+// after them, naming it, rather than ignoring it with every flag after it.
+func TestFlagsOnly(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string // "" when parsing must succeed
+	}{
+		{[]string{"-workload", "mysqld", "-threads", "4"}, ""},
+		{[]string{"-workload", "mysqld", "stray", "-threads", "4"}, `unexpected argument "stray" (aprof takes flags only)`},
+		{[]string{"mysqld"}, `unexpected argument "mysqld"`},
+	} {
+		fs := flag.NewFlagSet("aprof", flag.ContinueOnError)
+		fs.String("workload", "", "")
+		threads := fs.Int("threads", 0, "")
+		err := FlagsOnly(fs, tc.args)
+		switch {
+		case tc.wantErr == "" && (err != nil || *threads != 4):
+			t.Errorf("%q: err = %v, -threads = %d", tc.args, err, *threads)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%q: err = %v, want it to contain %s", tc.args, err, tc.wantErr)
+		}
+	}
+
+	// aprof-experiments' command line: a second id given apart from -run
+	// is named, and -out after it is not silently dropped.
+	fs := flag.NewFlagSet("/usr/local/bin/aprof-experiments", flag.ContinueOnError)
+	fs.String("run", "", "")
+	fs.Bool("quick", false, "")
+	fs.String("out", "", "")
+	err := FlagsOnly(fs, []string{"-run", "fig1", "-quick", "fig2", "-out", "x.txt"})
+	if want := `unexpected argument "fig2" (aprof-experiments takes flags only)`; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+}

@@ -137,16 +137,3 @@ func WriteCSV(w io.Writer, xName, yName string, pts []fit.Point) error {
 	}
 	return nil
 }
-
-// WriteCurveCSV writes a cumulative curve as "percent,value" lines.
-func WriteCurveCSV(w io.Writer, yName string, curve []CumulativePoint) error {
-	if _, err := fmt.Fprintf(w, "percent_routines,%s\n", yName); err != nil {
-		return err
-	}
-	for _, p := range curve {
-		if _, err := fmt.Fprintf(w, "%.3f,%g\n", p.PercentRoutines, p.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}

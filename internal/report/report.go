@@ -24,16 +24,6 @@ func WorstCase(m map[uint64]*core.Point) []fit.Point {
 	return pts
 }
 
-// AverageCase extracts the average running time plot.
-func AverageCase(m map[uint64]*core.Point) []fit.Point {
-	pts := make([]fit.Point, 0, len(m))
-	for n, p := range m {
-		pts = append(pts, fit.Point{N: float64(n), Cost: float64(p.SumCost) / float64(p.Calls)})
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].N < pts[j].N })
-	return pts
-}
-
 // Workload extracts the workload plot: how many times the routine was
 // activated on each distinct input size.
 func Workload(m map[uint64]*core.Point) []fit.Point {

@@ -70,14 +70,6 @@ func TestDispatchMatchesReplay(t *testing.T) {
 			blocks, cells := mc.Leaks()
 			return fmt.Sprint(mc.UninitReads(), mc.UseAfterFrees(), mc.InvalidFrees(), blocks, cells, mc.Errors())
 		}},
-		{"cachegrind", func() guest.Tool { return tools.NewCachegrind() }, func(tl guest.Tool) string {
-			cg := tl.(*tools.Cachegrind)
-			s := fmt.Sprintf("%+v", cg.Totals())
-			for _, r := range cg.PerRoutine() {
-				s += fmt.Sprintf("\n%+v", *r)
-			}
-			return s
-		}},
 		{"helgrind", func() guest.Tool { return tools.NewHelgrind() }, func(tl guest.Tool) string {
 			h := tl.(*tools.Helgrind)
 			return fmt.Sprint(h.Races(), h.CellsTracked(), h.RaceReports())

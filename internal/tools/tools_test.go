@@ -275,98 +275,6 @@ func TestNulgrindCountsEvents(t *testing.T) {
 	}
 }
 
-func TestCachegrindColdAndWarmScans(t *testing.T) {
-	// Tiny cache: 8 lines of 4 cells, 2-way.
-	cg := NewCachegrindWith(
-		CacheConfig{Cells: 32, LineCells: 4, Assoc: 2},
-		CacheConfig{Cells: 256, LineCells: 4, Assoc: 4},
-	)
-	m := guest.NewMachine(guest.Config{Tools: []guest.Tool{cg}})
-	data := m.Static(16) // 4 lines: fits the 8-line D1
-	if err := m.Run(func(th *guest.Thread) {
-		th.Fn("scan", func() {
-			for pass := 0; pass < 3; pass++ {
-				for i := 0; i < 16; i++ {
-					th.Load(data + guest.Addr(i))
-				}
-			}
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	total := cg.Totals()
-	if total.Reads != 48 {
-		t.Errorf("reads = %d, want 48", total.Reads)
-	}
-	// Exactly 4 cold line misses; warm passes hit.
-	if total.D1Misses != 4 || total.LLMisses != 4 {
-		t.Errorf("misses D1=%d LL=%d, want 4, 4 (cold lines only)", total.D1Misses, total.LLMisses)
-	}
-}
-
-func TestCachegrindCapacityThrash(t *testing.T) {
-	// Working set of 32 lines against an 8-line D1: every sequential pass
-	// misses every line (LRU thrashing), but the larger LL absorbs repeats.
-	cg := NewCachegrindWith(
-		CacheConfig{Cells: 32, LineCells: 4, Assoc: 2},
-		CacheConfig{Cells: 1024, LineCells: 4, Assoc: 4},
-	)
-	m := guest.NewMachine(guest.Config{Tools: []guest.Tool{cg}})
-	data := m.Static(128) // 32 lines
-	if err := m.Run(func(th *guest.Thread) {
-		th.Fn("thrash", func() {
-			for pass := 0; pass < 2; pass++ {
-				for i := 0; i < 128; i++ {
-					th.Load(data + guest.Addr(i))
-				}
-			}
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	total := cg.Totals()
-	if total.D1Misses != 64 {
-		t.Errorf("D1 misses = %d, want 64 (every line, both passes)", total.D1Misses)
-	}
-	if total.LLMisses != 32 {
-		t.Errorf("LL misses = %d, want 32 (cold only; LL holds the set)", total.LLMisses)
-	}
-	if rate := cg.MissRate(); rate < 0.2 {
-		t.Errorf("miss rate = %.3f, want thrashing", rate)
-	}
-}
-
-func TestCachegrindPerRoutineAttribution(t *testing.T) {
-	cg := NewCachegrind()
-	m := guest.NewMachine(guest.Config{Tools: []guest.Tool{cg}})
-	hot := m.Static(65536) // 8192 lines: exceeds the default 512-line D1
-	cold := m.Static(8)
-	if err := m.Run(func(th *guest.Thread) {
-		th.Fn("streaming", func() {
-			for i := 0; i < 65536; i += 8 {
-				th.Load(hot + guest.Addr(i))
-			}
-		})
-		th.Fn("tight", func() {
-			for i := 0; i < 1000; i++ {
-				th.Load(cold + guest.Addr(i%8))
-			}
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	per := cg.PerRoutine()
-	if len(per) != 2 || per[0].Name != "streaming" {
-		t.Fatalf("per-routine order: %+v", per)
-	}
-	if per[0].D1Misses < 8000 {
-		t.Errorf("streaming misses = %d, want ~8192", per[0].D1Misses)
-	}
-	if per[1].D1Misses > 2 {
-		t.Errorf("tight loop misses = %d, want <= 2", per[1].D1Misses)
-	}
-}
-
 func TestHelgrindRWLockNoFalsePositive(t *testing.T) {
 	hg := NewHelgrind()
 	m := guest.NewMachine(guest.Config{Timeslice: 1, Tools: []guest.Tool{hg}})

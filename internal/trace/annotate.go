@@ -280,20 +280,6 @@ func writerFromWire(v uint64) (uint32, error) {
 // larger is treated as corruption rather than trusted into a sum.
 const maxRunEvents = 1 << 40
 
-// appendAnnotationPayload encodes one 'A' block payload: the thread id, a
-// batch of runs and a batch of stamps. Run and stamp batches accumulate
-// across a thread's A blocks in file order, so a streaming recorder can
-// emit them incrementally alongside the event segments they describe.
-func appendAnnotationPayload(dst []byte, id guest.ThreadID, runs []StampRun, stamps []Stamp) []byte {
-	dst = appendAnnotationHead(dst, id, runs, len(stamps))
-	prev := uint64(0)
-	for _, s := range stamps {
-		dst = appendStamp(dst, s, prev)
-		prev = s.WTS
-	}
-	return dst
-}
-
 // appendAnnotationHead encodes an 'A' block payload up to its stamps: the
 // thread id, the runs and the count of the stamps that follow.
 func appendAnnotationHead(dst []byte, id guest.ThreadID, runs []StampRun, stamps int) []byte {

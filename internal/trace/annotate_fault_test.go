@@ -62,18 +62,15 @@ func TestStrippedTwinRoundTrip(t *testing.T) {
 	}
 	stripped.StripAnnotations()
 
-	var reenc bytes.Buffer
-	if _, err := stripped.Encode(&reenc); err != nil {
-		t.Fatal(err)
-	}
-	vr, err := trace.Verify(bytes.NewReader(reenc.Bytes()))
+	reenc := recordBytes(t, stripped)
+	vr, err := trace.Verify(bytes.NewReader(reenc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vr.Annotations != 0 {
 		t.Fatalf("stripped twin re-encoded with %d annotation blocks", vr.Annotations)
 	}
-	twin, err := trace.Decode(bytes.NewReader(reenc.Bytes()))
+	twin, err := trace.Decode(bytes.NewReader(reenc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,8 @@ func selfInconsistentTraces(tb testing.TB) []selfInconsistentCase {
 			{TS: 2, Kind: trace.KindReturn},
 		}}},
 	}
-	var enc bytes.Buffer
-	if _, err := small.Encode(&enc); err != nil {
-		tb.Fatal(err)
-	}
-	vr, err := trace.Verify(bytes.NewReader(enc.Bytes()))
+	enc := recordBytes(tb, small)
+	vr, err := trace.Verify(bytes.NewReader(enc))
 	if err != nil || !vr.OK() {
 		tb.Fatalf("clean 2-event trace does not verify: %v %+v", err, vr)
 	}
@@ -65,7 +62,7 @@ func selfInconsistentTraces(tb testing.TB) []selfInconsistentCase {
 	payload = binary.AppendUvarint(payload, uint64(len(vr.Blocks)-1))
 	payload = binary.AppendUvarint(payload, 99)
 	payload = binary.AppendUvarint(payload, 1)
-	lying := block.Append(bytes.Clone(enc.Bytes()[:footer.Offset]), 'F', payload)
+	lying := block.Append(bytes.Clone(enc[:footer.Offset]), 'F', payload)
 
 	return []selfInconsistentCase{
 		{"trailing-bytes", append(bytes.Clone(rec.Bytes()), 1, 2, 3), recorded},
@@ -215,42 +212,16 @@ func TestTimestampOverflowRejected(t *testing.T) {
 	}
 }
 
-// TestEncodeRejectsBackwardsTimestamps: Encode refuses a thread whose
-// timestamps go backwards, within one entry or across two entries for the
-// same thread, naming the thread and the event and writing nothing, while
-// equal timestamps still round-trip. Decode likewise rejects a thread whose
-// later segment starts before its earlier one ends.
+// TestEncodeRejectsBackwardsTimestamps: an encoded trace cannot carry a
+// thread whose timestamps go backwards. Within a segment the step back is
+// a delta that overflows (TestTimestampOverflowRejected); across two
+// segments of one thread, each monotone, only the decoder can see it, and
+// Decode rejects the later segment for starting before the earlier one
+// ends. Equal timestamps still round-trip.
 func TestEncodeRejectsBackwardsTimestamps(t *testing.T) {
 	ev := func(id guest.ThreadID, ts uint64) trace.Event {
 		return trace.Event{TS: ts, Thread: id, Kind: trace.KindRead, Arg: 8}
 	}
-	for _, c := range []struct {
-		name    string
-		threads []trace.ThreadTrace
-		want    string
-	}{
-		{"within a thread", []trace.ThreadTrace{
-			{ID: 1, Events: []trace.Event{ev(1, 1)}},
-			{ID: 2, Events: []trace.Event{ev(2, 4), ev(2, 5), ev(2, 3)}},
-		}, "thread 2 event 2: timestamp 3 goes back from 5"},
-		{"across entries", []trace.ThreadTrace{
-			{ID: 3, Events: []trace.Event{ev(3, 7)}},
-			{ID: 3, Events: []trace.Event{ev(3, 6)}},
-		}, "thread 3 event 0: timestamp 6 goes back from 7"},
-	} {
-		tr := &trace.Trace{Threads: c.threads}
-		var buf bytes.Buffer
-		n, err := tr.Encode(&buf)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Encode error %v, want %q", c.name, err, c.want)
-		}
-		if n != 0 || buf.Len() != 0 {
-			t.Errorf("%s: Encode wrote %d bytes before failing", c.name, buf.Len())
-		}
-	}
-
-	// Two segments of one thread, each monotone, the second starting
-	// before the first ends: only the decoder can see the step back.
 	var buf bytes.Buffer
 	split := &trace.Trace{Threads: []trace.ThreadTrace{
 		{ID: 3, Events: []trace.Event{ev(3, 7)}},
@@ -266,13 +237,9 @@ func TestEncodeRejectsBackwardsTimestamps(t *testing.T) {
 	equal := &trace.Trace{Routines: []string{"r"}, Threads: []trace.ThreadTrace{
 		{ID: 1, Events: []trace.Event{ev(1, 2), ev(1, 2), ev(1, 2)}},
 	}}
-	buf.Reset()
-	if _, err := equal.Encode(&buf); err != nil {
-		t.Fatalf("equal timestamps rejected: %v", err)
-	}
-	back, err := trace.Decode(bytes.NewReader(buf.Bytes()))
+	back, err := trace.Decode(bytes.NewReader(recordBytes(t, equal)))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("equal timestamps rejected: %v", err)
 	}
 	if !reflect.DeepEqual(normalized(back), normalized(equal)) {
 		t.Fatal("equal timestamps do not round-trip")
@@ -335,7 +302,7 @@ func TestOutOfRangeAddressRejected(t *testing.T) {
 	const limit = uint64(1) << shadow.MaxAddrBits
 	encode := func(tr *trace.Trace) []byte {
 		var buf bytes.Buffer
-		if _, err := tr.Encode(&buf); err != nil {
+		if _, err := tr.EncodeUnchecked(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -346,7 +313,7 @@ func TestOutOfRangeAddressRejected(t *testing.T) {
 		{TS: 3, Thread: 1, Kind: trace.KindFree, Arg: 0, Aux: limit},
 		{TS: 4, Thread: 1, Kind: trace.KindSyncAcquire, Arg: limit << 4},
 	}}
-	if _, err := trace.Decode(bytes.NewReader(encode(&trace.Trace{Syncs: []string{"mu"}, Threads: []trace.ThreadTrace{good}}))); err != nil {
+	if _, err := trace.Decode(bytes.NewReader(recordBytes(t, &trace.Trace{Syncs: []string{"mu"}, Threads: []trace.ThreadTrace{good}}))); err != nil {
 		t.Fatalf("in-range trace rejected: %v", err)
 	}
 	for _, e := range []trace.Event{
@@ -408,7 +375,7 @@ func TestOutOfRangeAddressRejected(t *testing.T) {
 }
 
 // routineTrace is a one-name routine table and one call/return pair at
-// routine id rtn, encoded without Encode's checks. At rtn 1<<26 it is 59
+// routine id rtn, written by the reference encoder. At rtn 1<<26 it is 59
 // bytes.
 func routineTrace(tb testing.TB, rtn uint64) []byte {
 	tr := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 1, Events: []trace.Event{
@@ -425,9 +392,8 @@ func routineTrace(tb testing.TB, rtn uint64) []byte {
 // TestRoutineIDPastTableRejected: a call or return must name a routine in
 // the table, since analyzers index per-routine tables by its id. The
 // 59-byte trace with a call/return pair at id 1<<26 is an error from Decode
-// and the StreamDecoder, Recover drops its segment as DropInvalid, Verify
-// reports the segment, and Encode refuses to write it. The last id in the
-// table decodes.
+// and the StreamDecoder, Recover drops its segment as DropInvalid and
+// Verify reports the segment. The last id in the table decodes.
 func TestRoutineIDPastTableRejected(t *testing.T) {
 	if _, err := trace.Decode(bytes.NewReader(routineTrace(t, 0))); err != nil {
 		t.Fatalf("routine 0 of a 1-name table rejected: %v", err)
@@ -462,15 +428,5 @@ func TestRoutineIDPastTableRejected(t *testing.T) {
 	}
 	if len(bad) != 1 || bad[0].Kind != 'E' || !strings.Contains(bad[0].Err.Error(), want) {
 		t.Errorf("Verify reports bad blocks %+v, want the segment", bad)
-	}
-
-	rtn := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 1, Events: []trace.Event{
-		{TS: 1, Thread: 1, Kind: trace.KindCall},
-		{TS: 2, Thread: 1, Kind: trace.KindReturn, Arg: 1, Aux: 1},
-	}}}}
-	var buf bytes.Buffer
-	if _, err := rtn.Encode(&buf); err == nil || buf.Len() != 0 ||
-		!strings.Contains(err.Error(), "thread 1 event 1: return of routine 1 outside the 1-name routine table") {
-		t.Errorf("Encode of a return past the table: got %v after %d bytes", err, buf.Len())
 	}
 }

@@ -23,8 +23,8 @@ import (
 
 var magic = [8]byte{'I', 'S', 'P', 'T', 'R', 'A', 'C', 'E'}
 
-// formatVersion is the wire-format version Encode writes and the only one
-// Decode, Recover and Verify read.
+// formatVersion is the wire-format version the StreamRecorder writes and
+// the only one Decode, Recover, Verify and the StreamDecoder read.
 const formatVersion = 3
 
 // FormatVersion returns the current binary trace-format version byte.

@@ -39,16 +39,16 @@ func TestFaultInjectionDifferential(t *testing.T) {
 		name := name
 		rng := rand.New(rand.NewSource(int64(i) + 1))
 		t.Run(name, func(t *testing.T) {
-			rec := trace.NewRecorder()
-			if _, err := workloads.RunByName(name, workloads.Params{Size: 12, Threads: 3, Seed: 7}, rec); err != nil {
-				t.Fatal(err)
-			}
-			orig := rec.Trace()
 			var buf bytes.Buffer
-			if _, err := orig.Encode(&buf); err != nil {
+			rec, sr := trace.NewRecorder(), trace.NewStreamRecorder(&buf)
+			sr.SetAnnotations(false)
+			if _, err := workloads.RunByName(name, workloads.Params{Size: 12, Threads: 3, Seed: 7}, rec, sr); err != nil {
 				t.Fatal(err)
 			}
-			data := buf.Bytes()
+			if err := sr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			orig, data := rec.Trace(), buf.Bytes()
 
 			// Truncation: the salvaged prefix must profile identically to the
 			// inline profiler on the same prefix.

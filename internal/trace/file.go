@@ -101,23 +101,6 @@ func fsyncParent(path string) error {
 	return nil
 }
 
-// WriteFile encodes the trace to path atomically and durably: the bytes are
-// written to a temporary file in the same directory, fsynced, renamed over
-// path, and the parent directory entry is fsynced, so an interrupted write
-// never leaves a half-trace at the target and a completed one survives
-// power loss. It returns the number of bytes written.
-func WriteFile(path string, tr *Trace) (int64, error) {
-	var n int64
-	err := AtomicWrite(path, func(w io.Writer) (err error) {
-		n, err = tr.Encode(w)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
 // ReadFile strictly decodes the trace stored at path.
 func ReadFile(path string) (*Trace, error) {
 	f, err := os.Open(path)

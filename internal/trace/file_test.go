@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,6 +37,18 @@ func failSyncs(t *testing.T, inj faultinject.Injector, failFile, failDir bool) {
 	}
 }
 
+// writeTrace writes tr to path as aprof-trace record writes a recording:
+// a StreamRecorder writing into the temporary file of AtomicWrite.
+func writeTrace(path string, tr *Trace) error {
+	return AtomicWrite(path, func(w io.Writer) error {
+		sr := NewStreamRecorder(w)
+		if err := Replay(tr, 0, sr); err != nil {
+			return err
+		}
+		return sr.Close()
+	})
+}
+
 func smallTrace(t *testing.T) *Trace {
 	t.Helper()
 	tt := ThreadTrace{ID: guest.ThreadID(1)}
@@ -53,14 +66,14 @@ func smallTrace(t *testing.T) *Trace {
 	return &Trace{Routines: []string{"main"}, Threads: []ThreadTrace{tt}}
 }
 
-// TestWriteFileFailingSync: a failing file fsync must fail the write, leave
-// no file at the target, and leave no temp litter behind.
+// TestWriteFileFailingSync: a failing file fsync must fail the recording,
+// leave no file at the target, and leave no temp litter behind.
 func TestWriteFileFailingSync(t *testing.T) {
 	failSyncs(t, faultinject.After(0), true, false)
 	dir := t.TempDir()
 	target := filepath.Join(dir, "out.trace")
-	if _, err := WriteFile(target, smallTrace(t)); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("WriteFile error = %v, want injected fault", err)
+	if err := writeTrace(target, smallTrace(t)); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("writeTrace error = %v, want injected fault", err)
 	}
 	assertDirEmpty(t, dir)
 }
@@ -118,7 +131,7 @@ func TestAtomicWriteFileReplaces(t *testing.T) {
 	}
 }
 
-// TestAtomicWriteFileMode: AtomicWriteFile and WriteFile give the target
+// TestAtomicWriteFileMode: AtomicWriteFile and AtomicWrite give the target
 // the mode os.Create gives a new file in the same directory (0666 less the
 // umask), not the 0600 of os.CreateTemp.
 func TestAtomicWriteFileMode(t *testing.T) {
@@ -141,7 +154,7 @@ func TestAtomicWriteFileMode(t *testing.T) {
 	if _, err := AtomicWriteFile(raw, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteFile(tr, smallTrace(t)); err != nil {
+	if err := writeTrace(tr, smallTrace(t)); err != nil {
 		t.Fatal(err)
 	}
 	want := mode(created)
@@ -152,13 +165,13 @@ func TestAtomicWriteFileMode(t *testing.T) {
 	}
 }
 
-// TestWriteFileRoundTrip keeps the encode-through-temp-file path honest
-// after the durability refactor.
+// TestWriteFileRoundTrip: a trace recorded through AtomicWrite reads back
+// whole.
 func TestWriteFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "rt.trace")
 	tr := smallTrace(t)
-	if _, err := WriteFile(target, tr); err != nil {
+	if err := writeTrace(target, tr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(target)

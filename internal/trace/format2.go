@@ -32,7 +32,7 @@ import (
 //	                               then per record uvarint TS delta | kind
 //	                               byte | uvarint arg | uvarint aux; a
 //	                               memory record's aux is its run length
-//	                               minus one (see appendSegmentPayload)
+//	                               minus one (see StreamRecorder.encodeMem)
 //	'A'  stamp annotations:        uvarint thread id, run batch, stamp
 //	                               batch (see annotate.go) — optional
 //	                               analysis metadata the recorder computes
@@ -59,10 +59,10 @@ const (
 	blockFooter      = 'F'
 )
 
-// DefaultSegmentEvents is the event-count bound of one trace segment:
-// Encode and the StreamRecorder cut each thread's stream into segments of at
-// most this many events, so a crash loses at most this many trailing events
-// per thread and recovery granularity stays fine-grained.
+// DefaultSegmentEvents is the event-count bound of one trace segment: the
+// StreamRecorder cuts each thread's stream into segments of at most this
+// many events, so a crash loses at most this many trailing events per
+// thread and recovery granularity stays fine-grained.
 const DefaultSegmentEvents = 4096
 
 // maxRun caps the accesses one memory record carries: a run of up to this
@@ -99,35 +99,6 @@ func appendTablePayload(dst []byte, names []string) []byte {
 	return dst
 }
 
-// appendSegmentPayload encodes one segment of thread id's events as an E
-// block payload. Timestamp deltas restart from 0, so the segment decodes
-// independently of its predecessors. Each maximal run of up to maxRun
-// memory accesses of one kind, at adjacent ascending cells and consecutive
-// timestamps, is one record whose aux is the run length minus one, and the
-// next record's delta counts from the run's last timestamp.
-func appendSegmentPayload(dst []byte, id guest.ThreadID, events []Event) []byte {
-	dst = appendSegmentHead(dst, id, len(events))
-	prev := uint64(0)
-	for i := 0; i < len(events); {
-		e := &events[i]
-		n, aux := 1, e.Aux
-		if e.Kind.IsMemory() {
-			for n < maxRun && i+n < len(events) {
-				f := &events[i+n]
-				if f.Kind != e.Kind || f.Arg != e.Arg+uint64(n) || f.TS != e.TS+uint64(n) {
-					break
-				}
-				n++
-			}
-			aux = uint64(n - 1)
-		}
-		dst = appendEvent(dst, e.TS-prev, e.Kind, e.Arg, aux)
-		prev = e.TS + uint64(n-1)
-		i += n
-	}
-	return dst
-}
-
 // appendSegmentHead encodes an E block payload's header: the thread id and
 // the count of the events that follow.
 func appendSegmentHead(dst []byte, id guest.ThreadID, events int) []byte {
@@ -153,157 +124,6 @@ func appendFooterPayload(dst []byte, blocks, events, threads int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(events))
 	dst = binary.AppendUvarint(dst, uint64(threads))
 	return dst
-}
-
-// writeAll writes b fully to w, converting a silent short write into an
-// explicit error so no partial block ever passes as success.
-func writeAll(w io.Writer, b []byte) error {
-	n, err := w.Write(b)
-	if err == nil && n < len(b) {
-		err = io.ErrShortWrite
-	}
-	return err
-}
-
-// Encode writes the trace in the current (v3) segmented binary format —
-// checksummed name-table blocks, per-thread event segments of at most
-// DefaultSegmentEvents events, and a final footer — and returns the number
-// of bytes written. Any write or flush error is reported; on error the
-// returned count is the number of bytes successfully handed to w. A thread
-// whose timestamps go backwards, a call or return whose routine id is not
-// below len(tr.Routines), or a memory access whose Aux is not 0 cannot be
-// encoded, since Decode would reject the file or return another trace:
-// Encode returns an error naming the thread and the event and writes
-// nothing.
-func (tr *Trace) Encode(w io.Writer) (int64, error) {
-	if err := tr.checkEncodable(); err != nil {
-		return 0, err
-	}
-	return tr.encode(w)
-}
-
-// checkEncodable verifies that every thread's timestamps are
-// non-decreasing, across all of tr.Threads' entries for the thread, that
-// every call and return names a routine in the table, and that every
-// memory access has Aux 0, since the wire uses a memory record's aux for
-// its run length.
-func (tr *Trace) checkEncodable() error {
-	last := make(map[guest.ThreadID]uint64, len(tr.Threads))
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		prev := last[tt.ID]
-		for j := range tt.Events {
-			e := &tt.Events[j]
-			if e.TS < prev {
-				return fmt.Errorf("trace: thread %d event %d: timestamp %d goes back from %d", tt.ID, j, e.TS, prev)
-			}
-			prev = e.TS
-			if pastRoutines(e.Kind, e.Arg, len(tr.Routines)) {
-				return fmt.Errorf("trace: thread %d event %d: %w", tt.ID, j, routineError(e.Kind, e.Arg, len(tr.Routines)))
-			}
-			if e.Kind.IsMemory() && e.Aux != 0 {
-				return fmt.Errorf("trace: thread %d event %d: %s with aux %d, which a memory access does not carry", tt.ID, j, e.Kind, e.Aux)
-			}
-		}
-		last[tt.ID] = prev
-	}
-	return nil
-}
-
-// pastRoutines reports whether an event of kind k is a call or return
-// whose routine id arg is not below routines, the length of the routine
-// table. A routine id indexes the analyzers' per-routine tables, so an
-// unbounded one would let a tiny input claim unbounded memory.
-func pastRoutines(k Kind, arg uint64, routines int) bool {
-	return k <= KindReturn && arg >= uint64(routines)
-}
-
-// routineError describes an event pastRoutines rejects.
-func routineError(k Kind, arg uint64, routines int) error {
-	return fmt.Errorf("%s of routine %d outside the %d-name routine table", k, arg, routines)
-}
-
-// encode is Encode without its checks.
-func (tr *Trace) encode(w io.Writer) (int64, error) {
-	var total int64
-	emit := func(b []byte) error {
-		err := writeAll(w, b)
-		if err != nil {
-			// Count only what certainly reached w.
-			return err
-		}
-		total += int64(len(b))
-		return nil
-	}
-
-	prelude := make([]byte, 0, 9)
-	prelude = append(prelude, magic[:]...)
-	prelude = append(prelude, formatVersion)
-	if err := emit(prelude); err != nil {
-		return total, err
-	}
-
-	blocks := 0
-	var scratch []byte
-	writeBlock := func(kind byte, payload []byte) error {
-		scratch = block.Append(scratch[:0], kind, payload)
-		if err := emit(scratch); err != nil {
-			return err
-		}
-		blocks++
-		return nil
-	}
-
-	if err := writeBlock(blockRoutines, appendTablePayload(nil, tr.Routines)); err != nil {
-		return total, err
-	}
-	if err := writeBlock(blockSyncs, appendTablePayload(nil, tr.Syncs)); err != nil {
-		return total, err
-	}
-	events := 0
-	for i := range tr.Threads {
-		tt := &tr.Threads[i]
-		events += len(tt.Events)
-		// A thread with no events still gets one empty segment so its
-		// presence survives a round-trip.
-		for lo := 0; ; lo += DefaultSegmentEvents {
-			hi := min(lo+DefaultSegmentEvents, len(tt.Events))
-			if err := writeBlock(blockEvents, appendSegmentPayload(nil, tt.ID, tt.Events[lo:hi])); err != nil {
-				return total, err
-			}
-			if hi == len(tt.Events) {
-				break
-			}
-		}
-		// Re-emit the thread's stamp annotations, chunked so no single block
-		// grows unbounded; batches concatenate back at decode time.
-		if tr.Annotated && tt.Ann != nil {
-			runs, stamps := tt.Ann.Runs, tt.Ann.Stamps
-			for len(runs) > 0 || len(stamps) > 0 {
-				nr := min(len(runs), DefaultSegmentEvents)
-				ns := min(len(stamps), DefaultSegmentEvents)
-				if err := writeBlock(blockAnnotations, appendAnnotationPayload(nil, tt.ID, runs[:nr], stamps[:ns])); err != nil {
-					return total, err
-				}
-				runs, stamps = runs[nr:], stamps[ns:]
-			}
-		}
-	}
-	// The footer counts distinct thread ids, matching what a decoder's
-	// builder reconstructs even if the in-memory trace (e.g. a hand-built
-	// one) carries duplicate ids that decoding would merge.
-	distinct := make(map[guest.ThreadID]bool, len(tr.Threads))
-	for i := range tr.Threads {
-		distinct[tr.Threads[i].ID] = true
-	}
-	footer := appendFooterPayload(nil, blocks, events, len(distinct))
-	scratch = block.Append(scratch[:0], blockFooter, footer)
-	if err := emit(scratch); err != nil {
-		return total, err
-	}
-	ioStats.bytesEncoded.Add(uint64(total))
-	ioStats.blocksEncoded.Add(uint64(blocks + 1))
-	return total, nil
 }
 
 // parseTablePayload decodes an R/Y block payload into its names. Counts and
@@ -450,8 +270,10 @@ func parseEvents(body []byte, id guest.ThreadID, dst []Event, routines int) (rea
 			if outside(k, arg, aux) {
 				return 0, addressError(i, k, arg)
 			}
-			if pastRoutines(k, arg, routines) {
-				return 0, fmt.Errorf("event %d: %w", i, routineError(k, arg, routines))
+			// A routine id indexes the analyzers' per-routine tables, so an
+			// unbounded one would let a tiny input claim unbounded memory.
+			if k <= KindReturn && arg >= uint64(routines) {
+				return 0, fmt.Errorf("event %d: %s of routine %d outside the %d-name routine table", i, k, arg, routines)
 			}
 			if ts+delta < ts {
 				return 0, fmt.Errorf("event %d: timestamp delta %d overflows from %d", i, delta, ts)
@@ -931,7 +753,7 @@ func (s *traceScan) checkEnd() {
 // segment, attaching the stamp annotations if — and only if — their
 // coverage is provably complete (annotationsComplete).
 func (s *traceScan) trace() *Trace {
-	tr := &Trace{Version: formatVersion, Routines: s.routines, Syncs: s.syncs}
+	tr := &Trace{Routines: s.routines, Syncs: s.syncs}
 	tr.Threads = make([]ThreadTrace, len(s.order))
 	for i, k := range s.order {
 		tr.Threads[i] = ThreadTrace{ID: s.threads[k].id, Events: s.threads[k].events}

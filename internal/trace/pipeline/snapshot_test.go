@@ -163,8 +163,12 @@ func TestLiveSnapshotFile(t *testing.T) {
 // test runs the plan's threads one after another, as one worker does,
 // against a manager with only an Interval. The worker blocks after its
 // first segment until a tick has moved the snapshot generation past the
-// one it last saw, bounded by a generous timeout rather than a guess at
-// wall time; when it resumes, it captures mid-thread at its next safepoint.
+// one it last saw; when it resumes, it captures mid-thread at its next
+// safepoint. After its second segment it blocks again until the manager
+// has published a document, so a manager goroutine the scheduler runs
+// late cannot find the run already over and drain the capture unpublished.
+// Both waits are bounded by a generous timeout rather than a guess at wall
+// time.
 func TestSnapshotTickCapturesThreadsInFlight(t *testing.T) {
 	tr := recordedTrace(t, "mysqld", workloads.Params{Size: 16, Threads: 4})
 	plan, err := BuildPlan(tr, 1, core.Options{})
@@ -194,19 +198,34 @@ func TestSnapshotTickCapturesThreadsInFlight(t *testing.T) {
 			mu.Unlock()
 		},
 	}, nil)
+	published := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(docs) > 0
+	}
 	var snap *workerSnap
-	blocked := false
+	segments := 0
 	onSegment := func(int) {
-		if blocked {
-			return
-		}
-		blocked = true
-		// The worker polled the generation at the end of this segment,
-		// just before this call.
-		for deadline := time.Now().Add(30 * time.Second); mgr.gen.Load() == snap.gen; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Error("no tick moved the snapshot generation within 30s")
-				return
+		segments++
+		switch segments {
+		case 1:
+			// The worker polled the generation at the end of this segment,
+			// just before this call.
+			for deadline := time.Now().Add(30 * time.Second); mgr.gen.Load() == snap.gen; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("no tick moved the snapshot generation within 30s")
+					return
+				}
+			}
+		case 2:
+			// The worker captured in this segment, after the tick that
+			// asked for a document; the first state the manager takes
+			// in after that tick publishes one.
+			for deadline := time.Now().Add(30 * time.Second); !published(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("no document published within 30s of a tick")
+					return
+				}
 			}
 		}
 	}

@@ -70,7 +70,7 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if _, err := tr.Encode(&buf); err != nil {
+		if _, err := tr.EncodeUnchecked(&buf); err != nil {
 			return false
 		}
 		got, err := trace.Decode(&buf)
@@ -264,7 +264,8 @@ func TestQuickBatchedDispatchISPL(t *testing.T) {
 
 		run := func(batchMax int) ([]byte, []byte) {
 			prof := core.New(core.Options{})
-			rec := trace.NewRecorder()
+			var buf bytes.Buffer
+			rec := trace.NewStreamRecorder(&buf)
 			cfg := guest.Config{
 				Timeslice: timeslice,
 				Tools:     []guest.Tool{prof, rec},
@@ -278,8 +279,7 @@ func TestQuickBatchedDispatchISPL(t *testing.T) {
 			if err != nil {
 				return nil, nil
 			}
-			var buf bytes.Buffer
-			if _, err := rec.Trace().Encode(&buf); err != nil {
+			if err := rec.Close(); err != nil {
 				return nil, nil
 			}
 			return export, buf.Bytes()

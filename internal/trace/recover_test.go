@@ -13,17 +13,17 @@ import (
 )
 
 // encodeExample records the example run and returns both the in-memory trace
-// and its encoded bytes.
+// and the recorded bytes.
 func encodeExample(t *testing.T) (*trace.Trace, []byte) {
 	t.Helper()
-	rec := trace.NewRecorder()
-	exampleRun(t, 5, rec)
-	tr := rec.Trace()
 	var buf bytes.Buffer
-	if _, err := tr.Encode(&buf); err != nil {
+	rec, sr := trace.NewRecorder(), trace.NewStreamRecorder(&buf)
+	sr.SetAnnotations(false)
+	exampleRun(t, 5, rec, sr)
+	if err := sr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return tr, buf.Bytes()
+	return rec.Trace(), buf.Bytes()
 }
 
 // threadEvents indexes a trace's event slices by thread id.
@@ -277,18 +277,18 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestFileRoundTrip exercises the atomic WriteFile / ReadFile / RecoverFile /
-// VerifyFile helpers.
+// TestFileRoundTrip exercises the atomic AtomicWriteFile / ReadFile /
+// RecoverFile / VerifyFile helpers.
 func TestFileRoundTrip(t *testing.T) {
 	orig, data := encodeExample(t)
 	path := filepath.Join(t.TempDir(), "run.trace")
 
-	n, err := trace.WriteFile(path, orig)
+	n, err := trace.AtomicWriteFile(path, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(data)) {
-		t.Fatalf("WriteFile wrote %d bytes, Encode produced %d", n, len(data))
+		t.Fatalf("AtomicWriteFile wrote %d bytes of %d", n, len(data))
 	}
 	back, err := trace.ReadFile(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"slices"
@@ -99,6 +100,22 @@ func (r *refRecorder) Finish() {
 		tr.Threads = append(tr.Threads, *r.perTh[id])
 	}
 	r.trace = tr
+}
+
+// recordBytes returns tr's bytes as a program writes them: tr replayed
+// into a StreamRecorder, annotating only when tr is annotated.
+func recordBytes(tb testing.TB, tr *trace.Trace) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	sr := trace.NewStreamRecorder(&buf)
+	sr.SetAnnotations(tr.Annotated)
+	if err := trace.Replay(tr, 0, sr); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sr.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestRecorderMatchesReference: on workloads from every suite the

@@ -166,36 +166,14 @@ func TestRunShapes(t *testing.T) {
 // its first access alone, and 17 accesses take one record more.
 func TestRunCostsOneRecord(t *testing.T) {
 	size := func(n int) int {
-		var buf bytes.Buffer
 		tr := &trace.Trace{Threads: []trace.ThreadTrace{{ID: 1, Events: runEvents(trace.KindRead, 0x40, 1, n)}}}
-		if _, err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
+		return len(recordBytes(t, tr))
 	}
 	if one, run := size(1), size(16); one != run {
 		t.Errorf("one access encodes to %d bytes, a 16-access run to %d", one, run)
 	}
 	if run, more := size(16), size(17); more-run != 4 {
 		t.Errorf("a 17th access adds %d bytes, want one 4-byte record", more-run)
-	}
-}
-
-// TestEncodeRejectsMemoryAux: the wire uses a memory record's aux for its
-// run length, so Encode refuses a memory access whose Aux is not 0, naming
-// the thread and the event, and writes nothing.
-func TestEncodeRejectsMemoryAux(t *testing.T) {
-	events := runEvents(trace.KindWrite, 0x40, 1, 3)
-	events[2].Aux = 5
-	tr := &trace.Trace{Threads: []trace.ThreadTrace{{ID: 1, Events: events}}}
-	var buf bytes.Buffer
-	n, err := tr.Encode(&buf)
-	const want = "thread 1 event 2: write with aux 5"
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Encode error %v, want %q", err, want)
-	}
-	if n != 0 || buf.Len() != 0 {
-		t.Errorf("Encode wrote %d bytes before failing", buf.Len())
 	}
 }
 

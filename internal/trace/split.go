@@ -20,7 +20,6 @@ func SplitByTS(tr *Trace, cuts []uint64) []*Trace {
 	windows := make([]*Trace, len(cuts)+1)
 	for w := range windows {
 		windows[w] = &Trace{
-			Version:  tr.Version,
 			Routines: tr.Routines,
 			Syncs:    tr.Syncs,
 			Threads:  make([]ThreadTrace, len(tr.Threads)),

@@ -168,7 +168,11 @@ func (r *StreamRecorder) write(b []byte) {
 	if r.err != nil {
 		return
 	}
-	if err := writeAll(r.w, b); err != nil {
+	n, err := r.w.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
 		r.err = err
 		return
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ioStats tallies the package's encode/decode traffic process-wide. The
+// ioStats tallies the package's decode traffic process-wide. The
 // decode side (scanTrace) is shared by Decode, Verify and Recover, and may run
 // from concurrent pipeline builds, so the tallies are atomic; they fire
 // once per block (a segment holds up to DefaultSegmentEvents events) or
@@ -19,8 +19,6 @@ var ioStats struct {
 	crcFailures     atomic.Uint64 // blocks whose CRC32-C did not match
 	segmentsDecoded atomic.Uint64 // event segments materialized by builders
 	eventsDecoded   atomic.Uint64 // events in those segments
-	bytesEncoded    atomic.Uint64 // bytes produced by Trace.Encode
-	blocksEncoded   atomic.Uint64 // blocks produced by Trace.Encode
 	decodeNS        atomic.Uint64 // wall time inside Decode, Recover and Verify
 }
 
@@ -43,8 +41,6 @@ func PublishTelemetry(reg *telemetry.Registry) {
 	reg.Gauge("trace/crc_failures").Set(int64(ioStats.crcFailures.Load()))
 	reg.Gauge("trace/segments_decoded").Set(int64(ioStats.segmentsDecoded.Load()))
 	reg.Gauge("trace/events_decoded").Set(int64(ioStats.eventsDecoded.Load()))
-	reg.Gauge("trace/bytes_encoded").Set(int64(ioStats.bytesEncoded.Load()))
-	reg.Gauge("trace/blocks_encoded").Set(int64(ioStats.blocksEncoded.Load()))
 	reg.Gauge("trace/decode_ns").Set(int64(ioStats.decodeNS.Load()))
 }
 

@@ -144,15 +144,16 @@ func TestMergeTieBreaking(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: what the StreamRecorder writes decodes to the
+// trace the reference recorder builds from the same run.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rec := trace.NewRecorder()
-	exampleRun(t, 7, rec)
-	tr := rec.Trace()
-
 	var buf bytes.Buffer
-	if _, err := tr.Encode(&buf); err != nil {
+	ref, sr := newRefRecorder(), trace.NewStreamRecorder(&buf)
+	exampleRun(t, 7, ref, sr)
+	if err := sr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tr := ref.trace
 	t.Logf("encoded %d events in %d bytes (%.2f bytes/event)",
 		tr.NumEvents(), buf.Len(), float64(buf.Len())/float64(tr.NumEvents()))
 
@@ -215,11 +216,10 @@ func TestReplayEquivalence(t *testing.T) {
 // TestReplayAfterSerialization replays from a decoded byte stream.
 func TestReplayAfterSerialization(t *testing.T) {
 	online := core.New(core.Options{})
-	rec := trace.NewRecorder()
-	exampleRun(t, 4, online, rec)
-
 	var buf bytes.Buffer
-	if _, err := rec.Trace().Encode(&buf); err != nil {
+	rec := trace.NewStreamRecorder(&buf)
+	exampleRun(t, 4, online, rec)
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := trace.Decode(&buf)
@@ -303,24 +303,20 @@ func TestReplayTieSeedIrrelevantForRealTraces(t *testing.T) {
 }
 
 // TestDecodeVersionError: decoding a future-format trace yields the typed
-// version error, and decoded traces carry their wire version.
+// version error.
 func TestDecodeVersionError(t *testing.T) {
-	rec := trace.NewRecorder()
-	exampleRun(t, 6, rec)
 	var buf bytes.Buffer
-	if _, err := rec.Trace().Encode(&buf); err != nil {
+	rec := trace.NewStreamRecorder(&buf)
+	exampleRun(t, 6, rec)
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	got, err := trace.Decode(bytes.NewReader(raw))
-	if err != nil {
+	if _, err := trace.Decode(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != trace.FormatVersion() {
-		t.Errorf("decoded Version = %d, want %d", got.Version, trace.FormatVersion())
-	}
 	raw[8] = 7 // corrupt the version byte
-	_, err = trace.Decode(bytes.NewReader(raw))
+	_, err := trace.Decode(bytes.NewReader(raw))
 	var ve *trace.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Decode error = %v, want *trace.VersionError", err)

@@ -17,6 +17,7 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -89,23 +90,93 @@ var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // benchCite matches an inline code span or a link target; benchFile
 // matches a BENCH file named inside one. experimentRun captures the id list
 // of an `aprof-experiments ... -run <ids>` command and experimentBare the id
-// of an `aprof-experiments <id>` command that ends there.
+// of an `aprof-experiments <id>` command that ends there, a form the
+// command, which takes flags only, rejects. codeSpan matches an inline code
+// span and pkgRef a `pkg.Name` reference inside one.
 var (
 	benchCite      = regexp.MustCompile("`[^`\n]*`|\\]\\([^)\\s]*\\)")
 	benchFile      = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
 	experimentRun  = regexp.MustCompile("aprof-experiments\\b[^`\n]*?[ \t]-run[ \t=]+([A-Za-z0-9_.,]+)")
 	experimentBare = regexp.MustCompile("(?m)aprof-experiments[ \t]+([A-Za-z0-9_.]+)[ \t]*(?:$|[`#|;)])")
+	codeSpan       = regexp.MustCompile("`[^`\n]+`")
+	pkgRef         = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
 )
+
+// currentDoc reports whether the markdown file describes the tree as it
+// is, rather than its history (ROADMAP.md, CHANGES.md and the other root
+// documents, which may name what is deleted).
+func currentDoc(file string) bool {
+	return file == "README.md" || file == "EXPERIMENTS.md" || file == "DESIGN.md" || filepath.Dir(file) == "docs"
+}
+
+// repoDecls maps the name of every non-main package of the module to the
+// identifiers that its non-test files declare at top level (methods
+// excluded). The bench module and hidden directories are not swept.
+func repoDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	pkgs := make(map[string]map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil || f.Name.Name == "main" {
+			return err
+		}
+		names := pkgs[f.Name.Name]
+		if names == nil {
+			names = make(map[string]bool)
+			pkgs[f.Name.Name] = names
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
 
 // TestDocLinksResolve sweeps every markdown file at the repo root and
 // under docs/ for relative links to files and verifies each target
-// exists, so cross-references cannot silently rot as the tree moves. A
-// BENCH file that README.md, EXPERIMENTS.md or docs/*.md names in code or
-// in a link must also exist at the root and record under env the num_cpu
-// it was measured with, and an aprof-experiments command there must name
-// experiments that exist (or "all"); the other root documents, ROADMAP.md
-// and CHANGES.md among them, are history and may name deleted ones.
+// exists, so cross-references cannot silently rot as the tree moves. In
+// the current documents (currentDoc) more must hold: a BENCH file named in
+// code or in a link must exist at the root and record under env the
+// num_cpu it was measured with; an aprof-experiments command must give
+// its ids with -run and name experiments that exist (or "all"); and a
+// backticked `pkg.Name`, pkg a package of this module, must name an
+// identifier that pkg's non-test files declare. The other root documents,
+// ROADMAP.md and CHANGES.md among them, are history and may name deleted
+// ones.
 func TestDocLinksResolve(t *testing.T) {
+	decls := repoDecls(t)
 	var files []string
 	for _, pat := range []string{"*.md", "docs/*.md"} {
 		m, err := filepath.Glob(pat)
@@ -138,7 +209,7 @@ func TestDocLinksResolve(t *testing.T) {
 				t.Errorf("%s: dead link %q (%s does not exist)", file, m[1], resolved)
 			}
 		}
-		if file != "README.md" && file != "EXPERIMENTS.md" && filepath.Dir(file) != "docs" {
+		if !currentDoc(file) {
 			continue
 		}
 		for _, cite := range benchCite.FindAllString(string(src), -1) {
@@ -148,12 +219,20 @@ func TestDocLinksResolve(t *testing.T) {
 				}
 			}
 		}
-		for _, re := range []*regexp.Regexp{experimentRun, experimentBare} {
-			for _, m := range re.FindAllStringSubmatch(string(src), -1) {
-				for _, id := range strings.Split(m[1], ",") {
-					if _, err := experiments.Get(id); err != nil && id != "all" {
-						t.Errorf("%s: %q cites experiment %q, which does not exist", file, m[0], id)
-					}
+		for _, m := range experimentRun.FindAllStringSubmatch(string(src), -1) {
+			for _, id := range strings.Split(m[1], ",") {
+				if _, err := experiments.Get(id); err != nil && id != "all" {
+					t.Errorf("%s: %q cites experiment %q, which does not exist", file, m[0], id)
+				}
+			}
+		}
+		for _, m := range experimentBare.FindAllString(string(src), -1) {
+			t.Errorf("%s: %q gives an experiment id without -run, which aprof-experiments rejects", file, m)
+		}
+		for _, span := range codeSpan.FindAllString(string(src), -1) {
+			for _, m := range pkgRef.FindAllStringSubmatch(span, -1) {
+				if names, ok := decls[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s: %s names %s.%s, which package %s does not declare", file, span, m[1], m[2], m[1])
 				}
 			}
 		}
